@@ -139,12 +139,12 @@ def cmd_lift(args):
                        "chi": pl.euler_characteristic(),
                        "punctures": pl.punctures(), "genus": pl.genus()})
     else:
+        twist_data = _parse_twist(args.twist) if args.twist else None
         sched = default_schedule(X) if args.schedule is None else _read_schedule(args.schedule)
         mesh = smooth_lift(X, args.scale, sched, resolution=args.resolution)
         twist_class = None
-        if args.twist:
-            data = _parse_twist(args.twist)
-            mesh, twist_class = twist(mesh, data)
+        if twist_data is not None:
+            mesh, twist_class = twist(mesh, twist_data)
         mesh.to_off(os.path.join(args.out, "mesh.off"), projection=args.projection)
         mesh.to_obj(os.path.join(args.out, "mesh.obj"), projection=args.projection)
         with open(os.path.join(args.out, "schedule.json"), "w") as fh:
@@ -167,8 +167,12 @@ def _parse_twist(spec):
     from .lift import TwistData
     windings = {}
     for part in spec.split(";"):
-        fields = dict(kv.split("=") for kv in part.split(","))
-        windings[int(fields["edge"])] = int(fields["winding"])
+        try:
+            fields = dict(kv.split("=") for kv in part.split(","))
+            windings[int(fields["edge"])] = int(fields["winding"])
+        except (ValueError, KeyError):
+            raise InputError(f"malformed --twist part {part!r}: "
+                             "expected edge=I,winding=W with integers I and W")
     return TwistData(windings)
 
 
@@ -284,7 +288,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"numeric failure: {exc} "
+              f"{json.dumps(exc.diagnostics, sort_keys=True)}", file=sys.stderr)
         return 3
     except (InputError, TroplagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

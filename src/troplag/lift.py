@@ -819,38 +819,32 @@ def symplectic_residual(mesh_or_pieces):
     return worst
 
 
-def _unfold_torus(pts):
-    """Nine torus translates of the y part; x part unchanged."""
-    shifts = [(a, b) for a in (-PI, 0.0, PI) for b in (-PI, 0.0, PI)]
-    out = []
-    for a, b in shifts:
-        q = pts.copy()
-        q[:, 2] += a
-        q[:, 3] += b
-        out.append(q)
-    return np.vstack(out)
+def _fold_fiber(cloud):
+    """Copy of the cloud with the fiber coordinates in [0, pi)."""
+    out = np.array(cloud, dtype=float)
+    y = np.mod(out[:, 2:], PI)
+    y[y >= PI] = 0.0  # np.mod rounds tiny negative values up to pi itself
+    out[:, 2:] = y
+    return out
 
 
 def hausdorff_distance(cloud_a, cloud_b):
     """Symmetric point-sample Hausdorff distance in the product metric
-    (Euclidean base x flat torus fiber)."""
-    A = np.asarray(cloud_a, dtype=float)
-    B = np.asarray(cloud_b, dtype=float)
-    if len(A) == 0 or len(B) == 0:
+    (Euclidean base x flat torus fiber).
+
+    Each cloud goes into a KD-tree with boxsize (0, 0, pi, pi): a box size
+    of zero leaves the two base axes non-periodic, and pi makes the fiber
+    axes wrap, so the nearest-neighbour distances are exact torus distances
+    without translated copies of the clouds.
+    """
+    if len(cloud_a) == 0 or len(cloud_b) == 0:
         raise InputError("empty sampling")
-    A = A.copy()
-    B = B.copy()
-    A[:, 2:] = np.mod(A[:, 2:], PI)
-    B[:, 2:] = np.mod(B[:, 2:], PI)
-    tb = cKDTree(_unfold_torus(B))
-    da = tb.query(A, k=1)[0].max()
-    ta = cKDTree(_unfold_torus(A))
-    db = ta.query(B, k=1)[0].max()
+    A = _fold_fiber(cloud_a)
+    B = _fold_fiber(cloud_b)
+    box = (0.0, 0.0, PI, PI)
+    da = cKDTree(B, boxsize=box).query(A, k=1)[0].max()
+    db = cKDTree(A, boxsize=box).query(B, k=1)[0].max()
     return float(max(da, db))
-
-
-def mesh_cloud(mesh):
-    return mesh.points
 
 
 # ---------------------------------------------------------------------------

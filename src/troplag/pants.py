@@ -186,6 +186,29 @@ class PantsMap:
         gjk[:, idx, idx] += diag
         return g, gj, gjk
 
+    def _h_and_hessian_diag(self, w, i):
+        """Column i of h and the diagonal Hessian entry H_ii at plus rows w.
+
+        h_i is the arithmetic of ``_h_plus_raw``; H_ii uses the g, g_i and
+        g_ii terms of ``_g_derivatives``.  No domain checks: the fiber
+        solver checks the fixed coordinates once, before its loop.
+        """
+        s = w.sum(axis=1)
+        sins = np.sin(w)
+        P = np.prod(sins, axis=1)
+        C, Sn = np.cos(s), np.sin(s)
+        si = sins[:, i]
+        cot = np.cos(w[:, i]) / si
+        g = C * P
+        base = np.power(np.clip(g, 1e-300, None), self.n / self.m)
+        h = self.lam * (np.cos(w[:, i] + s) * (P / si)) / (self.m * base)
+        gi = P * (C * cot - Sn)
+        gii = P * (cot * (C * cot - Sn) - Sn * cot - C) - C * P / (si * si)
+        p = 1.0 / self.m
+        gp = np.power(g, p)
+        H = p * (p - 1) * (gp / (g * g)) * gi * gi + p * (gp / g) * gii
+        return h, self.lam * H
+
     def hessian(self, y):
         """Analytic Hessian of the potential; interior plus points only."""
         y = np.asarray(y, dtype=float)
@@ -447,38 +470,67 @@ class ProjectionPair:
         return self.pants._h_plus_raw(w)[:, j - 1]
 
     def _solve_scalar(self, j, target, wp, tol, max_iter):
-        """Monotone 1-d Newton with a maintained bisection bracket."""
-        rest = wp.sum(axis=1) - wp[:, j - 1]
-        hi = (PI / 2 - rest) / 2.0
-        lo = np.full_like(hi, 0.0)
-        bad = hi <= 0
-        if np.any(bad):
-            raise DomainError("transverse point outside the open face")
-        y = 0.5 * hi
+        """Solve h_j(q) = target for the coordinate q_j; the other
+        coordinates stay at wp.
+
+        h_j decreases monotonically on the bracket 0 < q_j < hi =
+        (pi/2 - rest)/2, where rest is the sum of the other coordinates, and
+        vanishes at hi.  As q_j -> 0, h_j ~ A q_j^(-n/m) with
+        A = lam cos(rest) P_rest / (m (cos(rest) P_rest)^(n/m)) and P_rest
+        the product of the other sines, so Newton starts at
+        (A/target)^(m/n); a start that is not finite or lies outside the
+        bracket is replaced by hi/2.  Each iteration updates only the rows
+        whose last step was at least tol, and evaluates only h_j and H_jj;
+        a Newton step that leaves the bracket becomes a bisection step.
+        Rows still moving after max_iter iterations must have a small
+        residual, or NumericError reports them.
+        """
         pants = self.pants
-        for it in range(max_iter):
-            w = wp.copy()
-            w[:, j - 1] = y
-            hval = pants._h_plus_raw(w)[:, j - 1]
-            f = hval - target
-            lo = np.where(f > 0, y, lo)
-            hi = np.where(f < 0, y, hi)
-            Hjj = pants.hessian(w)[:, j - 1, j - 1] if w.ndim > 1 else None
-            step = f / Hjj
-            ynew = y - step
+        i = j - 1
+        target = np.asarray(target, dtype=float)
+        if not np.all(np.isfinite(target)):
+            raise DomainError("fiber target is not finite")
+        rest = wp.sum(axis=1) - wp[:, i]
+        hi = (PI / 2 - rest) / 2.0
+        if not np.all(hi > 0):
+            raise DomainError("transverse point outside the open face")
+        others = np.delete(wp, i, axis=1)
+        if not np.all(others > 1e-12):
+            raise DomainError("fiber solve needs interior points of a coamoeba half")
+        y = 0.5 * hi
+        if pants.n:  # for n = 0, h_j has no pole at q_j = 0
+            c = np.cos(rest) * np.prod(np.sin(others), axis=1)
+            A = pants.lam * c / (pants.m * np.power(c, pants.n / pants.m))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                y0 = np.power(A / target, pants.m / pants.n)
+            y = np.where(np.isfinite(y0) & (y0 > 0) & (y0 < hi), y0, y)
+        # rows still moving, with their points, brackets and targets
+        act, w, lo, t = np.arange(len(y)), wp.copy(), np.zeros_like(hi), target
+        for _ in range(max_iter):
+            ya = y[act]
+            w[:, i] = ya
+            hval, Hjj = pants._h_and_hessian_diag(w, i)
+            f = hval - t
+            lo = np.where(f > 0, ya, lo)
+            hi = np.where(f < 0, ya, hi)
+            ynew = ya - f / Hjj
             outside = (ynew <= lo) | (ynew >= hi) | ~np.isfinite(ynew)
             ynew = np.where(outside, 0.5 * (lo + hi), ynew)
-            done = np.abs(ynew - y) < tol
-            y = ynew
-            if np.all(done):
+            y[act] = ynew
+            moving = ~(np.abs(ynew - ya) < tol)
+            act, w, lo, hi, t = act[moving], w[moving], lo[moving], hi[moving], t[moving]
+            if not len(act):
                 break
         else:
             resid = np.abs(self._fiber_h(j, y, wp) - target)
-            if np.any(resid > 1e-6 * (1 + np.abs(target))):
+            # written so that a NaN residual counts as a failure
+            if not np.all(resid <= 1e-6 * (1 + np.abs(target))):
                 raise NumericError("fiber solve did not converge",
-                                   {"max_residual": float(resid.max())})
+                                   {"max_residual": float(resid.max()),
+                                    "iterations": max_iter,
+                                    "unconverged_rows": int(len(act))})
         q = wp.copy()
-        q[:, j - 1] = y
+        q[:, i] = y
         return q
 
     def _solve_newton_nd(self, targets, wp, tol, max_iter):

@@ -99,6 +99,30 @@ def test_lift_validation_exit_codes(tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("spec", ["garbage", "edge=99", "edge=x,winding=1"])
+def test_lift_malformed_twist_exits_2(tmp_path, capsys, spec):
+    assert run(["lift", "triangle", "--resolution", "8", "--twist", spec,
+                "--out", str(tmp_path / "x")]) == 2
+    assert "--twist" in capsys.readouterr().err
+
+
+def test_numeric_failure_prints_diagnostics(tmp_path, capsys, monkeypatch):
+    from troplag.pants import ProjectionPair
+    solve = ProjectionPair._solve_scalar
+    monkeypatch.setattr(ProjectionPair, "_solve_scalar",
+                        lambda self, j, target, wp, tol, max_iter:
+                        solve(self, j, target, wp, tol, 1))
+    assert run(["lift", "triangle", "--resolution", "8",
+                "--out", str(tmp_path / "x")]) == 3
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    head = "numeric failure: fiber solve did not converge "
+    assert line.startswith(head)
+    diag = json.loads(line[len(head):])
+    assert list(diag) == sorted(diag)
+    assert diag["iterations"] == 1 and diag["unconverged_rows"] >= 1
+    assert diag["max_residual"] > 0
+
+
 def test_verify_command_deterministic(tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     assert run(["verify", "decomposition", "--seed", "7", "--out", str(out1)]) == 0

@@ -262,6 +262,47 @@ def test_hausdorff_edge_cases():
     assert hausdorff_distance(cloud, shifted) < 1e-12
 
 
+def _unfold_torus(pts):
+    """Nine torus translates of the y part; x part unchanged."""
+    shifts = [(a, b) for a in (-PI, 0.0, PI) for b in (-PI, 0.0, PI)]
+    out = []
+    for a, b in shifts:
+        q = pts.copy()
+        q[:, 2] += a
+        q[:, 3] += b
+        out.append(q)
+    return np.vstack(out)
+
+
+def _hausdorff_oracle(A, B):
+    """Brute force over all pairs and all nine translates."""
+    A, B = A.copy(), B.copy()
+    A[:, 2:] = np.mod(A[:, 2:], PI)
+    B[:, 2:] = np.mod(B[:, 2:], PI)
+
+    def one_way(P, Q):
+        d = np.linalg.norm(P[:, None, :] - _unfold_torus(Q)[None, :, :], axis=2)
+        return d.min(axis=1).max()
+    return max(one_way(A, B), one_way(B, A))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hausdorff_matches_unfolded_oracle(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (120, 4))
+    B = rng.uniform(-1.0, 1.0, (90, 4))
+    # fiber coordinates on both sides of the seam, beyond one period, and
+    # a tiny negative value that np.mod rounds up to pi itself
+    A[:, 2:] = rng.uniform(-0.2, 0.2, (120, 2)) + rng.integers(-2, 3, (120, 2)) * PI
+    B[:, 2:] = rng.uniform(0.0, PI, (90, 2))
+    A[0, 2:] = -1e-17
+    B[0, 2] = -1e-17
+    B[1, 3] = PI - 1e-17
+    got = hausdorff_distance(A, B)
+    assert got == pytest.approx(_hausdorff_oracle(A, B), rel=1e-12, abs=1e-15)
+    assert hausdorff_distance(B, A) == got
+
+
 def test_smooth_lift_validations():
     X = standard_line()
     with pytest.raises(InputError):

@@ -121,6 +121,16 @@ def test_hessian_flips_sign_under_involution():
     assert np.allclose(PM1.hessian(-y), -PM1.hessian(y), atol=1e-12)
 
 
+def test_h_and_hessian_diag_match_full_evaluators():
+    # the fiber solver's one-coordinate kernel against h and the full Hessian
+    for pm in (PM1, PM2, PantsMap(2, 0.3)):
+        ys = pm.sample_interior(500, seed=6)
+        for i in range(pm.m):
+            h, Hii = pm._h_and_hessian_diag(ys, i)
+            assert np.array_equal(h, pm._h_plus_raw(ys)[:, i])
+            assert np.allclose(Hii, pm.hessian(ys)[:, i, i], rtol=1e-9, atol=0)
+
+
 def test_hessian_boundary_raises():
     with pytest.raises(DomainError):
         PM1.hessian([PI / 4, PI / 4])
@@ -293,6 +303,82 @@ def test_fiber_solve_domain_error():
     pp = project(PM1, {1}, 0)
     with pytest.raises(DomainError):
         pp.fiber_solve(np.array([-0.5, 0.0]), np.array([0.0, 0.8]))
+    # a transverse coordinate of exactly 0 lies on the boundary of the face
+    with pytest.raises(DomainError):
+        pp.fiber_solve(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+    with pytest.raises(DomainError):
+        project(PM2, {1}, 0).fiber_solve(np.array([1.0, 0.0, 0.0]),
+                                         np.array([0.0, 0.0, 0.3]))
+
+
+def test_fiber_solve_rejects_non_finite_target():
+    pp = project(PM1, {1}, 0)
+    with pytest.raises(DomainError):
+        pp.fiber_solve(np.array([np.inf, 0.0]), np.array([0.0, 0.8]))
+
+
+def _bisection_fiber(pm, wp, target, iters=1100):
+    """Reference for ProjectionPair._solve_scalar with j = 1: bisection on
+    the monotone h_1 over the bracket (0, (pi/2 - rest)/2)."""
+    lo = np.zeros(len(wp))
+    hi = (PI / 2 - wp[:, 1:].sum(axis=1)) / 2.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        w = wp.copy()
+        w[:, 0] = mid
+        above = pm._h_plus_raw(w)[:, 0] > target
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_solve_scalar_matches_bisection_table(n):
+    # lam from 1e-3 to 1 and lam/x from 1e-3 to 1e3, at several transverse
+    # points: the asymptotic Newton start lands inside the bracket for small
+    # lam/x and outside it (falling back to hi/2) for large lam/x
+    rng = np.random.default_rng(n)
+    rows, targets, lams = [], [], []
+    for lam in (1e-3, 1e-2, 1e-1, 1.0):
+        for ratio in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3):
+            for _ in range(4):
+                rest = rng.uniform(0.05, 1.2) * rng.dirichlet(np.ones(n))
+                rows.append(np.concatenate([[0.0], rest]))
+                targets.append(lam / ratio)
+                lams.append(lam)
+    wp, targets, lams = np.array(rows), np.array(targets), np.array(lams)
+    hi = (PI / 2 - wp[:, 1:].sum(axis=1)) / 2.0
+    c = np.cos(wp[:, 1:].sum(axis=1)) * np.prod(np.sin(wp[:, 1:]), axis=1)
+    start = (lams * c ** (1.0 / (n + 1)) / ((n + 1) * targets)) ** ((n + 1) / n)
+    assert np.any(start < hi) and np.any(start > hi)
+    for lam in np.unique(lams):
+        sel = lams == lam
+        pm = PantsMap(n, lam)
+        q = project(pm, {1}, 0)._solve_scalar(1, targets[sel], wp[sel], 1e-12, 80)
+        ref = _bisection_fiber(pm, wp[sel], targets[sel])
+        assert np.array_equal(q[:, 1:], wp[sel][:, 1:])
+        assert np.allclose(q[:, 0], ref, rtol=1e-10, atol=1e-12)
+
+
+def test_fiber_solve_root_below_tolerance():
+    # x = 1e12 at lam = 1 puts the root near 1e-25: the solve still returns
+    # it (within tol of 0), not a domain error
+    for pm, x, ypr in ((PM1, [1e12, 0.0], [0.0, 0.8]),
+                       (PM2, [1e12, 0.0, 0.0], [0.0, 0.4, 0.3])):
+        q = project(pm, {1}, 0).fiber_solve(np.array(x), np.array(ypr))
+        assert 0.0 < q[0] <= 1e-12
+        assert np.allclose(q[1:], ypr[1:], atol=1e-15)
+
+
+def test_fiber_solve_non_convergence_diagnostics():
+    pp = project(PM1, {1}, 0)
+    with pytest.raises(NumericError) as info:
+        pp.fiber_solve(np.array([[1.0, 0.0], [2.0, 0.0]]),
+                       np.array([[0.0, 0.8], [0.0, 0.5]]), max_iter=1)
+    diag = info.value.diagnostics
+    assert diag["iterations"] == 1
+    assert 1 <= diag["unconverged_rows"] <= 2
+    assert diag["max_residual"] > 1e-6
 
 
 def test_exceptional_fiber_closed_form():
