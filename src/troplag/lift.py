@@ -307,8 +307,8 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
             diam = max(1.0, float(np.ptp(vs, axis=0).max()))
         truncation = 3.0 * diam
     ball_radius, lam, legs = {}, {}, {}
-    for vi, v in enumerate(X.vertices):
-        model = LocalModel(X, v)
+    for vi in range(len(X.vertices)):
+        model = _local_model(X, vi)
         legs_lat = {}
         for j in range(3):
             scale = model.leg_norm[j]
@@ -348,15 +348,15 @@ def validate_schedule(X, sched):
     for e in X.bounded_edges():
         a, b = (np.array([float(c) for c in p]) for p in e.verts)
         length = np.linalg.norm(b - a)
-        ia = _vertex_index(X, e.verts[0])
-        ib = _vertex_index(X, e.verts[1])
+        ia = X.vertex_index(e.verts[0])
+        ib = X.vertex_index(e.verts[1])
         ja = _leg_of_edge(X, ia, e)
         jb = _leg_of_edge(X, ib, e)
         if sched.legs[(ia, ja)].r + sched.legs[(ib, jb)].r >= length:
             raise ConfigurationError("leg cut points overlap on a bounded edge")
     # trimmed regions inside balls, at the scheduled scale
-    for vi, v in enumerate(X.vertices):
-        model = LocalModel(X, v)
+    for vi in range(len(X.vertices)):
+        model = _local_model(X, vi)
         legs_lat = {j: tuple(getattr(sched.legs[(vi, j)], f) / model.leg_norm[j]
                              for f in ("r_prime", "r_second", "r_bar", "r"))
                     for j in range(3)}
@@ -365,17 +365,19 @@ def validate_schedule(X, sched):
     return True
 
 
-def _vertex_index(X, v):
-    vv = tuple(v)
-    for i, w in enumerate(X.vertices):
-        if tuple(w) == vv:
-            return i
-    raise InputError("vertex not found")
+def _local_model(X, vi):
+    """LocalModel of vertex vi, built once per curve and shared by the
+    schedule, its validation and the smooth lift."""
+    models = getattr(X, "_local_models", None)
+    if models is None:
+        models = X._local_models = {}
+    if vi not in models:
+        models[vi] = LocalModel(X, X.vertices[vi])
+    return models[vi]
 
 
 def _leg_of_edge(X, vi, e):
-    model = LocalModel(X, X.vertices[vi])
-    for j, ec in model.leg_edge.items():
+    for j, ec in _local_model(X, vi).leg_edge.items():
         if ec is e:
             return j
     raise InputError("edge is not incident to the vertex")
@@ -738,8 +740,8 @@ def _flat_piece(X, sched, ei, resolution):
     e = X.edges[ei]
     fiber = edge_fiber_from_dual(e, X.dual_cell(e))
     if e.kind == "segment":
-        ia = _vertex_index(X, e.verts[0])
-        ib = _vertex_index(X, e.verts[1])
+        ia = X.vertex_index(e.verts[0])
+        ib = X.vertex_index(e.verts[1])
         ja = _leg_of_edge(X, ia, e)
         jb = _leg_of_edge(X, ib, e)
         a, b = (np.array([float(c) for c in p]) for p in e.verts)
@@ -747,7 +749,7 @@ def _flat_piece(X, sched, ei, resolution):
         p0 = a + d * sched.legs[(ia, ja)].r
         p1 = b - d * sched.legs[(ib, jb)].r
     else:
-        ia = _vertex_index(X, e.verts[0])
+        ia = X.vertex_index(e.verts[0])
         ja = _leg_of_edge(X, ia, e)
         a = np.array([float(c) for c in e.verts[0]])
         d = np.array(e.rays[0], dtype=float)
@@ -787,8 +789,8 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         sched = default_schedule(X)
     validate_schedule(X, sched)
     pieces = []
-    for vi, v in enumerate(X.vertices):
-        model = LocalModel(X, v)
+    for vi in range(len(X.vertices)):
+        model = _local_model(X, vi)
         lam = t * sched.lam[vi]
         legs_lat = {j: tuple(getattr(sched.legs[(vi, j)], f) / model.leg_norm[j]
                              for f in ("r_prime", "r_second", "r_bar", "r"))

@@ -3,8 +3,10 @@
 Convex hulls of lattice polytopes in ambient dimension 1 or 2, regular
 subdivisions induced by integral lifting functions, and the discrete
 Legendre transform together with its dual polyhedral decomposition.
-All computations here are carried out in exact rational arithmetic
-(ints and Fraction); floating point only enters downstream modules.
+Every result here is exact (ints and Fraction).  Floating point enters
+only as a candidate generator: the float Qhull hull proposes the cells of
+a regular subdivision, and integer arithmetic certifies them before they
+are returned (see regular_subdivision).
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegeneracyError, InputError
 
@@ -228,16 +233,27 @@ class LatticePolytope:
         return all(Fraction(x) == y for x, y in zip(q, self.vertices[0]))
 
 
+def parse_int(x, what):
+    """x as an int when it is an integral number (3, 3.0, True), else
+    InputError: strings, non-integral and non-finite values are refused."""
+    try:
+        value = int(x)
+        integral = value == x
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InputError(f"{what} is not an integer: {x!r}")
+    return value
+
+
 class LiftingFunction:
     """Integral lifting values on lattice points."""
 
     def __init__(self, values):
         self.values = {}
         for p, v in dict(values).items():
-            p = tuple(int(x) for x in p)
-            if v != int(v):
-                raise InputError(f"lifting value at {p} is not integral: {v!r}")
-            self.values[p] = int(v)
+            p = tuple(parse_int(x, "lattice point coordinate") for x in p)
+            self.values[p] = parse_int(v, f"lifting value at {p}")
 
     def __call__(self, p):
         p = tuple(int(x) for x in p)
@@ -275,13 +291,16 @@ class Subdivision:
 
     cells holds the maximal linearity domains; faces_by_dim the full face
     lattice.  Cells cover P and meet along common faces (a property of
-    lower hulls, asserted rather than re-derived here).
+    lower hulls, asserted rather than re-derived here).  certified is
+    False when the cells came from the brute-force fallback of
+    regular_subdivision, True when an exact certificate produced them.
     """
 
-    def __init__(self, polytope, lifting, cells):
+    def __init__(self, polytope, lifting, cells, certified=False):
         self.polytope = polytope
         self.lifting = lifting
         self.cells = cells
+        self.certified = certified
         self.faces_by_dim = {}
         seen = {}
         for c in cells:
@@ -337,9 +356,17 @@ class Subdivision:
 def regular_subdivision(polytope, lifting):
     """Projected lower convex hull of the lifted points (v, nu(v)).
 
-    Enumerates supporting affine functions exactly: a cell is the set of
-    lattice points where some affine minorant of the lifting is attained.
-    Ties (non-generic lifting) keep the non-simplicial cell as-is.
+    A cell is the set of lattice points where some affine minorant of the
+    lifting is attained; ties (non-generic lifting) keep the non-simplicial
+    cell as-is.  A segment P gets the exact 1-d lower chain.  For a 2-d P
+    the lower facets of the float Qhull hull of the lifted points are only
+    candidates; _certified_lower_hull accepts them when, in integer
+    arithmetic, each facet plane is a minorant of nu whose equality set is
+    a 2-d cell and the cells' normalized volumes sum to that of P.  A lift
+    that Qhull rejects (all lifted points coplanar in floating point) is
+    certified exactly as one affine function, giving the single cell P.
+    If a certificate fails or Qhull raises, the cells come from the exact
+    brute force over all lattice triples, and S.certified is False.
     """
     if isinstance(polytope, (list, tuple)):
         polytope = LatticePolytope.from_points(polytope)
@@ -351,10 +378,11 @@ def regular_subdivision(polytope, lifting):
         raise DegeneracyError("polytope has no extent; nothing to subdivide")
 
     if polytope.dim == 1:
-        cells = _lower_hull_1d(pts, vals)
-    else:
-        cells = _lower_hull_2d(pts, vals)
-    return Subdivision(polytope, lifting, cells)
+        return Subdivision(polytope, lifting, _lower_hull_1d(pts, vals), True)
+    cells = _certified_lower_hull(polytope, pts, vals)
+    if cells is None:
+        return Subdivision(polytope, lifting, _lower_hull_2d(pts, vals), False)
+    return Subdivision(polytope, lifting, cells, True)
 
 
 def _lower_hull_1d(pts, vals):
@@ -401,6 +429,73 @@ def _lower_hull_2d(pts, vals):
     for c in cells:
         out[c.key] = c
     return sorted(out.values(), key=lambda c: sorted(c.vertices))
+
+
+def _certified_lower_hull(polytope, pts, vals):
+    """Cells of the lower hull from Qhull candidates, certified in integer
+    arithmetic, in the brute force's order; None when a certificate fails
+    or Qhull raises on a lift that no affine function fits."""
+    base = min(vals.values())
+    try:
+        lifted = np.array([(p[0], p[1], float(vals[p] - base)) for p in pts])
+        hull = ConvexHull(lifted)
+    except OverflowError:
+        return None
+    except QhullError:
+        return _affine_cells(polytope, pts, vals)
+    planes = {}
+    for simplex in hull.simplices[hull.equations[:, 2] < 0]:
+        plane = _plane_through([pts[i] for i in simplex], vals)
+        if plane is None or plane in planes:
+            continue
+        cell = _equality_set(plane, pts, vals)
+        if cell is None:
+            return None
+        planes[plane] = cell
+    cells = [LatticePolytope.from_points(cell) for cell in planes.values()]
+    if any(c.dim != 2 for c in cells):
+        return None
+    if sum(c.normalized_volume() for c in cells) != polytope.normalized_volume():
+        return None
+    return sorted(cells, key=lambda c: sorted(c.vertices))
+
+
+def _affine_cells(polytope, pts, vals):
+    """[P] when one affine function fits nu at every lattice point."""
+    plane = _plane_through(polytope.vertices[:3], vals)
+    cell = _equality_set(plane, pts, vals)
+    if cell is None or len(cell) != len(pts):
+        return None
+    return [LatticePolytope.from_points(cell)]
+
+
+def _plane_through(tri, vals):
+    """Integer plane A x + B y + C = D nu through three lifted lattice
+    points, gcd-normalised with D > 0; None when they are collinear."""
+    (x1, y1), (x2, y2), (x3, y3) = tri
+    v1, v2, v3 = (vals[t] for t in tri)
+    d = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    if d == 0:
+        return None
+    a = (v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)
+    b = (x2 - x1) * (v3 - v1) - (x3 - x1) * (v2 - v1)
+    c = v1 * d - a * x1 - b * y1
+    g = gcd(a, b, c, d) if d > 0 else -gcd(a, b, c, d)
+    return a // g, b // g, c // g, d // g
+
+
+def _equality_set(plane, pts, vals):
+    """Points where the plane meets the lift; None unless the plane is a
+    minorant, A x + B y + C <= D nu at every point."""
+    a, b, c, d = plane
+    cell = []
+    for p in pts:
+        gap = d * vals[p] - a * p[0] - b * p[1] - c
+        if gap < 0:
+            return None
+        if gap == 0:
+            cell.append(p)
+    return cell
 
 
 def _affine_through(tri, vals):
@@ -580,17 +675,21 @@ def _point_on_line(d, c):
 def load_polytope_json(data, default_zero=False):
     """Parse {"vertices": [[i,j],...], "lifting": {"i,j": v, ...}}."""
     try:
-        verts = [tuple(int(x) for x in p) for p in data["vertices"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        verts = [tuple(parse_int(x, "vertex coordinate") for x in p)
+                 for p in data["vertices"]]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad polytope JSON: {exc}")
     poly = LatticePolytope.from_points(verts)
     raw = data.get("lifting", {})
+    if not isinstance(raw, dict):
+        raise InputError(f"lifting must be an object keyed by \"i,j\", "
+                         f"not {type(raw).__name__}")
     values = {}
     for k, v in raw.items():
-        if isinstance(k, str):
-            p = tuple(int(x) for x in k.split(","))
-        else:
-            p = tuple(int(x) for x in k)
+        try:
+            p = tuple(int(x) for x in (k.split(",") if isinstance(k, str) else k))
+        except (TypeError, ValueError):
+            raise InputError(f"lifting key {k!r} is not of the form \"i,j\"")
         values[p] = v
     if default_zero:
         for p in poly.lattice_points:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .polyhedral import Face, discrete_legendre, primitive, vadd, vsub
+from .polyhedral import Face, discrete_legendre, parse_int, primitive, vadd, vsub
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,17 @@ class TropicalComplex:
         self.subdivision = subdivision
         self.dual = dual  # PiecewiseAffine from discrete_legendre, if any
         self.ambient_dim = 2
+        # per-vertex index: star of each endpoint (edges in list order) and
+        # the first position of each vertex
+        self._star = {}
         for e in self.edges:
             if e.weight < 1:
                 raise InputError("edge weights must be positive integers")
+            for p in dict.fromkeys(tuple(p) for p in e.verts):
+                self._star.setdefault(p, []).append(e)
+        self._index = {}
+        for i, v in enumerate(self.vertices):
+            self._index.setdefault(v, i)
 
     @property
     def cells(self):
@@ -69,12 +77,14 @@ class TropicalComplex:
             + self.edges
 
     def edges_at(self, v):
-        v = tuple(Fraction(x) for x in v)
-        out = []
-        for e in self.edges:
-            if any(tuple(p) == v for p in e.verts):
-                out.append(e)
-        return out
+        return list(self._star.get(tuple(Fraction(x) for x in v), ()))
+
+    def vertex_index(self, v):
+        """Position of vertex v in self.vertices."""
+        try:
+            return self._index[tuple(v)]
+        except KeyError:
+            raise InputError("vertex not found")
 
     def outgoing_direction(self, e, v):
         """Primitive direction of edge e pointing away from vertex v."""
@@ -175,25 +185,35 @@ def load_curve_json(data):
         vs = [tuple(Fraction(str(x)) for x in p) for p in data["vertices"]]
         raw_edges = data.get("edges", [])
         raw_rays = data.get("rays", [])
+        weights = data.get("weights")
+        if weights is None:
+            weights = [1] * (len(raw_edges) + len(raw_rays))
+        if len(weights) != len(raw_edges) + len(raw_rays):
+            raise InputError("weights length must match edges + rays")
+        weights = [parse_int(w, "edge weight") for w in weights]
+        segments = [(_vertex_ref(i, vs), _vertex_ref(j, vs)) for i, j in raw_edges]
+        rays = [(_vertex_ref(i, vs), primitive(d)) for i, d in raw_rays]
+    except InputError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad curve JSON: {exc}")
-    weights = data.get("weights")
-    if weights is None:
-        weights = [1] * (len(raw_edges) + len(raw_rays))
-    if len(weights) != len(raw_edges) + len(raw_rays):
-        raise InputError("weights length must match edges + rays")
-    edges = []
-    k = 0
-    for i, j in raw_edges:
-        edges.append(TropCell("segment", (vs[i], vs[j]), (), int(weights[k])))
-        k += 1
-    for i, d in raw_rays:
-        edges.append(TropCell("ray", (vs[i],), (primitive(d),), int(weights[k])))
-        k += 1
+    edges = [TropCell("segment", (vs[i], vs[j]), (), w)
+             for (i, j), w in zip(segments, weights)]
+    edges += [TropCell("ray", (vs[i],), (d,), w)
+              for (i, d), w in zip(rays, weights[len(segments):])]
     X = TropicalComplex(vs, edges)
     if not balancing_check(X):
         raise InputError("curve is not balanced")
     return X
+
+
+def _vertex_ref(i, vs):
+    """Index i into the vertex list vs, range-checked (no negative
+    indexing)."""
+    i = parse_int(i, "vertex index")
+    if not 0 <= i < len(vs):
+        raise InputError(f"vertex index {i} out of range for {len(vs)} vertices")
+    return i
 
 
 def balancing_check(X):

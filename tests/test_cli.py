@@ -40,6 +40,49 @@ def test_malformed_json_exits_2(tmp_path, capsys):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+SIMPLEX_POLYTOPE = '{"vertices": [[0, 0], [1, 0], [0, 1]], "lifting": %s}'
+SIMPLEX_LIFTING = '{"0,0": 0, "1,0": 0, "0,1": %s}'
+
+
+@pytest.mark.parametrize("text", [
+    SIMPLEX_POLYTOPE % (SIMPLEX_LIFTING % '"x"'),                  # ValueError
+    SIMPLEX_POLYTOPE % (SIMPLEX_LIFTING % "1e400"),                # OverflowError
+    SIMPLEX_POLYTOPE % '{"0,0": 0, "1,0": 0, "0,1": 0, "a,b": 0}',  # ValueError
+    SIMPLEX_POLYTOPE % "[1, 2, 3]",                                # AttributeError
+    '{"vertices": [[0, 0], [1.5, 0], [0, 1]], "lifting": {}}',     # truncated to (1, 0)
+], ids=["value_x", "value_1e400", "key_a_b", "lifting_list", "vertex_1.5"])
+def test_malformed_polytope_exits_2(tmp_path, capsys, text):
+    src = tmp_path / "poly.json"
+    src.write_text(text)
+    assert run(["tropical", str(src), "--default-zero", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _two_vertex_curve(**change):
+    """A balanced curve: one bounded edge and two rays at each end."""
+    data = {"vertices": [[0, 0], [1, 0]], "edges": [[0, 1]],
+            "rays": [[0, [0, 1]], [0, [-1, -1]], [1, [0, -1]], [1, [1, 1]]]}
+    data.update(change)
+    return data
+
+
+@pytest.mark.parametrize("change", [
+    {"edges": [[0, 5]]},                                           # IndexError
+    {"weights": ["x", 1, 1, 1, 1]},                                # ValueError
+    {"weights": [1.5, 1, 1, 1, 1]},                                # truncated to 1
+    {"edges": [[0, -1]]},                                          # read as [0, 1]
+    {"rays": [[0, [0, 1]], [0, [-1, -1]], [-1, [0, -1]], [1, [1, 1]]]},  # base -1 read as 1
+], ids=["edge_out_of_range", "weight_x", "weight_1.5", "edge_negative", "ray_base_negative"])
+def test_malformed_curve_exits_2(tmp_path, capsys, change):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_two_vertex_curve()))
+    bad.write_text(json.dumps(_two_vertex_curve(**change)))
+    assert run(["tropical", str(good), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert run(["tropical", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_pants_command(tmp_path, capsys):
     out = tmp_path / "p"
     code = run(["pants", "--n", "1", "--grid", "10", "--out", str(out)])

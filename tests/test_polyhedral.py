@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,3 +171,128 @@ def test_vertices_are_extreme_points_only():
     P = LatticePolytope.from_points([(0, 0), (2, 0), (1, 0), (0, 2), (1, 1)])
     assert sorted(P.vertices) == [(0, 0), (0, 2), (2, 0)]
     assert (1, 1) in P.lattice_points
+
+
+# ---------------------------------------------------------------------------
+# certified Qhull lower hull against the brute-force oracle
+
+def _oracle_cells(poly, nu):
+    from troplag.polyhedral import _lower_hull_2d
+    pts = list(poly.lattice_points)
+    return _lower_hull_2d(pts, {p: nu(p) for p in pts})
+
+
+def _degree_triangle(d):
+    """The benchmark's degree-d triangle lifted by i^2 + j^2 + (i+j)^2."""
+    P = LatticePolytope.from_points([(0, 0), (d, 0), (0, d)])
+    return P, LiftingFunction({(i, j): i * i + j * j + (i + j) ** 2
+                               for i, j in P.lattice_points})
+
+
+def _no_brute_force(monkeypatch):
+    import troplag.polyhedral as polyhedral
+
+    def refuse(pts, vals):
+        raise AssertionError("brute-force fallback was called")
+    monkeypatch.setattr(polyhedral, "_lower_hull_2d", refuse)
+
+
+LIFTS = {
+    "generic": lambda p, r: r.randint(-6, 6),
+    "zero_one": lambda p, r: r.randint(0, 1),
+    "flat": lambda p, r: 3,
+    "affine": lambda p, r: 2 * p[0] - 3 * p[1] + 5,
+    "quadratic": lambda p, r: p[0] ** 2 + p[0] * p[1] + 2 * p[1] ** 2,
+    "above_2_53": lambda p, r: 10**20 + r.randint(0, 3),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                min_size=3, max_size=6),
+       st.sampled_from(sorted(LIFTS)), st.randoms(use_true_random=False))
+def test_certified_hull_matches_oracle(points, kind, rnd):
+    from hypothesis import assume
+    P = LatticePolytope.from_points(points)
+    assume(P.dim == 2 and len(P.lattice_points) <= 28)
+    nu = LiftingFunction({p: LIFTS[kind](p, rnd) for p in P.lattice_points})
+    assert regular_subdivision(P, nu).cells == _oracle_cells(P, nu)
+
+
+def test_polytope_fixtures_match_oracle():
+    from troplag.fixtures import _load, fixture_names
+    names = [n for n in fixture_names() if _load(n).get("type") == "polytope"]
+    planar = 0
+    for name in names:
+        P, nu = load_polytope_json(_load(name))
+        if P.dim == 2:  # weight2_segment is a segment: the exact 1-d chain
+            planar += 1
+            assert regular_subdivision(P, nu).cells == _oracle_cells(P, nu), name
+    assert planar == 3
+
+
+def test_degree_20_triangle_is_unimodular_through_the_hull(monkeypatch):
+    _no_brute_force(monkeypatch)
+    P, nu = _degree_triangle(20)
+    S = regular_subdivision(P, nu)
+    assert S.certified
+    assert len(S.cells) == 400 and S.is_unimodal()
+    assert sum(c.normalized_volume() for c in S.cells) == 400 == P.normalized_volume()
+
+
+def test_constant_lift_on_degree_20_triangle_skips_brute_force(monkeypatch):
+    _no_brute_force(monkeypatch)
+    P, _ = _degree_triangle(20)
+    S = regular_subdivision(P, LiftingFunction.constant(P, 7))
+    assert S.certified
+    assert S.cells == [LatticePolytope.from_points(P.lattice_points)]
+
+
+def test_benchmark_triangle_and_triangle_fixture_are_certified():
+    from troplag.fixtures import _load
+    P, nu = _degree_triangle(8)
+    S = regular_subdivision(P, nu)
+    assert S.certified and len(S.cells) == 64
+    assert S.cells == _oracle_cells(P, nu)
+    assert regular_subdivision(*load_polytope_json(_load("triangle"))).certified
+
+
+def test_lift_above_2_53_is_certified():
+    # Qhull sees nu - min(nu), which floats hold exactly here
+    P, nu = _degree_triangle(4)
+    big = LiftingFunction({p: 10**20 + nu(p) for p in P.lattice_points})
+    S = regular_subdivision(P, big)
+    assert S.certified and S.cells == regular_subdivision(P, nu).cells
+
+
+def test_float_flat_lift_falls_back_to_brute_force():
+    # 2^60 x + (0 or 1) rounds to the affine 2^60 x in floating point, so
+    # Qhull rejects the lift as flat while no affine function fits it
+    nu = LiftingFunction({p: 2**60 * p[0] + (p == (1, 1)) for p in TRIANGLE.lattice_points})
+    S = regular_subdivision(TRIANGLE, nu)
+    assert not S.certified
+    assert S.cells == _oracle_cells(TRIANGLE, nu)
+
+
+@pytest.mark.parametrize("tamper", ["flip_orientation", "drop_facet"])
+def test_failed_certificate_falls_back_to_brute_force(monkeypatch, tamper):
+    import troplag.polyhedral as polyhedral
+    real = polyhedral.ConvexHull
+
+    def tampered(points):
+        hull = real(points)
+        lower = np.flatnonzero(hull.equations[:, 2] < 0)
+        if tamper == "flip_orientation":  # upper facets fail the minorant check
+            equations = -hull.equations
+            simplices = hull.simplices
+        else:  # a missing cell fails the coverage check
+            keep = np.ones(len(hull.simplices), bool)
+            keep[lower[0]] = False
+            equations, simplices = hull.equations[keep], hull.simplices[keep]
+        return type("Hull", (), {"equations": equations, "simplices": simplices})
+
+    monkeypatch.setattr(polyhedral, "ConvexHull", tampered)
+    P, nu = _degree_triangle(4)
+    S = regular_subdivision(P, nu)
+    assert not S.certified
+    assert S.cells == _oracle_cells(P, nu)
