@@ -37,6 +37,8 @@ def _load_curve_arg(path, default_zero=False):
         raise InputError(f"no such input file: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
     out = {"raw": data, "curve": None, "polygon": None}
     if "lifting" in data or data.get("type") == "polytope":
         poly, nu = load_polytope_json(data, default_zero=default_zero)

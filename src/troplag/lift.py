@@ -127,7 +127,6 @@ class LocalModel:
     """
 
     def __init__(self, X, v):
-        self.X = X
         self.v = np.array([float(c) for c in v])
         line = tangent_line(X, v)
         frame, (u0, u1, u2) = adapted_frame(line)

@@ -38,6 +38,8 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert run(["tropical", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert run(["tropical", str(tmp_path / "missing.json"),
                 "--out", str(tmp_path / "o")]) == 2
+    bad.write_text("[1, 2]")
+    assert run(["tropical", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
 SIMPLEX_POLYTOPE = '{"vertices": [[0, 0], [1, 0], [0, 1]], "lifting": %s}'

@@ -86,6 +86,24 @@ def test_default_schedule_valid_and_serializable():
         assert 0 < ls.r_prime < ls.r_second < ls.r_bar < ls.r <= sched.ball_radius[vi]
 
 
+def test_shared_local_models_leave_the_curve_free_of_cycles():
+    # the per-vertex LocalModel cache lives on the curve; a model that
+    # referred back to it would keep every curve alive until a full
+    # garbage collection (peak RSS grows with the number of curves built)
+    import gc
+    import weakref
+    X = triangle_curve()
+    default_schedule(X)
+    assert len(X._local_models) == len(X.vertices)
+    ref = weakref.ref(X)
+    gc.disable()
+    try:
+        del X
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_schedule_violations_raise():
     X = triangle_curve()
     sched = default_schedule(X)
