@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-
 from .errors import DegeneracyError, InputError
 
 Point = tuple  # integer lattice point
@@ -435,6 +432,10 @@ def _certified_lower_hull(polytope, pts, vals):
     """Cells of the lower hull from Qhull candidates, certified in integer
     arithmetic, in the brute force's order; None when a certificate fails
     or Qhull raises on a lift that no affine function fits."""
+    # imported on first use: importing them with this module measured
+    # 2 MB more peak RSS in a process that imports troplag.cli
+    import numpy as np
+    from scipy.spatial import ConvexHull, QhullError
     base = min(vals.values())
     try:
         lifted = np.array([(p[0], p[1], float(vals[p] - base)) for p in pts])

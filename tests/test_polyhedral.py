@@ -276,8 +276,8 @@ def test_float_flat_lift_falls_back_to_brute_force():
 
 @pytest.mark.parametrize("tamper", ["flip_orientation", "drop_facet"])
 def test_failed_certificate_falls_back_to_brute_force(monkeypatch, tamper):
-    import troplag.polyhedral as polyhedral
-    real = polyhedral.ConvexHull
+    import scipy.spatial
+    real = scipy.spatial.ConvexHull
 
     def tampered(points):
         hull = real(points)
@@ -291,7 +291,7 @@ def test_failed_certificate_falls_back_to_brute_force(monkeypatch, tamper):
             equations, simplices = hull.equations[keep], hull.simplices[keep]
         return type("Hull", (), {"equations": equations, "simplices": simplices})
 
-    monkeypatch.setattr(polyhedral, "ConvexHull", tampered)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", tampered)
     P, nu = _degree_triangle(4)
     S = regular_subdivision(P, nu)
     assert not S.certified
