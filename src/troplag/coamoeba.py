@@ -200,10 +200,6 @@ class Coamoeba:
                     return ("face", frozenset(J))
         return ("outside",)
 
-    def face_vertices(self, J):
-        """Vertex points of the face E_J."""
-        return [self.vertices[k] for k in range(self.n + 2) if k not in J]
-
     def face_sample(self, J, weights=None):
         """A relative-interior point of E_J^+ (positive convex combination
         of the face vertices)."""
@@ -218,10 +214,6 @@ class Coamoeba:
         for wk, k in zip(w, ks):
             pt = pt + wk * self.vertices[k]
         return pt
-
-    def complement_index(self, k):
-        """J_k, the complement of {k}: the face E_{J_k} is the vertex p_k."""
-        return frozenset(j for j in range(self.n + 2) if j != k)
 
     # -- sampling ----------------------------------------------------------
     def sample_interior(self, m, seed=0, half=+1, margin=1e-6):

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .coamoeba import PI, EdgeFiber, edge_fiber_from_dual, reduce_mod_pi
+from .coamoeba import PI, EdgeFiber, edge_fiber_from_dual, reduce_mod_pi, rstar_apply
 from .errors import ConfigurationError, InputError, NumericError
-from .pants import PantsMap, ProjectionPair
+from .pants import PantsMap, ProjectionPair, h_chart_terms
 from .tropical import adapted_frame, tangent_line
 from .polyhedral import primitive
 
@@ -115,7 +116,6 @@ class Cutoff:
 # vertex-local models
 
 _STD_DIRS = {0: (-1, -1), 1: (1, 0), 2: (0, 1)}
-_LEG_AUX = {0: 1, 1: 0, 2: 0}  # smallest admissible k_j per leg
 
 
 class LocalModel:
@@ -254,48 +254,81 @@ class GluingSchedule:
             legs, d["truncation"])
 
 
-def _leg_functional_std(x_std, j):
-    return LocalModel.leg_coordinate(x_std, j)
+# Vertices per call of the feasibility kernel: bounds its (block, 720, 2)
+# temporaries, and so the peak RSS of a schedule, whatever the curve size.
+_FEASIBLE_BLOCK = 8
 
 
-def _s_boundary_cloud(lam, m=240):
-    """Points of the three boundary surfaces S_k of the scaled region."""
-    pm = PantsMap(1, lam)
-    alphas = np.exp(np.linspace(np.log(5e-3), np.log(2e2), m))[:, None]
-    x0 = np.atleast_2d(pm.h_chart(alphas, np.zeros(m)))
-    from .coamoeba import rstar_apply
-    pts = [x0, rstar_apply(1, 1, x0), rstar_apply(1, 2, x0)]
-    return np.vstack(pts)
+@lru_cache(maxsize=1)
+def _unit_boundary_terms():
+    """Scale-free terms (num, den) of the S_k boundary cloud, read-only: at
+    t = 0 the chart expression of h is (lam * num) / den on the alpha grid."""
+    alphas = np.exp(np.linspace(np.log(5e-3), np.log(2e2), 240))[:, None]
+    terms = h_chart_terms(1, alphas, np.zeros(len(alphas)))
+    for a in terms:
+        a.setflags(write=False)
+    return terms
 
 
-def _schedule_feasible(lam, model, legs_lat, ball_r):
-    """Checks used by the lambda bisection: trimmed body inside 0.9 ball,
-    arms slim enough to stay in their leg neighborhoods."""
-    cloud = _s_boundary_cloud(lam)
-    c = np.stack([_leg_functional_std(cloud, j) for j in range(3)], axis=1)
-    rp = np.array([legs_lat[j][0] for j in range(3)])
-    body = np.all(c <= rp[None, :], axis=1)
-    amb = cloud @ model.B.T
-    if np.any(np.linalg.norm(amb[body], axis=1) > 0.9 * ball_r):
-        return False
-    pm = PantsMap(1, lam)
-    for j in range(3):
-        arm = (c[:, j] >= rp[j]) & (c[:, j] <= legs_lat[j][3])
-        if not np.any(arm):
-            continue
-        ok = pm.in_V({j}, cloud[arm], k=_LEG_AUX[j], tol=-1e-12)
-        if not np.all(ok):
-            return False
-        if np.any(np.linalg.norm(amb[arm], axis=1) > ball_r):
-            return False
-    return True
+def _boundary_cloud(lam):
+    """Points of the three boundary surfaces S_k of the region scaled by
+    each entry of lam: shape (len(lam), 720, 2)."""
+    num, den = _unit_boundary_terms()
+    x0 = (lam[:, None, None] * num) / den
+    return np.concatenate([x0, rstar_apply(1, 1, x0), rstar_apply(1, 2, x0)], axis=1)
+
+
+def _feasible(lam, B, legs_lat, ball_r):
+    """Per vertex i, whether pants scale lam[i] keeps the trimmed body
+    inside 0.9 x ball_r[i] and the arms slim enough to stay in their leg
+    neighborhoods inside the ball.  B[i] is the vertex's frame matrix and
+    legs_lat[i, j] its four leg-j cut points in lattice units."""
+    ok = np.empty(len(lam), dtype=bool)
+    for s in range(0, len(lam), _FEASIBLE_BLOCK):
+        blk = slice(s, s + _FEASIBLE_BLOCK)
+        cloud = _boundary_cloud(lam[blk])
+        amb = cloud @ B[blk].transpose(0, 2, 1)
+        r = np.sqrt(amb[..., 0] * amb[..., 0] + amb[..., 1] * amb[..., 1])
+        R = ball_r[blk, None]
+        far_body = r > 0.9 * R  # narrowed to the body points below
+        in_arm = np.zeros_like(far_body)
+        bad = np.zeros_like(far_body)
+        # c_j, the leg-j coordinate, is also d_{j,k_j}: the V_{{j},k_j}
+        # slack at the smallest admissible k_j (1 for leg 0, else 0)
+        for j, c in enumerate((-cloud[..., 0], cloud[..., 0], cloud[..., 1])):
+            r_prime, r_end = legs_lat[blk, j, 0, None], legs_lat[blk, j, 3, None]
+            far_body &= c <= r_prime
+            arm = (c >= r_prime) & (c <= r_end)
+            in_arm |= arm
+            bad |= arm & ~(c >= 1e-12)
+        bad |= far_body | (in_arm & (r > R))
+        ok[blk] = ~bad.any(axis=1)
+    return ok
+
+
+def _vertex_arrays(X):
+    """Frame matrices of the curve's vertices, shape (V, 2, 2), and their
+    lattice leg lengths, shape (V, 3)."""
+    models = [_local_model(X, vi) for vi in range(len(X.vertices))]
+    B = np.array([m.B for m in models]).reshape(-1, 2, 2)
+    norms = np.array([[m.leg_norm[j] for j in range(3)] for m in models]).reshape(-1, 3)
+    return B, norms
 
 
 def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
                      ball_factor=0.45):
     """Schedule per the default policy: balls at 0.45 x min vertex distance,
     cut points at fixed fractions of the ball radius along each leg, pants
-    scales by bisection so the trimmed region sits inside 0.9 x ball."""
+    scales by bisection so the trimmed region sits inside 0.9 x ball.
+
+    The gradient map h is linear in lambda, and the region it bounds is
+    (n+1)^{n+1} x_1...x_{n+1} = lambda^{n+1}, so the boundary cloud tested
+    at scale lam is lam times a unit cloud whose terms are computed once.
+    Each vertex starts at hi = 2 x its shortest r' (lattice units) and
+    takes hi if that is feasible, else the feasible end lo of 40 halvings
+    of [hi / 1000, hi].  All vertices run through the halvings in
+    lockstep: each halving is one _feasible call on the vertices still
+    bisecting."""
     if X.subdivision is None:
         raise InputError("schedule needs a subdivision-backed curve")
     R = ball_factor * X.min_vertex_distance()
@@ -305,29 +338,24 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
         if len(vs) > 1:
             diam = max(1.0, float(np.ptp(vs, axis=0).max()))
         truncation = 3.0 * diam
-    ball_radius, lam, legs = {}, {}, {}
-    for vi in range(len(X.vertices)):
-        model = _local_model(X, vi)
-        legs_lat = {}
-        for j in range(3):
-            scale = model.leg_norm[j]
-            legs_lat[j] = tuple(f * R / scale for f in fractions)
-            legs[(vi, j)] = LegSchedule(*(f * R for f in fractions))
-        hi = 2.0 * min(legs_lat[j][0] for j in range(3))
-        lo = hi * 1e-3
-        if _schedule_feasible(hi, model, legs_lat, R):
-            lam_v = hi
-        else:
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if _schedule_feasible(mid, model, legs_lat, R):
-                    lo = mid
-                else:
-                    hi = mid
-            lam_v = lo
-        ball_radius[vi] = R
-        lam[vi] = lam_v
-    sched = GluingSchedule(ball_radius, lam, legs, truncation)
+    nv = len(X.vertices)
+    B, norms = _vertex_arrays(X)
+    cuts = [f * R for f in fractions]
+    legs_lat = np.array(cuts)[None, None, :] / norms[:, :, None]
+    ball_r = np.full(nv, R)
+    hi = 2.0 * legs_lat[:, :, 0].min(axis=1)
+    lo = hi * 1e-3
+    todo = np.flatnonzero(~_feasible(hi, B, legs_lat, ball_r))
+    for _ in range(40):
+        mid = 0.5 * (lo[todo] + hi[todo])
+        ok = _feasible(mid, B[todo], legs_lat[todo], ball_r[todo])
+        lo[todo[ok]] = mid[ok]
+        hi[todo[~ok]] = mid[~ok]
+    lam_v = hi.copy()
+    lam_v[todo] = lo[todo]
+    legs = {(vi, j): LegSchedule(*cuts) for vi in range(nv) for j in range(3)}
+    sched = GluingSchedule({vi: R for vi in range(nv)},
+                           {vi: float(lam_v[vi]) for vi in range(nv)}, legs, truncation)
     validate_schedule(X, sched)
     return sched
 
@@ -337,12 +365,13 @@ def validate_schedule(X, sched):
         ls.validate()
         if ls.r > sched.ball_radius[vi]:
             raise ConfigurationError("leg cut points must stay inside the ball")
+    nv = len(X.vertices)
+    ball_r = np.array([sched.ball_radius[vi] for vi in range(nv)], dtype=float)
     # balls pairwise disjoint
-    vs = [np.array([float(c) for c in v]) for v in X.vertices]
-    for i in range(len(vs)):
-        for k in range(i + 1, len(vs)):
-            if np.linalg.norm(vs[i] - vs[k]) <= sched.ball_radius[i] + sched.ball_radius[k]:
-                raise ConfigurationError("vertex balls are not pairwise disjoint")
+    vs = np.array([[float(c) for c in v] for v in X.vertices]).reshape(-1, 2)
+    i, k = np.triu_indices(nv, 1)
+    if np.any(np.linalg.norm(vs[i] - vs[k], axis=1) <= ball_r[i] + ball_r[k]):
+        raise ConfigurationError("vertex balls are not pairwise disjoint")
     # bounded edges keep a flat middle segment
     for e in X.bounded_edges():
         a, b = (np.array([float(c) for c in p]) for p in e.verts)
@@ -354,13 +383,14 @@ def validate_schedule(X, sched):
         if sched.legs[(ia, ja)].r + sched.legs[(ib, jb)].r >= length:
             raise ConfigurationError("leg cut points overlap on a bounded edge")
     # trimmed regions inside balls, at the scheduled scale
-    for vi in range(len(X.vertices)):
-        model = _local_model(X, vi)
-        legs_lat = {j: tuple(getattr(sched.legs[(vi, j)], f) / model.leg_norm[j]
-                             for f in ("r_prime", "r_second", "r_bar", "r"))
-                    for j in range(3)}
-        if not _schedule_feasible(sched.lam[vi], model, legs_lat, sched.ball_radius[vi]):
-            raise ConfigurationError(f"pants scale at vertex {vi} violates the ball bound")
+    B, norms = _vertex_arrays(X)
+    cuts = np.array([[list(sched.legs[(vi, j)].as_dict().values()) for j in range(3)]
+                     for vi in range(nv)]).reshape(nv, 3, 4)
+    legs_lat = cuts / norms[:, :, None]
+    lam = np.array([sched.lam[vi] for vi in range(nv)], dtype=float)
+    bad = np.flatnonzero(~_feasible(lam, B, legs_lat, ball_r))
+    if len(bad):
+        raise ConfigurationError(f"pants scale at vertex {bad[0]} violates the ball bound")
     return True
 
 
@@ -598,7 +628,7 @@ def _pants_vertex_piece(model, lam, legs_lat, resolution):
     bary = np.stack([l1[keep], l2[keep]], axis=1) * (PI / 2)
     y_all = np.vstack([bary, -bary])
     h_all = pm.h(y_all)
-    c = np.stack([_leg_functional_std(h_all, j) for j in range(3)], axis=1)
+    c = np.stack([LocalModel.leg_coordinate(h_all, j) for j in range(3)], axis=1)
     trims = np.array([legs_lat[j][1] for j in range(3)])  # trim at r''
     keep = np.all(c <= trims[None, :], axis=1)
     y_in = y_all[keep]
@@ -647,7 +677,7 @@ def _pants_chart_points(model, pm, legs_lat, resolution):
                                   axis=1), hh
 
         P0, h0 = emb_raw(a, t)
-        c = np.stack([_leg_functional_std(h0, j) for j in range(3)], axis=1)
+        c = np.stack([LocalModel.leg_coordinate(h0, j) for j in range(3)], axis=1)
         keep = np.all(c <= trims[None, :], axis=1)
         a, t, tcap, P0 = a[keep], t[keep], tcap[keep], P0[keep]
         if not len(a):

@@ -34,10 +34,26 @@ def _sinc_pi(x):
     return out
 
 
+def h_chart_terms(n, alpha, t):
+    """Numerator and denominator of the chart expression of h near vertex 0:
+    PantsMap(n, lam).h_chart is (lam * num) / den, and neither term
+    depends on lam."""
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    a_full = np.concatenate([alpha, np.ones((alpha.shape[0], 1))], axis=1)
+    y = a_full * t[:, None]
+    s = y.sum(axis=1)
+    sincs = a_full * _sinc_pi(y)  # sin(t a_j)/t
+    S = np.prod(sincs, axis=1)
+    base = np.power(np.clip(np.cos(s) * S, 1e-300, None), n / (n + 1))
+    num = np.cos(y + s[:, None]) * (S[:, None] / sincs)
+    return num, (n + 1) * base[:, None]
+
+
 class PantsMap:
     """Potential, gradient map, Hessian and region data at scale lambda."""
 
-    def __init__(self, n, lam=1.0, frame=None):
+    def __init__(self, n, lam=1.0):
         if n < 0:
             raise InputError("n must be >= 0")
         if lam <= 0:
@@ -45,11 +61,10 @@ class PantsMap:
         self.n = n
         self.m = n + 1
         self.lam = float(lam)
-        self.frame = frame
         self.coamoeba = Coamoeba(n)
 
     def rescaled(self, lam):
-        return PantsMap(self.n, lam, self.frame)
+        return PantsMap(self.n, lam)
 
     # ------------------------------------------------------------------
     # representatives
@@ -83,18 +98,6 @@ class PantsMap:
         val = sign * np.power(np.clip(inner, 0.0, None), 1.0 / self.m) * self.lam
         return float(val[0]) if single else val
 
-    def F_chart(self, alpha, t, k=0):
-        """Smooth lift of F to the blow-up chart at vertex k."""
-        alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        s = t * (1.0 + alpha.sum(axis=1))
-        sincs = np.concatenate([_sinc_pi(alpha * t[:, None]) * alpha,
-                                _sinc_pi(t)[:, None] * 1.0], axis=1)
-        # sin(t a)/t = a * sinc(t a); last axis coordinate has a = 1
-        S = np.prod(sincs, axis=1)
-        val = self.lam * t * np.power(np.clip(np.cos(s) * S, 0.0, None), 1.0 / self.m)
-        return val if len(val) > 1 else float(val[0])
-
     # ------------------------------------------------------------------
     # the gradient map
 
@@ -116,19 +119,10 @@ class PantsMap:
         alpha: (N, n) positive; t: (N,); valid for both signs of t and at
         t = 0, where it restricts to the boundary-surface diffeomorphism.
         """
-        alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.n
-        a_full = np.concatenate([alpha, np.ones((alpha.shape[0], 1))], axis=1)
-        y = a_full * t[:, None]
-        s = y.sum(axis=1)
-        sincs = a_full * _sinc_pi(y)  # sin(t a_j)/t
-        S = np.prod(sincs, axis=1)
-        base = np.power(np.clip(np.cos(s) * S, 1e-300, None), self.n / self.m)
-        num = np.cos(y + s[:, None]) * (S[:, None] / sincs)
-        h = self.lam * num / (self.m * base[:, None])
+        num, den = h_chart_terms(self.n, alpha, t)
+        h = self.lam * num / den
         if k != 0:
-            h = rstar_apply(n, k, h)
+            h = rstar_apply(self.n, k, h)
         return h if h.shape[0] > 1 else h[0]
 
     def h(self, y):
@@ -254,9 +248,6 @@ class PantsMap:
                     on_list.append(k)
         return {"in": in_list, "on": on_list, "outside": not in_list}
 
-    def in_region(self, x, tol=1e-9):
-        return not self.region_membership(x, tol)["outside"]
-
     def region_slack(self, x):
         """min over k of the H_k inequality slacks; >= 0 means inside."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -267,13 +258,6 @@ class PantsMap:
             slack = np.minimum(xk.min(axis=1), cval - np.prod(np.clip(xk, 0, None), axis=1))
             best = np.maximum(best, slack)
         return best
-
-    def boundary_points(self, k, alphas):
-        """Points of S_k as images of the exceptional set (t = 0 chart)."""
-        h0 = np.atleast_2d(self.h_chart(np.atleast_2d(alphas), np.zeros(len(np.atleast_2d(alphas)))))
-        if k != 0:
-            h0 = rstar_apply(self.n, k, h0)
-        return h0
 
     # -- barycentric cells ------------------------------------------------
 

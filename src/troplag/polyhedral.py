@@ -42,14 +42,6 @@ def cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def content(v):
-    """gcd of the entries; the lattice length of the segment 0..v."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)) if x == int(x) else 0)
-    return g
-
-
 def primitive(v):
     """Primitive integer vector positively parallel to v (v rational)."""
     fr = [Fraction(x) for x in v]
@@ -328,10 +320,6 @@ class Subdivision:
     def face(self, key):
         return self._face_index[frozenset(tuple(p) for p in key)]
 
-    def leq(self, f, e):
-        """Face order f <= e, i.e. f is a face of e."""
-        return f.key <= e.key or all(e.poly.contains(p) for p in f.vertices)
-
     @property
     def top_dim(self):
         return max(c.dim for c in self.cells)
@@ -568,9 +556,6 @@ class PiecewiseAffine:
         key = face.key if isinstance(face, Face) else frozenset(tuple(p) for p in face)
         return self._dual[key]
 
-    def dual_items(self):
-        return list(self._dual.items())
-
 
 def discrete_legendre(subdivision):
     """Discrete Legendre transform of the lifting, with dual decomposition."""
@@ -579,6 +564,12 @@ def discrete_legendre(subdivision):
     pieces = [(p, nu(p)) for p in S.vertex_points()]
     all_pts = list(S.polytope.lattice_points)
     dual = {}
+    # cells and edges at each lattice point, in S.cells / S.faces(1) order
+    cells_at, edges_at = {}, {}
+    for at, faces in ((cells_at, S.cells), (edges_at, S.faces(1))):
+        for c in faces:
+            for v in c.vertices:
+                at.setdefault(v, []).append(c)
     if S.top_dim == 2:
         cell_vertex = {}
         for c in S.cells:
@@ -586,7 +577,8 @@ def discrete_legendre(subdivision):
         for f in S.faces(2):
             dual[f.key] = DualCell((cell_vertex[f.key],), ())
         for f in S.faces(1):
-            owners = [c for c in S.cells if f.key <= c.key]
+            a, b = f.vertices
+            owners = [c for c in cells_at[a] if b in c.vertices]
             if len(owners) == 2:
                 dual[f.key] = DualCell(
                     (cell_vertex[owners[0].key], cell_vertex[owners[1].key]), ())
@@ -597,15 +589,12 @@ def discrete_legendre(subdivision):
         for f in S.faces(0):
             v = f.vertices[0]
             verts, rays = [], []
-            for e in S.faces(1):
-                if not f.key <= e.key:
-                    continue
+            for e in edges_at.get(v, ()):
                 dc = dual[e.key]
                 verts.extend(dc.verts)
                 rays.extend(dc.rays)
-            for c in S.cells:
-                if f.key <= c.key:
-                    verts.append(cell_vertex[c.key])
+            for c in cells_at.get(v, ()):
+                verts.append(cell_vertex[c.key])
             uv = sorted(set(verts))
             if not uv:
                 uv = [(Fraction(0), Fraction(0))]
@@ -621,7 +610,7 @@ def discrete_legendre(subdivision):
             dual[f.key] = DualCell((base,), (perp, tuple(-x for x in perp)))
         for f in S.faces(0):
             v = f.vertices[0]
-            owners = [c for c in S.cells if f.key <= c.key]
+            owners = cells_at[v]
             verts, rays = [], []
             for c in owners:
                 dc = dual[c.key]

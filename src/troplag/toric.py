@@ -37,13 +37,14 @@ class DelzantPolygon:
     @staticmethod
     def from_vertices(points):
         """Compact polygon from its vertex list (any order)."""
-        from .polyhedral import convex_hull_2d
-        pts = [tuple(Fraction(c) for c in p) for p in points]
-        ipts = [tuple(int(c) for c in p) for p in pts]
-        if all(tuple(Fraction(c) for c in ip) == p for ip, p in zip(ipts, pts)):
-            hull = convex_hull_2d(ipts)
-        else:
-            raise InputError("polygon vertices must be lattice points")
+        from .polyhedral import convex_hull_2d, parse_int
+        if not (isinstance(points, (list, tuple))
+                and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in points)):
+            raise InputError(f"polygon must be a list of [i, j] vertices, not {points!r}")
+        hull = convex_hull_2d([tuple(parse_int(c, "polygon vertex coordinate") for c in p)
+                               for p in points])
+        if len(hull) < 3:
+            raise InputError("polygon vertices must span a 2-dimensional polygon")
         edges = []
         m = len(hull)
         for i in range(m):

@@ -85,6 +85,20 @@ def test_malformed_curve_exits_2(tmp_path, capsys, change):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("polygon", [
+    [[0, 0], [1]],                                                 # IndexError
+    "x",                                                           # ValueError
+    [[0, 0], [1, "a"]],                                            # ValueError
+    [[0, 0], [1, 0], [0.5, 1]],
+    [[0, 0], [1, 0], [2, 0]],
+], ids=["short_vertex", "string", "entry_a", "entry_0.5", "collinear"])
+def test_malformed_polygon_exits_2(tmp_path, capsys, polygon):
+    src = tmp_path / "curve.json"
+    src.write_text(json.dumps(_two_vertex_curve(polygon=polygon)))
+    assert run(["tropical", str(src), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_pants_command(tmp_path, capsys):
     out = tmp_path / "p"
     code = run(["pants", "--n", "1", "--grid", "10", "--out", str(out)])

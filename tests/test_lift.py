@@ -1,19 +1,23 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from troplag.coamoeba import PI
+from troplag.coamoeba import PI, rstar_apply
 from troplag.errors import ConfigurationError, InputError
-from troplag.fixtures import load_fixture
-from troplag.lift import (Cutoff, GluingSchedule, LegSchedule, TwistData,
-                          default_schedule, exactness_check, flat_loop,
-                          hausdorff_distance, maslov_winding, pants_basis_loop,
-                          phase_values, pl_lift, smooth_lift, symplectic_residual,
-                          twist, twist_pl_cloud, validate_schedule)
-from troplag.polyhedral import LatticePolytope, LiftingFunction, regular_subdivision
-from troplag.tropical import load_curve_json, tropical_hypersurface
+from troplag.fixtures import fixture_names, load_fixture
+from troplag.lift import (Cutoff, GluingSchedule, LegSchedule, LocalModel, TwistData,
+                          _boundary_cloud, _feasible, default_schedule, exactness_check,
+                          flat_loop, hausdorff_distance, maslov_winding,
+                          pants_basis_loop, phase_values, pl_lift, smooth_lift,
+                          symplectic_residual, twist, twist_pl_cloud,
+                          validate_schedule)
+from troplag.pants import PantsMap
+from troplag.polyhedral import (LatticePolytope, LiftingFunction, load_polytope_json,
+                                regular_subdivision)
+from troplag.tropical import is_smooth, load_curve_json, tropical_hypersurface
 
 
 def standard_line():
@@ -115,13 +119,174 @@ def test_schedule_violations_raise():
     bad2 = GluingSchedule({k: 10.0 for k in sched.ball_radius}, dict(sched.lam),
                           {k: LegSchedule(5.0, 6.5, 8.0, 9.5) for k in sched.legs},
                           sched.truncation)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="pairwise disjoint"):
         validate_schedule(X, bad2)
     # oversized pants scale breaks the ball bound
     bad3 = GluingSchedule(dict(sched.ball_radius), {k: 5.0 for k in sched.lam},
                           dict(sched.legs), sched.truncation)
     with pytest.raises(ConfigurationError):
         validate_schedule(X, bad3)
+
+
+# The per-vertex lambda bisection, one PantsMap-based feasibility check per
+# scale, as the schedule computed it before the batched kernel: the oracle
+# of the lockstep bisection.
+
+_LEG_AUX = {0: 1, 1: 0, 2: 0}  # smallest admissible k_j per leg
+
+
+def _s_boundary_cloud(lam, m=240):
+    pm = PantsMap(1, lam)
+    alphas = np.exp(np.linspace(np.log(5e-3), np.log(2e2), m))[:, None]
+    x0 = np.atleast_2d(pm.h_chart(alphas, np.zeros(m)))
+    return np.vstack([x0, rstar_apply(1, 1, x0), rstar_apply(1, 2, x0)])
+
+
+def _schedule_feasible(lam, model, legs_lat, ball_r):
+    cloud = _s_boundary_cloud(lam)
+    c = np.stack([LocalModel.leg_coordinate(cloud, j) for j in range(3)], axis=1)
+    rp = np.array([legs_lat[j][0] for j in range(3)])
+    body = np.all(c <= rp[None, :], axis=1)
+    amb = cloud @ model.B.T
+    if np.any(np.linalg.norm(amb[body], axis=1) > 0.9 * ball_r):
+        return False
+    pm = PantsMap(1, lam)
+    for j in range(3):
+        arm = (c[:, j] >= rp[j]) & (c[:, j] <= legs_lat[j][3])
+        if not np.any(arm):
+            continue
+        if not np.all(pm.in_V({j}, cloud[arm], k=_LEG_AUX[j], tol=-1e-12)):
+            return False
+        if np.any(np.linalg.norm(amb[arm], axis=1) > ball_r):
+            return False
+    return True
+
+
+def _oracle_schedule(X, fractions=(0.5, 0.65, 0.8, 0.95), ball_factor=0.45):
+    """Schedule by per-vertex bisection; also the vertices it bisected."""
+    R = ball_factor * X.min_vertex_distance()
+    vs = np.array([[float(a) for a in v] for v in X.vertices])
+    diam = max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 1.0
+    ball_radius, lam, legs, bisected = {}, {}, {}, []
+    for vi in range(len(X.vertices)):
+        model = LocalModel(X, X.vertices[vi])
+        legs_lat = {}
+        for j in range(3):
+            legs_lat[j] = tuple(f * R / model.leg_norm[j] for f in fractions)
+            legs[(vi, j)] = LegSchedule(*(f * R for f in fractions))
+        hi = 2.0 * min(legs_lat[j][0] for j in range(3))
+        lo = hi * 1e-3
+        if _schedule_feasible(hi, model, legs_lat, R):
+            lam_v = hi
+        else:
+            bisected.append(vi)
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                if _schedule_feasible(mid, model, legs_lat, R):
+                    lo = mid
+                else:
+                    hi = mid
+            lam_v = lo
+        ball_radius[vi] = R
+        lam[vi] = lam_v
+    return GluingSchedule(ball_radius, lam, legs, 3.0 * diam), bisected
+
+
+def _triangle_curve(degree, seed):
+    """Degree-d triangle lifted by i^2 + j^2 + (i+j)^2 plus a seeded affine
+    term, translated by a seeded lattice vector."""
+    rng = random.Random(seed)
+    a, b, c = (rng.randint(-5, 5) for _ in range(3))
+    tx, ty = rng.randint(-6, 6), rng.randint(-6, 6)
+    data = {"vertices": [[tx, ty], [degree + tx, ty], [tx, degree + ty]],
+            "lifting": {f"{i + tx},{j + ty}": i * i + j * j + (i + j) ** 2 + a * i + b * j + c
+                        for i in range(degree + 1) for j in range(degree + 1 - i)}}
+    return tropical_hypersurface(regular_subdivision(*load_polytope_json(data)))
+
+
+def _smooth_fixture_curves():
+    out = []
+    for name in fixture_names():
+        X = load_fixture(name)["curve"]
+        if X.subdivision is not None and is_smooth(X):
+            out.append(pytest.param(X, id=name))
+    return out
+
+
+def _assert_matches_oracle(X):
+    sched = default_schedule(X)
+    want, _ = _oracle_schedule(X)
+    assert [v.hex() for v in sched.lam.values()] == [v.hex() for v in want.lam.values()]
+    assert sched.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("X", _smooth_fixture_curves())
+def test_lockstep_schedule_matches_oracle_on_fixtures(X):
+    _assert_matches_oracle(X)
+
+
+@pytest.mark.parametrize("seed", [7, 101])
+@pytest.mark.parametrize("degree", [4, 6, 8, 10])
+def test_lockstep_schedule_matches_oracle_on_triangles(degree, seed):
+    # degree 6 has 36 vertices: the last feasibility block is partial
+    X = _triangle_curve(degree, seed)
+    assert len(X.vertices) == degree * degree
+    _assert_matches_oracle(X)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.37, 1.0, 5.0])
+def test_cached_boundary_cloud_is_the_chart_cloud(lam):
+    got = _boundary_cloud(np.array([lam, 2.0 * lam]))
+    assert got.shape == (2, 720, 2)
+    assert got[0].tobytes() == _s_boundary_cloud(lam).tobytes()
+    assert got[1].tobytes() == _s_boundary_cloud(2.0 * lam).tobytes()
+
+
+def test_feasibility_kernel_matches_oracle_decisions():
+    # random scales, balls and cut points; half of the cases get arms
+    # of zero width, where the body check alone decides
+    X = _triangle_curve(4, 7)
+    models = [LocalModel(X, v) for v in X.vertices]
+    rng = np.random.default_rng(0)
+    n = 1000
+    vi = rng.integers(len(models), size=n)
+    lam = 10 ** rng.uniform(-2, 1, n)
+    ball = 10 ** rng.uniform(-1, 1, n)
+    cuts = np.sort(10 ** rng.uniform(-2, 1, (n, 3, 4)), axis=-1)
+    thin = rng.random(n) < 0.5
+    cuts[thin] = cuts[thin][..., :1]
+    got = _feasible(lam, np.array([models[i].B for i in vi]), cuts, ball)
+    want = [_schedule_feasible(lam[k], models[vi[k]], {j: tuple(cuts[k, j]) for j in range(3)},
+                               ball[k]) for k in range(n)]
+    assert got.tolist() == want
+    assert 0 < sum(want) < n
+
+
+def test_validate_rejects_a_bisected_scale_raised_one_percent():
+    X = _triangle_curve(4, 7)
+    sched = default_schedule(X)
+    _, bisected = _oracle_schedule(X)
+    assert bisected
+    vi = bisected[0]
+    bad = GluingSchedule(dict(sched.ball_radius), dict(sched.lam),
+                         dict(sched.legs), sched.truncation)
+    bad.lam[vi] = sched.lam[vi] * 1.01
+    with pytest.raises(ConfigurationError, match=f"vertex {vi} violates"):
+        validate_schedule(X, bad)
+
+
+def test_default_schedule_builds_no_pants_map(monkeypatch):
+    built = []
+    init = PantsMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(PantsMap, "__init__", counting_init)
+    X = _triangle_curve(4, 101)
+    sched = default_schedule(X)
+    assert len(sched.lam) == 16
+    assert built == []
 
 
 def test_cutoff_profile():
