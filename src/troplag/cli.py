@@ -18,41 +18,34 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, NumericError, TroplagError
-from .fixtures import fixture_names, load_fixture
+from .fixtures import fixture_names, load_fixture, load_input
 
 
 def _cmdline():
     return "troplag " + " ".join(sys.argv[1:])
 
 
-def _load_curve_arg(path, default_zero=False):
-    from .polyhedral import load_polytope_json, regular_subdivision
-    from .tropical import load_curve_json, tropical_hypersurface
-    if not os.path.exists(path) and path in fixture_names():
-        return load_fixture(path)
+def _read_json(path):
+    """The JSON object in the file at path; InputError if the file is
+    missing, not UTF-8, not JSON or not an object."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such input file: {path}")
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}")
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object")
-    out = {"raw": data, "curve": None, "polygon": None}
-    if "lifting" in data or data.get("type") == "polytope":
-        poly, nu = load_polytope_json(data, default_zero=default_zero)
-        out["curve"] = tropical_hypersurface(regular_subdivision(poly, nu))
-    else:
-        out["curve"] = load_curve_json(data)
-    pg = data.get("polygon")
-    if pg == "quadrant":
-        from .toric import DelzantPolygon
-        out["polygon"] = DelzantPolygon.quadrant()
-    elif pg is not None:
-        from .toric import DelzantPolygon
-        out["polygon"] = DelzantPolygon.from_vertices(pg)
-    return out
+    return data
+
+
+def _load_curve_arg(path, default_zero=False):
+    if not os.path.exists(path) and path in fixture_names():
+        return load_fixture(path)
+    return load_input(_read_json(path), default_zero=default_zero)
 
 
 def _curve_to_json(X):
@@ -99,7 +92,7 @@ def cmd_pants(args):
     if args.section is not None:
         if args.n != 2:
             raise InputError("--section requires n = 2")
-        t = float(args.section)
+        t = args.section
         dd = decomposition_data()
         tri = [dd.qkt(k, t).tolist() for k in (0, 2, 3)]
         with open(os.path.join(args.out, "section.json"), "w") as fh:
@@ -125,8 +118,8 @@ def cmd_pants(args):
 
 
 def cmd_lift(args):
-    from .lift import (default_schedule, hausdorff_distance, pl_lift,
-                       smooth_lift, symplectic_residual, twist)
+    from .lift import (GluingSchedule, default_schedule, hausdorff_distance,
+                       pl_lift, smooth_lift, symplectic_residual, twist)
     fx = _load_curve_arg(args.input)
     X = fx["curve"]
     os.makedirs(args.out, exist_ok=True)
@@ -142,7 +135,8 @@ def cmd_lift(args):
                        "punctures": pl.punctures(), "genus": pl.genus()})
     else:
         twist_data = _parse_twist(args.twist) if args.twist else None
-        sched = default_schedule(X) if args.schedule is None else _read_schedule(args.schedule)
+        sched = (default_schedule(X) if args.schedule is None
+                 else GluingSchedule.from_dict(_read_json(args.schedule)))
         mesh = smooth_lift(X, args.scale, sched, resolution=args.resolution)
         twist_class = None
         if twist_data is not None:
@@ -176,12 +170,6 @@ def _parse_twist(spec):
             raise InputError(f"malformed --twist part {part!r}: "
                              "expected edge=I,winding=W with integers I and W")
     return TwistData(windings)
-
-
-def _read_schedule(path):
-    from .lift import GluingSchedule
-    with open(path) as fh:
-        return GluingSchedule.from_json(fh.read())
 
 
 def cmd_verify(args):
@@ -248,7 +236,7 @@ def build_parser():
     q.add_argument("--n", type=int, default=1)
     q.add_argument("--lam", type=float, default=1.0)
     q.add_argument("--grid", type=int, default=64)
-    q.add_argument("--section", default=None, metavar="T",
+    q.add_argument("--section", type=float, default=None, metavar="T",
                    help="n=2 section parameter t (t >= 1/9)")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", default="out")

@@ -1,4 +1,5 @@
-"""Versioned fixtures: the named example curves and moment polygons."""
+"""Versioned fixtures: the named example curves and moment polygons, and
+the one parser of curve and polytope input."""
 
 from __future__ import annotations
 
@@ -25,24 +26,26 @@ def fixture_names():
     return sorted(out)
 
 
-def load_fixture(name):
-    """Returns {"curve": TropicalComplex or None, "polygon": ... or None,
-    plus the raw data}."""
-    data = _load(name)
-    out = {"raw": data, "curve": None, "polygon": None}
-    if data.get("type") == "polytope":
-        poly, nu = load_polytope_json(data)
-        out["curve"] = tropical_hypersurface(regular_subdivision(poly, nu))
-    elif data.get("type") == "curve":
-        out["curve"] = load_curve_json(data)
+def load_input(data, default_zero=False):
+    """{"curve": TropicalComplex, "polygon": DelzantPolygon or None} of a
+    parsed JSON object: a lifted polytope (a "lifting" entry or type
+    "polytope") gives the dual curve of its subdivision, anything else is
+    read as a curve."""
+    if "lifting" in data or data.get("type") == "polytope":
+        poly, nu = load_polytope_json(data, default_zero=default_zero)
+        curve = tropical_hypersurface(regular_subdivision(poly, nu))
     else:
-        raise InputError(f"fixture {name} has unknown type")
+        curve = load_curve_json(data)
     pg = data.get("polygon")
     if pg == "quadrant":
-        out["polygon"] = DelzantPolygon.quadrant()
-    elif pg is not None:
-        out["polygon"] = DelzantPolygon.from_vertices(pg)
-    return out
+        polygon = DelzantPolygon.quadrant()
+    else:
+        polygon = None if pg is None else DelzantPolygon.from_vertices(pg)
+    return {"curve": curve, "polygon": polygon}
+
+
+def load_fixture(name):
+    return load_input(_load(name))
 
 
 def load_curve(name):

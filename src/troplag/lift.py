@@ -11,14 +11,15 @@ Maslov winding) live here as well.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .coamoeba import PI, EdgeFiber, edge_fiber_from_dual, reduce_mod_pi, rstar_apply
+from .coamoeba import PI, edge_fiber_from_dual, reduce_mod_pi, rstar_apply
 from .errors import ConfigurationError, InputError, NumericError
 from .pants import PantsMap, ProjectionPair, h_chart_terms
 from .tropical import adapted_frame, tangent_line
@@ -213,8 +214,7 @@ class LegSchedule:
             raise ConfigurationError("leg parameters must satisfy r' < r'' < rbar < r")
 
     def as_dict(self):
-        return {"r_prime": self.r_prime, "r_second": self.r_second,
-                "r_bar": self.r_bar, "r": self.r}
+        return asdict(self)
 
 
 @dataclass
@@ -242,16 +242,26 @@ class GluingSchedule:
         }, indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text):
-        d = json.loads(text)
-        legs = {}
-        for key, ls in d["legs"].items():
+    def from_dict(d):
+        """Schedule of a parsed to_json() object; InputError when an entry is
+        missing, a key is not an integer or "vi,j", a leg has other fields
+        than a LegSchedule, or a value is not a finite number."""
+        def number(x):
+            if isinstance(x, bool) or not math.isfinite(x):
+                raise ValueError(f"{x!r} is not a finite number")
+            return x
+
+        def leg(key, ls):
             vi, j = (int(p) for p in key.split(","))
-            legs[(vi, j)] = LegSchedule(**ls)
-        return GluingSchedule(
-            {int(k): v for k, v in d["ball_radius"].items()},
-            {int(k): v for k, v in d["lam"].items()},
-            legs, d["truncation"])
+            return (vi, j), LegSchedule(**{f: number(v) for f, v in ls.items()})
+
+        try:
+            legs = dict(leg(key, ls) for key, ls in d["legs"].items())
+            ball, lam = ({int(k): number(v) for k, v in d[name].items()}
+                         for name in ("ball_radius", "lam"))
+            return GluingSchedule(ball, lam, legs, number(d["truncation"]))
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed schedule ({type(exc).__name__}: {exc})")
 
 
 # Vertices per call of the feasibility kernel: bounds its (block, 720, 2)
@@ -333,11 +343,7 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
         raise InputError("schedule needs a subdivision-backed curve")
     R = ball_factor * X.min_vertex_distance()
     if truncation is None:
-        vs = np.array([[float(a) for a in v] for v in X.vertices])
-        diam = 1.0
-        if len(vs) > 1:
-            diam = max(1.0, float(np.ptp(vs, axis=0).max()))
-        truncation = 3.0 * diam
+        truncation = _default_truncation(X)
     nv = len(X.vertices)
     B, norms = _vertex_arrays(X)
     cuts = [f * R for f in fractions]
@@ -361,11 +367,16 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
 
 
 def validate_schedule(X, sched):
+    nv = len(X.vertices)
+    if (set(sched.ball_radius) != set(range(nv)) or set(sched.lam) != set(range(nv))
+            or set(sched.legs) != {(vi, j) for vi in range(nv) for j in range(3)}):
+        raise ConfigurationError("schedule keys do not match the curve's vertices and legs")
+    if not sched.truncation > 0:
+        raise ConfigurationError("truncation must be positive")
     for (vi, j), ls in sched.legs.items():
         ls.validate()
         if ls.r > sched.ball_radius[vi]:
             raise ConfigurationError("leg cut points must stay inside the ball")
-    nv = len(X.vertices)
     ball_r = np.array([sched.ball_radius[vi] for vi in range(nv)], dtype=float)
     # balls pairwise disjoint
     vs = np.array([[float(c) for c in v] for v in X.vertices]).reshape(-1, 2)
@@ -431,25 +442,7 @@ class PLLift:
 
     def sample(self, resolution=64, truncation=None):
         """Point cloud (x1, x2, y1, y2); rays truncated."""
-        if truncation is None:
-            truncation = 3.0 * max(1.0, _curve_diameter(self.X))
-        pts = []
-        for piece in self.pieces:
-            if piece.kind == "edge":
-                cell = piece.cell
-                seg = _edge_param_points(cell, resolution, truncation)
-                thetas = (np.arange(resolution) + 0.5) * PI / resolution
-                for j in range(piece.fiber.w):
-                    ys = piece.fiber.points(thetas, j)
-                    for p in seg:
-                        pts.append(np.concatenate(
-                            [np.repeat(p[None, :], len(ys), axis=0), ys], axis=1))
-            else:
-                v = np.array([float(c) for c in piece.cell.verts[0]])
-                ys = _coamoeba_cloud(piece.fiber, resolution)
-                pts.append(np.concatenate(
-                    [np.repeat(v[None, :], len(ys), axis=0), ys], axis=1))
-        return np.vstack(pts)
+        return _pl_cloud(self, {}, resolution, truncation)
 
     def euler_characteristic(self):
         """chi of the lift surface: each vertex contributes minus the
@@ -472,9 +465,47 @@ class PLLift:
         return g2 // 2
 
 
-def _curve_diameter(X):
-    vs = np.array([[float(a) for a in v] for v in X.vertices]) if X.vertices else np.zeros((1, 2))
-    return float(np.ptp(vs, axis=0).max()) if len(vs) > 1 else 1.0
+def _default_truncation(X):
+    """Ray length of samples and schedules: 3 x the larger of 1 and the
+    extent of the curve's vertices."""
+    vs = np.array([[float(a) for a in v] for v in X.vertices]).reshape(-1, 2)
+    return 3.0 * (max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 1.0)
+
+
+def _cylinder(base, fiber):
+    """Rows (x, y) for every base point x (outer) and fiber point y (inner)."""
+    return np.concatenate([np.repeat(base, len(fiber), axis=0),
+                           np.tile(fiber, (len(base), 1))], axis=1)
+
+
+def _pl_cloud(pl, windings, resolution, truncation):
+    """PL lift sample: each vertex's coamoeba over the vertex, and over each
+    edge its fiber circles, rotated along the edge by pi * m * psi(s) times
+    the edge's dual vector when windings maps the edge index to m != 0.
+    Edge indices are piece indices: pl_lift puts the edges first, in
+    X.edges order."""
+    if truncation is None:
+        truncation = _default_truncation(pl.X)
+    thetas = (np.arange(resolution) + 0.5) * PI / resolution
+    pts = []
+    for ei, piece in enumerate(pl.pieces):
+        if piece.kind != "edge":
+            v = np.array([[float(c) for c in piece.cell.verts[0]]])
+            pts.append(_cylinder(v, _coamoeba_cloud(piece.fiber, resolution)))
+            continue
+        seg = _edge_param_points(piece.cell, resolution, truncation)
+        m = windings.get(ei, 0)
+        if m:
+            v = np.array(_dual_basis_vector(piece.cell.direction()), dtype=float)
+            shift = (PI * m * _BUMP.psi(np.linspace(0.0, 1.0, len(seg))))[:, None, None] * v
+        for j in range(piece.fiber.w):
+            ys = piece.fiber.points(thetas, j)
+            if m:
+                yy = np.mod(ys + shift, PI).reshape(-1, 2)
+                pts.append(np.concatenate([np.repeat(seg, len(ys), axis=0), yy], axis=1))
+            else:
+                pts.append(_cylinder(seg, ys))
+    return np.vstack(pts)
 
 
 def _edge_param_points(cell, resolution, truncation):
@@ -494,16 +525,17 @@ def _edge_param_points(cell, resolution, truncation):
 
 def _coamoeba_cloud(fiber, resolution):
     """Sample points of a 2-cell coamoeba (plus and minus halves)."""
-    out = []
     if hasattr(fiber, "cell") and fiber.cell.dim == 2 and len(fiber.cell.vertices) == 3:
         v = np.array(fiber.cell.vertices, dtype=float) * PI / 2
-        for i in range(resolution + 1):
-            for k in range(resolution + 1 - i):
-                l1, l2 = i / resolution, k / resolution
-                p = v[0] + l1 * (v[1] - v[0]) + l2 * (v[2] - v[0])
-                out.append(reduce_mod_pi(p))
-                out.append(reduce_mod_pi(-p))
-        return np.array(out)
+        # barycentric grid i + k <= resolution, i outer and k inner
+        i, k = np.triu_indices(resolution + 1)
+        k = k - i
+        p = (v[0] + (i / resolution)[:, None] * (v[1] - v[0])
+             + (k / resolution)[:, None] * (v[2] - v[0]))
+        out = np.empty((2 * len(p), 2))
+        out[0::2] = reduce_mod_pi(p)
+        out[1::2] = reduce_mod_pi(-p)
+        return out
     # covering or general fiber: rejection-sample the torus
     grid = np.linspace(0, PI, 4 * resolution, endpoint=False)
     yy = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
@@ -699,14 +731,8 @@ def _collar_sheet(model, j, lam, cutoff, Sf, Tf, reduce_torus=True):
     and fiber angle: the graph of d(eta * G) in leg-j working coordinates,
     mapped to ambient coordinates."""
     pm = PantsMap(1, lam)
-    pp = ProjectionPair(pm, frozenset({1}), 0)
-    minus = Tf > PI / 2
-    th_p = np.where(minus, PI - Tf, Tf)
-    # solve the 1-d fibers in working coordinates (J = {1}, k = 0)
-    wp = np.stack([np.zeros_like(th_p), th_p], axis=1)
-    q1 = pp._solve_scalar(1, Sf, wp, 1e-13, 80)[:, 0]
-    qw = np.stack([q1, th_p], axis=1)
-    qw = np.where(minus[:, None], -qw, qw)
+    # the 1-d fibers in working coordinates (J = {1}, k = 0)
+    qw = _fiber_circle(pm, 1, Sf, Tf)
 
     Fq = pm.F(qw)
     hq = pm.h(qw)
@@ -755,6 +781,17 @@ def _collar_piece(model, vi, j, lam, sched, resolution):
     return MeshPiece("collar", (vi, j), P, fr, grid=(resolution, resolution))
 
 
+def _fiber_circle(pm, j, target, thetas):
+    """Points q of the n = 1 pants with h_j(q) = target whose other
+    coordinate is the fiber angle: angles past pi/2 are mirrored onto the
+    plus half, solved there (J = {j}, k = 0) and negated back."""
+    minus = thetas > PI / 2
+    wp = np.zeros((len(thetas), 2))
+    wp[:, 2 - j] = np.where(minus, PI - thetas, thetas)
+    q = ProjectionPair(pm, frozenset({j}), 0)._solve_scalar(j, target, wp, 1e-13, 80)
+    return np.where(minus[:, None], -q, q)
+
+
 def _dworking_to_std(j, dx, dy):
     if j == 1:
         return dx, dy
@@ -791,10 +828,8 @@ def _flat_piece(X, sched, ei, resolution):
     ys = fiber.points(thetas, 0)
     tangent = (p1 - p0) / np.linalg.norm(p1 - p0)
     circ = np.array(fiber.direction, dtype=float)
-    P = np.empty((resolution * resolution, 4))
+    P = _cylinder(seg, ys)
     fr = np.empty((resolution * resolution, 2, 4))
-    P[:, :2] = np.repeat(seg, resolution, axis=0)
-    P[:, 2:] = np.tile(ys, (resolution, 1))
     fr[:, 0, :2] = tangent
     fr[:, 0, 2:] = 0.0
     fr[:, 1, :2] = 0.0
@@ -945,30 +980,7 @@ def twist(mesh, data):
 
 def twist_pl_cloud(pl, data, resolution=64, truncation=None):
     """Twisted PL lift sampling: fibers over each edge rotate by the loop."""
-    X = pl.X
-    if truncation is None:
-        truncation = 3.0 * max(1.0, _curve_diameter(X))
-    pts = []
-    for piece in pl.pieces:
-        if piece.kind != "edge":
-            v = np.array([float(c) for c in piece.cell.verts[0]])
-            ys = _coamoeba_cloud(piece.fiber, resolution)
-            pts.append(np.concatenate([np.repeat(v[None, :], len(ys), axis=0), ys], axis=1))
-            continue
-        ei = X.edges.index(piece.cell)
-        m = data.windings.get(ei, 0)
-        seg = _edge_param_points(piece.cell, resolution, truncation)
-        thetas = (np.arange(resolution) + 0.5) * PI / resolution
-        u = piece.cell.direction()
-        v = np.array(_dual_basis_vector(u), dtype=float)
-        svals = np.linspace(0.0, 1.0, len(seg))
-        for j in range(piece.fiber.w):
-            ys = piece.fiber.points(thetas, j)
-            for p, s in zip(seg, svals):
-                shift = PI * m * _BUMP.psi(s) * v
-                yy = np.mod(ys + shift[None, :], PI)
-                pts.append(np.concatenate([np.repeat(p[None, :], len(yy), axis=0), yy], axis=1))
-    return np.vstack(pts)
+    return _pl_cloud(pl, data.windings, resolution, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,15 +1046,8 @@ def pants_basis_loop(lam, leg, x_value, resolution=700):
     (points, frames) sampled along the whole fiber circle.
     """
     pm = PantsMap(1, lam)
-    pp = ProjectionPair(pm, frozenset({leg}), 0)
     thetas = (np.arange(resolution) + 0.5) * PI / resolution
-    minus = thetas > PI / 2
-    th_p = np.where(minus, PI - thetas, thetas)
-    comp = 2 if leg == 1 else 1
-    wp = np.zeros((resolution, 2))
-    wp[:, comp - 1] = th_p
-    q = pp._solve_scalar(leg, np.full(resolution, x_value), wp, 1e-13, 80)
-    q = np.where(minus[:, None], -q, q)
+    q = _fiber_circle(pm, leg, np.full(resolution, x_value), thetas)
     h = pm.h(q)
     H = pm.hessian(q)
     pts = np.concatenate([h, q], axis=1)

@@ -56,6 +56,8 @@ class PantsMap:
     def __init__(self, n, lam=1.0):
         if n < 0:
             raise InputError("n must be >= 0")
+        if not np.isfinite(lam):
+            raise InputError("scale lambda must be finite")
         if lam <= 0:
             raise InputError("scale lambda must be positive")
         self.n = n
@@ -604,16 +606,6 @@ def project(pants, J, k):
     return ProjectionPair(pants, frozenset(J), k)
 
 
-def fiber_solve(pp, x, yprime, tol=1e-12, max_iter=80):
-    """The unique fiber point over (x, yprime); see ProjectionPair.fiber_solve."""
-    return pp.fiber_solve(x, yprime, tol=tol, max_iter=max_iter)
-
-
-def legendre_G(pp, x, yprime):
-    """Legendre transform value and differential; see ProjectionPair.legendre_G."""
-    return pp.legendre_G(x, yprime)
-
-
 # ---------------------------------------------------------------------------
 # decomposition data of the three-dimensional region
 
@@ -630,10 +622,10 @@ class DecompositionData:
         return self.q0 if k == 0 else rstar_apply(2, k, self.q0)
 
     def z(self, t, tol=1e-15):
-        """Unique positive root of 9 z^2 (2z + 3t) = 1 for t >= 1/9."""
+        """Unique positive root of 9 z^2 (2z + 3t) = 1 for finite t >= 1/9."""
         t = float(t)
-        if t < 1.0 / 9.0 - 1e-12:
-            raise DomainError("z(t) defined for t >= 1/9")
+        if not 1.0 / 9.0 - 1e-12 <= t < np.inf:  # false for NaN as well
+            raise DomainError("z(t) defined for finite t >= 1/9")
         z = 1.0 / 3.0
         for _ in range(100):
             f = 18.0 * z ** 3 + 27.0 * t * z ** 2 - 1.0

@@ -137,7 +137,7 @@ def verify_legendre(seed=0, m=1000):
                    tolerances=[1e-8, 1e-6])
 
 
-def verify_decomposition():
+def verify_decomposition(seed=0):
     """Criterion 6: decomposition constants of the 3-d region."""
     dd = decomposition_data()
     z_err = abs(dd.z(1.0 / 9.0) - 1.0 / 3.0)
@@ -214,7 +214,7 @@ def verify_maslov(seed=0):
     return _record("maslov", passed, windings=windings, max_phase_step=max_step)
 
 
-def verify_exactness():
+def verify_exactness(seed=0):
     """Criterion 10: exactness of the three reference curves."""
     line = exactness_check(load_fixture("standard_line")["curve"])
     tri_X = load_fixture("triangle")["curve"]
@@ -234,7 +234,7 @@ def verify_exactness():
                    triangle_edge_constant=None if target is None else float(target))
 
 
-def verify_topology():
+def verify_topology(seed=0):
     """Criterion 11: the integer topology table."""
     rows = {}
     t = lift_topology(load_fixture("standard_line")["curve"])
@@ -267,7 +267,7 @@ def verify_topology():
     return _record("topology", passed, rows=rows)
 
 
-def verify_monotone():
+def verify_monotone(seed=0):
     """Criterion 12: monotone arithmetic of the two torus fixtures."""
     fx = load_fixture("p2_monotone")
     r1 = monotone_report(fx["curve"], fx["polygon"])
@@ -286,26 +286,17 @@ def verify_monotone():
                    p1p1={k: (m, str(o)) for k, (m, o) in pairs2.items()})
 
 
-SUITES = {
-    "hessian": verify_hessian,
-    "boundary": verify_boundary,
-    "region": verify_region,
-    "equivariance": verify_equivariance,
-    "legendre": verify_legendre,
-    "decomposition": lambda seed=0: verify_decomposition(),
-    "appendix": verify_appendix,
-    "theorem41": verify_theorem41,
-    "maslov": lambda seed=0: verify_maslov(seed),
-    "exactness": lambda seed=0: verify_exactness(),
-    "topology": lambda seed=0: verify_topology(),
-    "monotone": lambda seed=0: verify_monotone(),
-}
+# every suite takes the seed, whether or not it samples
+SUITES = {f.__name__[len("verify_"):]: f for f in (
+    verify_hessian, verify_boundary, verify_region, verify_equivariance,
+    verify_legendre, verify_decomposition, verify_appendix, verify_theorem41,
+    verify_maslov, verify_exactness, verify_topology, verify_monotone)}
 
 
-def run_suite(name, seed=0, **kwargs):
+def run_suite(name, seed=0):
     if name == "all":
         return [SUITES[k](seed=seed) for k in SUITES]
     if name not in SUITES:
         from .errors import InputError
         raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[name](seed=seed, **kwargs)]
+    return [SUITES[name](seed=seed)]

@@ -11,12 +11,19 @@ from troplag import verify
 SEED = 0
 
 
-def _run(name, **kwargs):
-    rec = verify.SUITES[name](seed=SEED, **kwargs) if name != "decomposition" \
-        else verify.verify_decomposition()
+def _run(name):
+    rec = verify.SUITES[name](seed=SEED)
     status = "PASS" if rec["passed"] else "FAIL"
     print(f"{status} criterion[{name}]: {rec['details']}")
     return rec
+
+
+def test_suite_table_holds_the_suites_in_order():
+    assert list(verify.SUITES) == [
+        "hessian", "boundary", "region", "equivariance", "legendre", "decomposition",
+        "appendix", "theorem41", "maslov", "exactness", "topology", "monotone"]
+    for name, suite in verify.SUITES.items():
+        assert suite is getattr(verify, f"verify_{name}")
 
 
 def test_criterion_01_hessian_definiteness():

@@ -1,9 +1,11 @@
 import json
 import os
+from importlib import resources
 
 import pytest
 
-from troplag.cli import main
+from troplag.cli import _curve_to_json, _load_curve_arg, main
+from troplag.fixtures import fixture_names, load_fixture
 
 
 def run(args):
@@ -40,6 +42,23 @@ def test_malformed_json_exits_2(tmp_path, capsys):
                 "--out", str(tmp_path / "o")]) == 2
     bad.write_text("[1, 2]")
     assert run(["tropical", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    src = tmp_path / "bin.json"
+    src.write_bytes(b"\xff\xfe" + json.dumps(_two_vertex_curve()).encode())
+    assert run(["tropical", str(src), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_and_file_inputs_agree(tmp_path, name):
+    # a fixture name and a copy of its file go through the same parser
+    ref = resources.files("troplag").joinpath(f"fixtures/{name}.json")
+    src = tmp_path / f"{name}.json"
+    src.write_bytes(ref.read_bytes())
+    from_file = _curve_to_json(_load_curve_arg(str(src))["curve"])
+    assert from_file == _curve_to_json(load_fixture(name)["curve"])
 
 
 SIMPLEX_POLYTOPE = '{"vertices": [[0, 0], [1, 0], [0, 1]], "lifting": %s}'
@@ -110,6 +129,22 @@ def test_pants_command(tmp_path, capsys):
     assert "all negative" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", [["--lam", "nan"], ["--lam", "inf"],
+                                    ["--n", "2", "--section", "nan"],
+                                    ["--n", "2", "--section", "inf"]])
+def test_pants_non_finite_options_exit_2(tmp_path, capsys, option):
+    out = tmp_path / "p"
+    assert run(["pants", "--grid", "8", *option, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "section.json").exists()
+
+
+def test_pants_section_must_be_a_number(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["pants", "--n", "2", "--section", "abc", "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2
+
+
 def test_pants_section(tmp_path):
     out = tmp_path / "p2"
     code = run(["pants", "--n", "2", "--grid", "8", "--section", "0.2",
@@ -163,6 +198,72 @@ def test_lift_malformed_twist_exits_2(tmp_path, capsys, spec):
     assert run(["lift", "triangle", "--resolution", "8", "--twist", spec,
                 "--out", str(tmp_path / "x")]) == 2
     assert "--twist" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def triangle_schedule():
+    from troplag.lift import default_schedule
+    return json.loads(default_schedule(load_fixture("triangle")["curve"]).to_json())
+
+
+def _edit(path, value):
+    def apply(d):
+        *keys, last = path
+        for k in keys:
+            d = d[k]
+        if value is None:
+            del d[last]
+        else:
+            d[last] = value
+    return apply
+
+
+def _rename_leg(d):
+    d["legs"]["zz"] = d["legs"].pop("0,0")
+
+
+def _add_leg(d):
+    d["legs"]["9,0"] = d["legs"]["0,0"]
+
+
+@pytest.mark.parametrize("change", [
+    b"{",                                                          # JSONDecodeError
+    b"\xff\xfe{}",                                                 # UnicodeDecodeError
+    b"[1]",
+    _edit(["lam", "0"], None),                                     # KeyError: 0
+    _edit(["lam", "0"], "x"),                                      # ValueError
+    _edit(["legs", "0,0", "r"], "x"),                              # TypeError
+    _edit(["legs", "0,0", "zz"], 1.0),                             # TypeError
+    _edit(["legs", "0,0", "r_bar"], None),
+    _rename_leg,                                                   # ValueError
+    _add_leg,
+    _edit(["legs"], None),
+    _edit(["truncation"], float("nan")),                           # ValueError
+    _edit(["truncation"], -1),                                     # exit 0
+    _edit(["ball_radius", "1"], 10 ** 400),
+], ids=["brace", "non_utf8", "list", "lam_deleted", "lam_x", "leg_r_x", "leg_extra_field",
+        "leg_field_deleted", "leg_key_zz", "leg_key_extra", "legs_deleted", "truncation_nan",
+        "truncation_negative", "ball_radius_huge"])
+def test_malformed_schedule_exits_2(tmp_path, capsys, triangle_schedule, change):
+    src = tmp_path / "schedule.json"
+    if isinstance(change, bytes):
+        src.write_bytes(change)
+    else:
+        data = json.loads(json.dumps(triangle_schedule))
+        change(data)
+        src.write_text(json.dumps(data))
+    assert run(["lift", "triangle", "--resolution", "8", "--schedule", str(src),
+                "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_schedule_file_round_trips(tmp_path, triangle_schedule):
+    src = tmp_path / "schedule.json"
+    src.write_text(json.dumps(triangle_schedule))
+    out = tmp_path / "x"
+    assert run(["lift", "triangle", "--resolution", "8", "--schedule", str(src),
+                "--out", str(out)]) == 0
+    assert json.loads((out / "schedule.json").read_text()) == triangle_schedule
 
 
 def test_numeric_failure_prints_diagnostics(tmp_path, capsys, monkeypatch):

@@ -76,6 +76,68 @@ def test_pl_sample_cloud_shape():
     assert np.isfinite(cloud).all()
 
 
+def _coamoeba_cloud_oracle(fiber, resolution):
+    """Triangle branch of _coamoeba_cloud as a double loop, point by point."""
+    v = np.array(fiber.cell.vertices, dtype=float) * PI / 2
+    out = []
+    for i in range(resolution + 1):
+        for k in range(resolution + 1 - i):
+            l1, l2 = i / resolution, k / resolution
+            p = v[0] + l1 * (v[1] - v[0]) + l2 * (v[2] - v[0])
+            out.append(np.mod(p, PI))
+            out.append(np.mod(-p, PI))
+    return np.array(out)
+
+
+def _pl_cloud_oracle(pl, windings, resolution, truncation):
+    """Twisted PL sample one base point at a time, every fiber reduced mod
+    pi after its shift (zero on an edge without a winding)."""
+    from troplag.lift import _BUMP, _coamoeba_cloud, _dual_basis_vector, _edge_param_points
+    X = pl.X
+    pts = []
+    for piece in pl.pieces:
+        if piece.kind != "edge":
+            v = np.array([float(c) for c in piece.cell.verts[0]])
+            ys = _coamoeba_cloud(piece.fiber, resolution)
+            pts.append(np.concatenate([np.repeat(v[None, :], len(ys), axis=0), ys], axis=1))
+            continue
+        m = windings.get(X.edges.index(piece.cell), 0)
+        seg = _edge_param_points(piece.cell, resolution, truncation)
+        thetas = (np.arange(resolution) + 0.5) * PI / resolution
+        v = np.array(_dual_basis_vector(piece.cell.direction()), dtype=float)
+        for j in range(piece.fiber.w):
+            ys = piece.fiber.points(thetas, j)
+            for p, s in zip(seg, np.linspace(0.0, 1.0, len(seg))):
+                yy = np.mod(ys + (PI * m * _BUMP.psi(s) * v)[None, :], PI)
+                pts.append(np.concatenate([np.repeat(p[None, :], len(yy), axis=0), yy], axis=1))
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("resolution", [8, 64, 128])
+def test_coamoeba_cloud_matches_double_loop(resolution):
+    from troplag.lift import _coamoeba_cloud
+    fibers = [p.fiber for p in pl_lift(triangle_curve()).pieces if p.kind == "vertex"]
+    fibers.append(pl_lift(standard_line()).pieces[-1].fiber)
+    for fiber in fibers:
+        got = _coamoeba_cloud(fiber, resolution)
+        assert got.tobytes() == _coamoeba_cloud_oracle(fiber, resolution).tobytes()
+
+
+@pytest.mark.parametrize("name", ["standard_line", "triangle", "weight2_line"])
+def test_pl_clouds_match_pointwise_oracle(name):
+    from troplag.lift import _default_truncation
+    X = load_fixture(name)["curve"]
+    pl = pl_lift(X)
+    trunc = _default_truncation(X)
+    plain = pl.sample(24)
+    assert plain.tobytes() == _pl_cloud_oracle(pl, {}, 24, trunc).tobytes()
+    assert twist_pl_cloud(pl, TwistData({}), resolution=24).tobytes() == plain.tobytes()
+    windings = {0: 1, len(X.edges) - 1: -2}
+    got = twist_pl_cloud(pl, TwistData(windings), resolution=24, truncation=2.5)
+    assert got.tobytes() == _pl_cloud_oracle(pl, windings, 24, 2.5).tobytes()
+
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -84,7 +146,7 @@ def test_default_schedule_valid_and_serializable():
     sched = default_schedule(X)
     assert validate_schedule(X, sched)
     text = sched.to_json()
-    back = GluingSchedule.from_json(text)
+    back = GluingSchedule.from_dict(json.loads(text))
     assert back.to_json() == text
     for (vi, j), ls in sched.legs.items():
         assert 0 < ls.r_prime < ls.r_second < ls.r_bar < ls.r <= sched.ball_radius[vi]
@@ -612,6 +674,50 @@ def test_pants_basis_loops_wind_zero():
     for leg in (1, 2):
         pts, fr = pants_basis_loop(0.4, leg, 0.3, resolution=1024)
         assert maslov_winding(pts, fr) == 0
+
+
+def _mirrored_fiber_oracle(pm, j, target, thetas):
+    """The fiber solves of _collar_sheet (j = 1) and pants_basis_loop as
+    they were written at their call sites."""
+    from troplag.pants import ProjectionPair
+    pp = ProjectionPair(pm, frozenset({j}), 0)
+    minus = thetas > PI / 2
+    th_p = np.where(minus, PI - thetas, thetas)
+    if j == 1:
+        wp = np.stack([np.zeros_like(th_p), th_p], axis=1)
+        q1 = pp._solve_scalar(1, target, wp, 1e-13, 80)[:, 0]
+        qw = np.stack([q1, th_p], axis=1)
+        return np.where(minus[:, None], -qw, qw)
+    wp = np.zeros((len(thetas), 2))
+    wp[:, 0] = th_p
+    q = pp._solve_scalar(j, target, wp, 1e-13, 80)
+    return np.where(minus[:, None], -q, q)
+
+
+@pytest.mark.parametrize("vi, j", [(0, 0), (2, 2)])
+def test_collar_sheet_unchanged_by_the_shared_fiber_solve(monkeypatch, vi, j):
+    import troplag.lift as lift
+    X = triangle_curve()
+    sched = default_schedule(X)
+    model = lift._local_model(X, vi)
+    ls, scale = sched.legs[(vi, j)], model.leg_norm[j]
+    cutoff = Cutoff(ls.r_second / scale, ls.r_bar / scale)
+    S, T = np.meshgrid(np.linspace(ls.r_prime / scale, ls.r / scale, 32),
+                       (np.arange(32) + 0.5) * PI / 32, indexing="ij")
+    args = (model, j, sched.lam[vi], cutoff, S.ravel(), T.ravel())
+    P, fr = lift._collar_sheet(*args)
+    monkeypatch.setattr(lift, "_fiber_circle", _mirrored_fiber_oracle)
+    P0, fr0 = lift._collar_sheet(*args)
+    assert P.tobytes() == P0.tobytes() and fr.tobytes() == fr0.tobytes()
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+def test_pants_basis_loop_unchanged_by_the_shared_fiber_solve(monkeypatch, leg):
+    import troplag.lift as lift
+    pts, fr = pants_basis_loop(0.4, leg, 0.35, resolution=512)
+    monkeypatch.setattr(lift, "_fiber_circle", _mirrored_fiber_oracle)
+    pts0, fr0 = pants_basis_loop(0.4, leg, 0.35, resolution=512)
+    assert pts.tobytes() == pts0.tobytes() and fr.tobytes() == fr0.tobytes()
 
 
 def test_collar_loops_wind_zero():

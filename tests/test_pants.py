@@ -15,6 +15,12 @@ PM2 = PantsMap(2)
 # ---------------------------------------------------------------------------
 # the potential
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_pants_map_refuses_non_finite_scale(lam):
+    with pytest.raises(InputError, match="finite"):
+        PantsMap(1, lam)
+
+
 def test_potential_closed_form_value():
     val = PM1.F([PI / 6, PI / 6])
     assert val == pytest.approx(math.sqrt(1 / 8), abs=1e-15)
@@ -455,6 +461,9 @@ def test_decomposition_domain_error():
     dd = decomposition_data()
     with pytest.raises(DomainError):
         dd.z(0.05)
+    for t in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            dd.z(t)
     with pytest.raises(InputError):
         decomposition_data(n=1)
 
