@@ -146,8 +146,9 @@ def cmd_lift(args):
         with open(os.path.join(args.out, "schedule.json"), "w") as fh:
             fh.write(sched.to_json())
         res = symplectic_residual(mesh)
-        dh = hausdorff_distance(mesh.points, pl.sample(args.resolution))
-        rec = {"kind": "mesh", "scale": args.scale, "points": int(len(mesh.points)),
+        points = mesh.points
+        dh = hausdorff_distance(points, pl.sample(args.resolution))
+        rec = {"kind": "mesh", "scale": args.scale, "points": int(len(points)),
                "symplectic_residual": res, "hausdorff_to_pl": dh}
         if twist_class is not None:
             rec["n_sigma"] = twist_class

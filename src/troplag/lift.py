@@ -393,6 +393,13 @@ def validate_schedule(X, sched):
         jb = _leg_of_edge(X, ib, e)
         if sched.legs[(ia, ja)].r + sched.legs[(ib, jb)].r >= length:
             raise ConfigurationError("leg cut points overlap on a bounded edge")
+    # rays keep a flat piece between the leg's cut point and the truncation
+    for e in X.edges:
+        if e.kind == "ray":
+            vi = X.vertex_index(e.verts[0])
+            if sched.truncation <= sched.legs[(vi, _leg_of_edge(X, vi, e))].r:
+                raise ConfigurationError("truncation must lie beyond the cut point r "
+                                         "of every ray's leg")
     # trimmed regions inside balls, at the scheduled scale
     B, norms = _vertex_arrays(X)
     cuts = np.array([[list(sched.legs[(vi, j)].as_dict().values()) for j in range(3)]
@@ -614,37 +621,45 @@ class LagrangianMesh:
         with open(path, "w") as fh:
             fh.write("OFF\n")
             fh.write(f"{len(verts)} {len(faces)} 0\n")
-            for v in verts:
-                fh.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-            for f in faces:
-                fh.write("4 " + " ".join(str(i) for i in f) + "\n")
+            _write_rows(fh, "%.9g %.9g %.9g\n", verts)
+            _write_rows(fh, "4 %d %d %d %d\n", faces)
 
     def to_obj(self, path, projection="xxy"):
         verts, faces = self._faces(projection)
         with open(path, "w") as fh:
-            for v in verts:
-                fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-            for f in faces:
-                fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+            _write_rows(fh, "v %.9g %.9g %.9g\n", verts)
+            _write_rows(fh, "f %d %d %d %d\n", faces + 1)
 
     _PROJ = {"xxy": (0, 1, 2), "xyy": (0, 2, 3), "x1y": (0, 2, 1), "x2y": (1, 2, 3)}
 
     def _faces(self, projection):
+        """Projected vertices, shape (N, 3), and the quads of the gridded
+        pieces as vertex indices, shape (F, 4), piece by piece in row-major
+        grid order."""
         cols = self._PROJ.get(projection)
         if cols is None:
             raise InputError(f"unknown projection {projection!r}")
-        verts, faces = [], []
+        verts, faces = [], [np.zeros((0, 4), dtype=np.int64)]
         offset = 0
         for p in self.pieces:
             verts.append(p.points[:, cols])
             if p.grid is not None:
                 nu, nv = p.grid
-                for i in range(nu - 1):
-                    for j in range(nv - 1):
-                        a = offset + i * nv + j
-                        faces.append((a, a + 1, a + nv + 1, a + nv))
+                a = offset + (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
+                faces.append(np.stack([a, a + 1, a + nv + 1, a + nv], axis=1))
             offset += len(p.points)
-        return np.vstack(verts), faces
+        return np.vstack(verts), np.vstack(faces)
+
+
+# Rows per formatting call of _write_rows: bounds the text held in memory.
+_EXPORT_BLOCK = 1 << 14
+
+
+def _write_rows(fh, fmt, rows):
+    """Write fmt % row for every row of a 2-d array, a block at a time."""
+    for s in range(0, len(rows), _EXPORT_BLOCK):
+        block = rows[s:s + _EXPORT_BLOCK]
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +909,11 @@ def _fold_fiber(cloud):
     return out
 
 
+# Approximation factor of the bounding query in hausdorff_distance: each
+# returned distance is at most (1 + eps) times the nearest distance.
+_HAUSDORFF_EPS = 3.0
+
+
 def hausdorff_distance(cloud_a, cloud_b):
     """Symmetric point-sample Hausdorff distance in the product metric
     (Euclidean base x flat torus fiber).
@@ -902,15 +922,33 @@ def hausdorff_distance(cloud_a, cloud_b):
     of zero leaves the two base axes non-periodic, and pi makes the fiber
     axes wrap, so the nearest-neighbour distances are exact torus distances
     without translated copies of the clouds.
+
+    The maximum is certified with few exact queries.  An approximate query
+    (eps = 3) gives every point the distance to some point of the other
+    cloud: an upper bound on its nearest distance.  The exact nearest
+    distance of the point with the largest bound is a lower bound lo on the
+    result, carried from the first direction into the second.  Only points
+    whose bound exceeds lo can raise the maximum, and only they are queried
+    exactly.  A point's exact distance does not depend on which other points
+    are queried, so the result is the same float as exact queries of all
+    points in both directions.
     """
     if len(cloud_a) == 0 or len(cloud_b) == 0:
         raise InputError("empty sampling")
     A = _fold_fiber(cloud_a)
     B = _fold_fiber(cloud_b)
-    box = (0.0, 0.0, PI, PI)
-    da = cKDTree(B, boxsize=box).query(A, k=1)[0].max()
-    db = cKDTree(A, boxsize=box).query(B, k=1)[0].max()
-    return float(max(da, db))
+    return float(_directed_max(B, A, _directed_max(A, B, 0.0)))
+
+
+def _directed_max(P, Q, lo):
+    """The larger of lo and the largest exact nearest distance from a point
+    of P to Q, by the certificate of hausdorff_distance; each direction's
+    tree is freed on return."""
+    tree = cKDTree(Q, boxsize=(0.0, 0.0, PI, PI))
+    bound = tree.query(P, k=1, eps=_HAUSDORFF_EPS)[0]
+    lo = max(lo, tree.query(P[np.argmax(bound)], k=1)[0])
+    far = P[bound > lo]
+    return max(lo, tree.query(far, k=1)[0].max()) if len(far) else lo
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ from .coamoeba import PI, Coamoeba, r_apply, rstar_apply, apply_index_transposit
 from .errors import DomainError, InputError, NumericError
 
 VERTEX_SWITCH_DIST = 1e-3  # below this distance to a vertex, use chart formulas
+# Largest scale lambda: keeps the region level (lam / m)^m for n <= 2 and
+# the region plot's (lam / 2)^2 finite in floating point.
+LAM_MAX = 1e100
 
 
 def _sinc_pi(x):
@@ -60,6 +63,8 @@ class PantsMap:
             raise InputError("scale lambda must be finite")
         if lam <= 0:
             raise InputError("scale lambda must be positive")
+        if lam > LAM_MAX:
+            raise InputError(f"scale lambda must be at most {LAM_MAX:g}")
         self.n = n
         self.m = n + 1
         self.lam = float(lam)

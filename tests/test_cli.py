@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from importlib import resources
@@ -139,6 +140,15 @@ def test_pants_non_finite_options_exit_2(tmp_path, capsys, option):
     assert not (out / "section.json").exists()
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_pants_lam_above_the_limit_exits_2(tmp_path, capsys, n):
+    out = tmp_path / "p"
+    assert run(["pants", "--n", n, "--grid", "8", "--lam", "1e308", "--out", str(out)]) == 2
+    assert "at most 1e+100" in capsys.readouterr().err
+    assert not (out / "region.svg").exists()
+    assert run(["pants", "--n", n, "--grid", "8", "--lam", "1e100", "--out", str(out)]) == 0
+
+
 def test_pants_section_must_be_a_number(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["pants", "--n", "2", "--section", "abc", "--out", str(tmp_path / "p")])
@@ -168,6 +178,23 @@ def test_lift_command_full(tmp_path):
     assert (out / "mesh.off").exists()
     assert (out / "mesh.obj").exists()
     assert (out / "schedule.json").exists()
+
+
+# sha256 of `troplag lift triangle --resolution 16`: a change to the
+# sampling or the export that moves a byte must update these on purpose
+LIFT_RES16_SHA256 = {
+    "mesh.off": "ede0522c7e9ec12ee1239f30e0aae4594d96432ec0f91e9e13987de5c29134e5",
+    "mesh.obj": "077db845f467e01a51acd3ddd6dff7aca3be33345d4f3e6d055134601f6d58d2",
+    "report.jsonl": "cccfd40550d876e9369437f47ab4f00dfdf7454ea43f0f9aeb3be7125051d0d5",
+}
+
+
+def test_lift_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "L"
+    assert run(["lift", "triangle", "--resolution", "16", "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in LIFT_RES16_SHA256}
+    assert got == LIFT_RES16_SHA256
 
 
 def test_lift_pl_only_and_twist(tmp_path):
@@ -240,10 +267,11 @@ def _add_leg(d):
     _edit(["legs"], None),
     _edit(["truncation"], float("nan")),                           # ValueError
     _edit(["truncation"], -1),                                     # exit 0
+    _edit(["truncation"], 0.01),                                   # exit 0, below r
     _edit(["ball_radius", "1"], 10 ** 400),
 ], ids=["brace", "non_utf8", "list", "lam_deleted", "lam_x", "leg_r_x", "leg_extra_field",
         "leg_field_deleted", "leg_key_zz", "leg_key_extra", "legs_deleted", "truncation_nan",
-        "truncation_negative", "ball_radius_huge"])
+        "truncation_negative", "truncation_inside_leg", "ball_radius_huge"])
 def test_malformed_schedule_exits_2(tmp_path, capsys, triangle_schedule, change):
     src = tmp_path / "schedule.json"
     if isinstance(change, bytes):

@@ -4,12 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from troplag.coamoeba import PI, rstar_apply
 from troplag.errors import ConfigurationError, InputError
 from troplag.fixtures import fixture_names, load_fixture
-from troplag.lift import (Cutoff, GluingSchedule, LegSchedule, LocalModel, TwistData,
-                          _boundary_cloud, _feasible, default_schedule, exactness_check,
+from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LegSchedule, LocalModel,
+                          MeshPiece, TwistData, _boundary_cloud, _feasible, _fold_fiber,
+                          default_schedule, exactness_check,
                           flat_loop, hausdorff_distance, maslov_winding,
                           pants_basis_loop, phase_values, pl_lift, smooth_lift,
                           symplectic_residual, twist, twist_pl_cloud,
@@ -548,6 +551,72 @@ def test_hausdorff_matches_unfolded_oracle(seed):
     assert hausdorff_distance(B, A) == got
 
 
+def _hausdorff_full_queries(cloud_a, cloud_b):
+    """hausdorff_distance without the pruning: exact queries of every point
+    in both directions."""
+    A, B = _fold_fiber(cloud_a), _fold_fiber(cloud_b)
+    box = (0.0, 0.0, PI, PI)
+    da = cKDTree(B, boxsize=box).query(A, k=1)[0].max()
+    db = cKDTree(A, boxsize=box).query(B, k=1)[0].max()
+    return float(max(da, db))
+
+
+# Coordinates on a coarse grid give exact ties; the fiber values include
+# the seam (pi, and -1e-17, which np.mod rounds up to pi) and a far base
+# value lets one direction of the distance dominate.
+_BASE = st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0, 6.0])
+_FIBER = st.sampled_from([0.0, 0.5, PI / 2, PI - 0.25, PI, -1e-17, -PI / 2, 2 * PI + 0.25])
+_POINTS = st.lists(st.tuples(_BASE, _BASE, _FIBER, _FIBER), max_size=12)
+
+
+@st.composite
+def _cloud_pairs(draw):
+    """Two clouds sharing a common core, each with its own extra points,
+    possibly repeats of its own points, and up to 300 uniform points (where
+    the approximate query's bounds differ from the exact distances)."""
+    core, extra_a, extra_b = draw(_POINTS), draw(_POINTS), draw(_POINTS)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    clouds = []
+    for extra in (extra_a, extra_b):
+        P = core + extra or draw(_POINTS.filter(len))
+        P += P[:draw(st.integers(0, len(P)))]
+        uniform = rng.uniform(-1.0, 1.0, (draw(st.integers(0, 300)), 4))
+        uniform[:, 2:] *= PI
+        clouds.append(np.vstack([np.array(P, dtype=float), uniform]))
+    return tuple(clouds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cloud_pairs())
+@example((np.array([[0.0, 0.0, -1e-17, PI]]), np.array([[1.0, 0.0, 0.0, 0.0]])))
+@example((np.array([[0.5, 0.5, 0.5, 0.5]] * 3), np.array([[0.5, 0.5, 0.5, 0.5]])))
+def test_pruned_hausdorff_equals_full_queries(clouds):
+    A, B = clouds
+    got = hausdorff_distance(A, B)
+    assert got == _hausdorff_full_queries(A, B)
+    assert abs(got - _hausdorff_oracle(A, B)) <= 1e-12
+
+
+def test_pruned_hausdorff_equals_full_queries_on_a_mesh():
+    X = triangle_curve()
+    mesh = smooth_lift(X, 0.5, default_schedule(X), resolution=16)
+    cloud_pl = pl_lift(X).sample(16)
+    assert hausdorff_distance(mesh.points, cloud_pl) == \
+        _hausdorff_full_queries(mesh.points, cloud_pl)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("column", [0, 2])
+def test_hausdorff_raises_on_a_nan_point(side, column):
+    rng = np.random.default_rng(3)
+    clouds = [rng.uniform(0.0, 1.0, (40, 4)), rng.uniform(0.0, 1.0, (30, 4))]
+    # the NaN point sits among near points, far below the largest distance
+    clouds[1 - side][0, :2] = 50.0
+    clouds[side][5, column] = np.nan
+    with pytest.raises(ValueError):
+        hausdorff_distance(*clouds)
+
+
 def test_smooth_lift_validations():
     X = standard_line()
     with pytest.raises(InputError):
@@ -773,3 +842,100 @@ def test_mesh_export_off_obj(tmp_path):
     assert obj.read_text().startswith("v ")
     with pytest.raises(InputError):
         mesh.to_off(str(off), projection="zzz")
+
+
+def _faces_oracle(mesh, projection):
+    """LagrangianMesh._faces as a Python list of quads, one at a time."""
+    cols = LagrangianMesh._PROJ[projection]
+    verts, faces = [], []
+    offset = 0
+    for p in mesh.pieces:
+        verts.append(p.points[:, cols])
+        if p.grid is not None:
+            nu, nv = p.grid
+            for i in range(nu - 1):
+                for j in range(nv - 1):
+                    a = offset + i * nv + j
+                    faces.append((a, a + 1, a + nv + 1, a + nv))
+        offset += len(p.points)
+    return np.vstack(verts), faces
+
+
+def _off_oracle(mesh, path, projection):
+    """to_off writing one formatted line per vertex and face."""
+    verts, faces = _faces_oracle(mesh, projection)
+    with open(path, "w") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{len(verts)} {len(faces)} 0\n")
+        for v in verts:
+            fh.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for f in faces:
+            fh.write("4 " + " ".join(str(i) for i in f) + "\n")
+
+
+def _obj_oracle(mesh, path, projection):
+    """to_obj writing one formatted line per vertex and face."""
+    verts, faces = _faces_oracle(mesh, projection)
+    with open(path, "w") as fh:
+        for v in verts:
+            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for f in faces:
+            fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+
+
+def _assert_export_matches_oracle(mesh, tmp_path, projection="xxy"):
+    for write, oracle, name in ((mesh.to_off, _off_oracle, "m.off"),
+                                (mesh.to_obj, _obj_oracle, "m.obj")):
+        write(str(tmp_path / name), projection=projection)
+        oracle(mesh, tmp_path / ("oracle_" + name), projection)
+        assert (tmp_path / name).read_bytes() == (tmp_path / ("oracle_" + name)).read_bytes()
+
+
+def _synthetic_mesh(points, grid):
+    points = np.asarray(points, dtype=float)
+    return LagrangianMesh([MeshPiece("flat", (0,), points,
+                                     np.zeros((len(points), 2, 4)), grid)], 1.0, None)
+
+
+@pytest.fixture(scope="module")
+def triangle_mesh():
+    X = triangle_curve()
+    return smooth_lift(X, 0.5, default_schedule(X), resolution=12)
+
+
+@pytest.mark.parametrize("projection", ["xxy", "xyy", "x1y", "x2y"])
+def test_export_matches_per_line_oracle(tmp_path, triangle_mesh, projection):
+    # the pants pieces carry no grid: their vertices are written, no faces
+    assert any(p.grid is None for p in triangle_mesh.pieces)
+    _assert_export_matches_oracle(triangle_mesh, tmp_path, projection)
+
+
+def test_export_of_a_twisted_mesh_matches_oracle(tmp_path, triangle_mesh):
+    twisted, _ = twist(triangle_mesh, TwistData({3: 1, 0: -2}))
+    _assert_export_matches_oracle(twisted, tmp_path, "xyy")
+
+
+def test_export_without_gridded_pieces_matches_oracle(tmp_path, triangle_mesh):
+    pants = LagrangianMesh(triangle_mesh.piece("pants"), 0.5, None)
+    _assert_export_matches_oracle(pants, tmp_path)
+    assert (tmp_path / "m.off").read_text().splitlines()[1].endswith(" 0 0")
+
+
+def test_export_of_non_finite_and_signed_zero_vertices(tmp_path):
+    vals = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1.5e300, 1 / 3]
+    points = np.array([[v, -v, v / 7, 2.0] for v in vals])
+    mesh = _synthetic_mesh(points, (2, 4))
+    _assert_export_matches_oracle(mesh, tmp_path)
+    rows = (tmp_path / "m.off").read_text().splitlines()[2:2 + len(vals)]
+    assert rows[:4] == ["nan nan nan", "inf -inf inf", "-inf inf -inf", "-0 0 -0"]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 14])
+def test_export_blocks_match_oracle(tmp_path, monkeypatch, block):
+    # 45 vertices and 32 faces leave remainders in blocks of 7 rows; at
+    # the real block size, 130 x 257 vertices and 129 x 256 faces fill two
+    # blocks and part of a third
+    monkeypatch.setattr("troplag.lift._EXPORT_BLOCK", block)
+    nu, nv = (130, 257) if block == 1 << 14 else (5, 9)
+    points = np.random.default_rng(block).normal(size=(nu * nv, 4))
+    _assert_export_matches_oracle(_synthetic_mesh(points, (nu, nv)), tmp_path, "x2y")
