@@ -276,6 +276,9 @@ def main(argv=None):
     if not 0 < getattr(args, "scale", 1.0) <= 1.0:
         print("error: scale must lie in (0, 1]", file=sys.stderr)
         return 2
+    if not 0 <= getattr(args, "seed", 0) < 2 ** 32:
+        print("error: seed must lie in [0, 2^32)", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except NumericError as exc:

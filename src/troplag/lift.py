@@ -912,6 +912,10 @@ def _fold_fiber(cloud):
 # Approximation factor of the bounding query in hausdorff_distance: each
 # returned distance is at most (1 + eps) times the nearest distance.
 _HAUSDORFF_EPS = 3.0
+# Rows per anchor group of the certificate in _directed_max, and rows per
+# block of its bound computation (bounds memory to a few MB).
+_HAUSDORFF_STRIDE = 8
+_HAUSDORFF_BLOCK = 1 << 15
 
 
 def hausdorff_distance(cloud_a, cloud_b):
@@ -923,31 +927,57 @@ def hausdorff_distance(cloud_a, cloud_b):
     axes wrap, so the nearest-neighbour distances are exact torus distances
     without translated copies of the clouds.
 
-    The maximum is certified with few exact queries.  An approximate query
-    (eps = 3) gives every point the distance to some point of the other
-    cloud: an upper bound on its nearest distance.  The exact nearest
-    distance of the point with the largest bound is a lower bound lo on the
-    result, carried from the first direction into the second.  Only points
-    whose bound exceeds lo can raise the maximum, and only they are queried
-    exactly.  A point's exact distance does not depend on which other points
-    are queried, so the result is the same float as exact queries of all
-    points in both directions.
+    The maximum is certified with few queries.  The rows of each cloud form
+    consecutive groups of _HAUSDORFF_STRIDE, and only each group's middle
+    row (its anchor) is queried exactly.  The distance to a cloud is
+    1-Lipschitz, so a row's nearest distance is at most its anchor's plus
+    its own distance to the anchor, in any row order.  The largest exact
+    distance so far is a lower bound lo on the result, carried from the
+    first direction into the second.  Only rows whose bound (inflated by a
+    relative 1e-9 and an absolute 1e-12 against rounding) exceeds lo get an
+    approximate query (eps = 3), a second upper bound; the row with the
+    largest such bound is queried exactly to raise lo, and the rows whose
+    bound still exceeds lo are queried exactly.  A point's exact distance
+    does not depend on which other points are queried, so the result is the
+    same float as exact queries of all points in both directions.  The
+    direction from cloud_b runs first: the callers pass the PL cloud there,
+    which holds the maximum at small scales and so prunes the larger mesh.
+
+    ValueError if either cloud holds NaN or inf.
     """
     if len(cloud_a) == 0 or len(cloud_b) == 0:
         raise InputError("empty sampling")
     A = _fold_fiber(cloud_a)
     B = _fold_fiber(cloud_b)
-    return float(_directed_max(B, A, _directed_max(A, B, 0.0)))
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("point clouds must be finite")
+    return float(_directed_max(A, B, _directed_max(B, A, 0.0)))
 
 
 def _directed_max(P, Q, lo):
-    """The larger of lo and the largest exact nearest distance from a point
+    """The larger of lo and the largest exact nearest distance from a row
     of P to Q, by the certificate of hausdorff_distance; each direction's
     tree is freed on return."""
-    tree = cKDTree(Q, boxsize=(0.0, 0.0, PI, PI))
-    bound = tree.query(P, k=1, eps=_HAUSDORFF_EPS)[0]
-    lo = max(lo, tree.query(P[np.argmax(bound)], k=1)[0])
-    far = P[bound > lo]
+    tree = cKDTree(Q, boxsize=(0.0, 0.0, PI, PI), balanced_tree=False)
+    n, stride = len(P), _HAUSDORFF_STRIDE
+    starts = np.arange(0, n, stride)
+    anchors = starts + np.minimum(stride, n - starts) // 2
+    d_anchor = tree.query(P[anchors], k=1)[0]
+    lo = max(lo, d_anchor.max())
+    far = []
+    for b in range(0, n, _HAUSDORFF_BLOCK):
+        rows = P[b:b + _HAUSDORFF_BLOCK]
+        group = np.arange(b, b + len(rows)) // stride
+        step = np.abs(rows - P[anchors[group]])
+        fiber = step[:, 2:]
+        np.minimum(fiber, PI - fiber, out=fiber)
+        bound = d_anchor[group] + np.sqrt(np.einsum("ij,ij->i", step, step))
+        far.append(b + np.flatnonzero(bound * (1.0 + 1e-9) + 1e-12 > lo))
+    far = P[np.concatenate(far)]
+    if len(far):
+        bound = tree.query(far, k=1, eps=_HAUSDORFF_EPS)[0]
+        lo = max(lo, tree.query(far[np.argmax(bound)], k=1)[0])
+        far = far[bound > lo]
     return max(lo, tree.query(far, k=1)[0].max()) if len(far) else lo
 
 

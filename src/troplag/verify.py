@@ -40,13 +40,13 @@ def report_lines(records):
 
 def verify_hessian(seed=0, m=10_000):
     """Criterion 1: Hessian negative definite on 10^4 interior points, n = 1, 2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = {}
     for n in (1, 2):
         pm = PantsMap(n)
         ys = pm.sample_interior(m, seed=seed)
         worst[f"n{n}"] = float(pm.hessian_eigen_max(ys).max())
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     passed = all(v < 0 for v in worst.values()) and dt < 10.0
     return _record("hessian", passed, max_eigenvalues=worst, seconds=round(dt, 3))
 
@@ -181,7 +181,7 @@ def verify_appendix(seed=0, tuples=20):
 
 def verify_theorem41(seed=0, resolution=128):
     """Criterion 8: smooth lifts of the triangle curve at three scales."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     X = load_fixture("triangle")["curve"]
     sched = default_schedule(X)
     cloud_pl = pl_lift(X).sample(max(48, resolution // 2))
@@ -190,7 +190,7 @@ def verify_theorem41(seed=0, resolution=128):
         mesh = smooth_lift(X, t, sched, resolution=resolution)
         residuals.append(symplectic_residual(mesh))
         dists.append(hausdorff_distance(mesh.points, cloud_pl))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     slope = math.log(dists[0] / dists[2]) / math.log(10.0)
     passed = (all(r < 1e-6 for r in residuals)
               and dists[0] > dists[1] > dists[2]

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from troplag.cli import _curve_to_json, _load_curve_arg, main
 from troplag.fixtures import fixture_names, load_fixture
@@ -197,6 +199,18 @@ def test_lift_output_bytes_are_pinned(tmp_path):
     assert got == LIFT_RES16_SHA256
 
 
+# sha256 of `troplag verify all --seed 7`: same seed, same bytes, across
+# changes too; a change that moves a reported figure must update it on purpose
+VERIFY_ALL_SEED7_SHA256 = "203e4ea4112dbc1920c7bfb58a6e45b7ba29c6366850491399afcdad1185a85f"
+
+
+def test_verify_all_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "V"
+    assert run(["verify", "all", "--seed", "7", "--out", str(out)]) == 0
+    got = hashlib.sha256((out / "verify_all.jsonl").read_bytes()).hexdigest()
+    assert got == VERIFY_ALL_SEED7_SHA256
+
+
 def test_lift_pl_only_and_twist(tmp_path):
     out1 = tmp_path / "L1"
     assert run(["lift", "triangle", "--pl-only", "--resolution", "12",
@@ -319,6 +333,24 @@ def test_verify_command_deterministic(tmp_path):
     b = (out2 / "verify_decomposition.jsonl").read_bytes()
     assert a == b
     assert run(["verify", "nonsense", "--out", str(tmp_path / "v3")]) == 2
+
+
+@pytest.mark.parametrize("seed", ["-3", "-1", str(2 ** 32), "18446744073709551615"])
+@pytest.mark.parametrize("command", [["verify", "all"], ["pants"]])
+def test_seed_outside_the_uint32_range_exits_2(tmp_path, capsys, command, seed):
+    assert run(command + ["--seed", seed, "--out", str(tmp_path / "s")]) == 2
+    assert "seed must lie in [0, 2^32)" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(suite=st.sampled_from(["boundary", "appendix", "decomposition"]),
+       seed=st.integers(-2 ** 80, 2 ** 80))
+@example(suite="boundary", seed=2 ** 32 - 1)
+@example(suite="appendix", seed=0)
+def test_verify_seed_exit_code_contract(suite, seed):
+    # exit 0 (ok) or 2 (input error) for any integer seed, never a traceback
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["verify", suite, "--seed", str(seed), "--out", out]) in (0, 2)
 
 
 def test_verify_suites_byte_identical_reports():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from troplag import lift as lift_module
 from troplag.coamoeba import PI, rstar_apply
 from troplag.errors import ConfigurationError, InputError
 from troplag.fixtures import fixture_names, load_fixture
@@ -494,6 +495,7 @@ def test_hausdorff_decreases_with_slope():
     for t in (1.0, 0.5, 0.1):
         mesh = smooth_lift(X, t, sched, resolution=32)
         ds.append(hausdorff_distance(mesh.points, cloud_pl))
+        assert ds[-1] == _hausdorff_full_queries(mesh.points, cloud_pl)
     assert ds[0] > ds[1] > ds[2]
     slope = math.log(ds[0] / ds[2]) / math.log(10.0)
     assert slope >= 0.8
@@ -605,14 +607,69 @@ def test_pruned_hausdorff_equals_full_queries_on_a_mesh():
         _hausdorff_full_queries(mesh.points, cloud_pl)
 
 
+_STRIDE = lift_module._HAUSDORFF_STRIDE
+
+
+@st.composite
+def _shuffled_cloud_pairs(draw):
+    """Cloud pairs whose rows are shuffled, so an anchor can lie far from
+    the rest of its group, with sizes around multiples of the stride."""
+    clouds = []
+    for A in draw(_cloud_pairs()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        A = A[rng.permutation(len(A))]
+        k = draw(st.integers(0, 4))
+        size = draw(st.sampled_from([1, _STRIDE - 1, k * _STRIDE - 1,
+                                     k * _STRIDE, k * _STRIDE + 1, len(A)]))
+        clouds.append(A[:max(1, size)])
+    return tuple(clouds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shuffled_cloud_pairs())
+@example((np.array([[0.0, 0.0, 0.0, 0.0]] * 3 + [[9.0, 0.0, 1.0, 3.0]] + [[0.0, 0.0, 0.0, 0.0]] * 4),
+          np.array([[0.0, 0.0, 0.0, 0.0]])))
+def test_anchor_certificate_on_shuffled_rows(clouds):
+    A, B = clouds
+    got = hausdorff_distance(A, B)
+    assert got == _hausdorff_full_queries(A, B)
+    assert hausdorff_distance(B, A) == got
+
+
+@pytest.mark.parametrize("block", [1, 3, _STRIDE + 3])
+def test_anchor_certificate_across_block_boundaries(monkeypatch, block):
+    # blocks of the bound computation that end inside an anchor group
+    monkeypatch.setattr(lift_module, "_HAUSDORFF_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (1, _STRIDE - 1, 5 * _STRIDE + 1, 97):
+        A = rng.uniform(-1.0, 1.0, (n, 4)) * [1.0, 1.0, PI, PI]
+        B = rng.uniform(-1.0, 1.0, (40, 4)) * [1.0, 1.0, PI, PI]
+        A[n // 3, :2] += 5.0  # one far row, usually not an anchor
+        assert hausdorff_distance(A, B) == _hausdorff_full_queries(A, B)
+        assert hausdorff_distance(B, A) == _hausdorff_full_queries(B, A)
+
+
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("column", [0, 2])
 def test_hausdorff_raises_on_a_nan_point(side, column):
     rng = np.random.default_rng(3)
     clouds = [rng.uniform(0.0, 1.0, (40, 4)), rng.uniform(0.0, 1.0, (30, 4))]
-    # the NaN point sits among near points, far below the largest distance
+    # the NaN point sits among near points, far below the largest distance,
+    # in a row that is not the anchor of its group
     clouds[1 - side][0, :2] = 50.0
     clouds[side][5, column] = np.nan
+    with pytest.raises(ValueError):
+        hausdorff_distance(*clouds)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("column", [1, 3])
+def test_hausdorff_raises_on_an_infinite_point(bad, side, column):
+    rng = np.random.default_rng(4)
+    clouds = [rng.uniform(0.0, 1.0, (40, 4)), rng.uniform(0.0, 1.0, (30, 4))]
+    clouds[1 - side][0, :2] = 50.0
+    clouds[side][_STRIDE + 1, column] = bad
     with pytest.raises(ValueError):
         hausdorff_distance(*clouds)
 
