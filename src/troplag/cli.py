@@ -20,6 +20,11 @@ from . import __version__
 from .errors import InputError, NumericError, TroplagError
 from .fixtures import fixture_names, load_fixture, load_input
 
+# Largest --grid of `pants` and --resolution of `lift`; memory grows with the
+# square of either (a lift of the triangle fixture at 512 peaks near 1.1 GB).
+MAX_GRID = 1024
+MAX_RESOLUTION = 512
+
 
 def _cmdline():
     return "troplag " + " ".join(sys.argv[1:])
@@ -272,6 +277,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if getattr(args, "resolution", 8) < 8:
         print("error: resolution must be >= 8", file=sys.stderr)
+        return 2
+    if getattr(args, "resolution", 8) > MAX_RESOLUTION:
+        print(f"error: resolution must be at most {MAX_RESOLUTION}", file=sys.stderr)
+        return 2
+    if getattr(args, "grid", 8) > MAX_GRID:
+        print(f"error: grid must be at most {MAX_GRID}", file=sys.stderr)
         return 2
     if not 0 < getattr(args, "scale", 1.0) <= 1.0:
         print("error: scale must lie in (0, 1]", file=sys.stderr)

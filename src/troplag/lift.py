@@ -462,11 +462,11 @@ class PLLift:
         return chi
 
     def punctures(self):
-        return sum(e.weight for e in self.X.unbounded_edges())
+        return self.X.lift_ends()[0]
 
     def genus(self):
-        chi, p = self.euler_characteristic(), self.punctures()
-        g2 = 2 - chi - p
+        p, c = self.X.lift_ends()
+        g2 = 2 * c - self.euler_characteristic() - p
         if g2 % 2:
             raise InputError("inconsistent Euler data")
         return g2 // 2
@@ -674,13 +674,13 @@ def _pants_vertex_piece(model, lam, legs_lat, resolution):
     keep = (l1 + l2) < 1.0 - 1e-9
     bary = np.stack([l1[keep], l2[keep]], axis=1) * (PI / 2)
     y_all = np.vstack([bary, -bary])
-    h_all = pm.h(y_all)
+    h_all, H_all = pm._evaluate(y_all, "hH")
     c = np.stack([LocalModel.leg_coordinate(h_all, j) for j in range(3)], axis=1)
     trims = np.array([legs_lat[j][1] for j in range(3)])  # trim at r''
     keep = np.all(c <= trims[None, :], axis=1)
     y_in = y_all[keep]
     h_in = h_all[keep]
-    H = pm.hessian(y_in)
+    H = H_all[keep]
     P = np.concatenate([model.x_ambient(h_in), model.y_ambient(y_in)], axis=1)
     N = len(y_in)
     frames = np.empty((N, 2, 4))
@@ -741,59 +741,61 @@ def _pants_chart_points(model, pm, legs_lat, resolution):
     return np.vstack(pts_all), np.vstack(fr_all)
 
 
-def _collar_sheet(model, j, lam, cutoff, Sf, Tf, reduce_torus=True):
-    """Collar points and analytic frames at paired arrays of leg coordinate
-    and fiber angle: the graph of d(eta * G) in leg-j working coordinates,
-    mapped to ambient coordinates."""
+def _collar_sheets(model, lam, legs, reduce_torus=True):
+    """Collar points and analytic frames of one vertex: for each leg
+    (j, cutoff, S, T), the graph of d(eta * G) in leg-j working coordinates
+    at paired arrays S of leg coordinate and T of fiber angle, mapped to
+    ambient coordinates.  The legs share the scale and, in working
+    coordinates, the face J = {1}: one fiber solve and one evaluation of
+    the potential serve all of them."""
     pm = PantsMap(1, lam)
-    # the 1-d fibers in working coordinates (J = {1}, k = 0)
-    qw = _fiber_circle(pm, 1, Sf, Tf)
+    qw = _fiber_circle(pm, 1, np.concatenate([leg[2] for leg in legs]),
+                       np.concatenate([leg[3] for leg in legs]))
+    ends = np.cumsum([len(leg[2]) for leg in legs])[:-1]
+    rows = zip(*(np.split(a, ends) for a in (qw, *pm._evaluate(qw, "FhH"))))
+    sheets = []
+    for (j, cutoff, Sf, Tf), (q, Fq, hq, Hq) in zip(legs, rows):
+        eta = cutoff.eta(Sf)
+        etap = cutoff.eta_prime(Sf)
+        etas = cutoff.eta_second(Sf)
+        G = -Fq + Sf * q[:, 0]
+        x2 = eta * hq[:, 1]
+        y1 = etap * G + eta * q[:, 0]
+        xw = np.stack([Sf, x2], axis=1)
+        yw = np.stack([y1, Tf], axis=1)
+        dxw_s = np.stack([np.ones_like(Sf),
+                          etap * hq[:, 1] + eta * Hq[:, 1, 0] / Hq[:, 0, 0]], axis=1)
+        dyw_s = np.stack([etas * G + 2 * etap * q[:, 0] + eta / Hq[:, 0, 0],
+                          np.zeros_like(Sf)], axis=1)
+        dxw_t = np.stack([np.zeros_like(Sf),
+                          eta * (Hq[:, 1, 1] - Hq[:, 1, 0] * Hq[:, 0, 1] / Hq[:, 0, 0])],
+                         axis=1)
+        dyw_t = np.stack([-etap * hq[:, 1] - eta * Hq[:, 0, 1] / Hq[:, 0, 0],
+                          np.ones_like(Sf)], axis=1)
+        x_std, y_std = LocalModel.from_working(j, xw, yw)
+        dxs_std, dys_std = _dworking_to_std(j, dxw_s, dyw_s)
+        dxt_std, dyt_std = _dworking_to_std(j, dxw_t, dyw_t)
+        y_amb = model.y_ambient(y_std) if reduce_torus else model.y_ambient_raw(y_std)
+        P = np.concatenate([model.x_ambient(x_std), y_amb], axis=1)
+        fr = np.empty((len(P), 2, 4))
+        fr[:, 0, :2] = model.dx_ambient(dxs_std)
+        fr[:, 0, 2:] = model.dy_ambient(dys_std)
+        fr[:, 1, :2] = model.dx_ambient(dxt_std)
+        fr[:, 1, 2:] = model.dy_ambient(dyt_std)
+        sheets.append((P, fr))
+    return sheets
 
-    Fq = pm.F(qw)
-    hq = pm.h(qw)
-    Hq = pm.hessian(qw)
-    eta = cutoff.eta(Sf)
-    etap = cutoff.eta_prime(Sf)
-    etas = cutoff.eta_second(Sf)
-    G = -Fq + Sf * qw[:, 0]
-    x2 = eta * hq[:, 1]
-    y1 = etap * G + eta * qw[:, 0]
-    xw = np.stack([Sf, x2], axis=1)
-    yw = np.stack([y1, Tf], axis=1)
 
-    dxw_s = np.stack([np.ones_like(Sf),
-                      etap * hq[:, 1] + eta * Hq[:, 1, 0] / Hq[:, 0, 0]], axis=1)
-    dyw_s = np.stack([etas * G + 2 * etap * qw[:, 0] + eta / Hq[:, 0, 0],
-                      np.zeros_like(Sf)], axis=1)
-    dxw_t = np.stack([np.zeros_like(Sf),
-                      eta * (Hq[:, 1, 1] - Hq[:, 1, 0] * Hq[:, 0, 1] / Hq[:, 0, 0])], axis=1)
-    dyw_t = np.stack([-etap * hq[:, 1] - eta * Hq[:, 0, 1] / Hq[:, 0, 0],
-                      np.ones_like(Sf)], axis=1)
-
-    x_std, y_std = LocalModel.from_working(j, xw, yw)
-    dxs_std, dys_std = _dworking_to_std(j, dxw_s, dyw_s)
-    dxt_std, dyt_std = _dworking_to_std(j, dxw_t, dyw_t)
-
-    y_amb = model.y_ambient(y_std) if reduce_torus else model.y_ambient_raw(y_std)
-    P = np.concatenate([model.x_ambient(x_std), y_amb], axis=1)
-    fr = np.empty((len(P), 2, 4))
-    fr[:, 0, :2] = model.dx_ambient(dxs_std)
-    fr[:, 0, 2:] = model.dy_ambient(dys_std)
-    fr[:, 1, :2] = model.dx_ambient(dxt_std)
-    fr[:, 1, 2:] = model.dy_ambient(dyt_std)
-    return P, fr
-
-
-def _collar_piece(model, vi, j, lam, sched, resolution):
-    """Graph of d(eta * G) over [r', r] x (fiber circle) for leg j."""
-    ls = sched.legs[(vi, j)]
-    scale = model.leg_norm[j]
-    s_lat = np.linspace(ls.r_prime / scale, ls.r / scale, resolution)
-    cutoff = Cutoff(ls.r_second / scale, ls.r_bar / scale)
+def _collar_pieces(model, vi, lam, legs_lat, resolution):
+    """Graphs of d(eta * G) over [r', r] x (fiber circle) for the legs of
+    vertex vi; legs_lat[j] holds r', r'', rbar and r in lattice units."""
     thetas = (np.arange(resolution) + 0.5) * PI / resolution
-    S, T = np.meshgrid(s_lat, thetas, indexing="ij")
-    P, fr = _collar_sheet(model, j, lam, cutoff, S.ravel(), T.ravel())
-    return MeshPiece("collar", (vi, j), P, fr, grid=(resolution, resolution))
+    legs = []
+    for j, (r1, r2, rbar, r) in legs_lat.items():
+        S, T = np.meshgrid(np.linspace(r1, r, resolution), thetas, indexing="ij")
+        legs.append((j, Cutoff(r2, rbar), S.ravel(), T.ravel()))
+    return [MeshPiece("collar", (vi, j), P, fr, grid=(resolution, resolution))
+            for j, (P, fr) in zip(legs_lat, _collar_sheets(model, lam, legs))]
 
 
 def _fiber_circle(pm, j, target, thetas):
@@ -876,8 +878,7 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
                     for j in range(3)}
         P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
         pieces.append(MeshPiece("pants", (vi,), P, fr))
-        for j in range(3):
-            pieces.append(_collar_piece(model, vi, j, lam, sched, resolution))
+        pieces.extend(_collar_pieces(model, vi, lam, legs_lat, resolution))
     for ei, e in enumerate(X.edges):
         pieces.append(_flat_piece(X, sched, ei, resolution))
     mesh = LagrangianMesh(pieces, t, sched)
@@ -947,10 +948,10 @@ def hausdorff_distance(cloud_a, cloud_b):
     """
     if len(cloud_a) == 0 or len(cloud_b) == 0:
         raise InputError("empty sampling")
+    if not (np.isfinite(cloud_a).all() and np.isfinite(cloud_b).all()):
+        raise ValueError("point clouds must be finite")
     A = _fold_fiber(cloud_a)
     B = _fold_fiber(cloud_b)
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("point clouds must be finite")
     return float(_directed_max(A, B, _directed_max(B, A, 0.0)))
 
 
@@ -1116,8 +1117,7 @@ def pants_basis_loop(lam, leg, x_value, resolution=700):
     pm = PantsMap(1, lam)
     thetas = (np.arange(resolution) + 0.5) * PI / resolution
     q = _fiber_circle(pm, leg, np.full(resolution, x_value), thetas)
-    h = pm.h(q)
-    H = pm.hessian(q)
+    h, H = pm._evaluate(q, "hH")
     pts = np.concatenate([h, q], axis=1)
     fr = np.empty((resolution, 2, 4))
     for i in range(2):

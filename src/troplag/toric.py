@@ -271,8 +271,8 @@ def lift_topology(X, poly=None):
     """Euler characteristic and orientability of the (closed-up) lift."""
     if poly is None:
         chi = -sum(_vertex_dual_volume(X, v) for v in X.vertices)
-        p = sum(e.weight for e in X.unbounded_edges())
-        g2 = 2 - chi - p
+        p, c = X.lift_ends()
+        g2 = 2 * c - chi - p
         if g2 % 2:
             raise InputError("inconsistent topology data")
         return LiftTopology(chi=int(chi), orientable=True, boundary_circles=0,

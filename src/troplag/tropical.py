@@ -117,6 +117,15 @@ class TropicalComplex:
     def unbounded_edges(self):
         return [e for e in self.edges if e.kind in ("ray", "line")]
 
+    def lift_ends(self):
+        """(punctures, components) of the lifted surface: a ray of weight w
+        ends in w punctures; a line of weight w lifts to w parallel
+        cylinders, so 2w punctures, and the w cylinders are the components
+        of a curve without vertices (a curve with vertices is connected)."""
+        p = sum(e.weight * (2 if e.kind == "line" else 1) for e in self.unbounded_edges())
+        c = sum(e.weight for e in self.edges if e.kind == "line") if not self.vertices else 1
+        return p, c
+
     def min_vertex_distance(self):
         vs = self.vertices
         best = None

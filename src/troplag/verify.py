@@ -119,19 +119,15 @@ def verify_legendre(seed=0, m=1000):
     yp, xp = pp.g(ys)
     q = pp.fiber_solve(xp, yp)
     rt_err = float(np.abs(q - ys).max())
-    # finite-difference check of dG at 100 points
+    # finite-difference check of dG at 100 points, drawn (x1, y2) by (x1, y2)
     rng = np.random.default_rng(seed)
-    fd_err = 0.0
-    for _ in range(100):
-        x1 = float(rng.uniform(0.2, 1.5))
-        y2 = float(rng.uniform(0.25, PI / 2 - 0.25))
-        x = np.array([x1, 0.0])
-        ypr = np.array([0.0, y2])
-        G0, q0, dG = pp.legendre_G(x, ypr)
-        h = 1e-6
-        gx = (pp.legendre_G(x + [h, 0], ypr)[0] - pp.legendre_G(x - [h, 0], ypr)[0]) / (2 * h)
-        gy = (pp.legendre_G(x, ypr + [0, h])[0] - pp.legendre_G(x, ypr - [0, h])[0]) / (2 * h)
-        fd_err = max(fd_err, abs(gx - dG["x"][0]), abs(gy - dG["yprime"][0]))
+    draws = rng.uniform([0.2, 0.25], [1.5, PI / 2 - 0.25], size=(100, 2))
+    x, ypr = draws * [1.0, 0.0], draws * [0.0, 1.0]
+    G0, q0, dG = pp.legendre_G(x, ypr)
+    h = 1e-6
+    gx = (pp.legendre_G(x + [h, 0], ypr)[0] - pp.legendre_G(x - [h, 0], ypr)[0]) / (2 * h)
+    gy = (pp.legendre_G(x, ypr + [0, h])[0] - pp.legendre_G(x, ypr - [0, h])[0]) / (2 * h)
+    fd_err = float(max(np.abs(gx - dG["x"][:, 0]).max(), np.abs(gy - dG["yprime"][:, 0]).max()))
     passed = rt_err <= 1e-8 and fd_err <= 1e-6
     return _record("legendre", passed, roundtrip_error=rt_err, fd_error=fd_err,
                    tolerances=[1e-8, 1e-6])

@@ -234,6 +234,30 @@ def test_lift_validation_exit_codes(tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lift", "triangle", "--resolution", "513"], "resolution must be at most 512"),
+    (["lift", "triangle", "--resolution", "100000000"], "resolution must be at most 512"),
+    (["pants", "--grid", "1025"], "grid must be at most 1024"),
+    (["pants", "--grid", "100000000"], "grid must be at most 1024"),
+])
+def test_grid_and_resolution_above_their_limits_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()  # refused before any work
+
+
+def test_pl_only_lift_of_a_primitive_segment(tmp_path):
+    # a weight-1 line lifts to one cylinder: two punctures, genus 0
+    src = tmp_path / "seg.json"
+    src.write_text(json.dumps({"type": "polytope", "vertices": [[1, 3], [2, 1]],
+                               "lifting": {"1,3": 0, "2,1": 0}}))
+    out = tmp_path / "s"
+    assert run(["lift", str(src), "--pl-only", "--resolution", "8", "--out", str(out)]) == 0
+    rec = json.loads((out / "report.jsonl").read_text())
+    assert (rec["chi"], rec["punctures"], rec["genus"]) == (0, 2, 0)
+
+
 @pytest.mark.parametrize("spec", ["garbage", "edge=99", "edge=x,winding=1"])
 def test_lift_malformed_twist_exits_2(tmp_path, capsys, spec):
     assert run(["lift", "triangle", "--resolution", "8", "--twist", spec,

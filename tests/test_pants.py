@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from oracle_pants import OraclePantsMap, oracle_solve_scalar
 
 from troplag.coamoeba import PI, r_apply, rstar_apply
 from troplag.errors import DomainError, InputError, NumericError
-from troplag.pants import (DecompositionData, PantsMap, ProjectionPair,
+from troplag.pants import (DecompositionData, PantsMap, ProjectionPair, _PlusJet,
                            decomposition_data, eta_curve, gamma_curve, project)
 
 PM1 = PantsMap(1)
@@ -128,13 +131,76 @@ def test_hessian_flips_sign_under_involution():
 
 
 def test_h_and_hessian_diag_match_full_evaluators():
-    # the fiber solver's one-coordinate kernel against h and the full Hessian
-    for pm in (PM1, PM2, PantsMap(2, 0.3)):
+    # what the fiber solver reads of the kernel (h_i and the unsymmetrized
+    # H_ii) is the old one-coordinate evaluator's value bit for bit, and
+    # close to the full Hessian's diagonal
+    for n, lam in ((1, 1.0), (2, 1.0), (2, 0.3)):
+        pm, ref = PantsMap(n, lam), OraclePantsMap(n, lam)
         ys = pm.sample_interior(500, seed=6)
+        jet = _PlusJet(n, lam, ys.T.copy())
         for i in range(pm.m):
-            h, Hii = pm._h_and_hessian_diag(ys, i)
-            assert np.array_equal(h, pm._h_plus_raw(ys)[:, i])
+            h, Hii = ref._h_and_hessian_diag(ys, i)
+            assert jet.h(i).tobytes() == h.tobytes()
+            assert jet.H(i, i).tobytes() == Hii.tobytes()
             assert np.allclose(Hii, pm.hessian(ys)[:, i, i], rtol=1e-9, atol=0)
+
+
+@st.composite
+def _half_rows(draw):
+    """(n, lam, rows): rows of both closed halves, shifted by multiples of
+    pi, some within VERTEX_SWITCH_DIST of a vertex (the chart branch of h);
+    in some cases also rows with coordinates on a face or outside it by at
+    most 5e-13."""
+    n = draw(st.integers(0, 2))
+    m = n + 1
+    lam = draw(st.floats(1e-3, 1e3))
+    faces = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        b = draw(hnp.arrays(float, m + 1, elements=st.floats(1e-6, 1.0)))
+        b = b / b.sum()
+        kind = draw(st.sampled_from(["interior", "vertex", "face"] if faces
+                                    else ["interior", "vertex"]))
+        if kind == "vertex":
+            eps = draw(st.floats(1e-9, 6e-4))
+            b = eps * b + (1 - eps) * np.eye(m + 1)[draw(st.integers(0, m))]
+        y = PI / 2 * b[1:]
+        if kind == "face":
+            for j in draw(st.sets(st.integers(0, m - 1), min_size=1)):
+                y[j] = draw(st.sampled_from([0.0, -5e-13, 1e-13]))
+        if draw(st.booleans()):
+            y = -y
+        rows.append(y + PI * draw(hnp.arrays(np.int64, m, elements=st.integers(-2, 2))))
+    return n, lam, np.array(rows)
+
+
+def _same_or_both_raise(got, want):
+    """got() and want() both raise DomainError, or return the same bytes."""
+    try:
+        with np.errstate(all="ignore"):  # the old chart branch warned
+            expected = want()
+    except DomainError:
+        with pytest.raises(DomainError):
+            got()
+        return
+    values = got()
+    assert len(values) == len(expected)
+    assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+               for a, b in zip(values, expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_half_rows())
+def test_kernel_matches_row_wise_evaluators(case):
+    # F, h and hessian through the column kernel, alone and together, are
+    # the row-wise evaluators' values bit for bit, including the chart
+    # branch of h, the clipped boundary values of F and the DomainErrors
+    n, lam, ys = case
+    pm, ref = PantsMap(n, lam), OraclePantsMap(n, lam)
+    for name in ("F", "h", "hessian"):
+        _same_or_both_raise(lambda: [getattr(pm, name)(ys)], lambda: [getattr(ref, name)(ys)])
+    _same_or_both_raise(lambda: pm._evaluate(ys, "FhH"),
+                        lambda: [ref.F(ys), ref.h(ys), ref.hessian(ys)])
 
 
 def test_hessian_boundary_raises():
@@ -326,13 +392,14 @@ def test_fiber_solve_rejects_non_finite_target():
 def _bisection_fiber(pm, wp, target, iters=1100):
     """Reference for ProjectionPair._solve_scalar with j = 1: bisection on
     the monotone h_1 over the bracket (0, (pi/2 - rest)/2)."""
+    ref = OraclePantsMap(pm.n, pm.lam)
     lo = np.zeros(len(wp))
     hi = (PI / 2 - wp[:, 1:].sum(axis=1)) / 2.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         w = wp.copy()
         w[:, 0] = mid
-        above = pm._h_plus_raw(w)[:, 0] > target
+        above = ref._h_plus_raw(w)[:, 0] > target
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
@@ -362,6 +429,8 @@ def test_solve_scalar_matches_bisection_table(n):
         pm = PantsMap(n, lam)
         q = project(pm, {1}, 0)._solve_scalar(1, targets[sel], wp[sel], 1e-12, 80)
         ref = _bisection_fiber(pm, wp[sel], targets[sel])
+        old = oracle_solve_scalar(OraclePantsMap(n, lam), 1, targets[sel], wp[sel], 1e-12, 80)
+        assert q.tobytes() == old.tobytes()
         assert np.array_equal(q[:, 1:], wp[sel][:, 1:])
         assert np.allclose(q[:, 0], ref, rtol=1e-10, atol=1e-12)
 
@@ -414,6 +483,25 @@ def test_legendre_differential_identities():
         assert point[1] == pytest.approx(hq[1], abs=1e-12)
         assert point[2] == pytest.approx(q[0], abs=1e-12)
         assert hq[0] == pytest.approx(x[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+def test_batched_legendre_check_matches_the_per_point_loop(seed):
+    # verify_legendre's batched transforms draw from the rng in the order of
+    # one transform per point and find the same fd_error float
+    from troplag.verify import verify_legendre
+    pp = project(PM1, {1}, 0)
+    rng = np.random.default_rng(seed)
+    fd_err = 0.0
+    for _ in range(100):
+        x = np.array([float(rng.uniform(0.2, 1.5)), 0.0])
+        ypr = np.array([0.0, float(rng.uniform(0.25, PI / 2 - 0.25))])
+        G0, q0, dG = pp.legendre_G(x, ypr)
+        h = 1e-6
+        gx = (pp.legendre_G(x + [h, 0], ypr)[0] - pp.legendre_G(x - [h, 0], ypr)[0]) / (2 * h)
+        gy = (pp.legendre_G(x, ypr + [0, h])[0] - pp.legendre_G(x, ypr - [0, h])[0]) / (2 * h)
+        fd_err = max(fd_err, abs(gx - dG["x"][0]), abs(gy - dG["yprime"][0]))
+    assert verify_legendre(seed=seed)["details"]["fd_error"] == fd_err
 
 
 def test_full_graph_legendre_identity():

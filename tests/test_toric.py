@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troplag.errors import InputError
 from troplag.fixtures import load_fixture
+from troplag.lift import pl_lift
+from troplag.polyhedral import LatticePolytope, LiftingFunction, regular_subdivision
 from troplag.toric import (BoundaryHit, DelzantPolygon, classify_boundary,
                            delzant_check, lift_topology, monotone_report,
                            vertex_unimodular)
-from troplag.tropical import TropCell, TropicalComplex, load_curve_json
+from troplag.tropical import TropCell, TropicalComplex, load_curve_json, tropical_hypersurface
 
 
 P2 = DelzantPolygon.from_vertices([(0, 0), (3, 0), (0, 3)])
@@ -225,3 +228,39 @@ def test_monotone_factor_is_two_when_proportional():
         assert rep["proportional"]
         for r in rep["pairs"]:
             assert Fraction(r["mu"]) == 2 * Fraction(r["omega"])
+
+
+@st.composite
+def _lifted_lattice_polytopes(draw):
+    """A lattice polygon or segment in [0, 4]^2 with integer lifting values."""
+    point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    pts = draw(st.lists(point, min_size=2, max_size=6, unique=True))
+    if draw(st.booleans()):  # a segment: keep the first point and direction
+        (a, b), (c, d) = pts[0], pts[1]
+        pts = [(a, b), (c, d)]
+    poly = LatticePolytope.from_points(pts)
+    values = {p: draw(st.integers(-3, 3)) for p in poly.lattice_points}
+    return poly, LiftingFunction(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lifted_lattice_polytopes())
+def test_pl_lift_topology_agrees_with_lift_topology(case):
+    # the PL lift's Euler bookkeeping and the toric table agree on every
+    # lifted polygon and segment, including curves made of parallel lines
+    X = tropical_hypersurface(regular_subdivision(*case))
+    pl, topo = pl_lift(X), lift_topology(X)
+    assert pl.punctures() == topo.punctures
+    assert pl.genus() == topo.genus
+
+
+def test_line_weights_count_cylinder_ends():
+    # a weight-w line lifts to w cylinders: 2w punctures, w components
+    seg = LatticePolytope.from_points([(0, 0), (2, 0)])
+    X = tropical_hypersurface(regular_subdivision(seg, LiftingFunction.constant(seg)))
+    assert X.lift_ends() == (4, 2)
+    assert (pl_lift(X).punctures(), pl_lift(X).genus()) == (4, 0)
+    prim = LatticePolytope.from_points([(1, 3), (2, 1)])
+    X = tropical_hypersurface(regular_subdivision(prim, LiftingFunction.constant(prim)))
+    assert (lift_topology(X).punctures, lift_topology(X).genus) == (2, 0)
+    assert (pl_lift(X).punctures(), pl_lift(X).genus()) == (2, 0)
