@@ -123,16 +123,16 @@ def cmd_pants(args):
 
 
 def cmd_lift(args):
-    from .lift import (GluingSchedule, default_schedule, hausdorff_distance,
-                       pl_lift, smooth_lift, symplectic_residual, twist)
+    from .lift import (GluingSchedule, hausdorff_distance, pl_lift, smooth_lift,
+                       symplectic_residual, twist)
     fx = _load_curve_arg(args.input)
     X = fx["curve"]
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.jsonl")
     report = []
     pl = pl_lift(X)
     if args.pl_only:
         cloud = pl.sample(args.resolution)
+        os.makedirs(args.out, exist_ok=True)
         np.savetxt(os.path.join(args.out, "pl_cloud.csv"), cloud, delimiter=",",
                    header="x1,x2,y1,y2", comments="")
         report.append({"kind": "pl", "points": int(len(cloud)),
@@ -140,12 +140,14 @@ def cmd_lift(args):
                        "punctures": pl.punctures(), "genus": pl.genus()})
     else:
         twist_data = _parse_twist(args.twist) if args.twist else None
-        sched = (default_schedule(X) if args.schedule is None
+        sched = (None if args.schedule is None
                  else GluingSchedule.from_dict(_read_json(args.schedule)))
         mesh = smooth_lift(X, args.scale, sched, resolution=args.resolution)
+        sched = mesh.schedule
         twist_class = None
         if twist_data is not None:
             mesh, twist_class = twist(mesh, twist_data)
+        os.makedirs(args.out, exist_ok=True)
         mesh.to_off(os.path.join(args.out, "mesh.off"), projection=args.projection)
         mesh.to_obj(os.path.join(args.out, "mesh.obj"), projection=args.projection)
         with open(os.path.join(args.out, "schedule.json"), "w") as fh:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .coamoeba import PI, edge_fiber_from_dual, reduce_mod_pi, rstar_apply
 from .errors import ConfigurationError, InputError, NumericError
@@ -485,12 +484,42 @@ def _cylinder(base, fiber):
                            np.tile(fiber, (len(base), 1))], axis=1)
 
 
+# Most points a smooth or PL lift sample may hold, checked against an upper
+# bound before sampling.  `troplag lift triangle` at resolution 256 and 384
+# (1.20 M and 2.69 M points) peaked at 331 and 671 MB, about 230 bytes a
+# point over 60 MB, so a run at this limit needs at most about 1.9 GB.
+MAX_SAMPLE_POINTS = 8_000_000
+
+
+def _check_sample_size(bound):
+    if bound > MAX_SAMPLE_POINTS:
+        raise InputError(f"the sample would hold up to {bound} points, more than "
+                         f"{MAX_SAMPLE_POINTS}; lower the resolution")
+
+
+def _pl_sample_bound(pl, resolution):
+    """Upper bound on the rows of _pl_cloud: a triangle coamoeba holds
+    (r+1)(r+2) points and any other vertex fiber at most its (4r)^2 grid; an
+    edge holds w circles of r points over r base points (2r - 1 on a line,
+    counted as 2r)."""
+    r = resolution
+    n = 0
+    for piece in pl.pieces:
+        if piece.kind == "edge":
+            n += piece.fiber.w * r * (2 * r if piece.cell.kind == "line" else r)
+        else:
+            n += (r + 1) * (r + 2) if _triangle_fiber(piece.fiber) else 16 * r * r
+    return n
+
+
 def _pl_cloud(pl, windings, resolution, truncation):
     """PL lift sample: each vertex's coamoeba over the vertex, and over each
     edge its fiber circles, rotated along the edge by pi * m * psi(s) times
     the edge's dual vector when windings maps the edge index to m != 0.
     Edge indices are piece indices: pl_lift puts the edges first, in
-    X.edges order."""
+    X.edges order.  InputError when _pl_sample_bound exceeds
+    MAX_SAMPLE_POINTS."""
+    _check_sample_size(_pl_sample_bound(pl, resolution))
     if truncation is None:
         truncation = _default_truncation(pl.X)
     thetas = (np.arange(resolution) + 0.5) * PI / resolution
@@ -530,9 +559,13 @@ def _edge_param_points(cell, resolution, truncation):
     return pts
 
 
+def _triangle_fiber(fiber):
+    return hasattr(fiber, "cell") and fiber.cell.dim == 2 and len(fiber.cell.vertices) == 3
+
+
 def _coamoeba_cloud(fiber, resolution):
     """Sample points of a 2-cell coamoeba (plus and minus halves)."""
-    if hasattr(fiber, "cell") and fiber.cell.dim == 2 and len(fiber.cell.vertices) == 3:
+    if _triangle_fiber(fiber):
         v = np.array(fiber.cell.vertices, dtype=float) * PI / 2
         # barycentric grid i + k <= resolution, i outer and k inner
         i, k = np.triu_indices(resolution + 1)
@@ -854,18 +887,31 @@ def _flat_piece(X, sched, ei, resolution):
     return MeshPiece("flat", (ei,), P, fr, grid=(resolution, resolution))
 
 
+def _smooth_sample_bound(X, resolution):
+    """Upper bound on the points of smooth_lift: per vertex the pants body
+    (below its grid of max(8, r)^2), three collars of r^2 and the three
+    chart collars of _pants_chart_points; per edge a flat cylinder of r^2."""
+    r = resolution
+    vertex = max(8, r) ** 2 + 3 * r * r + 3 * max(8, r // 2) * max(6, r // 4)
+    return len(X.vertices) * vertex + len(X.edges) * r * r
+
+
 def smooth_lift(X, t=1.0, sched=None, resolution=128):
     """One member of the shrinking family of smooth Lagrangian lifts.
 
     Pieces: trimmed pants over each vertex, Legendre collars over each
     (vertex, leg) with the smooth cutoff, flat cylinders over each edge
-    middle; the whole pants scale is multiplied by t.
+    middle; the whole pants scale is multiplied by t.  Without sched, the
+    default schedule is used (the mesh keeps it as .schedule).
+    InputError when _smooth_sample_bound exceeds MAX_SAMPLE_POINTS, before
+    any schedule or sample is computed.
     """
     if not 0 < t <= 1:
         raise InputError("scale t must lie in (0, 1]")
     from .tropical import is_smooth
     if not is_smooth(X):
         raise InputError("smooth lifting needs a smooth curve")
+    _check_sample_size(_smooth_sample_bound(X, resolution))
     if sched is None:
         sched = default_schedule(X)
     validate_schedule(X, sched)
@@ -959,6 +1005,9 @@ def _directed_max(P, Q, lo):
     """The larger of lo and the largest exact nearest distance from a row
     of P to Q, by the certificate of hausdorff_distance; each direction's
     tree is freed on return."""
+    # imported on first use: only a Hausdorff distance needs scipy, and
+    # importing it with this module doubled the start-up of every command
+    from scipy.spatial import cKDTree
     tree = cKDTree(Q, boxsize=(0.0, 0.0, PI, PI), balanced_tree=False)
     n, stride = len(P), _HAUSDORFF_STRIDE
     starts = np.arange(0, n, stride)

@@ -3,10 +3,8 @@
 Convex hulls of lattice polytopes in ambient dimension 1 or 2, regular
 subdivisions induced by integral lifting functions, and the discrete
 Legendre transform together with its dual polyhedral decomposition.
-Every result here is exact (ints and Fraction).  Floating point enters
-only as a candidate generator: the float Qhull hull proposes the cells of
-a regular subdivision, and integer arithmetic certifies them before they
-are returned (see regular_subdivision).
+Every result here is exact (ints and Fraction); no float enters, not even
+to propose the cells of a regular subdivision (see regular_subdivision).
 """
 
 from __future__ import annotations
@@ -172,16 +170,6 @@ class LatticePolytope:
     def key(self):
         return frozenset(self.vertices)
 
-    def edges(self):
-        """Facet edges (dim-1 faces) of a 1- or 2-dimensional polytope."""
-        if self.dim == 2:
-            v = self.vertices
-            return [LatticePolytope.from_points([v[i], v[(i + 1) % len(v)]])
-                    for i in range(len(v))]
-        if self.dim == 1:
-            return [LatticePolytope.from_points([p]) for p in self.vertices]
-        return []
-
     def normalized_volume(self):
         """Lattice-normalized volume: |det| for 2d, lattice length for 1d."""
         if self.dim == 0:
@@ -280,37 +268,34 @@ class Subdivision:
 
     cells holds the maximal linearity domains; faces_by_dim the full face
     lattice.  Cells cover P and meet along common faces (a property of
-    lower hulls, asserted rather than re-derived here).  certified is
-    False when the cells came from the brute-force fallback of
-    regular_subdivision, True when an exact certificate produced them.
+    lower hulls, asserted rather than re-derived here).
     """
 
-    def __init__(self, polytope, lifting, cells, certified=False):
+    def __init__(self, polytope, lifting, cells):
         self.polytope = polytope
         self.lifting = lifting
         self.cells = cells
-        self.certified = certified
         self.faces_by_dim = {}
-        seen = {}
-        for c in cells:
-            for f in self._faces_of(c):
-                if f.key not in seen:
-                    seen[f.key] = f
-                    self.faces_by_dim.setdefault(f.dim, []).append(f)
-        self._face_index = seen
+        index = self._face_index = {}
 
-    @staticmethod
-    def _faces_of(cell):
-        out = [Face(cell)]
-        for e in cell.edges():
-            out.append(Face(e))
-            if e.dim >= 1:
-                for p in e.vertices:
-                    out.append(Face(LatticePolytope.from_points([p])))
-        if cell.dim == 1:
-            for p in cell.vertices:
-                out.append(Face(LatticePolytope.from_points([p])))
-        return out
+        def add(points, poly=None):
+            key = frozenset(points)
+            if key not in index:  # build each shared face once
+                f = index[key] = Face(poly or LatticePolytope.from_points(points))
+                self.faces_by_dim.setdefault(f.dim, []).append(f)
+
+        # each cell, then each of its edges followed by the edge's endpoints
+        for c in cells:
+            v = c.vertices
+            add(v, c)
+            if c.dim == 2:
+                for a, b in zip(v, v[1:] + v[:1]):
+                    add((a, b))
+                    for p in sorted((a, b)):
+                        add((p,))
+            else:
+                for p in v:
+                    add((p,))
 
     def faces(self, dim=None):
         if dim is None:
@@ -343,15 +328,10 @@ def regular_subdivision(polytope, lifting):
 
     A cell is the set of lattice points where some affine minorant of the
     lifting is attained; ties (non-generic lifting) keep the non-simplicial
-    cell as-is.  A segment P gets the exact 1-d lower chain.  For a 2-d P
-    the lower facets of the float Qhull hull of the lifted points are only
-    candidates; _certified_lower_hull accepts them when, in integer
-    arithmetic, each facet plane is a minorant of nu whose equality set is
-    a 2-d cell and the cells' normalized volumes sum to that of P.  A lift
-    that Qhull rejects (all lifted points coplanar in floating point) is
-    certified exactly as one affine function, giving the single cell P.
-    If a certificate fails or Qhull raises, the cells come from the exact
-    brute force over all lattice triples, and S.certified is False.
+    cell as-is.  A segment P gets the exact 1-d lower chain.  A 2-d P is
+    walked cell by cell in integer arithmetic (_lower_hull_walk), so no
+    float ever proposes a cell and every lift, however large its values,
+    gets the same exact answer.
     """
     if isinstance(polytope, (list, tuple)):
         polytope = LatticePolytope.from_points(polytope)
@@ -363,11 +343,8 @@ def regular_subdivision(polytope, lifting):
         raise DegeneracyError("polytope has no extent; nothing to subdivide")
 
     if polytope.dim == 1:
-        return Subdivision(polytope, lifting, _lower_hull_1d(pts, vals), True)
-    cells = _certified_lower_hull(polytope, pts, vals)
-    if cells is None:
-        return Subdivision(polytope, lifting, _lower_hull_2d(pts, vals), False)
-    return Subdivision(polytope, lifting, cells, True)
+        return Subdivision(polytope, lifting, _lower_hull_1d(pts, vals))
+    return Subdivision(polytope, lifting, _lower_hull_walk(polytope, pts, vals))
 
 
 def _lower_hull_1d(pts, vals):
@@ -395,106 +372,71 @@ def _lower_hull_1d(pts, vals):
     return cells
 
 
-def _lower_hull_2d(pts, vals):
-    pieces = {}
-    for tri in itertools.combinations(pts, 3):
-        d = cross2(*tri)
-        if d == 0:
-            continue
-        a, b, c = _affine_through(tri, vals)
-        key = (a, b, c)
-        if key in pieces:
-            continue
-        if all(a * p[0] + b * p[1] + c <= vals[p] for p in pts):
-            pieces[key] = [p for p in pts if a * p[0] + b * p[1] + c == vals[p]]
-    cells = [LatticePolytope.from_points(supp) for supp in pieces.values()]
-    cells = [c for c in cells if c.dim == 2]
-    # dedup (several triples can induce one cell)
-    out = {}
-    for c in cells:
-        out[c.key] = c
-    return sorted(out.values(), key=lambda c: sorted(c.vertices))
+def _lower_hull_walk(polytope, pts, vals):
+    """Cells of the lower hull of a 2-d P, sorted by their vertices.
 
-
-def _certified_lower_hull(polytope, pts, vals):
-    """Cells of the lower hull from Qhull candidates, certified in integer
-    arithmetic, in the brute force's order; None when a certificate fails
-    or Qhull raises on a lift that no affine function fits."""
-    # imported on first use: importing them with this module measured
-    # 2 MB more peak RSS in a process that imports troplag.cli
-    import numpy as np
-    from scipy.spatial import ConvexHull, QhullError
-    base = min(vals.values())
-    try:
-        lifted = np.array([(p[0], p[1], float(vals[p] - base)) for p in pts])
-        hull = ConvexHull(lifted)
-    except OverflowError:
-        return None
-    except QhullError:
-        return _affine_cells(polytope, pts, vals)
-    planes = {}
-    for simplex in hull.simplices[hull.equations[:, 2] < 0]:
-        plane = _plane_through([pts[i] for i in simplex], vals)
-        if plane is None or plane in planes:
+    The walk starts on the first segment of the 1-d lower chain of the
+    edge v0 -> v1 of P, which has P to its left: the hull lists the
+    vertices counterclockwise from the lexicographically smallest, so
+    v0 < v1, and the segment's sorted vertices p < q run the same way.  Each
+    directed cell edge pq with its cell still unknown to its left gives
+    that cell (_cell_left_of); the cell's counterclockwise edges, reversed,
+    are the edges of its neighbours, and each is crossed once.  Cells of a
+    lower hull meet along whole common edges, so the walk reaches every
+    cell; an edge with no lattice point to its left lies on the boundary of
+    P and leads nowhere.
+    """
+    v0, v1 = polytope.vertices[:2]
+    p, q = _lower_hull_1d([r for r in pts if cross2(v0, v1, r) == 0], vals)[0].vertices
+    lifted = [(x, y, vals[(x, y)]) for x, y in pts]
+    known, cells, todo = set(), [], [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        if (p, q) in known:
             continue
-        cell = _equality_set(plane, pts, vals)
+        cell = _cell_left_of(p, q, vals, lifted)
         if cell is None:
-            return None
-        planes[plane] = cell
-    cells = [LatticePolytope.from_points(cell) for cell in planes.values()]
-    if any(c.dim != 2 for c in cells):
-        return None
-    if sum(c.normalized_volume() for c in cells) != polytope.normalized_volume():
-        return None
+            continue
+        cells.append(cell)
+        vs = cell.vertices
+        sides = list(zip(vs, vs[1:] + vs[:1]))
+        known.update(sides)
+        todo.extend((b, a) for a, b in sides if (b, a) not in known)
     return sorted(cells, key=lambda c: sorted(c.vertices))
 
 
-def _affine_cells(polytope, pts, vals):
-    """[P] when one affine function fits nu at every lattice point."""
-    plane = _plane_through(polytope.vertices[:3], vals)
-    cell = _equality_set(plane, pts, vals)
-    if cell is None or len(cell) != len(pts):
-        return None
-    return [LatticePolytope.from_points(cell)]
+def _cell_left_of(p, q, vals, lifted):
+    """The cell to the left of pq, an edge of the lower hull, or None when
+    no lattice point lies to its left.
 
-
-def _plane_through(tri, vals):
-    """Integer plane A x + B y + C = D nu through three lifted lattice
-    points, gcd-normalised with D > 0; None when they are collinear."""
-    (x1, y1), (x2, y2), (x3, y3) = tri
-    v1, v2, v3 = (vals[t] for t in tri)
-    d = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-    if d == 0:
-        return None
-    a = (v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)
-    b = (x2 - x1) * (v3 - v1) - (x3 - x1) * (v2 - v1)
-    c = v1 * d - a * x1 - b * y1
-    g = gcd(a, b, c, d) if d > 0 else -gcd(a, b, c, d)
-    return a // g, b // g, c // g, d // g
-
-
-def _equality_set(plane, pts, vals):
-    """Points where the plane meets the lift; None unless the plane is a
-    minorant, A x + B y + C <= D nu at every point."""
-    a, b, c, d = plane
-    cell = []
-    for p in pts:
-        gap = d * vals[p] - a * p[0] - b * p[1] - c
-        if gap < 0:
-            return None
-        if gap == 0:
-            cell.append(p)
-    return cell
-
-
-def _affine_through(tri, vals):
-    (x1, y1), (x2, y2), (x3, y3) = tri
-    det = Fraction((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
-    v1, v2, v3 = (Fraction(vals[t]) for t in tri)
-    a = ((v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)) / det
-    b = ((x2 - x1) * (v3 - v1) - (x3 - x1) * (v2 - v1)) / det
-    c = v1 - a * x1 - b * y1
-    return a, b, c
+    With u, w the lifted vectors from p to q and to a point r left of pq,
+    and n = u x w_b for the best point b so far, r lies below the plane
+    through p, q and b exactly when det[u, w_b, w] = n . w < 0 (n points
+    up, since b is left of pq).  The last such b spans the facet plane:
+    every point left of pq lies on or above it, and so, because pq is a
+    lower-hull edge, does every other lifted point.  The points met on a
+    plane are kept until it drops; a point above an earlier plane is
+    strictly above every later one.
+    """
+    px, py = p
+    pz = vals[p]
+    ux, uy, uz = q[0] - px, q[1] - py, vals[q] - pz
+    left = ux * py - uy * px  # r is left of pq when ux y - uy x > left
+    n0 = n1 = n2 = 0
+    k = 1  # n . r - k = -1 < 0: the first point left of pq becomes b
+    on = []
+    for x, y, z in lifted:
+        if ux * y - uy * x <= left:
+            continue
+        side = n0 * x + n1 * y + n2 * z - k
+        if side < 0:
+            wx, wy, wz = x - px, y - py, z - pz
+            n0, n1, n2 = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx
+            k = n0 * px + n1 * py + n2 * pz
+            on = [(x, y)]
+        elif side == 0:
+            on.append((x, y))
+    return LatticePolytope.from_points([p, q] + on) if on else None
 
 
 def is_unimodal(subdivision):

@@ -127,12 +127,21 @@ class TropicalComplex:
         return p, c
 
     def min_vertex_distance(self):
-        vs = self.vertices
+        """Smallest distance between two vertices (1.0 with fewer than two).
+
+        A sweep in exact x order: a row stops at the first vertex whose x
+        gap alone, squared as a float, exceeds the best squared distance so
+        far, since later vertices are no closer in x.  Pairs that are
+        compared give the same float as a loop over all pairs."""
+        vs = sorted(self.vertices, key=lambda v: v[0])
         best = None
-        for i in range(len(vs)):
+        for i, a in enumerate(vs):
             for j in range(i + 1, len(vs)):
-                d = vsub(vs[i], vs[j])
-                val = float(d[0]) ** 2 + float(d[1]) ** 2
+                d = vsub(vs[j], a)
+                dx = float(d[0]) ** 2
+                if best is not None and dx > best:
+                    break
+                val = dx + float(d[1]) ** 2
                 if best is None or val < best:
                     best = val
         return best ** 0.5 if best is not None else 1.0

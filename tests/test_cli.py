@@ -1,12 +1,16 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import time
 from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import troplag
 from troplag.cli import _curve_to_json, _load_curve_arg, main
 from troplag.fixtures import fixture_names, load_fixture
 
@@ -245,6 +249,69 @@ def test_grid_and_resolution_above_their_limits_exit_2(tmp_path, capsys, argv, m
     assert run(argv + ["--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()  # refused before any work
+
+
+def _degree_triangle_file(tmp_path, d):
+    path = tmp_path / f"degree{d}.json"
+    lifting = {f"{i},{j}": i * i + j * j + (i + j) ** 2
+               for i in range(d + 1) for j in range(d + 1 - i)}
+    path.write_text(json.dumps({"type": "polytope", "vertices": [[0, 0], [d, 0], [0, d]],
+                                "lifting": lifting}))
+    return path
+
+
+@pytest.mark.parametrize("flags", [[], ["--pl-only"]])
+def test_sample_bound_refuses_degree_20_at_512_within_a_second(tmp_path, capsys, flags):
+    # about 624 M mesh points (270 M PL points) would need some 56 GB
+    src = _degree_triangle_file(tmp_path, 20)
+    out = tmp_path / "x"
+    t0 = time.perf_counter()
+    code = run(["lift", str(src), "--resolution", "512", "--out", str(out)] + flags)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "error: the sample would hold up to" in capsys.readouterr().err
+    assert not out.exists()  # refused before any sample or output
+
+
+# Imports the modules every command uses, runs the commands and the calls of
+# the benchmark's curve job that need no Hausdorff distance, and prints the
+# scipy modules loaded; then a smooth lift, which measures one, and again.
+_SCIPY_FREE_RUNS = """
+import json, os, sys
+import troplag.cli, troplag.svg, troplag.verify
+from troplag.cli import main
+out = sys.argv[1]
+runs = [["tropical", "triangle"], ["toric", "p2_torus"], ["pants", "--n", "1", "--grid", "8"],
+        ["lift", "triangle", "--pl-only", "--resolution", "8"], ["verify", "boundary"]]
+for i, argv in enumerate(runs):
+    assert main(argv + ["--out", os.path.join(out, str(i))]) == 0, argv
+from troplag.lift import default_schedule, pl_lift
+from troplag.polyhedral import load_polytope_json, regular_subdivision
+from troplag.svg import draw_curve_and_subdivision
+from troplag.toric import lift_topology
+from troplag.tropical import is_smooth, tropical_hypersurface
+with open(sys.argv[2]) as fh:
+    X = tropical_hypersurface(regular_subdivision(*load_polytope_json(json.load(fh))))
+assert is_smooth(X) and len(default_schedule(X).lam) == 64
+pl_lift(X).genus(), lift_topology(X)
+draw_curve_and_subdivision(X, os.path.join(out, "curve.svg"))
+scipy = lambda: "scipy " + json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"])
+print(scipy())
+assert main(["lift", "triangle", "--resolution", "8", "--out", os.path.join(out, "L")]) == 0
+print(scipy())
+"""
+
+
+def test_commands_without_a_hausdorff_distance_do_not_load_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(troplag.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUNS, str(tmp_path),
+                           str(_degree_triangle_file(tmp_path, 8))],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, after = (json.loads(line[len("scipy "):]) for line in proc.stdout.splitlines()
+                     if line.startswith("scipy "))
+    assert before == []
+    assert "scipy.spatial" in after
 
 
 def test_pl_only_lift_of_a_primitive_segment(tmp_path):

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from troplag import lift as lift_module
 from troplag.coamoeba import PI, rstar_apply
 from troplag.errors import ConfigurationError, InputError
-from troplag.fixtures import fixture_names, load_fixture
+from troplag.fixtures import _load, fixture_names, load_fixture
 from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LegSchedule, LocalModel,
                           MeshPiece, TwistData, _boundary_cloud, _feasible, _fold_fiber,
                           default_schedule, exactness_check,
@@ -1026,3 +1026,45 @@ def test_export_blocks_match_oracle(tmp_path, monkeypatch, block):
     nu, nv = (130, 257) if block == 1 << 14 else (5, 9)
     points = np.random.default_rng(block).normal(size=(nu * nv, 4))
     _assert_export_matches_oracle(_synthetic_mesh(points, (nu, nv)), tmp_path, "x2y")
+
+
+# ---------------------------------------------------------------------------
+# sample-size bounds, checked before sampling
+
+def _degree_8_triangle_curve():
+    P = LatticePolytope.from_points([(0, 0), (8, 0), (0, 8)])
+    nu = LiftingFunction({(i, j): i * i + j * j + (i + j) ** 2 for i, j in P.lattice_points})
+    return tropical_hypersurface(regular_subdivision(P, nu))
+
+
+# the polytope fixtures: curves given directly carry no duality data, so
+# they have no PL or smooth lift
+LIFTABLE = [n for n in fixture_names() if _load(n).get("type") == "polytope"]
+
+
+@pytest.mark.parametrize("name", LIFTABLE + ["degree_8_triangle"])
+def test_sample_bounds_are_never_below_the_counts(name):
+    from troplag.lift import _pl_sample_bound, _smooth_sample_bound
+    X = (_degree_8_triangle_curve() if name == "degree_8_triangle"
+         else load_fixture(name)["curve"])
+    pl = pl_lift(X)
+    for res in (8, 12, 24):  # the chart grids take max(8, r // 2) and max(6, r // 4)
+        assert len(pl.sample(res)) <= _pl_sample_bound(pl, res)
+        if is_smooth(X):
+            sched = default_schedule(X)
+            assert len(smooth_lift(X, 1.0, sched, res).points) <= _smooth_sample_bound(X, res)
+
+
+def test_sample_bound_refuses_before_sampling(monkeypatch):
+    X = triangle_curve()
+    from troplag.lift import _smooth_sample_bound
+    monkeypatch.setattr(lift_module, "MAX_SAMPLE_POINTS", _smooth_sample_bound(X, 16) - 1)
+    with pytest.raises(InputError, match="the sample would hold up to"):
+        smooth_lift(X, 1.0, None, 16)
+    assert len(smooth_lift(X, 1.0, None, 14).points) > 0
+    pl = pl_lift(X)
+    from troplag.lift import _pl_sample_bound
+    monkeypatch.setattr(lift_module, "MAX_SAMPLE_POINTS", _pl_sample_bound(pl, 16) - 1)
+    with pytest.raises(InputError, match="the sample would hold up to"):
+        pl.sample(16)
+    assert len(pl.sample(14)) > 0

@@ -1,14 +1,13 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from troplag.errors import DegeneracyError, InputError
-from troplag.polyhedral import (LatticePolytope, LiftingFunction, discrete_legendre,
-                                dot, is_unimodal, load_polytope_json,
-                                regular_subdivision, vsub)
+from troplag.polyhedral import (LatticePolytope, LiftingFunction, cross2,
+                                discrete_legendre, dot, is_unimodal,
+                                load_polytope_json, regular_subdivision, vsub)
 
 TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 2), (2, 1)])
 TRIANGLE_NU = LiftingFunction({(0, 0): 1, (1, 1): 0, (2, 1): 0, (1, 2): 0})
@@ -174,10 +173,36 @@ def test_vertices_are_extreme_points_only():
 
 
 # ---------------------------------------------------------------------------
-# certified Qhull lower hull against the brute-force oracle
+# exact lower-hull walk against the brute force over all lattice triples
+
+def _affine_through(tri, vals):
+    (x1, y1), (x2, y2), (x3, y3) = tri
+    det = Fraction((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
+    v1, v2, v3 = (Fraction(vals[t]) for t in tri)
+    a = ((v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)) / det
+    b = ((x2 - x1) * (v3 - v1) - (x3 - x1) * (v2 - v1)) / det
+    c = v1 - a * x1 - b * y1
+    return a, b, c
+
+
+def _lower_hull_2d(pts, vals):
+    """Every affine function through three lifted lattice points that is a
+    minorant of the lift gives the cell of its equality set."""
+    pieces = {}
+    for tri in itertools.combinations(pts, 3):
+        if cross2(*tri) == 0:
+            continue
+        a, b, c = _affine_through(tri, vals)
+        if (a, b, c) in pieces:
+            continue
+        if all(a * p[0] + b * p[1] + c <= vals[p] for p in pts):
+            pieces[(a, b, c)] = [p for p in pts if a * p[0] + b * p[1] + c == vals[p]]
+    cells = [LatticePolytope.from_points(supp) for supp in pieces.values()]
+    out = {c.key: c for c in cells if c.dim == 2}  # several triples give one cell
+    return sorted(out.values(), key=lambda c: sorted(c.vertices))
+
 
 def _oracle_cells(poly, nu):
-    from troplag.polyhedral import _lower_hull_2d
     pts = list(poly.lattice_points)
     return _lower_hull_2d(pts, {p: nu(p) for p in pts})
 
@@ -189,12 +214,17 @@ def _degree_triangle(d):
                                for i, j in P.lattice_points})
 
 
-def _no_brute_force(monkeypatch):
-    import troplag.polyhedral as polyhedral
-
-    def refuse(pts, vals):
-        raise AssertionError("brute-force fallback was called")
-    monkeypatch.setattr(polyhedral, "_lower_hull_2d", refuse)
+def _unit_triangles(d):
+    """The d^2 unit triangles of the degree-d triangle cut by the lines
+    x = i, y = j and x + y = k, in the order of regular_subdivision."""
+    cells = []
+    for i in range(d):
+        for j in range(d - i):
+            cells.append(LatticePolytope.from_points([(i, j), (i + 1, j), (i, j + 1)]))
+            if i + j < d - 1:
+                cells.append(LatticePolytope.from_points(
+                    [(i + 1, j), (i, j + 1), (i + 1, j + 1)]))
+    return sorted(cells, key=lambda c: sorted(c.vertices))
 
 
 LIFTS = {
@@ -204,6 +234,8 @@ LIFTS = {
     "affine": lambda p, r: 2 * p[0] - 3 * p[1] + 5,
     "quadratic": lambda p, r: p[0] ** 2 + p[0] * p[1] + 2 * p[1] ** 2,
     "above_2_53": lambda p, r: 10**20 + r.randint(0, 3),
+    # floats round these to the affine 2^60 x: only integers see the cells
+    "above_2_60": lambda p, r: 2**60 * p[0] + r.randint(0, 1),
 }
 
 
@@ -211,12 +243,41 @@ LIFTS = {
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
                 min_size=3, max_size=6),
        st.sampled_from(sorted(LIFTS)), st.randoms(use_true_random=False))
-def test_certified_hull_matches_oracle(points, kind, rnd):
+def test_lower_hull_matches_oracle(points, kind, rnd):
     from hypothesis import assume
     P = LatticePolytope.from_points(points)
     assume(P.dim == 2 and len(P.lattice_points) <= 28)
     nu = LiftingFunction({p: LIFTS[kind](p, rnd) for p in P.lattice_points})
     assert regular_subdivision(P, nu).cells == _oracle_cells(P, nu)
+
+
+def _rescaled(P, nu, k, a, b, c):
+    return LiftingFunction({p: k * nu(p) + a * p[0] + b * p[1] + c
+                            for p in P.lattice_points})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                min_size=3, max_size=6),
+       st.randoms(use_true_random=False),
+       st.integers(1, 2**70), st.integers(-2**70, 2**70), st.integers(-2**70, 2**70),
+       st.integers(-2**70, 2**70))
+def test_cells_are_invariant_under_scaling_and_affine_terms(points, rnd, k, a, b, c):
+    # k nu + (affine) has the same lower hull cells as nu for any k > 0
+    from hypothesis import assume
+    P = LatticePolytope.from_points(points)
+    assume(P.dim == 2)
+    nu = LiftingFunction({p: rnd.randint(-6, 6) for p in P.lattice_points})
+    cells = regular_subdivision(P, nu).cells
+    assert regular_subdivision(P, _rescaled(P, nu, k, a, b, c)).cells == cells
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 2**70), st.integers(-2**70, 2**70), st.integers(-2**70, 2**70),
+       st.integers(-2**70, 2**70))
+def test_degree_8_cells_are_invariant_under_scaling_and_affine_terms(k, a, b, c):
+    P, nu = _degree_triangle(8)
+    assert regular_subdivision(P, _rescaled(P, nu, k, a, b, c)).cells == _unit_triangles(8)
 
 
 def test_polytope_fixtures_match_oracle():
@@ -231,68 +292,43 @@ def test_polytope_fixtures_match_oracle():
     assert planar == 3
 
 
-def test_degree_20_triangle_is_unimodular_through_the_hull(monkeypatch):
-    _no_brute_force(monkeypatch)
+def test_degree_20_triangle_is_unimodular_through_the_hull():
     P, nu = _degree_triangle(20)
     S = regular_subdivision(P, nu)
-    assert S.certified
+    assert S.cells == _unit_triangles(20)
     assert len(S.cells) == 400 and S.is_unimodal()
     assert sum(c.normalized_volume() for c in S.cells) == 400 == P.normalized_volume()
 
 
-def test_constant_lift_on_degree_20_triangle_skips_brute_force(monkeypatch):
-    _no_brute_force(monkeypatch)
+def test_constant_lift_on_degree_20_triangle_skips_brute_force():
+    # the walk finds the single cell P from one plane; no triple search
     P, _ = _degree_triangle(20)
     S = regular_subdivision(P, LiftingFunction.constant(P, 7))
-    assert S.certified
     assert S.cells == [LatticePolytope.from_points(P.lattice_points)]
 
 
 def test_benchmark_triangle_and_triangle_fixture_are_certified():
+    # "certified" now means exact: the cells equal the brute force's
     from troplag.fixtures import _load
     P, nu = _degree_triangle(8)
     S = regular_subdivision(P, nu)
-    assert S.certified and len(S.cells) == 64
-    assert S.cells == _oracle_cells(P, nu)
-    assert regular_subdivision(*load_polytope_json(_load("triangle"))).certified
+    assert len(S.cells) == 64
+    assert S.cells == _oracle_cells(P, nu) == _unit_triangles(8)
+    P, nu = load_polytope_json(_load("triangle"))
+    assert regular_subdivision(P, nu).cells == _oracle_cells(P, nu)
 
 
 def test_lift_above_2_53_is_certified():
-    # Qhull sees nu - min(nu), which floats hold exactly here
     P, nu = _degree_triangle(4)
     big = LiftingFunction({p: 10**20 + nu(p) for p in P.lattice_points})
-    S = regular_subdivision(P, big)
-    assert S.certified and S.cells == regular_subdivision(P, nu).cells
+    assert regular_subdivision(P, big).cells == regular_subdivision(P, nu).cells
+    assert regular_subdivision(P, big).cells == _unit_triangles(4)
 
 
 def test_float_flat_lift_falls_back_to_brute_force():
-    # 2^60 x + (0 or 1) rounds to the affine 2^60 x in floating point, so
-    # Qhull rejects the lift as flat while no affine function fits it
+    # 2^60 x + (0 or 1) rounds to the affine 2^60 x in floating point;
+    # the integer walk still sees the fold at (1, 1)
     nu = LiftingFunction({p: 2**60 * p[0] + (p == (1, 1)) for p in TRIANGLE.lattice_points})
     S = regular_subdivision(TRIANGLE, nu)
-    assert not S.certified
     assert S.cells == _oracle_cells(TRIANGLE, nu)
-
-
-@pytest.mark.parametrize("tamper", ["flip_orientation", "drop_facet"])
-def test_failed_certificate_falls_back_to_brute_force(monkeypatch, tamper):
-    import scipy.spatial
-    real = scipy.spatial.ConvexHull
-
-    def tampered(points):
-        hull = real(points)
-        lower = np.flatnonzero(hull.equations[:, 2] < 0)
-        if tamper == "flip_orientation":  # upper facets fail the minorant check
-            equations = -hull.equations
-            simplices = hull.simplices
-        else:  # a missing cell fails the coverage check
-            keep = np.ones(len(hull.simplices), bool)
-            keep[lower[0]] = False
-            equations, simplices = hull.equations[keep], hull.simplices[keep]
-        return type("Hull", (), {"equations": equations, "simplices": simplices})
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", tampered)
-    P, nu = _degree_triangle(4)
-    S = regular_subdivision(P, nu)
-    assert not S.certified
-    assert S.cells == _oracle_cells(P, nu)
+    assert S.cells == [TRIANGLE]

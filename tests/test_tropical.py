@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troplag.errors import InputError
-from troplag.polyhedral import LatticePolytope, LiftingFunction, regular_subdivision
-from troplag.tropical import (AffineFrame, TropicalLine, adapted_frame, balancing_check,
-                              is_smooth, load_curve_json, tangent_line,
+from troplag.polyhedral import LatticePolytope, LiftingFunction, regular_subdivision, vsub
+from troplag.tropical import (AffineFrame, TropicalComplex, TropicalLine, adapted_frame,
+                              balancing_check, is_smooth, load_curve_json, tangent_line,
                               tropical_hypersurface)
 
 
@@ -177,3 +177,42 @@ def test_tangent_line_output_balances():
     X = triangle_curve()
     for v in X.vertices:
         assert tangent_line(X, v).is_balanced()
+
+
+# ---------------------------------------------------------------------------
+# min_vertex_distance: the x-sorted sweep against the loop over all pairs
+
+def _min_vertex_distance_all_pairs(vertices):
+    best = None
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            d = vsub(vertices[i], vertices[j])
+            val = float(d[0]) ** 2 + float(d[1]) ** 2
+            if best is None or val < best:
+                best = val
+    return best ** 0.5 if best is not None else 1.0
+
+
+def _degree_triangle_curve(d):
+    P = LatticePolytope.from_points([(0, 0), (d, 0), (0, d)])
+    nu = LiftingFunction({(i, j): i * i + j * j + (i + j) ** 2 for i, j in P.lattice_points})
+    return tropical_hypersurface(regular_subdivision(P, nu))
+
+
+@pytest.mark.parametrize("d", [8, 20])
+def test_min_vertex_distance_matches_all_pairs(d):
+    X = _degree_triangle_curve(d)
+    assert len(X.vertices) == d * d
+    assert X.min_vertex_distance() == _min_vertex_distance_all_pairs(X.vertices)
+
+
+_coordinate = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-1, Fraction(1, 3), 0, 2]), _coordinate)
+                | st.tuples(_coordinate, _coordinate), max_size=30))
+def test_min_vertex_distance_sweep_is_the_all_pairs_float(vertices):
+    # few distinct x values (or none shared), repeated and coincident vertices
+    X = TropicalComplex(vertices, [])
+    assert X.min_vertex_distance() == _min_vertex_distance_all_pairs(X.vertices)
