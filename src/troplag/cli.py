@@ -154,6 +154,7 @@ def cmd_lift(args):
             fh.write(sched.to_json())
         res = symplectic_residual(mesh)
         points = mesh.points
+        del mesh  # its pieces and export text are not needed from here on
         dh = hausdorff_distance(points, pl.sample(args.resolution))
         rec = {"kind": "mesh", "scale": args.scale, "points": int(len(points)),
                "symplectic_residual": res, "hausdorff_to_pl": dh}
@@ -253,7 +254,8 @@ def build_parser():
     l = sub.add_parser("lift", help="smooth or PL lift of a curve")
     l.add_argument("input")
     l.add_argument("--scale", type=float, default=1.0)
-    l.add_argument("--resolution", type=int, default=128)
+    l.add_argument("--resolution", type=int, default=128,
+                   help="samples per direction, in [8, 512]; even unless --pl-only")
     l.add_argument("--schedule", default=None, help="schedule JSON file")
     l.add_argument("--pl-only", action="store_true")
     l.add_argument("--twist", default=None, metavar="edge=I,winding=W[;...]")

@@ -637,6 +637,7 @@ class LagrangianMesh:
         self.pieces = pieces
         self.scale = scale
         self.schedule = schedule
+        self._export = {}    # projection -> _export_rows; pieces fixed from then on
 
     @property
     def points(self):
@@ -650,25 +651,30 @@ class LagrangianMesh:
         return [p for p in self.pieces if p.tag == tag]
 
     def to_off(self, path, projection="xxy"):
-        verts, faces = self._faces(projection)
+        n, blocks, faces = self._export_rows(projection)
         with open(path, "w") as fh:
             fh.write("OFF\n")
-            fh.write(f"{len(verts)} {len(faces)} 0\n")
-            _write_rows(fh, "%.9g %.9g %.9g\n", verts)
+            fh.write(f"{n} {len(faces)} 0\n")
+            fh.writelines(blocks)
             _write_rows(fh, "4 %d %d %d %d\n", faces)
 
     def to_obj(self, path, projection="xxy"):
-        verts, faces = self._faces(projection)
+        n, blocks, faces = self._export_rows(projection)
         with open(path, "w") as fh:
-            _write_rows(fh, "v %.9g %.9g %.9g\n", verts)
+            for block in blocks:
+                fh.write("v " + block[:-1].replace("\n", "\nv ") + "\n")
             _write_rows(fh, "f %d %d %d %d\n", faces + 1)
 
     _PROJ = {"xxy": (0, 1, 2), "xyy": (0, 2, 3), "x1y": (0, 2, 1), "x2y": (1, 2, 3)}
 
-    def _faces(self, projection):
-        """Projected vertices, shape (N, 3), and the quads of the gridded
-        pieces as vertex indices, shape (F, 4), piece by piece in row-major
-        grid order."""
+    def _export_rows(self, projection):
+        """(vertex count, vertex text blocks, quads) shared by to_off and
+        to_obj, formatted on the first export of a projection: each block
+        holds _EXPORT_BLOCK rows "x y z\n" of the projected vertices, and
+        the quads are vertex indices, shape (F, 4), piece by piece in
+        row-major grid order."""
+        if projection in self._export:
+            return self._export[projection]
         cols = self._PROJ.get(projection)
         if cols is None:
             raise InputError(f"unknown projection {projection!r}")
@@ -681,18 +687,26 @@ class LagrangianMesh:
                 a = offset + (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
                 faces.append(np.stack([a, a + 1, a + nv + 1, a + nv], axis=1))
             offset += len(p.points)
-        return np.vstack(verts), np.vstack(faces)
+        verts = np.vstack(verts)
+        rows = (len(verts), list(_row_blocks("%.9g %.9g %.9g\n", verts)), np.vstack(faces))
+        self._export[projection] = rows
+        return rows
 
 
-# Rows per formatting call of _write_rows: bounds the text held in memory.
+# Rows per formatting call of _row_blocks: bounds the text made at once.
 _EXPORT_BLOCK = 1 << 14
+
+
+def _row_blocks(fmt, rows):
+    """fmt % row for every row of a 2-d array, joined a block at a time."""
+    for s in range(0, len(rows), _EXPORT_BLOCK):
+        block = rows[s:s + _EXPORT_BLOCK]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
 
 
 def _write_rows(fh, fmt, rows):
     """Write fmt % row for every row of a 2-d array, a block at a time."""
-    for s in range(0, len(rows), _EXPORT_BLOCK):
-        block = rows[s:s + _EXPORT_BLOCK]
-        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+    fh.writelines(_row_blocks(fmt, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -903,11 +917,14 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     (vertex, leg) with the smooth cutoff, flat cylinders over each edge
     middle; the whole pants scale is multiplied by t.  Without sched, the
     default schedule is used (the mesh keeps it as .schedule).
-    InputError when _smooth_sample_bound exceeds MAX_SAMPLE_POINTS, before
-    any schedule or sample is computed.
+    InputError when the resolution is odd or _smooth_sample_bound exceeds
+    MAX_SAMPLE_POINTS, before any schedule or sample is computed.
     """
     if not 0 < t <= 1:
         raise InputError("scale t must lie in (0, 1]")
+    if resolution % 2:
+        raise InputError("resolution must be even: at an odd resolution the middle "
+                         "fiber angle (k + 0.5) pi / r is pi/2, a vertex of the coamoeba")
     from .tropical import is_smooth
     if not is_smooth(X):
         raise InputError("smooth lifting needs a smooth curve")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .polyhedral import Face, discrete_legendre, parse_int, primitive, vadd, vsub
+from .polyhedral import discrete_legendre, parse_int, primitive, vadd, vsub
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,6 @@ class TropicalComplex:
             raise InputError("complex has no duality data")
         return self.subdivision.face(cell.dual_key)
 
-    def curve_cell_of(self, face):
-        key = face.key if isinstance(face, Face) else frozenset(map(tuple, face))
-        for c in self.cells:
-            if c.dual_key == key:
-                return c
-        for v, k in getattr(self, "_vertex_dual", {}).items():
-            if k == key:
-                return TropCell("vertex", (v,), dual_key=k)
-        raise KeyError("no curve cell dual to the given face")
-
     def bounded_edges(self):
         return [e for e in self.edges if e.kind == "segment"]
 
@@ -145,18 +135,6 @@ class TropicalComplex:
                 if best is None or val < best:
                     best = val
         return best ** 0.5 if best is not None else 1.0
-
-    def translate(self, t):
-        t = tuple(Fraction(x) for x in t)
-        verts = [vadd(v, t) for v in self.vertices]
-        edges = []
-        for e in self.edges:
-            edges.append(TropCell(e.kind, tuple(vadd(v, t) for v in e.verts),
-                                  e.rays, e.weight, e.dual_key))
-        out = TropicalComplex(verts, edges, self.subdivision, self.dual)
-        if hasattr(self, "_vertex_dual"):
-            out._vertex_dual = {vadd(v, t): k for v, k in self._vertex_dual.items()}
-        return out
 
 
 def tropical_hypersurface(subdivision):
@@ -297,11 +275,6 @@ class TropicalLine:
                     return False
         return True
 
-    def as_complex(self):
-        edges = [TropCell("ray", (self.center,), (g,), w)
-                 for g, w in zip(self.generators, self.weights)]
-        return TropicalComplex([self.center], edges)
-
 
 def tangent_line(X, v):
     """Cone of the star of vertex v, with primitive generators."""
@@ -353,9 +326,6 @@ class AffineFrame:
     def apply_linear(self, v):
         (a, b), (c, d) = self.A
         return (a * v[0] + b * v[1], c * v[0] + d * v[1])
-
-    def compose_inverse_check(self, x):
-        return self.apply_inverse(self.apply(x)) == tuple(Fraction(c) for c in x)
 
 
 def adapted_frame(line):

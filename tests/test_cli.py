@@ -203,6 +203,24 @@ def test_lift_output_bytes_are_pinned(tmp_path):
     assert got == LIFT_RES16_SHA256
 
 
+# sha256 of `troplag lift triangle --resolution 48 --projection xyy`: its
+# 42,066 vertices and 33,135 faces fill more than one export block of 2^14 rows
+LIFT_RES48_XYY_SHA256 = {
+    "mesh.off": "d8eaf1bb06899f3a2b3ee250da65f6f4098cc9e70c98159ed0419d2636f6e943",
+    "mesh.obj": "78a367bc4d6fb806de4bcd17de7aabba76eb45a7d0b4b88bb93bfeeaa6f5ca2d",
+}
+
+
+def test_lift_output_bytes_past_one_export_block_are_pinned(tmp_path):
+    out = tmp_path / "L"
+    assert run(["lift", "triangle", "--resolution", "48", "--projection", "xyy",
+                "--out", str(out)]) == 0
+    assert (out / "mesh.off").read_text().splitlines()[1] == "42066 33135 0"
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in LIFT_RES48_XYY_SHA256}
+    assert got == LIFT_RES48_XYY_SHA256
+
+
 # sha256 of `troplag verify all --seed 7`: same seed, same bytes, across
 # changes too; a change that moves a reported figure must update it on purpose
 VERIFY_ALL_SEED7_SHA256 = "203e4ea4112dbc1920c7bfb58a6e45b7ba29c6366850491399afcdad1185a85f"
@@ -249,6 +267,42 @@ def test_grid_and_resolution_above_their_limits_exit_2(tmp_path, capsys, argv, m
     assert run(argv + ["--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()  # refused before any work
+
+
+@pytest.mark.parametrize("resolution", ["9", "11", "15"])
+def test_odd_resolution_of_the_smooth_lift_exits_2(tmp_path, capsys, resolution):
+    out = tmp_path / "x"
+    assert run(["lift", "triangle", "--resolution", resolution, "--out", str(out)]) == 2
+    assert "error: resolution must be even" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _refuse_to_sample(*args, **kwargs):
+    raise AssertionError("sampled a refused resolution")
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolution=st.one_of(st.integers(-10 ** 30, 7), st.integers(513, 10 ** 30),
+                            st.integers(4, 255).map(lambda k: 2 * k + 1),
+                            st.just(10 ** 8)))
+@example(resolution=7)
+@example(resolution=513)
+@example(resolution=9)
+@example(resolution=511)
+def test_resolution_outside_the_even_range_exits_2_before_sampling(resolution):
+    # no schedule, smooth piece or PL cloud is computed, and nothing is written
+    from unittest import mock
+    from troplag import lift
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(lift, "default_schedule", _refuse_to_sample), \
+            mock.patch.object(lift, "_pants_vertex_piece", _refuse_to_sample), \
+            mock.patch.object(lift, "_pl_cloud", _refuse_to_sample):
+        out = os.path.join(tmp, "x")
+        start = time.perf_counter()
+        assert main(["lift", "triangle", "--resolution", str(resolution),
+                     "--out", out]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert not os.path.exists(out)
 
 
 def _degree_triangle_file(tmp_path, d):

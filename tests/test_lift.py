@@ -970,12 +970,24 @@ def _obj_oracle(mesh, path, projection):
             fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
 
 
+_EXPORTS = {"m.off": (LagrangianMesh.to_off, _off_oracle),
+            "m.obj": (LagrangianMesh.to_obj, _obj_oracle)}
+
+
+def _assert_file_matches_oracle(mesh, tmp_path, name, projection):
+    write, oracle = _EXPORTS[name]
+    write(mesh, str(tmp_path / name), projection=projection)
+    oracle(mesh, tmp_path / ("oracle_" + name), projection)
+    assert (tmp_path / name).read_bytes() == (tmp_path / ("oracle_" + name)).read_bytes()
+
+
 def _assert_export_matches_oracle(mesh, tmp_path, projection="xxy"):
-    for write, oracle, name in ((mesh.to_off, _off_oracle, "m.off"),
-                                (mesh.to_obj, _obj_oracle, "m.obj")):
-        write(str(tmp_path / name), projection=projection)
-        oracle(mesh, tmp_path / ("oracle_" + name), projection)
-        assert (tmp_path / name).read_bytes() == (tmp_path / ("oracle_" + name)).read_bytes()
+    # to_off and to_obj share the vertex text that the first of them
+    # formats: check both call orders, each on a copy with an empty memo
+    for order in (("m.off", "m.obj"), ("m.obj", "m.off")):
+        fresh = LagrangianMesh(mesh.pieces, mesh.scale, mesh.schedule)
+        for name in order:
+            _assert_file_matches_oracle(fresh, tmp_path, name, projection)
 
 
 def _synthetic_mesh(points, grid):
@@ -995,6 +1007,14 @@ def test_export_matches_per_line_oracle(tmp_path, triangle_mesh, projection):
     # the pants pieces carry no grid: their vertices are written, no faces
     assert any(p.grid is None for p in triangle_mesh.pieces)
     _assert_export_matches_oracle(triangle_mesh, tmp_path, projection)
+
+
+def test_export_of_two_projections_on_one_mesh_matches_oracle(tmp_path, triangle_mesh):
+    # each projection keeps its own rows: xyy after xxy, then xxy again
+    mesh = LagrangianMesh(triangle_mesh.pieces, 0.5, None)
+    for projection in ("xxy", "xyy", "xxy"):
+        for name in ("m.obj", "m.off"):
+            _assert_file_matches_oracle(mesh, tmp_path, name, projection)
 
 
 def test_export_of_a_twisted_mesh_matches_oracle(tmp_path, triangle_mesh):
