@@ -1,21 +1,19 @@
 """troplag: tropical curves in the plane and their Lagrangian lifts.
 
 Exact polyhedral/tropical combinatorics, torus-side coamoeba geometry,
-the pair-of-pants potential and its Legendre fibrations, smooth gluing of
+the pair-of-pants potential and its leg Legendre fibrations, smooth gluing of
 lifts of plane tropical curves, and toric closure bookkeeping.
 """
 
 __version__ = "0.1.0"
 
 from .polyhedral import (LatticePolytope, LiftingFunction, discrete_legendre,
-                         is_unimodal, regular_subdivision)
+                         regular_subdivision)
 from .tropical import (TropicalComplex, TropicalLine, adapted_frame,
                        balancing_check, is_smooth, load_curve_json,
                        tangent_line, tropical_hypersurface)
-from .coamoeba import (Coamoeba, blowup_chart, cell_coamoeba, covering_coamoeba,
-                       four_valent_potential, standard_coamoeba, symmetry)
-from .pants import (PantsMap, decomposition_data, eta_curve, gamma_curve,
-                    project)
+from .coamoeba import Coamoeba, four_valent_potential
+from .pants import PantsMap, eta_curve, gamma_curve
 from .lift import (GluingSchedule, TwistData, default_schedule, exactness_check,
                    hausdorff_distance, maslov_winding, pl_lift, smooth_lift,
                    symplectic_residual, twist)
@@ -23,14 +21,13 @@ from .toric import (DelzantPolygon, classify_boundary, delzant_check,
                     lift_topology, monotone_report)
 
 __all__ = [
-    "LatticePolytope", "LiftingFunction", "regular_subdivision", "is_unimodal",
+    "LatticePolytope", "LiftingFunction", "regular_subdivision",
     "discrete_legendre", "TropicalComplex", "TropicalLine",
     "tropical_hypersurface", "is_smooth", "balancing_check", "tangent_line",
-    "adapted_frame", "load_curve_json", "Coamoeba", "standard_coamoeba",
-    "symmetry", "blowup_chart", "cell_coamoeba", "covering_coamoeba",
-    "four_valent_potential", "PantsMap", "project", "decomposition_data",
-    "gamma_curve", "eta_curve", "pl_lift", "smooth_lift", "default_schedule",
-    "GluingSchedule", "symplectic_residual", "hausdorff_distance", "twist",
-    "TwistData", "exactness_check", "maslov_winding", "DelzantPolygon",
-    "delzant_check", "classify_boundary", "lift_topology", "monotone_report",
+    "adapted_frame", "load_curve_json", "Coamoeba", "four_valent_potential",
+    "PantsMap", "gamma_curve", "eta_curve", "pl_lift", "smooth_lift",
+    "default_schedule", "GluingSchedule", "symplectic_residual",
+    "hausdorff_distance", "twist", "TwistData", "exactness_check",
+    "maslov_winding", "DelzantPolygon", "delzant_check", "classify_boundary",
+    "lift_topology", "monotone_report",
 ]

@@ -24,6 +24,10 @@ from .fixtures import fixture_names, load_fixture, load_input
 # square of either (a lift of the triangle fixture at 512 peaks near 1.1 GB).
 MAX_GRID = 1024
 MAX_RESOLUTION = 512
+# Largest --n of `pants`: its interior sampler keeps 1/(n+1)! of its
+# candidates, so time and memory grow factorially (n = 4 at grid 1024 takes
+# about a minute and 1.1 GB).
+MAX_N = 4
 
 
 def _cmdline():
@@ -87,7 +91,7 @@ def cmd_tropical(args):
 
 
 def cmd_pants(args):
-    from .pants import PantsMap, decomposition_data
+    from .pants import DecompositionData, PantsMap
     from .svg import draw_region_h
     os.makedirs(args.out, exist_ok=True)
     pm = PantsMap(args.n, args.lam)
@@ -98,7 +102,7 @@ def cmd_pants(args):
         if args.n != 2:
             raise InputError("--section requires n = 2")
         t = args.section
-        dd = decomposition_data()
+        dd = DecompositionData()
         tri = [dd.qkt(k, t).tolist() for k in (0, 2, 3)]
         with open(os.path.join(args.out, "section.json"), "w") as fh:
             json.dump({"t": t, "z": dd.z(t), "triangle": tri}, fh, indent=2,
@@ -124,7 +128,7 @@ def cmd_pants(args):
 
 def cmd_lift(args):
     from .lift import (GluingSchedule, hausdorff_distance, pl_lift, smooth_lift,
-                       symplectic_residual, twist)
+                       symplectic_residual, twist, twist_pl_cloud)
     fx = _load_curve_arg(args.input)
     X = fx["curve"]
     report_path = os.path.join(args.out, "report.jsonl")
@@ -155,7 +159,10 @@ def cmd_lift(args):
         res = symplectic_residual(mesh)
         points = mesh.points
         del mesh  # its pieces and export text are not needed from here on
-        dh = hausdorff_distance(points, pl.sample(args.resolution))
+        # a twisted lift converges to the twisted PL lift, not the plain one
+        cloud = (pl.sample(args.resolution) if twist_data is None
+                 else twist_pl_cloud(pl, twist_data, args.resolution))
+        dh = hausdorff_distance(points, cloud)
         rec = {"kind": "mesh", "scale": args.scale, "points": int(len(points)),
                "symplectic_residual": res, "hausdorff_to_pl": dh}
         if twist_class is not None:
@@ -242,7 +249,7 @@ def build_parser():
     t.set_defaults(func=cmd_tropical)
 
     q = sub.add_parser("pants", help="region plots and value grids")
-    q.add_argument("--n", type=int, default=1)
+    q.add_argument("--n", type=int, default=1, help=f"in [0, {MAX_N}]")
     q.add_argument("--lam", type=float, default=1.0)
     q.add_argument("--grid", type=int, default=64)
     q.add_argument("--section", type=float, default=None, metavar="T",
@@ -284,6 +291,9 @@ def main(argv=None):
         return 2
     if getattr(args, "resolution", 8) > MAX_RESOLUTION:
         print(f"error: resolution must be at most {MAX_RESOLUTION}", file=sys.stderr)
+        return 2
+    if not 0 <= getattr(args, "n", 0) <= MAX_N:
+        print(f"error: n must lie in [0, {MAX_N}]", file=sys.stderr)
         return 2
     if getattr(args, "grid", 8) > MAX_GRID:
         print(f"error: grid must be at most {MAX_GRID}", file=sys.stderr)

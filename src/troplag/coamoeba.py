@@ -1,17 +1,14 @@
-"""Torus-side geometry: coamoebas, faces, symmetries, blow-up charts.
+"""Torus-side geometry: coamoebas, their faces and vertex symmetries.
 
 The torus is R^{n+1}/(pi Z^{n+1}).  The standard coamoeba is two copies of
 the simplex with vertices p_0 = 0 and p_k = (pi/2) e_k glued at vertices;
-the minus half is the image of the plus half under y -> -y.  Charts of the
-real blow-up at a vertex use coordinates (alpha_1..alpha_n, t) with
-projection (t alpha_1, ..., t alpha_n, t).
+the minus half is the image of the plus half under y -> -y.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,10 +29,6 @@ class FlatTorus:
             raise InputError("torus dimension must be >= 1")
         self.dim = dim
 
-    def reduce(self, y):
-        """Representative in the fundamental domain [0, pi)^d."""
-        return np.mod(np.asarray(y, dtype=float), PI)
-
     def wrap_centered(self, y):
         """Representative in [-pi/2, pi/2)^d."""
         return np.mod(np.asarray(y, dtype=float) + PI / 2, PI) - PI / 2
@@ -51,18 +44,6 @@ def reduce_mod_pi(y):
 
 # ---------------------------------------------------------------------------
 # symmetries
-
-def rstar_matrix(n, k):
-    """Base-side linear involution exchanging the rays u_0 and u_k.
-
-    Row form: (x_1 - x_k, ..., -x_k, ..., x_{n+1} - x_k).
-    """
-    if not 1 <= k <= n + 1:
-        raise InputError(f"symmetry index k={k} out of range")
-    m = np.eye(n + 1, dtype=int)
-    m[:, k - 1] = -1
-    return m
-
 
 def rstar_apply(n, k, x):
     x = np.asarray(x, dtype=float)
@@ -81,19 +62,6 @@ def r_apply(n, k, y):
     out = y.copy()
     out[..., k - 1] = PI / 2 - y.sum(axis=-1)
     return out
-
-
-def apply_index_transposition(k, J, n):
-    """Action of R_k on index subsets of {0, ..., n+1}: swap 0 and k."""
-    out = set()
-    for j in J:
-        if j == 0:
-            out.add(k)
-        elif j == k:
-            out.add(0)
-        else:
-            out.add(j)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -172,49 +140,6 @@ class Coamoeba:
             J.add(0)
         return frozenset(J)
 
-    def membership_exact(self, y_over_pi):
-        """Rational-level classification for y given as fractions of pi.
-
-        Same outcomes as membership(), decided with exact arithmetic; the
-        boundary congruences are linear in y so no tolerance is needed.
-        """
-        y = [Fraction(c) % 1 for c in y_over_pi]
-        n = self.n
-        for k in range(n + 2):
-            target = [Fraction(0)] * (n + 1)
-            if k > 0:
-                target[k - 1] = Fraction(1, 2)
-            if all(c == t for c, t in zip(y, target)):
-                return ("vertex", k)
-        for sign, tag in ((1, "interior_plus"), (-1, "interior_minus")):
-            w = [(sign * c) % 1 for c in y]
-            if all(0 < c < Fraction(1, 2) for c in w) and sum(w) < Fraction(1, 2):
-                return (tag,)
-        for sign in (1, -1):
-            w = [(sign * c) % 1 for c in y]
-            if all(c <= Fraction(1, 2) for c in w) and sum(w) <= Fraction(1, 2):
-                J = {j for j in range(1, n + 2) if w[j - 1] == 0}
-                if (sum(w) - Fraction(1, 2)) % 1 == 0:
-                    J.add(0)
-                if J:
-                    return ("face", frozenset(J))
-        return ("outside",)
-
-    def face_sample(self, J, weights=None):
-        """A relative-interior point of E_J^+ (positive convex combination
-        of the face vertices)."""
-        ks = [k for k in range(self.n + 2) if k not in J]
-        if len(ks) == 1:
-            return self.vertices[ks[0]].copy()
-        if weights is None:
-            weights = [1.0 + 0.1 * i for i in range(len(ks))]
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-        pt = np.zeros(self.n + 1)
-        for wk, k in zip(w, ks):
-            pt = pt + wk * self.vertices[k]
-        return pt
-
     # -- sampling ----------------------------------------------------------
     def sample_interior(self, m, seed=0, half=+1, margin=1e-6):
         """Deterministic quasi-random points of the open simplex interior.
@@ -245,89 +170,6 @@ def _rd_generator_gamma(d):
     for _ in range(64):
         phi = (1 + phi) ** (1 / (d + 1))
     return np.array([(1 / phi) ** (k + 1) for k in range(d)])
-
-
-def standard_coamoeba(n):
-    return Coamoeba(n)
-
-
-def symmetry(n, k):
-    """The pair (R_k, R*_k) as callables plus the combined product map."""
-    m = rstar_matrix(n, k)
-
-    def R(y):
-        return r_apply(n, k, y)
-
-    def Rstar(x):
-        return rstar_apply(n, k, x)
-
-    def combined(x, y):
-        return Rstar(x), R(y)
-
-    return R, Rstar, combined
-
-
-# ---------------------------------------------------------------------------
-# blow-up charts
-
-@dataclass
-class BlowupChart:
-    """Chart of the real blow-up of the coamoeba at vertex k.
-
-    Coordinates (alpha_1..alpha_n, t) with alpha_j > 0; the projection is
-    (t alpha_1, ..., t alpha_n, t) followed by the symmetry taking the
-    p_0 model to p_k.  t = 0 is the exceptional set; t < 0 lands in C^-.
-    """
-
-    coamoeba: Coamoeba
-    k: int
-    axis_permutation: tuple = None
-
-    def __post_init__(self):
-        n = self.coamoeba.n
-        if self.axis_permutation is None:
-            self.axis_permutation = tuple(range(n + 1))
-        if not 0 <= self.k <= n + 1:
-            raise InputError(f"vertex index {self.k} out of range")
-
-    def project(self, alpha, t):
-        """Torus point of the chart point (alpha, t)."""
-        alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.coamoeba.n
-        z = np.empty((alpha.shape[0], n + 1))
-        z[:, :n] = alpha * t[:, None]
-        z[:, n] = t
-        z = z[:, np.argsort(self.axis_permutation)]
-        if self.k != 0:
-            z = r_apply(n, self.k, z)
-        return z if z.shape[0] > 1 else z[0]
-
-    def t_halfwidth(self, alpha=None):
-        """Safe |t| bound: 0.3 x (shortest edge of the coamoeba), shrunk so
-        the chart image stays inside the closed coamoeba for this alpha."""
-        base = 0.3 * (PI / 2)
-        if alpha is None:
-            return base
-        alpha = np.asarray(alpha, dtype=float)
-        s = 1.0 + alpha.sum(axis=-1)
-        return np.minimum(base, 0.98 * (PI / 2) / s)
-
-    def chart_coords(self, y):
-        """Inverse chart for points near the vertex (last coord as axis)."""
-        n = self.coamoeba.n
-        y = np.asarray(y, dtype=float)
-        if self.k != 0:
-            y = r_apply(n, self.k, y)
-        y = np.atleast_2d(y)
-        w = self.coamoeba.torus.wrap_centered(y)
-        t = w[:, n]
-        alpha = w[:, :n] / t[:, None]
-        return (alpha, t) if y.shape[0] > 1 else (alpha[0], t[0])
-
-
-def blowup_chart(coamoeba, k, axis_permutation=None):
-    return BlowupChart(coamoeba, k, axis_permutation)
 
 
 # ---------------------------------------------------------------------------
@@ -386,29 +228,6 @@ class CellCoamoeba:
 
     def contains(self, y, eps=1e-9):
         return self.classify(y, eps)[0] != "outside"
-
-    def vertex_points(self):
-        """Torus points (pi/2) v for vertices v of the cell."""
-        return [reduce_mod_pi(np.array(v, dtype=float) * PI / 2) for v in self.cell.vertices]
-
-    def edge_circle(self):
-        """For an edge cell: parametrization of the closed fiber geodesic.
-
-        Returns (base, direction) with y(theta) = base + theta*direction,
-        theta in [0, pi); direction is the primitive edge direction.
-        """
-        if self.cell.dim != 1:
-            raise InputError("edge_circle needs a 1-cell")
-        a = self.cell.vertices[0]
-        b = self.cell.vertices[-1]
-        from .polyhedral import primitive, vsub
-        d = primitive(vsub(b, a))
-        base = np.array([float(a[0]) * PI / 2, float(a[1]) * PI / 2])
-        return base, np.array(d, dtype=float)
-
-
-def cell_coamoeba(cell):
-    return CellCoamoeba(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +363,6 @@ def _lattice_quotient_reps(M):
             if len(reps) == det:
                 return reps
     return reps
-
-
-def covering_coamoeba(line):
-    return CoveringCoamoeba(line)
 
 
 # ---------------------------------------------------------------------------

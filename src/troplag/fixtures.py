@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .errors import InputError
 from .polyhedral import load_polytope_json, regular_subdivision
 from .toric import DelzantPolygon
 from .tropical import load_curve_json, tropical_hypersurface
@@ -47,13 +46,3 @@ def load_input(data, default_zero=False):
 def load_fixture(name):
     return load_input(_load(name))
 
-
-def load_curve(name):
-    return load_fixture(name)["curve"]
-
-
-def load_polygon(name):
-    poly = load_fixture(name)["polygon"]
-    if poly is None:
-        raise InputError(f"fixture {name} has no polygon")
-    return poly

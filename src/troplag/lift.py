@@ -1,7 +1,7 @@
 """Lifts of plane tropical curves.
 
 PL lifts are unions of products (dual cell) x (cell coamoeba).  Smooth
-lifts glue rescaled pairs of pants over the curve vertices to flat
+lifts glue scaled pairs of pants over the curve vertices to flat
 cylinders over the edges through Legendre-transform collars; the gluing
 schedule fixes ball radii, leg cut points and pants scales.  Verification
 quantities (symplectic residual, Hausdorff distance, exactness constants,
@@ -20,7 +20,7 @@ import numpy as np
 
 from .coamoeba import PI, edge_fiber_from_dual, reduce_mod_pi, rstar_apply
 from .errors import ConfigurationError, InputError, NumericError
-from .pants import PantsMap, ProjectionPair, h_chart_terms
+from .pants import PantsMap, h_chart_terms, solve_leg_fiber
 from .tropical import adapted_frame, tangent_line
 from .polyhedral import primitive
 
@@ -190,7 +190,7 @@ class LocalModel:
             return x.copy(), y.copy()
         if j == 2:
             return x[:, ::-1].copy(), y[:, ::-1].copy()
-        # leg 0: conjugate by the vertex symmetry exchanging p_0 and p_1
+        # leg 0: conjugate by the vertex involution exchanging p_0 and p_1
         xw = np.stack([-x[:, 0], x[:, 1] - x[:, 0]], axis=1)
         yw = np.stack([PI / 2 - y.sum(axis=1), y[:, 1]], axis=1)
         return xw, yw
@@ -228,9 +228,6 @@ class GluingSchedule:
     lam: dict
     legs: dict
     truncation: float
-
-    def leg(self, vi, j):
-        return self.legs[(vi, j)]
 
     def to_json(self):
         return json.dumps({
@@ -592,7 +589,7 @@ def pl_lift(X):
     """
     if X.subdivision is None:
         raise InputError("missing duality data; build the curve from a subdivision")
-    from .coamoeba import CellCoamoeba, covering_coamoeba
+    from .coamoeba import CellCoamoeba, CoveringCoamoeba
     pieces = []
     for e in X.edges:
         dual = X.dual_cell(e)
@@ -603,7 +600,7 @@ def pl_lift(X):
         if dual.poly.is_elementary_simplex() or len(X.edges_at(v)) != 3:
             fiber = CellCoamoeba(dual.poly)
         else:
-            fiber = covering_coamoeba(tangent_line(X, v))
+            fiber = CoveringCoamoeba(tangent_line(X, v))
         pieces.append(PLPiece("vertex", TropCellVertex(v, key), fiber))
     return PLLift(X, pieces)
 
@@ -642,13 +639,6 @@ class LagrangianMesh:
     @property
     def points(self):
         return np.vstack([p.points for p in self.pieces])
-
-    @property
-    def frames(self):
-        return np.vstack([p.frames for p in self.pieces])
-
-    def piece(self, tag):
-        return [p for p in self.pieces if p.tag == tag]
 
     def to_off(self, path, projection="xxy"):
         n, blocks, faces = self._export_rows(projection)
@@ -848,11 +838,11 @@ def _collar_pieces(model, vi, lam, legs_lat, resolution):
 def _fiber_circle(pm, j, target, thetas):
     """Points q of the n = 1 pants with h_j(q) = target whose other
     coordinate is the fiber angle: angles past pi/2 are mirrored onto the
-    plus half, solved there (J = {j}, k = 0) and negated back."""
+    plus half, solved there and negated back."""
     minus = thetas > PI / 2
     wp = np.zeros((len(thetas), 2))
     wp[:, 2 - j] = np.where(minus, PI - thetas, thetas)
-    q = ProjectionPair(pm, frozenset({j}), 0)._solve_scalar(j, target, wp, 1e-13, 80)
+    q = solve_leg_fiber(pm, j, target, wp, 1e-13, 80)
     return np.where(minus[:, None], -q, q)
 
 
@@ -1192,15 +1182,3 @@ def pants_basis_loop(lam, leg, x_value, resolution=700):
         fr[:, i, 2 + (1 - i)] = 0.0
     return pts, fr
 
-
-def flat_loop(x_point, direction, resolution=700):
-    """Constant-fiber loop of a flat cylinder piece."""
-    thetas = (np.arange(resolution) + 0.5) * PI / resolution
-    d = np.array(direction, dtype=float)
-    pts = np.empty((resolution, 4))
-    pts[:, :2] = np.asarray(x_point, dtype=float)
-    pts[:, 2:] = np.mod(thetas[:, None] * d[None, :], PI)
-    fr = np.zeros((resolution, 2, 4))
-    fr[:, 0, :2] = (d[1], -d[0])  # leg direction orthogonal to the fiber
-    fr[:, 1, 2:] = d
-    return pts, fr

@@ -189,26 +189,6 @@ class LatticePolytope:
             return len(self.vertices) == 3 and self.normalized_volume() == 1
         return True
 
-    def contains(self, q):
-        """Exact membership for a rational point q."""
-        q = tuple(Fraction(x) for x in q)
-        if self.dim == 2:
-            v = self.vertices
-            return all(cross2(v[i], v[(i + 1) % len(v)], q) >= 0 for i in range(len(v)))
-        if self.dim == 1:
-            a, b = self.vertices[0], self.vertices[-1]
-            d = vsub(b, a)
-            w = vsub(q, a)
-            if len(a) == 2 and d[0] * w[1] - d[1] * w[0] != 0:
-                return False
-            t = None
-            for wi, di in zip(w, d):
-                if di != 0:
-                    t = Fraction(wi, di)
-                    break
-            return t is not None and 0 <= t <= 1 and all(wi == t * di for wi, di in zip(w, d))
-        return all(Fraction(x) == y for x, y in zip(q, self.vertices[0]))
-
 
 def parse_int(x, what):
     """x as an int when it is an integral number (3, 3.0, True), else
@@ -439,10 +419,6 @@ def _cell_left_of(p, q, vals, lifted):
     return LatticePolytope.from_points([p, q] + on) if on else None
 
 
-def is_unimodal(subdivision):
-    return subdivision.is_unimodal()
-
-
 # ---------------------------------------------------------------------------
 # discrete Legendre transform and the dual decomposition
 
@@ -452,13 +428,6 @@ class DualCell:
 
     verts: tuple
     rays: tuple
-
-    @property
-    def dim(self):
-        pts = [self.verts[0]] if self.verts else [(0, 0)]
-        pts = list(self.verts) + [vadd(self.verts[0] if self.verts else (0, 0), r)
-                                  for r in self.rays]
-        return affine_dim(pts)
 
     def sample_point(self):
         """A relative-interior rational point."""
@@ -483,16 +452,6 @@ class PiecewiseAffine:
         self.pieces = [(tuple(v), c) for (v, c) in seen]
         self.subdivision = subdivision
         self._dual = dual_cells or {}
-
-    def value(self, m):
-        return min(dot(v, m) + c for v, c in self.pieces)
-
-    def argmin(self, m):
-        best = self.value(m)
-        return [v for v, c in self.pieces if dot(v, m) + c == best]
-
-    def __call__(self, m):
-        return self.value(m)
 
     def dual_of(self, face):
         key = face.key if isinstance(face, Face) else frozenset(tuple(p) for p in face)

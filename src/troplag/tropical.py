@@ -40,14 +40,6 @@ class TropCell:
             return primitive(vsub(self.verts[1], self.verts[0]))
         return self.rays[0]
 
-    def points(self, t):
-        """Affine parametrization sample at parameter t >= 0 (rays) or t in [0,1]."""
-        if self.kind == "segment":
-            a, b = self.verts
-            return tuple(Fraction(a[i]) + t * (b[i] - a[i]) for i in range(2))
-        base = self.verts[0]
-        return tuple(Fraction(base[i]) + t * self.rays[0][i] for i in range(2))
-
 
 class TropicalComplex:
     """Weighted polyhedral complex in the plane with optional duality data."""
@@ -300,28 +292,6 @@ class AffineFrame:
 
     origin: tuple
     A: tuple  # ((a,b),(c,d)) integer, |det| = 1
-
-    @property
-    def det(self):
-        (a, b), (c, d) = self.A
-        return a * d - b * c
-
-    @property
-    def A_inv(self):
-        (a, b), (c, d) = self.A
-        s = self.det
-        return ((d // s if d % s == 0 else Fraction(d, s), -b // s if b % s == 0 else Fraction(-b, s)),
-                (-c // s if c % s == 0 else Fraction(-c, s), a // s if a % s == 0 else Fraction(a, s)))
-
-    def apply(self, x):
-        w = vsub(tuple(Fraction(c) for c in x), self.origin)
-        (a, b), (c, d) = self.A
-        return (a * w[0] + b * w[1], c * w[0] + d * w[1])
-
-    def apply_inverse(self, xs):
-        (a, b), (c, d) = self.A_inv
-        w = (a * xs[0] + b * xs[1], c * xs[0] + d * xs[1])
-        return vadd(w, self.origin)
 
     def apply_linear(self, v):
         (a, b), (c, d) = self.A

@@ -16,7 +16,7 @@ from .fixtures import load_fixture
 from .lift import (default_schedule, exactness_check, hausdorff_distance,
                    maslov_winding, pants_basis_loop, pl_lift, smooth_lift,
                    symplectic_residual)
-from .pants import PantsMap, ProjectionPair, decomposition_data, eta_curve, gamma_curve
+from .pants import DecompositionData, PantsMap, ProjectionPair, eta_curve, gamma_curve
 from .toric import lift_topology, monotone_report
 
 
@@ -112,7 +112,7 @@ def verify_legendre(seed=0, m=1000):
     """Criterion 5: fiber-solve round trip to 1e-8; FD of the transform
     identities to 1e-6."""
     pm = PantsMap(1)
-    pp = ProjectionPair(pm, frozenset({1}), 0)
+    pp = ProjectionPair(pm, {1})
     ys = pm.sample_interior(4 * m, seed=seed)
     keep = pm.in_W({1}, ys, k=0, tol=0.0) & (ys[:, 0] > 1e-3) & (ys[:, 1] > 1e-3)
     ys = ys[keep][:m]
@@ -135,7 +135,7 @@ def verify_legendre(seed=0, m=1000):
 
 def verify_decomposition(seed=0):
     """Criterion 6: decomposition constants of the 3-d region."""
-    dd = decomposition_data()
+    dd = DecompositionData()
     z_err = abs(dd.z(1.0 / 9.0) - 1.0 / 3.0)
     q0 = dd.q0
     s0_err = abs(27.0 * np.prod(q0) - 1.0)

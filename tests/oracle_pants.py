@@ -139,7 +139,7 @@ class OraclePantsMap(PantsMap):
 
 
 def oracle_solve_scalar(pm, j, target, wp, tol, max_iter):
-    """ProjectionPair._solve_scalar on _h_and_hessian_diag of rows."""
+    """pants.solve_leg_fiber on _h_and_hessian_diag of rows."""
     i = j - 1
     target = np.asarray(target, dtype=float)
     if not np.all(np.isfinite(target)):

@@ -155,6 +155,18 @@ def test_pants_lam_above_the_limit_exits_2(tmp_path, capsys, n):
     assert run(["pants", "--n", n, "--grid", "8", "--lam", "1e100", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("n", ["5", str(10 ** 8), "-1"])
+def test_pants_n_outside_its_range_exits_2_within_a_second(tmp_path, capsys, n):
+    # the interior sampler keeps 1/(n+1)! of its candidates: n = 10 would
+    # not finish, and 10^8 would fail allocating its vertex array
+    out = tmp_path / "p"
+    t0 = time.perf_counter()
+    assert run(["pants", "--n", n, "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "error: n must lie in [0, 4]" in capsys.readouterr().err
+    assert not out.exists()  # refused before any work
+
+
 def test_pants_section_must_be_a_number(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["pants", "--n", "2", "--section", "abc", "--out", str(tmp_path / "p")])
@@ -244,6 +256,19 @@ def test_lift_pl_only_and_twist(tmp_path):
                 "--twist", "edge=3,winding=1", "--out", str(out2)]) == 0
     rec = json.loads((out2 / "report.jsonl").read_text().splitlines()[0])
     assert rec["n_sigma"] == 1
+
+
+def test_twisted_lift_is_measured_against_the_twisted_pl_lift(tmp_path):
+    # the twisted smooth family converges to the twisted PL lift, so its
+    # distance shrinks with the scale (to the untwisted lift it stays 0.646)
+    dist = {}
+    for t in ("1", "0.1"):
+        out = tmp_path / t
+        assert run(["lift", "triangle", "--scale", t, "--resolution", "32",
+                    "--twist", "edge=3,winding=1", "--out", str(out)]) == 0
+        dist[t] = json.loads((out / "report.jsonl").read_text())["hausdorff_to_pl"]
+    assert dist["0.1"] < dist["1"]
+    assert dist["0.1"] < 0.3
 
 
 def test_lift_validation_exit_codes(tmp_path):
@@ -368,6 +393,24 @@ def test_commands_without_a_hausdorff_distance_do_not_load_scipy(tmp_path):
     assert "scipy.spatial" in after
 
 
+def test_pl_only_lift_of_the_unit_square(tmp_path):
+    # the vertex dual is a square, so its coamoeba is sampled through the
+    # cell coamoeba's membership test: one vertex of chi -2 and four ends
+    src = tmp_path / "square.json"
+    src.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                               "lifting": {"0,0": 0, "1,0": 0, "1,1": 0, "0,1": 0}}))
+    out = tmp_path / "q"
+    assert run(["lift", str(src), "--pl-only", "--resolution", "8", "--out", str(out)]) == 0
+    rec = json.loads((out / "report.jsonl").read_text())
+    assert (rec["points"], rec["chi"], rec["punctures"], rec["genus"]) == (830, -2, 4, 0)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from troplag import *", namespace)
+    assert [name for name in troplag.__all__ if name not in namespace] == []
+
+
 def test_pl_only_lift_of_a_primitive_segment(tmp_path):
     # a weight-1 line lifts to one cylinder: two punctures, genus 0
     src = tmp_path / "seg.json"
@@ -454,11 +497,11 @@ def test_schedule_file_round_trips(tmp_path, triangle_schedule):
 
 
 def test_numeric_failure_prints_diagnostics(tmp_path, capsys, monkeypatch):
-    from troplag.pants import ProjectionPair
-    solve = ProjectionPair._solve_scalar
-    monkeypatch.setattr(ProjectionPair, "_solve_scalar",
-                        lambda self, j, target, wp, tol, max_iter:
-                        solve(self, j, target, wp, tol, 1))
+    from troplag import lift
+    solve = lift.solve_leg_fiber
+    monkeypatch.setattr(lift, "solve_leg_fiber",
+                        lambda pants, j, target, wp, tol, max_iter:
+                        solve(pants, j, target, wp, tol, 1))
     assert run(["lift", "triangle", "--resolution", "8",
                 "--out", str(tmp_path / "x")]) == 3
     line = capsys.readouterr().err.strip().splitlines()[-1]

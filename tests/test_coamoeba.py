@@ -1,15 +1,11 @@
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troplag.coamoeba import (PI, BlowupChart, CellCoamoeba, Coamoeba, EdgeFiber,
-                              FlatTorus, apply_index_transposition, blowup_chart,
-                              cell_coamoeba, covering_coamoeba, four_valent_potential,
+from troplag.coamoeba import (PI, CellCoamoeba, Coamoeba, CoveringCoamoeba, EdgeFiber,
+                              FlatTorus, four_valent_potential,
                               four_valent_region_contains, four_valent_vertices,
-                              r_apply, rstar_apply, rstar_matrix, standard_coamoeba)
+                              r_apply, reduce_mod_pi, rstar_apply)
 from troplag.errors import DomainError, InputError
 from troplag.polyhedral import LatticePolytope
 from troplag.tropical import TropicalLine
@@ -21,8 +17,8 @@ from troplag.tropical import TropicalLine
 def test_reduce_idempotent_and_distance():
     T = FlatTorus(2)
     y = np.array([7.3, -2.1])
-    r1 = T.reduce(y)
-    assert np.allclose(T.reduce(r1), r1)
+    r1 = reduce_mod_pi(y)
+    assert np.allclose(reduce_mod_pi(r1), r1)
     assert np.all((r1 >= 0) & (r1 < PI))
     # distance is the minimum over deck translates
     a, b = np.array([0.05, 0.0]), np.array([PI - 0.05, 0.0])
@@ -44,7 +40,7 @@ def test_distance_symmetric_and_translate_invariant(a, b):
 # the standard coamoeba
 
 def test_membership_examples():
-    C = standard_coamoeba(1)
+    C = Coamoeba(1)
     assert C.membership([PI / 6, PI / 6]) == ("interior_plus",)
     assert C.membership([PI / 2, 0.0]) == ("vertex", 1)
     assert C.membership([PI / 4, PI / 4]) == ("face", frozenset({0}))
@@ -54,33 +50,24 @@ def test_membership_examples():
     assert C.membership([0.4, 0.0]) == ("face", frozenset({2}))
 
 
-def test_membership_exact_rational():
-    C = standard_coamoeba(1)
-    assert C.membership_exact([Fraction(1, 4), Fraction(1, 4)]) == ("face", frozenset({0}))
-    assert C.membership_exact([Fraction(1, 2), Fraction(0)]) == ("vertex", 1)
-    assert C.membership_exact([Fraction(1, 12), Fraction(1, 12)]) == ("interior_plus",)
-    assert C.membership_exact([Fraction(3, 4), Fraction(3, 4)]) == ("face", frozenset({0}))
-    assert C.membership_exact([Fraction(1, 3), Fraction(1, 3)]) == ("outside",)
-
-
 def test_whole_circle_when_n_is_zero():
-    C = standard_coamoeba(0)
+    C = Coamoeba(0)
     for y in np.linspace(0, PI, 37, endpoint=False):
         assert C.membership([y]) != ("outside",)
 
 
 def test_vertex_count():
     for n in (0, 1, 2, 3):
-        assert len(standard_coamoeba(n).vertices) == n + 2
+        assert len(Coamoeba(n).vertices) == n + 2
 
 
 def test_membership_iota_equivariant():
-    C = standard_coamoeba(2)
+    C = Coamoeba(2)
     pts = C.sample_interior(50, seed=4)
     for y in pts:
         assert C.membership(y)[0] == "interior_plus"
         assert C.membership(-y)[0] == "interior_minus"
-    face_pt = C.face_sample(frozenset({1}))
+    face_pt = (1.0 * C.vertices[0] + 1.1 * C.vertices[2] + 1.2 * C.vertices[3]) / 3.3  # in E_{1}
     cls = C.membership(face_pt)
     cls_m = C.membership(-face_pt)
     assert cls == cls_m == ("face", frozenset({1}))
@@ -89,7 +76,7 @@ def test_membership_iota_equivariant():
 def test_face_duality_inclusion_reversing():
     # J subset J'  <=>  every vertex of E_{J'} satisfies the E_J closure eqs
     for n in (1, 2):
-        C = standard_coamoeba(n)
+        C = Coamoeba(n)
         idx = list(range(n + 2))
         import itertools
         subsets = [frozenset(s) for r in range(1, n + 2)
@@ -113,7 +100,7 @@ def test_rstar_explicit_formula():
 
 def test_symmetry_exchanges_vertices():
     for n in (1, 2):
-        C = standard_coamoeba(n)
+        C = Coamoeba(n)
         for k in range(1, n + 2):
             assert np.allclose(r_apply(n, k, C.vertices[0]), C.vertices[k])
             assert np.allclose(r_apply(n, k, C.vertices[k]), C.vertices[0])
@@ -125,8 +112,8 @@ def test_symmetry_exchanges_vertices():
 def test_symmetry_is_involution():
     y = np.array([0.31, 0.42])
     assert np.allclose(r_apply(1, 2, r_apply(1, 2, y)), y)
-    M = rstar_matrix(2, 3)
-    assert np.array_equal(M @ M, np.eye(3, dtype=int))
+    x = np.array([0.3, -0.7, 1.1])
+    assert np.allclose(rstar_apply(2, 3, rstar_apply(2, 3, x)), x)
 
 
 def test_rstar_permutes_ray_generators():
@@ -141,78 +128,26 @@ def test_rstar_permutes_ray_generators():
 
 
 def test_faces_permute_under_symmetry():
-    C = standard_coamoeba(2)
+    C = Coamoeba(2)
     for k in (1, 2, 3):
         for J in (frozenset({0}), frozenset({1}), frozenset({0, 2}), frozenset({3})):
-            y = C.face_sample(J, weights=[1.0, 2.0, 3.0][:3 - len(J) + 1])
+            # a relative-interior point of E_J: a positive combination of
+            # the vertices p_l, l not in J
+            ks = [l for l in range(4) if l not in J]
+            w = np.array([1.0, 2.0, 3.0][:len(ks)])
+            y = (w[:, None] * C.vertices[ks]).sum(axis=0) / w.sum()
             got = C.membership(r_apply(2, k, y))
-            assert got == ("face", apply_index_transposition(k, J, 2))
-
-
-# ---------------------------------------------------------------------------
-# blow-up charts
-
-def test_chart_projection_formula():
-    C = standard_coamoeba(1)
-    ch = blowup_chart(C, 0)
-    assert np.allclose(ch.project(np.array([[1.0]]), np.array([0.1])), [0.1, 0.1])
-    y = ch.project(np.array([[2.0]]), np.array([0.05]))
-    assert np.allclose(y, [0.1, 0.05])
-
-
-def test_chart_negative_t_lands_in_minus():
-    C = standard_coamoeba(1)
-    ch = blowup_chart(C, 0)
-    y = ch.project(np.array([[1.3]]), np.array([-0.08]))
-    assert C.membership(y)[0] == "interior_minus"
-
-
-def test_chart_two_to_one_parity():
-    C = standard_coamoeba(1)
-    ch = blowup_chart(C, 0)
-    a = np.array([[0.8]])
-    y_plus = ch.project(a, np.array([0.07]))
-    y_minus = ch.project(a, np.array([-0.07]))
-    assert np.allclose(y_minus, -y_plus)
-
-
-def test_chart_inverse_away_from_exceptional():
-    C = standard_coamoeba(1)
-    for k in (0, 1, 2):
-        ch = blowup_chart(C, k)
-        a0, t0 = np.array([[0.75]]), np.array([0.11])
-        y = ch.project(a0, t0)
-        a1, t1 = ch.chart_coords(y)
-        assert np.allclose(a1, a0[0]) and np.allclose(t1, t0[0])
-
-
-def test_chart_halfwidth_stays_inside():
-    C = standard_coamoeba(1)
-    ch = blowup_chart(C, 0)
-    for a in (0.2, 1.0, 4.0):
-        tmax = float(ch.t_halfwidth(np.array([a])))
-        assert tmax <= 0.3 * PI / 2 + 1e-12
-        y = ch.project(np.array([[a]]), np.array([tmax * 0.999]))
-        assert C.membership(y)[0] != "outside"
-
-
-def test_chart_at_other_vertex_conjugates():
-    C = standard_coamoeba(1)
-    ch1 = blowup_chart(C, 1)
-    y = ch1.project(np.array([[1.0]]), np.array([0.12]))
-    # near p_1 and inside the coamoeba
-    assert C.torus.distance(y, C.vertices[1]) < 0.3
-    assert C.membership(y)[0] != "outside"
+            # R_k acts on the face indices by exchanging 0 and k
+            assert got == ("face", frozenset({0: k, k: 0}.get(j, j) for j in J))
 
 
 # ---------------------------------------------------------------------------
 # cell coamoebas
 
 def test_edge_cell_coamoeba_is_closed_geodesic():
-    cc = cell_coamoeba(LatticePolytope.from_points([(1, 1), (2, 1)]))
-    base, d = cc.edge_circle()
-    assert np.allclose(base, [PI / 2, PI / 2])
-    assert tuple(d) == (1.0, 0.0)
+    cc = CellCoamoeba(LatticePolytope.from_points([(1, 1), (2, 1)]))
+    # the geodesic through (pi/2) (1, 1) along the primitive edge direction
+    base, d = np.array([PI / 2, PI / 2]), np.array([1.0, 0.0])
     for th in np.linspace(0, PI, 11, endpoint=False):
         assert cc.contains(base + th * d)
     assert not cc.contains([0.3, 0.7])
@@ -220,7 +155,7 @@ def test_edge_cell_coamoeba_is_closed_geodesic():
 
 
 def test_two_cell_coamoeba_is_sheared_standard():
-    cc = cell_coamoeba(LatticePolytope.from_points([(0, 0), (1, 1), (2, 1)]))
+    cc = CellCoamoeba(LatticePolytope.from_points([(0, 0), (1, 1), (2, 1)]))
     # midpoint of the cell scaled by pi/2 is interior
     mid = np.array([1.0, 2.0 / 3.0]) * PI / 2
     assert cc.classify(mid)[0] == "interior_plus"
@@ -230,8 +165,8 @@ def test_two_cell_coamoeba_is_sheared_standard():
 
 
 def test_simplex_cell_coamoeba_matches_standard():
-    cc = cell_coamoeba(LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)]))
-    C = standard_coamoeba(1)
+    cc = CellCoamoeba(LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)]))
+    C = Coamoeba(1)
     for y in [np.array([PI / 6, PI / 6]), np.array([PI / 2, 0.0]),
               np.array([2.0, 2.0]), np.array([-0.2, -0.2])]:
         inside_std = C.membership(y)[0] != "outside"
@@ -240,14 +175,14 @@ def test_simplex_cell_coamoeba_matches_standard():
 
 def test_cell_coamoeba_rejects_points():
     with pytest.raises(InputError):
-        cell_coamoeba(LatticePolytope.from_points([(1, 1)]))
+        CellCoamoeba(LatticePolytope.from_points([(1, 1)]))
 
 
 # ---------------------------------------------------------------------------
 # coverings
 
 def test_covering_standard_line_is_trivial():
-    cov = covering_coamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -1))))
+    cov = CoveringCoamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -1))))
     assert cov.degree == 1
     vp = sorted(tuple(np.round(v, 9)) for v in cov.vertex_points())
     assert np.allclose(vp, [(0, 0), (0, PI / 2), (PI / 2, 0)])
@@ -257,7 +192,7 @@ def test_covering_standard_line_is_trivial():
 
 
 def test_covering_degree_three_torus():
-    cov = covering_coamoeba(TropicalLine((0, 0), ((1, 1), (-2, 1), (1, -2))))
+    cov = CoveringCoamoeba(TropicalLine((0, 0), ((1, 1), (-2, 1), (1, -2))))
     assert cov.degree == 3
     assert cov.puncture_count() == 3
     assert cov.euler_characteristic() == -3
@@ -266,7 +201,7 @@ def test_covering_degree_three_torus():
 
 
 def test_covering_weight_two():
-    cov = covering_coamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -1)), (2, 2, 2)))
+    cov = CoveringCoamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -1)), (2, 2, 2)))
     assert cov.degree == 4
     assert cov.puncture_count() == 6
     assert cov.genus() == 0  # (w-1)(w-2)/2 for w = 2
@@ -274,11 +209,11 @@ def test_covering_weight_two():
 
 def test_covering_requires_balance():
     with pytest.raises(InputError):
-        covering_coamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -2))))
+        CoveringCoamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -2))))
 
 
 def test_covering_potential_is_pullback():
-    cov = covering_coamoeba(TropicalLine((0, 0), ((1, 1), (-2, 1), (1, -2))))
+    cov = CoveringCoamoeba(TropicalLine((0, 0), ((1, 1), (-2, 1), (1, -2))))
     ys = []
     rng = np.random.default_rng(0)
     while len(ys) < 10:

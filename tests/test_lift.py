@@ -16,7 +16,7 @@ from troplag.fixtures import _load, fixture_names, load_fixture
 from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LegSchedule, LocalModel,
                           MeshPiece, TwistData, _boundary_cloud, _feasible, _fold_fiber,
                           default_schedule, exactness_check,
-                          flat_loop, hausdorff_distance, maslov_winding,
+                          hausdorff_distance, maslov_winding,
                           pants_basis_loop, phase_values, pl_lift, smooth_lift,
                           symplectic_residual, twist, twist_pl_cloud,
                           validate_schedule)
@@ -24,6 +24,10 @@ from troplag.pants import PantsMap
 from troplag.polyhedral import (LatticePolytope, LiftingFunction, load_polytope_json,
                                 regular_subdivision)
 from troplag.tropical import is_smooth, load_curve_json, tropical_hypersurface
+
+
+def _pieces(mesh, tag):
+    return [p for p in mesh.pieces if p.tag == tag]
 
 
 def standard_line():
@@ -426,7 +430,7 @@ def test_overlap_identity_collar_equals_pants():
     model = LocalModel(X, X.vertices[0])
     lam = sched.lam[0]
     pm = PantsMap(1, lam)
-    pp = ProjectionPair(pm, frozenset({1}), 0)
+    pp = ProjectionPair(pm, {1})
     ls = sched.legs[(0, 1)]
     worst = 0.0
     for s in np.linspace(ls.r_prime, ls.r_second, 6):
@@ -443,7 +447,7 @@ def test_overlap_identity_collar_equals_pants():
 
 def test_flat_zone_is_exactly_flat(line_mesh):
     X, sched, mesh = line_mesh
-    for piece in mesh.piece("flat"):
+    for piece in _pieces(mesh, "flat"):
         assert np.all(piece.frames[:, 0, 2:] == 0.0)
         assert np.all(piece.frames[:, 1, :2] == 0.0)
         # base points lie on the edge line through the vertex
@@ -471,7 +475,7 @@ def test_projection_containment(line_mesh):
     X, sched, mesh = line_mesh
     R = sched.ball_radius[0]
     v = np.array([0.0, 0.0])
-    for piece in mesh.piece("pants"):
+    for piece in _pieces(mesh, "pants"):
         d = np.linalg.norm(piece.points[:, :2] - v, axis=1)
         assert d.max() <= R + 1e-9
     # the whole mesh projects into the union of the ball and leg tubes
@@ -728,7 +732,7 @@ def test_residual_scales_with_fd_step(line_mesh):
     residuals = []
     for res in (24, 48):
         mesh = smooth_lift(X, 1.0, sched, resolution=res)
-        piece = mesh.piece("collar")[0]
+        piece = _pieces(mesh, "collar")[0]
         nu, nv = piece.grid
         pts = piece.points.reshape(nu, nv, 4)
         vs = (pts[2:, 1:-1] - pts[:-2, 1:-1])
@@ -797,13 +801,6 @@ def test_exactness_examples():
 # ---------------------------------------------------------------------------
 # Maslov phase
 
-def test_flat_loop_phase_constant_half():
-    pts, fr = flat_loop((2.0, 0.0), (0, 1), 512)
-    theta = np.angle(phase_values(pts, fr)) / PI
-    assert np.allclose(np.abs(theta), 0.5)
-    assert maslov_winding(pts, fr) == 0
-
-
 def test_pants_basis_loops_wind_zero():
     for leg in (1, 2):
         pts, fr = pants_basis_loop(0.4, leg, 0.3, resolution=1024)
@@ -813,18 +810,17 @@ def test_pants_basis_loops_wind_zero():
 def _mirrored_fiber_oracle(pm, j, target, thetas):
     """The fiber solves of _collar_sheet (j = 1) and pants_basis_loop as
     they were written at their call sites."""
-    from troplag.pants import ProjectionPair
-    pp = ProjectionPair(pm, frozenset({j}), 0)
+    from troplag.pants import solve_leg_fiber
     minus = thetas > PI / 2
     th_p = np.where(minus, PI - thetas, thetas)
     if j == 1:
         wp = np.stack([np.zeros_like(th_p), th_p], axis=1)
-        q1 = pp._solve_scalar(1, target, wp, 1e-13, 80)[:, 0]
+        q1 = solve_leg_fiber(pm, 1, target, wp, 1e-13, 80)[:, 0]
         qw = np.stack([q1, th_p], axis=1)
         return np.where(minus[:, None], -qw, qw)
     wp = np.zeros((len(thetas), 2))
     wp[:, 0] = th_p
-    q = pp._solve_scalar(j, target, wp, 1e-13, 80)
+    q = solve_leg_fiber(pm, j, target, wp, 1e-13, 80)
     return np.where(minus[:, None], -q, q)
 
 
@@ -900,7 +896,7 @@ def test_maslov_winding_rejects_sparse_loops():
     X = standard_line()
     sched = default_schedule(X)
     mesh = smooth_lift(X, 1.0, sched, resolution=32)
-    piece = mesh.piece("collar")[0]
+    piece = _pieces(mesh, "collar")[0]
     nu, nv = piece.grid
     pts = piece.points.reshape(nu, nv, 4)[nu // 2]
     fr = piece.frames.reshape(nu, nv, 2, 4)[nu // 2]
@@ -1023,7 +1019,7 @@ def test_export_of_a_twisted_mesh_matches_oracle(tmp_path, triangle_mesh):
 
 
 def test_export_without_gridded_pieces_matches_oracle(tmp_path, triangle_mesh):
-    pants = LagrangianMesh(triangle_mesh.piece("pants"), 0.5, None)
+    pants = LagrangianMesh(_pieces(triangle_mesh, "pants"), 0.5, None)
     _assert_export_matches_oracle(pants, tmp_path)
     assert (tmp_path / "m.off").read_text().splitlines()[1].endswith(" 0 0")
 

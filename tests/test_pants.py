@@ -9,7 +9,7 @@ from oracle_pants import OraclePantsMap, oracle_solve_scalar
 from troplag.coamoeba import PI, r_apply, rstar_apply
 from troplag.errors import DomainError, InputError, NumericError
 from troplag.pants import (DecompositionData, PantsMap, ProjectionPair, _PlusJet,
-                           decomposition_data, eta_curve, gamma_curve, project)
+                           eta_curve, gamma_curve, solve_leg_fiber)
 
 PM1 = PantsMap(1)
 PM2 = PantsMap(2)
@@ -48,7 +48,7 @@ def test_potential_outside_raises():
 
 
 def test_rescaling_is_linear():
-    pm5 = PM1.rescaled(0.5)
+    pm5 = PantsMap(1, 0.5)
     ys = PM1.sample_interior(200, seed=2)
     assert np.allclose(pm5.F(ys), 0.5 * PM1.F(ys))
     assert np.allclose(pm5.h(ys), 0.5 * PM1.h(ys), atol=1e-14)
@@ -223,29 +223,13 @@ def test_soft_check_higher_dimension():
 # ---------------------------------------------------------------------------
 # region membership and cells
 
-def test_region_membership_examples():
-    r = PM2.region_membership([1 / 3, 1 / 3, 1 / 3])
-    assert 0 in r["on"] and 0 in r["in"]
-    assert PM1.region_membership([10.0, 10.0])["outside"]
-    assert PM2.region_membership([10.0, 10.0, 10.0])["outside"]
-    r = PM1.region_membership([0.1, 0.1])
-    assert 0 in r["in"] and not r["outside"]
-    # rescaling: the region of the rescaled map is the scaled region
-    pm_half = PM1.rescaled(0.5)
-    r = pm_half.region_membership([0.05, 0.05])
-    assert 0 in r["in"]
-    assert pm_half.region_membership([0.3, 0.3])["outside"]
-
-
 def test_region_images_cover_all_components():
     ys = PM1.sample_interior(200, seed=1)
-    for y in PM1.h(ys):
-        assert not PM1.region_membership(y, tol=1e-9)["outside"]
+    assert PM1.region_slack(PM1.h(ys)).min() >= -1e-9
 
 
 def test_cell_classification_examples():
-    cls = PM1.cell_classify([PI / 8, PI / 8])
-    assert (frozenset({1, 2}), 0) in cls["W"]
+    assert PM1.in_W({1, 2}, [PI / 8, PI / 8], k=0)[0]
     # equality case: on the boundary of both half-spaces toward the vertex
     y = np.array([[PI / 6, PI / 6]])
     assert PM1.delta_value(1, 0, y)[0] == pytest.approx(0.0, abs=1e-15)
@@ -255,12 +239,11 @@ def test_cell_classification_examples():
 def test_star_neighborhoods_permute_under_symmetry():
     pm = PM1
     ys = pm.sample_interior(300, seed=8)
-    import itertools
     for J in (frozenset({1}), frozenset({2}), frozenset({0})):
         inW = pm.in_W(J, ys)
         for l in (1, 2):
-            from troplag.coamoeba import apply_index_transposition
-            Jl = apply_index_transposition(l, J, 1)
+            # R_l acts on the indices by exchanging 0 and l
+            Jl = frozenset({0: l, l: 0}.get(j, j) for j in J)
             moved = r_apply(1, l, ys)
             # R_l maps C+ to itself, so the plus representative is direct
             assert np.array_equal(pm.in_W(Jl, moved), inW)
@@ -314,17 +297,18 @@ def test_limits_at_open_faces():
 # projections, fibers, Legendre transform
 
 def test_fiber_solve_round_trip_n1():
-    pp = project(PM1, {1}, 0)
-    ys = PM1.sample_interior(1000, seed=5)
-    keep = PM1.in_W({1}, ys, k=0, tol=0.0) & (ys[:, 0] > 1e-3)
-    ys = ys[keep]
-    yp, xp = pp.g(ys)
-    q = pp.fiber_solve(xp, yp)
-    assert np.abs(q - ys).max() < 1e-8
+    for j in (1, 2):
+        pp = ProjectionPair(PM1, {j})
+        ys = PM1.sample_interior(1000, seed=5)
+        keep = PM1.in_W({j}, ys, k=0, tol=0.0) & (ys[:, j - 1] > 1e-3)
+        ys = ys[keep]
+        yp, xp = pp.g(ys)
+        q = pp.fiber_solve(xp, yp)
+        assert np.abs(q - ys).max() < 1e-8
 
 
 def test_fiber_solve_round_trip_minus_side():
-    pp = project(PM1, {1}, 0)
+    pp = ProjectionPair(PM1, {1})
     ys = -PM1.sample_interior(300, seed=6)
     keep = PM1.in_W({1}, -ys, k=0, tol=0.0) & ((-ys)[:, 0] > 1e-3)
     ys = ys[keep]
@@ -333,38 +317,20 @@ def test_fiber_solve_round_trip_minus_side():
     assert np.abs(q - ys).max() < 1e-8
 
 
-def test_fiber_solve_other_faces_by_conjugation():
-    for (J, k) in (({2}, 0), ({1}, 2), ({0}, 1)):
-        pp = project(PM1, J, k)
-        ys = PM1.sample_interior(800, seed=13)
-        yp, xp = pp.g(ys)
-        ok = pp.in_interior_cone(xp)
-        q = pp.fiber_solve(np.atleast_2d(xp)[ok], np.atleast_2d(yp)[ok])
-        assert np.abs(q - ys[ok]).max() < 1e-8
-
-
 def test_fiber_solve_n2_scalar_and_planar():
-    pp1 = project(PM2, {1}, 0)
+    pp1 = ProjectionPair(PM2, {1})
     ys = PM2.sample_interior(300, seed=31)
     keep = PM2.in_W({1}, ys, k=0, tol=0.0) & (ys[:, 0] > 1e-3)
     ys1 = ys[keep]
     yp, xp = pp1.g(ys1)
     q = pp1.fiber_solve(xp, yp)
     assert np.abs(q - ys1).max() < 1e-8
-    pp12 = project(PM2, {1, 2}, 0)
-    ys = PM2.sample_interior(400, seed=32)
-    keep = (PM2.in_W({1, 2}, ys, k=0, tol=0.0)
-            & (ys[:, 0] > 1e-3) & (ys[:, 1] > 1e-3))
-    ys2 = ys[keep][:60]
-    yp, xp = pp12.g(ys2)
-    q = pp12.fiber_solve(xp, yp)
-    assert np.abs(q - ys2).max() < 1e-8
 
 
 def test_fiber_solution_approaches_delta_boundary():
     # as the base point approaches the cone boundary where h_j -> 0, the
     # fiber solution approaches 2 y_j + sum_{k != j} y_k = pi/2
-    pp = project(PM1, {1}, 0)
+    pp = ProjectionPair(PM1, {1})
     ypr = np.array([0.0, 0.8])
     for x1, tol in ((1e-3, 2e-2), (1e-6, 2e-3)):
         q = pp.fiber_solve(np.array([x1, 0.0]), ypr)
@@ -372,25 +338,25 @@ def test_fiber_solution_approaches_delta_boundary():
 
 
 def test_fiber_solve_domain_error():
-    pp = project(PM1, {1}, 0)
+    pp = ProjectionPair(PM1, {1})
     with pytest.raises(DomainError):
         pp.fiber_solve(np.array([-0.5, 0.0]), np.array([0.0, 0.8]))
     # a transverse coordinate of exactly 0 lies on the boundary of the face
     with pytest.raises(DomainError):
         pp.fiber_solve(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
     with pytest.raises(DomainError):
-        project(PM2, {1}, 0).fiber_solve(np.array([1.0, 0.0, 0.0]),
-                                         np.array([0.0, 0.0, 0.3]))
+        ProjectionPair(PM2, {1}).fiber_solve(np.array([1.0, 0.0, 0.0]),
+                                             np.array([0.0, 0.0, 0.3]))
 
 
 def test_fiber_solve_rejects_non_finite_target():
-    pp = project(PM1, {1}, 0)
+    pp = ProjectionPair(PM1, {1})
     with pytest.raises(DomainError):
         pp.fiber_solve(np.array([np.inf, 0.0]), np.array([0.0, 0.8]))
 
 
 def _bisection_fiber(pm, wp, target, iters=1100):
-    """Reference for ProjectionPair._solve_scalar with j = 1: bisection on
+    """Reference for solve_leg_fiber with j = 1: bisection on
     the monotone h_1 over the bracket (0, (pi/2 - rest)/2)."""
     ref = OraclePantsMap(pm.n, pm.lam)
     lo = np.zeros(len(wp))
@@ -427,7 +393,7 @@ def test_solve_scalar_matches_bisection_table(n):
     for lam in np.unique(lams):
         sel = lams == lam
         pm = PantsMap(n, lam)
-        q = project(pm, {1}, 0)._solve_scalar(1, targets[sel], wp[sel], 1e-12, 80)
+        q = solve_leg_fiber(pm, 1, targets[sel], wp[sel], 1e-12, 80)
         ref = _bisection_fiber(pm, wp[sel], targets[sel])
         old = oracle_solve_scalar(OraclePantsMap(n, lam), 1, targets[sel], wp[sel], 1e-12, 80)
         assert q.tobytes() == old.tobytes()
@@ -440,13 +406,13 @@ def test_fiber_solve_root_below_tolerance():
     # it (within tol of 0), not a domain error
     for pm, x, ypr in ((PM1, [1e12, 0.0], [0.0, 0.8]),
                        (PM2, [1e12, 0.0, 0.0], [0.0, 0.4, 0.3])):
-        q = project(pm, {1}, 0).fiber_solve(np.array(x), np.array(ypr))
+        q = ProjectionPair(pm, {1}).fiber_solve(np.array(x), np.array(ypr))
         assert 0.0 < q[0] <= 1e-12
         assert np.allclose(q[1:], ypr[1:], atol=1e-15)
 
 
 def test_fiber_solve_non_convergence_diagnostics():
-    pp = project(PM1, {1}, 0)
+    pp = ProjectionPair(PM1, {1})
     with pytest.raises(NumericError) as info:
         pp.fiber_solve(np.array([[1.0, 0.0], [2.0, 0.0]]),
                        np.array([[0.0, 0.8], [0.0, 0.5]]), max_iter=1)
@@ -456,17 +422,8 @@ def test_fiber_solve_non_convergence_diagnostics():
     assert diag["max_residual"] > 1e-6
 
 
-def test_exceptional_fiber_closed_form():
-    pp = project(PM1, {1}, 0)
-    x = np.array([0.4, 0.625])  # on 4 x1 x2 = 1
-    alpha = pp.fiber_solve_exceptional(x)
-    assert alpha[0, 0] == pytest.approx(x[1] / x[0])
-    h0 = PM1.h_chart(alpha, np.zeros(1))
-    assert np.allclose(h0, x, atol=1e-12)
-
-
 def test_legendre_differential_identities():
-    pp = project(PM1, {1}, 0)
+    pp = ProjectionPair(PM1, {1})
     rng = np.random.default_rng(7)
     for _ in range(30):
         x = np.array([rng.uniform(0.2, 1.2), 0.0])
@@ -490,7 +447,7 @@ def test_batched_legendre_check_matches_the_per_point_loop(seed):
     # verify_legendre's batched transforms draw from the rng in the order of
     # one transform per point and find the same fd_error float
     from troplag.verify import verify_legendre
-    pp = project(PM1, {1}, 0)
+    pp = ProjectionPair(PM1, {1})
     rng = np.random.default_rng(seed)
     fd_err = 0.0
     for _ in range(100):
@@ -504,82 +461,44 @@ def test_batched_legendre_check_matches_the_per_point_loop(seed):
     assert verify_legendre(seed=seed)["details"]["fd_error"] == fd_err
 
 
-def test_full_graph_legendre_identity():
-    # over the interior the half pants is the graph of the classical
-    # transform: dG/dx_j = y_j
-    pm = PM1
-    ys = pm.sample_interior(50, seed=15)
-    ys = ys[pm.in_W({1, 2}, ys, k=0, tol=1e-6)]
-    eps = 1e-7
-    for y in ys[:10]:
-        x = pm.h(y)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = eps
-            pp = project(pm, {1, 2}, 0)
-            q1 = pp.fiber_solve(x + e, np.zeros(2))
-            q0 = pp.fiber_solve(x - e, np.zeros(2))
-            G1 = -pm.F(q1) + np.dot(x + e, q1)
-            G0 = -pm.F(q0) + np.dot(x - e, q0)
-            assert (G1 - G0) / (2 * eps) == pytest.approx(y[j], abs=1e-5)
-
-
 def test_projection_pair_validation():
-    with pytest.raises(InputError):
-        project(PM1, set(), 0)
-    with pytest.raises(InputError):
-        project(PM1, {1}, 1)
-    with pytest.raises(InputError):
-        project(PM1, {0, 1, 2}, 3)
+    # only the leg faces J = {j}, 1 <= j <= n+1, have a fiber solve
+    for J in (set(), {0}, {3}, {1, 2}, {0, 1, 2}):
+        with pytest.raises(InputError):
+            ProjectionPair(PM1, J)
+    assert ProjectionPair(PM2, {3}).j == 3
 
 
 # ---------------------------------------------------------------------------
 # decomposition data
 
 def test_decomposition_constants():
-    dd = decomposition_data()
+    dd = DecompositionData()
     assert dd.z(1 / 9) == pytest.approx(1 / 3, abs=1e-13)
     assert np.allclose(dd.q0t(1 / 9), dd.q0, atol=1e-12)
     assert 27 * np.prod(dd.q0) == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(dd.tau_intersection(), [1 / 6, 1 / 6, 0.0], atol=1e-14)
-    assert dd.tau1(1 / 6) == pytest.approx(1 / 6, abs=1e-14)
 
 
 def test_decomposition_domain_error():
-    dd = decomposition_data()
+    dd = DecompositionData()
     with pytest.raises(DomainError):
         dd.z(0.05)
     for t in (math.nan, math.inf):
         with pytest.raises(DomainError):
             dd.z(t)
-    with pytest.raises(InputError):
-        decomposition_data(n=1)
-
-
-def test_decomposition_region_memberships():
-    dd = decomposition_data()
-    assert dd.in_H_empty(np.array([0.05, 0.05, 0.05]))
-    assert dd.in_H_empty(dd.q0)
-    assert not dd.in_H_empty(np.array([1.0, 1.0, 1.0]))
-    q = dd.q0t(0.3)
-    assert dd.in_H_J1(q)
-    assert not dd.in_H_J1(np.array([0.0, 0.2, 0.2]))
-    assert dd.in_QJ(np.array([0.5, 0.5, 0.0]))
-    assert dd.in_QJ(np.array([1 / 6, 1 / 6, 0.0]))
-    assert not dd.in_QJ(np.array([0.01, 0.01, 0.0]))
-    assert dd.in_H_J12(np.array([0.5, 0.5, 1e-4]))
 
 
 def test_section_triangles_shrink_to_face():
-    dd = decomposition_data()
+    dd = DecompositionData()
     tri = [dd.qkt(k, 1 / 9) for k in (0, 2, 3)]
     assert np.allclose(tri[0], dd.q0, atol=1e-12)
-    assert np.allclose(tri[1], dd.q(2), atol=1e-12)
-    assert np.allclose(tri[2], dd.q(3), atol=1e-12)
+    assert np.allclose(tri[1], rstar_apply(2, 2, dd.q0), atol=1e-12)
+    assert np.allclose(tri[2], rstar_apply(2, 3, dd.q0), atol=1e-12)
 
 
 def test_qkt_on_boundary_surfaces():
-    dd = decomposition_data()
+    dd = DecompositionData()
     for t in (1 / 9, 0.2, 0.5):
         q = dd.q0t(t)
         assert 27 * np.prod(q) == pytest.approx(1.0, abs=1e-10)
