@@ -126,6 +126,19 @@ class Coamoeba:
                 return ("face", J)
         return ("outside",)
 
+    def contains(self, y, eps=EPS_FACE):
+        """Whether membership(y) is not ("outside",), for rows y at once."""
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        near_vertex = self.torus.distance(y[:, None, :], self.vertices).min(axis=1) <= eps
+        halves = (self.plus_coords(y), self.plus_coords(-y))
+        open_half = [(w > eps).all(axis=1) & (w.sum(axis=1) < PI / 2 - eps) for w in halves]
+        closed = [(w >= -eps).all(axis=1) & (w.sum(axis=1) <= PI / 2 + eps) for w in halves]
+        s = np.mod(y.sum(axis=1) - PI / 2, PI)
+        on_face = ((np.abs(self.torus.wrap_centered(y)) <= eps).any(axis=1)
+                   | (np.minimum(s, PI - s) <= eps))
+        return (near_vertex | open_half[0] | open_half[1]
+                | ((closed[0] | closed[1]) & on_face))
+
     def face_equations(self, y, eps=EPS_FACE):
         """Indices whose closure equation holds: y_j = 0 (j >= 1) and
         sum(y) = pi/2 (j = 0), both mod pi."""
@@ -187,47 +200,54 @@ class CellCoamoeba:
             raise InputError("cell coamoeba needs dim(e) >= 1")
 
     def _candidates(self, y):
-        z = np.mod(2.0 * np.asarray(y, dtype=float) / PI, 2.0)
-        lo = [min(v[i] for v in self.cell.vertices) for i in range(2)]
-        hi = [max(v[i] for v in self.cell.vertices) for i in range(2)]
-        r0 = range(int(math.floor((lo[0] - z[0]) / 2)) - 1, int(math.ceil((hi[0] - z[0]) / 2)) + 2)
-        r1 = range(int(math.floor((lo[1] - z[1]) / 2)) - 1, int(math.ceil((hi[1] - z[1]) / 2)) + 2)
-        for k0 in r0:
-            for k1 in r1:
+        """Translates z + 2k of z = 2y/pi mod 2 (rows y), over every k that
+        can put some row in the cell's bounding box, k_0 outer and k_1
+        inner, each ascending."""
+        z = np.mod(2.0 * y / PI, 2.0)
+        ks = [range(math.floor((min(v[i] for v in self.cell.vertices) - 2) / 2),
+                    math.ceil(max(v[i] for v in self.cell.vertices) / 2) + 1)
+              for i in range(2)]
+        for k0 in ks[0]:
+            for k1 in ks[1]:
                 yield z + 2.0 * np.array([k0, k1])
 
     def _in_cell(self, q, eps):
+        """Rows q (scaled torus lifts) in the cell, up to eps."""
+        v = [tuple(float(c) for c in p) for p in self.cell.vertices]
         if self.cell.dim == 2:
-            v = self.cell.vertices
-            m = len(v)
-            for i in range(m):
-                a, b = v[i], v[(i + 1) % m]
-                cr = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-                if cr < -eps:
-                    return False
-            return True
-        a, b = self.cell.vertices[0], self.cell.vertices[-1]
+            ok = np.ones(len(q), dtype=bool)
+            for a, b in zip(v, v[1:] + v[:1]):
+                ok &= (b[0] - a[0]) * (q[:, 1] - a[1]) - (b[1] - a[1]) * (q[:, 0] - a[0]) >= -eps
+            return ok
+        a, b = v[0], v[-1]
         d = (b[0] - a[0], b[1] - a[1])
-        w = (q[0] - a[0], q[1] - a[1])
-        if abs(d[0] * w[1] - d[1] * w[0]) > eps * (abs(d[0]) + abs(d[1])):
-            return False
+        w = (q[:, 0] - a[0], q[:, 1] - a[1])
         t = (w[0] * d[0] + w[1] * d[1]) / (d[0] ** 2 + d[1] ** 2)
-        return -eps <= t <= 1 + eps
+        return ((np.abs(d[0] * w[1] - d[1] * w[0]) <= eps * (abs(d[0]) + abs(d[1])))
+                & (-eps <= t) & (t <= 1 + eps))
 
     def classify(self, y, eps=1e-9):
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float)[None, :]
         for sign, tag in ((1.0, "plus"), (-1.0, "minus")):
             for q in self._candidates(sign * y):
-                if not self._in_cell(q, eps):
+                if not self._in_cell(q, eps)[0]:
                     continue
                 for v in self.cell.vertices:
-                    if abs(q[0] - v[0]) <= eps and abs(q[1] - v[1]) <= eps:
+                    if abs(q[0, 0] - v[0]) <= eps and abs(q[0, 1] - v[1]) <= eps:
                         return ("vertex", tuple(v))
                 return ("interior_" + tag,) if self.cell.dim == 2 else ("on_" + tag,)
         return ("outside",)
 
     def contains(self, y, eps=1e-9):
-        return self.classify(y, eps)[0] != "outside"
+        """Whether classify(y) is not ("outside",), for one point or for
+        rows of points at once."""
+        y = np.asarray(y, dtype=float)
+        rows = np.atleast_2d(y)
+        inside = np.zeros(len(rows), dtype=bool)
+        for sign in (1.0, -1.0):
+            for q in self._candidates(sign * rows):
+                inside |= self._in_cell(q, eps)
+        return inside if y.ndim == 2 else bool(inside[0])
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +336,10 @@ class CoveringCoamoeba:
         return pm.F(self.beta(y))
 
     def contains(self, y, eps=1e-9):
-        cls = self.standard.membership(self.beta(y), eps)
-        return cls[0] != "outside"
+        """Whether beta(y) lies in the standard coamoeba, for one point or
+        for rows of points at once."""
+        inside = self.standard.contains(self.beta(y), eps)
+        return inside if np.ndim(y) == 2 else bool(inside[0])
 
     def vertex_points(self):
         """All preimages of the three model vertices: 3 * degree points."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coamoeba import PI, edge_fiber_from_dual, reduce_mod_pi, rstar_apply
 from .errors import ConfigurationError, InputError, NumericError
-from .pants import PantsMap, h_chart_terms, solve_leg_fiber
+from .pants import HESSIAN_MARGIN, PantsMap, h_chart_terms, solve_leg_fiber
 from .tropical import adapted_frame, tangent_line
 from .polyhedral import primitive
 
@@ -576,8 +576,7 @@ def _coamoeba_cloud(fiber, resolution):
     # covering or general fiber: rejection-sample the torus
     grid = np.linspace(0, PI, 4 * resolution, endpoint=False)
     yy = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
-    keep = [i for i, y in enumerate(yy) if fiber.contains(y)]
-    return yy[keep]
+    return yy[fiber.contains(yy)]
 
 
 def pl_lift(X):
@@ -900,6 +899,24 @@ def _smooth_sample_bound(X, resolution):
     return len(X.vertices) * vertex + len(X.edges) * r * r
 
 
+# A collar's leg-fiber root must clear this much: the Hessian's margin,
+# plus the rounding of q + pi/4 when _evaluate reduces q mod pi.
+_COLLAR_MARGIN = HESSIAN_MARGIN + np.spacing(PI / 4)
+
+
+def _smallest_scale(sched, vertex_legs, resolution):
+    """The scale t at and below which the leg-fiber root of some collar
+    point lies within _COLLAR_MARGIN of q_1 = 0.  h_1 decreases along each
+    fiber and is lam times its value at lam = 1, so the root of h_1 = S
+    clears the margin iff S < t lam h_1(margin, b) at lam = 1; the
+    largest S is the collar's outer end r, at every fiber angle b."""
+    thetas = (np.arange(resolution) + 0.5) * PI / resolution
+    b = np.where(thetas > PI / 2, PI - thetas, thetas)
+    h = PantsMap(1).h(np.stack([np.full_like(b, _COLLAR_MARGIN), b], axis=1))[:, 0]
+    return max(max(leg[3] for leg in legs.values()) / sched.lam[vi]
+               for vi, legs in enumerate(vertex_legs)) / h.min()
+
+
 def smooth_lift(X, t=1.0, sched=None, resolution=128):
     """One member of the shrinking family of smooth Lagrangian lifts.
 
@@ -908,7 +925,8 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     middle; the whole pants scale is multiplied by t.  Without sched, the
     default schedule is used (the mesh keeps it as .schedule).
     InputError when the resolution is odd or _smooth_sample_bound exceeds
-    MAX_SAMPLE_POINTS, before any schedule or sample is computed.
+    MAX_SAMPLE_POINTS, before any schedule or sample is computed, and
+    when t is at or below _smallest_scale, before any sample is computed.
     """
     if not 0 < t <= 1:
         raise InputError("scale t must lie in (0, 1]")
@@ -922,13 +940,18 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     if sched is None:
         sched = default_schedule(X)
     validate_schedule(X, sched)
-    pieces = []
-    for vi in range(len(X.vertices)):
-        model = _local_model(X, vi)
-        lam = t * sched.lam[vi]
-        legs_lat = {j: tuple(getattr(sched.legs[(vi, j)], f) / model.leg_norm[j]
+    models = [_local_model(X, vi) for vi in range(len(X.vertices))]
+    vertex_legs = [{j: tuple(getattr(sched.legs[(vi, j)], f) / model.leg_norm[j]
                              for f in ("r_prime", "r_second", "r_bar", "r"))
-                    for j in range(3)}
+                    for j in range(3)} for vi, model in enumerate(models)]
+    t_min = _smallest_scale(sched, vertex_legs, resolution)
+    if t <= t_min:
+        raise InputError(f"--scale {t:g} is too small for this curve and schedule: "
+                         f"it must exceed {t_min:.6g}, below which a collar's fiber "
+                         f"solve comes within {HESSIAN_MARGIN:g} of a coamoeba face")
+    pieces = []
+    for vi, (model, legs_lat) in enumerate(zip(models, vertex_legs)):
+        lam = t * sched.lam[vi]
         P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
         pieces.append(MeshPiece("pants", (vi,), P, fr))
         pieces.extend(_collar_pieces(model, vi, lam, legs_lat, resolution))

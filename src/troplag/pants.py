@@ -27,6 +27,8 @@ VERTEX_SWITCH_DIST = 1e-3  # below this distance to a vertex, use chart formulas
 # Largest scale lambda: keeps the region level (lam / m)^m for n <= 2 and
 # the region plot's (lam / 2)^2 finite in floating point.
 LAM_MAX = 1e100
+# The Hessian is evaluated only this far inside a coamoeba half.
+HESSIAN_MARGIN = 1e-12
 
 
 def _sinc_pi(x):
@@ -177,7 +179,8 @@ class PantsMap:
             h = self._h_switched(w, jet)
             out.append(h[0] if single else h)
         if "H" in parts:
-            if not np.all((w > 1e-12).all(axis=0) & (jet.s < PI / 2 - 1e-12)):
+            if not np.all((w > HESSIAN_MARGIN).all(axis=0)
+                          & (jet.s < PI / 2 - HESSIAN_MARGIN)):
                 raise DomainError("Hessian needs interior points of a coamoeba half")
             H = np.array([[jet.H(j, k) * sign for k in range(self.m)] for j in range(self.m)])
             H = np.ascontiguousarray((0.5 * (H + H.swapaxes(0, 1))).transpose(2, 0, 1))
@@ -311,21 +314,49 @@ class PantsMap:
 # ---------------------------------------------------------------------------
 # leg fibers and the Legendre transform
 
+def leg_fiber_root(b, s):
+    """The root q of h_1(q, b) = lam s on the n = 1 pants, for rows of the
+    other coordinate 0 < b < pi/2 and of s > 0; NaN or a value outside
+    (0, (pi/2 - b)/2) where it cannot be formed in floating point.
+
+    With c = sin b and z = sin(2q + b), h_1 = lam s reads
+    c z^2 + 2 s^2 z - c (1 + 2 s^2) = 0, whose root in (c, 1) is the one
+    on the bracket.  z - c and 1 - z are taken from the two quadratics
+    they solve, each in the form without cancellation, and
+    2q = atan2(sin(2q), cos(2q)) from them, so q keeps its relative
+    precision both near 0 (s large) and near the bracket end (s small).
+    """
+    e = s * s
+    c, cb = np.sin(b), np.cos(b)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = np.sqrt(e * e + c * c * (2.0 * e + 1.0))
+        v = c * cb * cb / (c * c + e + d)                    # z - c
+        u = 2.0 * e * cb * cb / ((1.0 + c) * (c + e + d))    # 1 - z
+        z = c + v
+        ct = np.sqrt(u * (1.0 + z))                          # cos(2q + b)
+        return 0.5 * np.arctan2(v * (z + c), (z * cb + c * ct) * (ct * cb + z * c))
+
+
 def solve_leg_fiber(pants, j, target, wp, tol=1e-12, max_iter=80):
     """Rows q of plus coordinates with h_j(q) = target, solved for the
     coordinate q_j; the other coordinates stay at wp.
 
     h_j decreases monotonically on the bracket 0 < q_j < hi =
     (pi/2 - rest)/2, where rest is the sum of the other coordinates, and
-    vanishes at hi.  As q_j -> 0, h_j ~ A q_j^(-n/m) with
+    vanishes at hi.  For n = 1, h_j = target is a quadratic in
+    sin(2 q_j + rest) and Newton starts at its root (leg_fiber_root), so
+    one iteration confirms it.  Otherwise, or where that root cannot be
+    formed (target / lam so large that q_j underflows), the start is
+    asymptotic: as q_j -> 0, h_j ~ A q_j^(-n/m) with
     A = lam cos(rest) P_rest / (m (cos(rest) P_rest)^(n/m)) and P_rest
-    the product of the other sines, so Newton starts at
-    (A/target)^(m/n); a start that is not finite or lies outside the
-    bracket is replaced by hi/2.  Each iteration updates only the rows
-    whose last step was at least tol, and evaluates only h_j and H_jj;
-    a Newton step that leaves the bracket becomes a bisection step.
-    Rows still moving after max_iter iterations must have a small
-    residual, or NumericError reports them.
+    the product of the other sines, giving (A/target)^(m/n).  A start
+    that is not finite or lies outside the bracket is replaced by hi/2.
+    Each iteration updates only the rows whose last step was at least
+    tol, and evaluates only h_j and H_jj; a Newton step that leaves the
+    bracket becomes a bisection step, unless it rounds to no move at all
+    (at the root, the end of the bracket it just set).  Rows still
+    moving after max_iter iterations must have a small residual, or
+    NumericError reports them.
     """
     i = j - 1
     target = np.asarray(target, dtype=float)
@@ -345,6 +376,10 @@ def solve_leg_fiber(pants, j, target, wp, tol=1e-12, max_iter=80):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             y0 = np.power(A / target, pants.m / pants.n)
         y = np.where(np.isfinite(y0) & (y0 > 0) & (y0 < hi), y0, y)
+    if pants.n == 1:
+        with np.errstate(over="ignore"):
+            y0 = leg_fiber_root(others[:, 0], target / pants.lam)
+        y = np.where(np.isfinite(y0) & (y0 > 0) & (y0 < hi), y0, y)
     # rows still moving, with their point columns, brackets and targets
     act, w, lo, t = np.arange(len(y)), wp.T.copy(), np.zeros_like(hi), target
     for _ in range(max_iter):
@@ -356,7 +391,7 @@ def solve_leg_fiber(pants, j, target, wp, tol=1e-12, max_iter=80):
         lo = np.where(f > 0, ya, lo)
         hi = np.where(f < 0, ya, hi)
         ynew = ya - f / Hjj
-        outside = (ynew <= lo) | (ynew >= hi) | ~np.isfinite(ynew)
+        outside = (((ynew <= lo) | (ynew >= hi)) & (ynew != ya)) | ~np.isfinite(ynew)
         ynew = np.where(outside, 0.5 * (lo + hi), ynew)
         y[act] = ynew
         moving = ~(np.abs(ynew - ya) < tol)

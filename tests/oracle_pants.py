@@ -138,6 +138,23 @@ class OraclePantsMap(PantsMap):
         return H[0] if single else H
 
 
+def _n1_root(b, s):
+    """Root q of h_1(q, b) = lam s on the n = 1 pants.  With c = sin b and
+    z = sin(2q + b): v = z - c solves c v^2 + 2(c^2 + s^2) v = c cos^2 b,
+    u = 1 - z solves c u^2 - 2(c + s^2) u + 2 s^2 (1 - c) = 0, and
+    sin 2q = (z^2 - c^2) / (z cos b + c cos(2q + b)),
+    cos 2q = cos(2q + b) cos b + z c."""
+    e = s * s
+    c, cb = np.sin(b), np.cos(b)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = np.sqrt(e * e + c * c * (2.0 * e + 1.0))
+        v = c * cb * cb / (c * c + e + d)
+        u = 2.0 * e * cb * cb / ((1.0 + c) * (c + e + d))
+        z = c + v
+        ct = np.sqrt(u * (1.0 + z))
+        return 0.5 * np.arctan2(v * (z + c), (z * cb + c * ct) * (ct * cb + z * c))
+
+
 def oracle_solve_scalar(pm, j, target, wp, tol, max_iter):
     """pants.solve_leg_fiber on _h_and_hessian_diag of rows."""
     i = j - 1
@@ -158,6 +175,10 @@ def oracle_solve_scalar(pm, j, target, wp, tol, max_iter):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             y0 = np.power(A / target, pm.m / pm.n)
         y = np.where(np.isfinite(y0) & (y0 > 0) & (y0 < hi), y0, y)
+    if pm.n == 1:
+        with np.errstate(over="ignore"):
+            y0 = _n1_root(others[:, 0], target / pm.lam)
+        y = np.where(np.isfinite(y0) & (y0 > 0) & (y0 < hi), y0, y)
     act, w, lo, t = np.arange(len(y)), wp.copy(), np.zeros_like(hi), target
     for _ in range(max_iter):
         ya = y[act]
@@ -167,7 +188,7 @@ def oracle_solve_scalar(pm, j, target, wp, tol, max_iter):
         lo = np.where(f > 0, ya, lo)
         hi = np.where(f < 0, ya, hi)
         ynew = ya - f / Hjj
-        outside = (ynew <= lo) | (ynew >= hi) | ~np.isfinite(ynew)
+        outside = (((ynew <= lo) | (ynew >= hi)) & (ynew != ya)) | ~np.isfinite(ynew)
         ynew = np.where(outside, 0.5 * (lo + hi), ynew)
         y[act] = ynew
         moving = ~(np.abs(ynew - ya) < tol)

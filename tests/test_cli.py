@@ -203,7 +203,7 @@ def test_lift_command_full(tmp_path):
 LIFT_RES16_SHA256 = {
     "mesh.off": "ede0522c7e9ec12ee1239f30e0aae4594d96432ec0f91e9e13987de5c29134e5",
     "mesh.obj": "077db845f467e01a51acd3ddd6dff7aca3be33345d4f3e6d055134601f6d58d2",
-    "report.jsonl": "cccfd40550d876e9369437f47ab4f00dfdf7454ea43f0f9aeb3be7125051d0d5",
+    "report.jsonl": "c50495cdf2b38cd073c6cd35f8e6829daf5f0ee62cc534c7bca5619dfc9ce484",
 }
 
 
@@ -235,7 +235,7 @@ def test_lift_output_bytes_past_one_export_block_are_pinned(tmp_path):
 
 # sha256 of `troplag verify all --seed 7`: same seed, same bytes, across
 # changes too; a change that moves a reported figure must update it on purpose
-VERIFY_ALL_SEED7_SHA256 = "203e4ea4112dbc1920c7bfb58a6e45b7ba29c6366850491399afcdad1185a85f"
+VERIFY_ALL_SEED7_SHA256 = "ad1b61dcb6bba4edc9f467198c9143edf0af91ca3d5d216e64e8b81bfd1b0064"
 
 
 def test_verify_all_output_bytes_are_pinned(tmp_path):
@@ -269,6 +269,19 @@ def test_twisted_lift_is_measured_against_the_twisted_pl_lift(tmp_path):
         dist[t] = json.loads((out / "report.jsonl").read_text())["hausdorff_to_pl"]
     assert dist["0.1"] < dist["1"]
     assert dist["0.1"] < 0.3
+
+
+def test_lift_below_the_smallest_scale_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert run(["lift", "triangle", "--resolution", "16", "--scale", "1e-6",
+                "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "--scale 1e-06 is too small" in err and "must exceed 2.24" in err
+    assert not out.exists()
+    assert run(["lift", "triangle", "--resolution", "16", "--scale", "1e-4",
+                "--out", str(out)]) == 0
 
 
 def test_lift_validation_exit_codes(tmp_path):
@@ -497,7 +510,9 @@ def test_schedule_file_round_trips(tmp_path, triangle_schedule):
 
 
 def test_numeric_failure_prints_diagnostics(tmp_path, capsys, monkeypatch):
-    from troplag import lift
+    from troplag import lift, pants
+    # without the exact n = 1 start, one Newton iteration does not converge
+    monkeypatch.setattr(pants, "leg_fiber_root", lambda b, s: b * float("nan"))
     solve = lift.solve_leg_fiber
     monkeypatch.setattr(lift, "solve_leg_fiber",
                         lambda pants, j, target, wp, tol, max_iter:

@@ -133,6 +133,63 @@ def test_coamoeba_cloud_matches_double_loop(resolution):
         assert got.tobytes() == _coamoeba_cloud_oracle(fiber, resolution).tobytes()
 
 
+def _contains_pointwise(fiber, y, eps=1e-9):
+    """Membership of one torus point as the rejection sampler tested it one
+    point at a time: the standard model's membership of beta(y) for a
+    covering fiber; else some translate of 2y/pi or -2y/pi, over the
+    point's own range of translates, on the inner side of every cell edge."""
+    from troplag.coamoeba import CoveringCoamoeba
+    if isinstance(fiber, CoveringCoamoeba):
+        return fiber.standard.membership(fiber.beta(y), eps)[0] != "outside"
+    verts = list(fiber.cell.vertices)
+    for sign in (1.0, -1.0):
+        z = np.mod(2.0 * (sign * y) / PI, 2.0)
+        ranges = [range(math.floor((min(v[i] for v in verts) - z[i]) / 2) - 1,
+                        math.ceil((max(v[i] for v in verts) - z[i]) / 2) + 2) for i in range(2)]
+        for k0 in ranges[0]:
+            for k1 in ranges[1]:
+                q = z + 2.0 * np.array([k0, k1])
+                if all((b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) >= -eps
+                       for a, b in zip(verts, verts[1:] + verts[:1])):
+                    return True
+    return False
+
+
+def _unit_square_curve():
+    from troplag.fixtures import load_input
+    return load_input({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                       "lifting": {"0,0": 0, "1,0": 0, "1,1": 0, "0,1": 0}})["curve"]
+
+
+@pytest.mark.parametrize("resolution", [8, 16])
+def test_rejection_sampler_matches_pointwise_membership(resolution):
+    # the grid tested at once keeps the points, in the order, that testing
+    # each point alone keeps: a square cell and a covering fiber
+    from troplag.coamoeba import CellCoamoeba, CoveringCoamoeba
+    from troplag.lift import _coamoeba_cloud
+    fibers = [p.fiber for X in (_unit_square_curve(), load_fixture("weight2_line")["curve"])
+              for p in pl_lift(X).pieces if p.kind == "vertex"]
+    assert {type(f) for f in fibers} == {CellCoamoeba, CoveringCoamoeba}
+    grid = np.linspace(0, PI, 4 * resolution, endpoint=False)
+    yy = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    # and just below each grid coordinate, where 2y/pi mod 2 is just below 2
+    below = np.mod(yy - 1e-12, PI)
+    for fiber in fibers:
+        want = yy[[_contains_pointwise(fiber, y) for y in yy]]
+        assert len(want) and np.array_equal(_coamoeba_cloud(fiber, resolution), want)
+        assert np.array_equal(fiber.contains(below),
+                              [_contains_pointwise(fiber, y) for y in below])
+
+
+def test_pl_sample_of_a_square_cell_is_quick():
+    # 256^2 grid points of the square cell's torus, tested at once
+    import time
+    pl = pl_lift(_unit_square_curve())
+    start = time.perf_counter()
+    pl.sample(64)
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("name", ["standard_line", "triangle", "weight2_line"])
 def test_pl_clouds_match_pointwise_oracle(name):
     from troplag.lift import _default_truncation
@@ -693,6 +750,21 @@ def test_smooth_lift_validations():
         smooth_lift(Xw, 1.0)
 
 
+@pytest.mark.parametrize("name, resolution", [("triangle", 16), ("standard_line", 128)])
+def test_smooth_lift_refuses_a_scale_below_its_limit(name, resolution):
+    # below the reported limit a collar's fiber root would come within the
+    # Hessian's margin of a coamoeba face; just above it the lift works
+    X = load_fixture(name)["curve"]
+    sched = default_schedule(X)
+    with pytest.raises(InputError, match="--scale 1e-06 is too small") as info:
+        smooth_lift(X, 1e-6, sched, resolution=resolution)
+    limit = float(str(info.value).split("must exceed ")[1].split(",")[0])
+    with pytest.raises(InputError):
+        smooth_lift(X, limit * (1 - 1e-5), sched, resolution=resolution)
+    mesh = smooth_lift(X, limit * (1 + 1e-5), sched, resolution=resolution)
+    assert symplectic_residual(mesh) < 1e-6
+
+
 def test_collar_analytic_frames_match_fd(line_mesh):
     # the closed-form frames of the collar graph agree with centered
     # differences of its positions, including through the cutoff ramp
@@ -822,6 +894,32 @@ def _mirrored_fiber_oracle(pm, j, target, thetas):
     wp[:, 0] = th_p
     q = solve_leg_fiber(pm, j, target, wp, 1e-13, 80)
     return np.where(minus[:, None], -q, q)
+
+
+def test_collar_fiber_solve_takes_one_kernel_evaluation(monkeypatch):
+    # the n = 1 Newton start is the root, so each vertex's solve over its
+    # three collars (3 x 128^2 rows) evaluates the kernel once
+    import troplag.pants as pants
+    kernel, solve, jets = pants._PlusJet, lift_module.solve_leg_fiber, []
+
+    def solve_counted(*args):
+        def counted(*jet_args):
+            jets[-1] += 1
+            return kernel(*jet_args)
+        jets.append(0)
+        monkeypatch.setattr(pants, "_PlusJet", counted)
+        try:
+            return solve(*args)
+        finally:
+            monkeypatch.setattr(pants, "_PlusJet", kernel)
+
+    monkeypatch.setattr(lift_module, "solve_leg_fiber", solve_counted)
+    X = triangle_curve()
+    sched = default_schedule(X)
+    for t in (1.0, 0.5, 0.1):
+        jets.clear()
+        smooth_lift(X, t, sched, resolution=128)
+        assert jets == [1] * len(X.vertices)
 
 
 @pytest.mark.parametrize("vi, j", [(0, 0), (2, 2)])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracle_pants import OraclePantsMap, oracle_solve_scalar
 
@@ -411,7 +411,11 @@ def test_fiber_solve_root_below_tolerance():
         assert np.allclose(q[1:], ypr[1:], atol=1e-15)
 
 
-def test_fiber_solve_non_convergence_diagnostics():
+def test_fiber_solve_non_convergence_diagnostics(monkeypatch):
+    # the exact n = 1 start converges in one iteration; without it (the
+    # asymptotic start) one iteration leaves these rows unconverged
+    import troplag.pants as pants
+    monkeypatch.setattr(pants, "leg_fiber_root", lambda b, s: np.full_like(b, np.nan))
     pp = ProjectionPair(PM1, {1})
     with pytest.raises(NumericError) as info:
         pp.fiber_solve(np.array([[1.0, 0.0], [2.0, 0.0]]),
@@ -420,6 +424,56 @@ def test_fiber_solve_non_convergence_diagnostics():
     assert diag["iterations"] == 1
     assert 1 <= diag["unconverged_rows"] <= 2
     assert diag["max_residual"] > 1e-6
+
+
+@st.composite
+def _n1_fiber_rows(draw):
+    """A scale lam, and up to 12 rows of fiber angle in (0, pi) (b or
+    pi - b, so both halves) and target lam * 10^k."""
+    lam = draw(st.floats(1e-3, 1.0))
+    size = draw(st.integers(1, 12))
+    b = draw(hnp.arrays(float, size, elements=st.floats(1e-3, PI / 2 - 1e-3)))
+    minus = draw(hnp.arrays(bool, size))
+    k = draw(hnp.arrays(float, size, elements=st.floats(-2.0, 4.0)))
+    return lam, np.where(minus, PI - b, b), lam * 10.0 ** k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_n1_fiber_rows())
+@example((1.0, np.array([PI / 2 - 1e-3, PI / 2 + 1e-3, 1e-3]), np.array([1e-2, 1e-2, 1e4])))
+@example((1e-3, np.array([PI / 2 - 1e-3, 0.7]), np.array([1e-5, 10.0])))
+def test_n1_fiber_solve_converges_in_one_step(case):
+    # the exact start is the root: one Newton step confirms it, and the
+    # result is bisection's to the table's tolerance
+    from troplag.lift import _fiber_circle
+    lam, thetas, target = case
+    pm = PantsMap(1, lam)
+    wp = np.abs(_fiber_circle(pm, 1, target, thetas))  # the plus representative
+    h = _PlusJet(1, lam, wp.T.copy()).h(0)
+    # h_1 has the factor cos(2q + b): rounding 2q + b alone moves it by up
+    # to eps (2q + b) tan(2q + b), relatively (3.5e-11 at b = pi/2 - 1e-3,
+    # S / lam = 1e-2, where bisection's own residual is 4.1e-11)
+    theta = 2 * wp[:, 0] + wp[:, 1]
+    floor = np.finfo(float).eps * theta * np.abs(np.tan(theta))
+    assert np.all(np.abs(h - target) <= (1e-12 + floor) * target)
+    base = wp * [0.0, 1.0]
+    ref = _bisection_fiber(pm, base, target)
+    assert np.allclose(wp[:, 0], ref, rtol=1e-10, atol=1e-12)
+    small = target / lam <= 1e3
+    one = solve_leg_fiber(pm, 1, target[small], base[small], 1e-13, 1)
+    assert one.tobytes() == wp[small].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1.0), hnp.arrays(float, (8, 2), elements=st.floats(0.05, 0.7)),
+       hnp.arrays(float, 8, elements=st.floats(-2.0, 3.0)))
+def test_n2_fiber_solve_matches_oracle(lam, others, k):
+    # n = 2 keeps the asymptotic start: the kernel is the row-wise oracle
+    wp = np.concatenate([np.zeros((8, 1)), others], axis=1)
+    target = lam * 10.0 ** k
+    q = solve_leg_fiber(PantsMap(2, lam), 1, target, wp, 1e-12, 80)
+    old = oracle_solve_scalar(OraclePantsMap(2, lam), 1, target, wp, 1e-12, 80)
+    assert q.tobytes() == old.tobytes()
 
 
 def test_legendre_differential_identities():
