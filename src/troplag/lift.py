@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -767,8 +768,11 @@ def _pants_chart_points(model, pm, legs_lat, resolution):
             continue
         da = 1e-5 * a
         dt = 1e-5 * tcap
-        va = (emb_raw(a + da, t)[0] - emb_raw(a - da, t)[0]) / (2 * da[:, None])
-        vt = (emb_raw(a, t + dt)[0] - emb_raw(a, t - dt)[0]) / (2 * dt[:, None])
+        # the four difference stencils of the kept points in one evaluation
+        Pa_up, Pa_dn, Pt_up, Pt_dn = np.split(emb_raw(np.concatenate([a + da, a - da, a, a]),
+                                                      np.concatenate([t, t, t + dt, t - dt]))[0], 4)
+        va = (Pa_up - Pa_dn) / (2 * da[:, None])
+        vt = (Pt_up - Pt_dn) / (2 * dt[:, None])
         P0[:, 2:] = reduce_mod_pi(P0[:, 2:])
         pts_all.append(P0)
         fr_all.append(np.stack([va, vt], axis=1))
@@ -777,20 +781,24 @@ def _pants_chart_points(model, pm, legs_lat, resolution):
     return np.vstack(pts_all), np.vstack(fr_all)
 
 
-def _collar_sheets(model, lam, legs, reduce_torus=True):
-    """Collar points and analytic frames of one vertex: for each leg
+def _collar_sheets(model, lam, legs, reduce_torus=True, out=None):
+    """Collar points and analytic frames at one vertex: for each leg
     (j, cutoff, S, T), the graph of d(eta * G) in leg-j working coordinates
     at paired arrays S of leg coordinate and T of fiber angle, mapped to
-    ambient coordinates.  The legs share the scale and, in working
+    ambient coordinates, as a pair (points, frames); out, if given, holds
+    the arrays to fill.  The legs share the scale and, in working
     coordinates, the face J = {1}: one fiber solve and one evaluation of
-    the potential serve all of them."""
+    the potential serve all of them.  Every step works row by row, so a
+    block of rows gets the bits it gets as part of the whole grid;
+    smooth_lift calls this once per block of _LIFT_BLOCK rows."""
     pm = PantsMap(1, lam)
     qw = _fiber_circle(pm, 1, np.concatenate([leg[2] for leg in legs]),
                        np.concatenate([leg[3] for leg in legs]))
     ends = np.cumsum([len(leg[2]) for leg in legs])[:-1]
     rows = zip(*(np.split(a, ends) for a in (qw, *pm._evaluate(qw, "FhH"))))
-    sheets = []
-    for (j, cutoff, Sf, Tf), (q, Fq, hq, Hq) in zip(legs, rows):
+    if out is None:
+        out = [(np.empty((len(leg[2]), 4)), np.empty((len(leg[2]), 2, 4))) for leg in legs]
+    for (j, cutoff, Sf, Tf), (q, Fq, hq, Hq), (P, fr) in zip(legs, rows, out):
         eta = cutoff.eta(Sf)
         etap = cutoff.eta_prime(Sf)
         etas = cutoff.eta_second(Sf)
@@ -812,26 +820,41 @@ def _collar_sheets(model, lam, legs, reduce_torus=True):
         dxs_std, dys_std = _dworking_to_std(j, dxw_s, dyw_s)
         dxt_std, dyt_std = _dworking_to_std(j, dxw_t, dyw_t)
         y_amb = model.y_ambient(y_std) if reduce_torus else model.y_ambient_raw(y_std)
-        P = np.concatenate([model.x_ambient(x_std), y_amb], axis=1)
-        fr = np.empty((len(P), 2, 4))
+        P[:, :2] = model.x_ambient(x_std)
+        P[:, 2:] = y_amb
         fr[:, 0, :2] = model.dx_ambient(dxs_std)
         fr[:, 0, 2:] = model.dy_ambient(dys_std)
         fr[:, 1, :2] = model.dx_ambient(dxt_std)
         fr[:, 1, 2:] = model.dy_ambient(dyt_std)
-        sheets.append((P, fr))
-    return sheets
+    return out
 
 
-def _collar_pieces(model, vi, lam, legs_lat, resolution):
+def _collar_pieces(pool, model, vi, lam, legs_lat, resolution):
     """Graphs of d(eta * G) over [r', r] x (fiber circle) for the legs of
-    vertex vi; legs_lat[j] holds r', r'', rbar and r in lattice units."""
+    vertex vi; legs_lat[j] holds r', r'', rbar and r in lattice units.
+    Returns the pieces and the futures that fill them: the legs' grids,
+    stacked, are cut into blocks of _LIFT_BLOCK rows, and each block is
+    one _collar_sheets call (one fiber solve) submitted to pool, in row
+    order, that writes into the pieces' arrays.  A block may span legs,
+    so a small grid costs one call per vertex, not one per leg."""
     thetas = (np.arange(resolution) + 0.5) * PI / resolution
-    legs = []
+    n = resolution * resolution
+    legs, pieces = [], []
     for j, (r1, r2, rbar, r) in legs_lat.items():
         S, T = np.meshgrid(np.linspace(r1, r, resolution), thetas, indexing="ij")
         legs.append((j, Cutoff(r2, rbar), S.ravel(), T.ravel()))
-    return [MeshPiece("collar", (vi, j), P, fr, grid=(resolution, resolution))
-            for j, (P, fr) in zip(legs_lat, _collar_sheets(model, lam, legs))]
+        pieces.append(MeshPiece("collar", (vi, j), np.empty((n, 4)), np.empty((n, 2, 4)),
+                                grid=(resolution, resolution)))
+    blocks = []
+    for start in range(0, len(legs) * n, _LIFT_BLOCK):
+        part, out = [], []
+        for k, ((j, cutoff, S, T), piece) in enumerate(zip(legs, pieces)):
+            rows = slice(max(start - k * n, 0), min(start + _LIFT_BLOCK - k * n, n))
+            if rows.start < rows.stop:
+                part.append((j, cutoff, S[rows], T[rows]))
+                out.append((piece.points[rows], piece.frames[rows]))
+        blocks.append(pool.submit(_collar_sheets, model, lam, part, out=out))
+    return pieces, blocks
 
 
 def _fiber_circle(pm, j, target, thetas):
@@ -888,6 +911,23 @@ def _flat_piece(X, sched, ei, resolution):
     fr[:, 1, :2] = 0.0
     fr[:, 1, 2:] = circ
     return MeshPiece("flat", (ei,), P, fr, grid=(resolution, resolution))
+
+
+# Rows per collar block of smooth_lift.  Each block is one task of the
+# lift's thread pool; small blocks bound the memory that each worker's
+# malloc arena keeps.  On a 2-CPU host, 2^14 rows added 15 MB to the peak
+# RSS of a verify run, 2^13 about 6 MB, and 2^11 made the lift slower
+# than one thread.
+_LIFT_BLOCK = 1 << 13
+
+
+def _cpu_count():
+    """CPUs this process may run on: smooth_lift's pool and the KD-tree
+    queries of _directed_max use this many threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def _smooth_sample_bound(X, resolution):
@@ -949,12 +989,22 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         raise InputError(f"--scale {t:g} is too small for this curve and schedule: "
                          f"it must exceed {t_min:.6g}, below which a collar's fiber "
                          f"solve comes within {HESSIAN_MARGIN:g} of a coamoeba face")
+    # imported on first use, like scipy: commands without a smooth lift
+    # do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
     pieces = []
-    for vi, (model, legs_lat) in enumerate(zip(models, vertex_legs)):
-        lam = t * sched.lam[vi]
-        P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
-        pieces.append(MeshPiece("pants", (vi,), P, fr))
-        pieces.extend(_collar_pieces(model, vi, lam, legs_lat, resolution))
+    pool = ThreadPoolExecutor(_cpu_count())
+    try:
+        for vi, (model, legs_lat) in enumerate(zip(models, vertex_legs)):
+            lam = t * sched.lam[vi]
+            collars, blocks = _collar_pieces(pool, model, vi, lam, legs_lat, resolution)
+            P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
+            for block in blocks:
+                block.result()  # raises the first failing block's error, in row order
+            pieces.append(MeshPiece("pants", (vi,), P, fr))
+            pieces.extend(collars)
+    finally:
+        pool.shutdown(cancel_futures=True)
     for ei, e in enumerate(X.edges):
         pieces.append(_flat_piece(X, sched, ei, resolution))
     mesh = LagrangianMesh(pieces, t, sched)
@@ -1016,7 +1066,8 @@ def hausdorff_distance(cloud_a, cloud_b):
     largest such bound is queried exactly to raise lo, and the rows whose
     bound still exceeds lo are queried exactly.  A point's exact distance
     does not depend on which other points are queried, so the result is the
-    same float as exact queries of all points in both directions.  The
+    same float as exact queries of all points in both directions, and it
+    does not depend on how many threads (_cpu_count) the queries use.  The
     direction from cloud_b runs first: the callers pass the PL cloud there,
     which holds the maximum at small scales and so prunes the larger mesh.
 
@@ -1039,10 +1090,10 @@ def _directed_max(P, Q, lo):
     # importing it with this module doubled the start-up of every command
     from scipy.spatial import cKDTree
     tree = cKDTree(Q, boxsize=(0.0, 0.0, PI, PI), balanced_tree=False)
-    n, stride = len(P), _HAUSDORFF_STRIDE
+    n, stride, workers = len(P), _HAUSDORFF_STRIDE, _cpu_count()
     starts = np.arange(0, n, stride)
     anchors = starts + np.minimum(stride, n - starts) // 2
-    d_anchor = tree.query(P[anchors], k=1)[0]
+    d_anchor = tree.query(P[anchors], k=1, workers=workers)[0]
     lo = max(lo, d_anchor.max())
     far = []
     for b in range(0, n, _HAUSDORFF_BLOCK):
@@ -1055,10 +1106,10 @@ def _directed_max(P, Q, lo):
         far.append(b + np.flatnonzero(bound * (1.0 + 1e-9) + 1e-12 > lo))
     far = P[np.concatenate(far)]
     if len(far):
-        bound = tree.query(far, k=1, eps=_HAUSDORFF_EPS)[0]
+        bound = tree.query(far, k=1, eps=_HAUSDORFF_EPS, workers=workers)[0]
         lo = max(lo, tree.query(far[np.argmax(bound)], k=1)[0])
         far = far[bound > lo]
-    return max(lo, tree.query(far, k=1)[0].max()) if len(far) else lo
+    return max(lo, tree.query(far, k=1, workers=workers)[0].max()) if len(far) else lo
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from importlib import resources
 
@@ -366,8 +368,10 @@ def test_sample_bound_refuses_degree_20_at_512_within_a_second(tmp_path, capsys,
 
 
 # Imports the modules every command uses, runs the commands and the calls of
-# the benchmark's curve job that need no Hausdorff distance, and prints the
-# scipy modules loaded; then a smooth lift, which measures one, and again.
+# the benchmark's curve job that need no Hausdorff distance and no smooth
+# lift, and prints the scipy and concurrent.futures modules loaded; then a
+# smooth lift, which builds its collars on a thread pool and measures a
+# Hausdorff distance, and again.
 _SCIPY_FREE_RUNS = """
 import json, os, sys
 import troplag.cli, troplag.svg, troplag.verify
@@ -387,7 +391,8 @@ with open(sys.argv[2]) as fh:
 assert is_smooth(X) and len(default_schedule(X).lam) == 64
 pl_lift(X).genus(), lift_topology(X)
 draw_curve_and_subdivision(X, os.path.join(out, "curve.svg"))
-scipy = lambda: "scipy " + json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"])
+scipy = lambda: "scipy " + json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"
+                                       or m.startswith("concurrent.futures")])
 print(scipy())
 assert main(["lift", "triangle", "--resolution", "8", "--out", os.path.join(out, "L")]) == 0
 print(scipy())
@@ -403,7 +408,7 @@ def test_commands_without_a_hausdorff_distance_do_not_load_scipy(tmp_path):
     before, after = (json.loads(line[len("scipy "):]) for line in proc.stdout.splitlines()
                      if line.startswith("scipy "))
     assert before == []
-    assert "scipy.spatial" in after
+    assert "scipy.spatial" in after and "concurrent.futures" in after
 
 
 def test_pl_only_lift_of_the_unit_square(tmp_path):
@@ -526,6 +531,55 @@ def test_numeric_failure_prints_diagnostics(tmp_path, capsys, monkeypatch):
     assert list(diag) == sorted(diag)
     assert diag["iterations"] == 1 and diag["unconverged_rows"] >= 1
     assert diag["max_residual"] > 0
+
+
+def _failing_lift_runs(tmp_path, capsys, code):
+    """The last stderr lines of three failing lifts, each checked to exit
+    with code and to leave no thread of its collar pool running."""
+    lines = set()
+    for i in range(3):
+        threads = threading.active_count()
+        assert run(["lift", "triangle", "--resolution", "64",
+                    "--out", str(tmp_path / str(i))]) == code
+        assert threading.active_count() == threads
+        lines.add(capsys.readouterr().err.strip().splitlines()[-1])
+    return lines
+
+
+def test_collar_non_convergence_is_deterministic_and_leaves_no_thread(
+        tmp_path, capsys, monkeypatch):
+    from troplag import lift, pants
+    # the non-convergence of test_numeric_failure_prints_diagnostics, in
+    # blocks of 1000 rows: every block fails, the first in row order is reported
+    monkeypatch.setattr(pants, "leg_fiber_root", lambda b, s: b * float("nan"))
+    solve = lift.solve_leg_fiber
+    monkeypatch.setattr(lift, "solve_leg_fiber",
+                        lambda pants, j, target, wp, tol, max_iter:
+                        solve(pants, j, target, wp, tol, 1))
+    monkeypatch.setattr(lift, "_LIFT_BLOCK", 1000)
+    [line] = _failing_lift_runs(tmp_path, capsys, 3)
+    assert line.startswith("numeric failure: fiber solve did not converge ")
+
+
+def test_collar_domain_error_is_deterministic_and_leaves_no_thread(
+        tmp_path, capsys, monkeypatch):
+    from troplag import lift
+    from troplag.errors import DomainError
+    X = load_fixture("triangle")["curve"]
+    # the first collar row: vertex 0, leg 0, S = r', the first fiber angle
+    s0 = lift.default_schedule(X).legs[(0, 0)].r_prime / lift._local_model(X, 0).leg_norm[0]
+
+    def failing(pm, j, target, wp, tol, max_iter):
+        # every block fails, naming its first row; the first block fails
+        # last, so the one reported is not the first to fail
+        if target[0] == s0 and wp[0, 1] == 0.5 * math.pi / 64:
+            time.sleep(0.1)
+        raise DomainError(f"block from S = {float(target[0])!r}, theta = {float(wp[0, 1])!r}")
+
+    monkeypatch.setattr(lift, "solve_leg_fiber", failing)
+    monkeypatch.setattr(lift, "_LIFT_BLOCK", 1000)
+    assert _failing_lift_runs(tmp_path, capsys, 2) == {
+        f"error: block from S = {s0!r}, theta = {0.5 * math.pi / 64!r}"}
 
 
 def test_verify_command_deterministic(tmp_path):

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -896,30 +898,86 @@ def _mirrored_fiber_oracle(pm, j, target, thetas):
     return np.where(minus[:, None], -q, q)
 
 
+def _collar_rows(X, sched, t, resolution):
+    """(lam, S, folded fiber angle) of every collar row of smooth_lift: the
+    scale, target and transverse coordinate of its leg-fiber solve."""
+    thetas = (np.arange(resolution) + 0.5) * PI / resolution
+    folded = np.where(thetas > PI / 2, PI - thetas, thetas)
+    rows = []
+    for vi in range(len(X.vertices)):
+        norm = lift_module._local_model(X, vi).leg_norm
+        for j in range(3):
+            ls = sched.legs[(vi, j)]
+            S, B = np.meshgrid(np.linspace(ls.r_prime / norm[j], ls.r / norm[j], resolution),
+                               folded, indexing="ij")
+            rows.append(np.stack([np.full(S.size, t * sched.lam[vi]), S.ravel(), B.ravel()],
+                                 axis=1))
+    return np.vstack(rows)
+
+
+def _sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def test_collar_fiber_solve_takes_one_kernel_evaluation(monkeypatch):
-    # the n = 1 Newton start is the root, so each vertex's solve over its
-    # three collars (3 x 128^2 rows) evaluates the kernel once
+    # the n = 1 Newton start is the root, so each block's solve evaluates
+    # the kernel once, and the blocks' solves cover every collar row once.
+    # Kernels are counted per thread: the blocks run on the lift's pool
     import troplag.pants as pants
-    kernel, solve, jets = pants._PlusJet, lift_module.solve_leg_fiber, []
+    kernel, solve = pants._PlusJet, lift_module.solve_leg_fiber
+    local, lock, solves = threading.local(), threading.Lock(), []
 
-    def solve_counted(*args):
-        def counted(*jet_args):
-            jets[-1] += 1
-            return kernel(*jet_args)
-        jets.append(0)
-        monkeypatch.setattr(pants, "_PlusJet", counted)
+    class Counted(kernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            if getattr(local, "jets", None) is not None:
+                local.jets += 1
+
+    def solve_counted(pm, j, target, wp, *args):
+        local.jets = 0
         try:
-            return solve(*args)
+            q = solve(pm, j, target, wp, *args)
         finally:
-            monkeypatch.setattr(pants, "_PlusJet", kernel)
+            jets, local.jets = local.jets, None
+        with lock:
+            solves.append((jets, np.stack([np.full(len(target), pm.lam), target, wp[:, 1]],
+                                          axis=1)))
+        return q
 
+    monkeypatch.setattr(pants, "_PlusJet", Counted)
     monkeypatch.setattr(lift_module, "solve_leg_fiber", solve_counted)
     X = triangle_curve()
     sched = default_schedule(X)
     for t in (1.0, 0.5, 0.1):
-        jets.clear()
+        solves.clear()
         smooth_lift(X, t, sched, resolution=128)
-        assert jets == [1] * len(X.vertices)
+        assert [jets for jets, _ in solves] == [1] * len(solves)
+        got = np.vstack([rows for _, rows in solves])
+        assert np.array_equal(_sorted_rows(got), _sorted_rows(_collar_rows(X, sched, t, 128)))
+
+
+@pytest.mark.parametrize("resolution, block", [(16, 7), (128, 7 ** 4)])
+def test_smooth_lift_does_not_depend_on_the_cpu_count(monkeypatch, resolution, block):
+    # blocks of a power of 7 rows end mid grid row and span legs unevenly
+    # (7-row blocks at resolution 128 take half a minute); one worker and
+    # three, switching threads often, give every piece the same bytes
+    X = triangle_curve()
+    sched = default_schedule(X)
+    monkeypatch.setattr(lift_module, "_LIFT_BLOCK", block)
+    meshes = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 3):
+            monkeypatch.setattr(lift_module, "_cpu_count", lambda: workers)
+            meshes.append(smooth_lift(X, 0.5, sched, resolution=resolution))
+    finally:
+        sys.setswitchinterval(interval)
+    one, three = meshes
+    assert [(p.tag, p.owner) for p in one.pieces] == [(p.tag, p.owner) for p in three.pieces]
+    for a, b in zip(one.pieces, three.pieces):
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.frames.tobytes() == b.frames.tobytes()
 
 
 @pytest.mark.parametrize("vi, j", [(0, 0), (2, 2)])
