@@ -781,23 +781,22 @@ def _pants_chart_points(model, pm, legs_lat, resolution):
     return np.vstack(pts_all), np.vstack(fr_all)
 
 
-def _collar_sheets(model, lam, legs, reduce_torus=True, out=None):
+def _collar_sheets(model, lam, legs, out, reduce_torus=True):
     """Collar points and analytic frames at one vertex: for each leg
     (j, cutoff, S, T), the graph of d(eta * G) in leg-j working coordinates
     at paired arrays S of leg coordinate and T of fiber angle, mapped to
-    ambient coordinates, as a pair (points, frames); out, if given, holds
-    the arrays to fill.  The legs share the scale and, in working
-    coordinates, the face J = {1}: one fiber solve and one evaluation of
-    the potential serve all of them.  Every step works row by row, so a
-    block of rows gets the bits it gets as part of the whole grid;
-    smooth_lift calls this once per block of _LIFT_BLOCK rows."""
+    ambient coordinates and written into that leg's pair (points, frames)
+    of out, arrays of shapes (n, 4) and (n, 2, 4); returns out.  The legs
+    share the scale and, in working coordinates, the face J = {1}: one
+    fiber solve and one evaluation of the potential serve all of them.
+    Every step works row by row, so a block of rows gets the bits it gets
+    as part of the whole grid; smooth_lift calls this once per block of
+    _LIFT_BLOCK rows."""
     pm = PantsMap(1, lam)
     qw = _fiber_circle(pm, 1, np.concatenate([leg[2] for leg in legs]),
                        np.concatenate([leg[3] for leg in legs]))
     ends = np.cumsum([len(leg[2]) for leg in legs])[:-1]
     rows = zip(*(np.split(a, ends) for a in (qw, *pm._evaluate(qw, "FhH"))))
-    if out is None:
-        out = [(np.empty((len(leg[2]), 4)), np.empty((len(leg[2]), 2, 4))) for leg in legs]
     for (j, cutoff, Sf, Tf), (q, Fq, hq, Hq), (P, fr) in zip(legs, rows, out):
         eta = cutoff.eta(Sf)
         etap = cutoff.eta_prime(Sf)
@@ -829,14 +828,15 @@ def _collar_sheets(model, lam, legs, reduce_torus=True, out=None):
     return out
 
 
-def _collar_pieces(pool, model, vi, lam, legs_lat, resolution):
+def _collar_pieces(model, vi, lam, legs_lat, resolution):
     """Graphs of d(eta * G) over [r', r] x (fiber circle) for the legs of
     vertex vi; legs_lat[j] holds r', r'', rbar and r in lattice units.
-    Returns the pieces and the futures that fill them: the legs' grids,
-    stacked, are cut into blocks of _LIFT_BLOCK rows, and each block is
-    one _collar_sheets call (one fiber solve) submitted to pool, in row
-    order, that writes into the pieces' arrays.  A block may span legs,
-    so a small grid costs one call per vertex, not one per leg."""
+    Returns the pieces, whose arrays are still to be filled, and their
+    blocks: the legs' grids, stacked, are cut into blocks of _LIFT_BLOCK
+    rows, in row order, and each block is the arguments (legs, out) of one
+    _collar_sheets call (one fiber solve) that fills its rows of the
+    pieces.  A block may span legs, so a small grid costs one call per
+    vertex, not one per leg."""
     thetas = (np.arange(resolution) + 0.5) * PI / resolution
     n = resolution * resolution
     legs, pieces = [], []
@@ -853,7 +853,7 @@ def _collar_pieces(pool, model, vi, lam, legs_lat, resolution):
             if rows.start < rows.stop:
                 part.append((j, cutoff, S[rows], T[rows]))
                 out.append((piece.points[rows], piece.frames[rows]))
-        blocks.append(pool.submit(_collar_sheets, model, lam, part, out=out))
+        blocks.append((part, out))
     return pieces, blocks
 
 
@@ -913,12 +913,17 @@ def _flat_piece(X, sched, ei, resolution):
     return MeshPiece("flat", (ei,), P, fr, grid=(resolution, resolution))
 
 
-# Rows per collar block of smooth_lift.  Each block is one task of the
-# lift's thread pool; small blocks bound the memory that each worker's
+# Rows per collar block of smooth_lift.  On the lift's thread pool each
+# block is one task; small blocks bound the memory that each worker's
 # malloc arena keeps.  On a 2-CPU host, 2^14 rows added 15 MB to the peak
 # RSS of a verify run, 2^13 about 6 MB, and 2^11 made the lift slower
 # than one thread.
 _LIFT_BLOCK = 1 << 13
+# A vertex whose collars make at most this many blocks (resolution 72 and
+# below) is built on the calling thread alone: the pool's threads trade
+# the interpreter lock at every numpy call on small arrays, and on a
+# 2-CPU host two pooled blocks per vertex made the lift slower.
+_LIFT_POOL_BLOCKS = 2
 
 
 def _cpu_count():
@@ -989,22 +994,37 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         raise InputError(f"--scale {t:g} is too small for this curve and schedule: "
                          f"it must exceed {t_min:.6g}, below which a collar's fiber "
                          f"solve comes within {HESSIAN_MARGIN:g} of a coamoeba face")
-    # imported on first use, like scipy: commands without a smooth lift
-    # do not pay for it
-    from concurrent.futures import ThreadPoolExecutor
+    # A vertex's collar blocks (three grids of resolution^2 rows) run on a
+    # thread pool, while the calling thread builds its pants body, only
+    # when they are many enough to pay for the pool; otherwise every block
+    # runs on the calling thread.
+    workers = _cpu_count()
+    pool = None
+    if workers > 1 and 3 * resolution * resolution > _LIFT_POOL_BLOCKS * _LIFT_BLOCK:
+        # imported on first use, like scipy: lifts without a pool do not
+        # pay for it
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers)
     pieces = []
-    pool = ThreadPoolExecutor(_cpu_count())
     try:
         for vi, (model, legs_lat) in enumerate(zip(models, vertex_legs)):
             lam = t * sched.lam[vi]
-            collars, blocks = _collar_pieces(pool, model, vi, lam, legs_lat, resolution)
-            P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
-            for block in blocks:
-                block.result()  # raises the first failing block's error, in row order
+            collars, blocks = _collar_pieces(model, vi, lam, legs_lat, resolution)
+            if pool is None:
+                P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
+                for legs, out in blocks:
+                    _collar_sheets(model, lam, legs, out)
+            else:
+                futures = [pool.submit(_collar_sheets, model, lam, legs, out)
+                           for legs, out in blocks]
+                P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
+                for future in futures:
+                    future.result()  # raises the first failing block's error, in row order
             pieces.append(MeshPiece("pants", (vi,), P, fr))
             pieces.extend(collars)
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     for ei, e in enumerate(X.edges):
         pieces.append(_flat_piece(X, sched, ei, resolution))
     mesh = LagrangianMesh(pieces, t, sched)

@@ -370,8 +370,7 @@ def test_sample_bound_refuses_degree_20_at_512_within_a_second(tmp_path, capsys,
 # Imports the modules every command uses, runs the commands and the calls of
 # the benchmark's curve job that need no Hausdorff distance and no smooth
 # lift, and prints the scipy and concurrent.futures modules loaded; then a
-# smooth lift, which builds its collars on a thread pool and measures a
-# Hausdorff distance, and again.
+# smooth lift, which measures a Hausdorff distance, and again.
 _SCIPY_FREE_RUNS = """
 import json, os, sys
 import troplag.cli, troplag.svg, troplag.verify
@@ -408,7 +407,7 @@ def test_commands_without_a_hausdorff_distance_do_not_load_scipy(tmp_path):
     before, after = (json.loads(line[len("scipy "):]) for line in proc.stdout.splitlines()
                      if line.startswith("scipy "))
     assert before == []
-    assert "scipy.spatial" in after and "concurrent.futures" in after
+    assert "scipy.spatial" in after
 
 
 def test_pl_only_lift_of_the_unit_square(tmp_path):
@@ -557,6 +556,7 @@ def test_collar_non_convergence_is_deterministic_and_leaves_no_thread(
                         lambda pants, j, target, wp, tol, max_iter:
                         solve(pants, j, target, wp, tol, 1))
     monkeypatch.setattr(lift, "_LIFT_BLOCK", 1000)
+    monkeypatch.setattr(lift, "_cpu_count", lambda: 3)  # a pool on any host
     [line] = _failing_lift_runs(tmp_path, capsys, 3)
     assert line.startswith("numeric failure: fiber solve did not converge ")
 
@@ -578,6 +578,7 @@ def test_collar_domain_error_is_deterministic_and_leaves_no_thread(
 
     monkeypatch.setattr(lift, "solve_leg_fiber", failing)
     monkeypatch.setattr(lift, "_LIFT_BLOCK", 1000)
+    monkeypatch.setattr(lift, "_cpu_count", lambda: 3)  # a pool on any host
     assert _failing_lift_runs(tmp_path, capsys, 2) == {
         f"error: block from S = {s0!r}, theta = {0.5 * math.pi / 64!r}"}
 

@@ -767,11 +767,17 @@ def test_smooth_lift_refuses_a_scale_below_its_limit(name, resolution):
     assert symplectic_residual(mesh) < 1e-6
 
 
+def _collar_sheets(model, lam, legs, reduce_torus=True):
+    # lift._collar_sheets into arrays of its own
+    out = [(np.empty((len(S), 4)), np.empty((len(S), 2, 4))) for _, _, S, _ in legs]
+    return lift_module._collar_sheets(model, lam, legs, out, reduce_torus)
+
+
 def test_collar_analytic_frames_match_fd(line_mesh):
     # the closed-form frames of the collar graph agree with centered
     # differences of its positions, including through the cutoff ramp
     X, sched, _ = line_mesh
-    from troplag.lift import Cutoff, LocalModel, _collar_sheets
+    from troplag.lift import Cutoff, LocalModel
 
     def _collar_sheet(model, j, lam, cutoff, S, T, reduce_torus):
         return _collar_sheets(model, lam, [(j, cutoff, S, T)], reduce_torus)[0]
@@ -922,7 +928,7 @@ def _sorted_rows(rows):
 def test_collar_fiber_solve_takes_one_kernel_evaluation(monkeypatch):
     # the n = 1 Newton start is the root, so each block's solve evaluates
     # the kernel once, and the blocks' solves cover every collar row once.
-    # Kernels are counted per thread: the blocks run on the lift's pool
+    # Kernels are counted per thread: the blocks may run on the lift's pool
     import troplag.pants as pants
     kernel, solve = pants._PlusJet, lift_module.solve_leg_fiber
     local, lock, solves = threading.local(), threading.Lock(), []
@@ -980,6 +986,25 @@ def test_smooth_lift_does_not_depend_on_the_cpu_count(monkeypatch, resolution, b
         assert a.frames.tobytes() == b.frames.tobytes()
 
 
+@pytest.mark.parametrize("workers, resolution, pools", [(2, 72, 0), (2, 74, 1), (1, 128, 0)])
+def test_smooth_lift_pools_only_many_blocks_on_several_cpus(monkeypatch, workers, resolution,
+                                                           pools):
+    # at most _LIFT_POOL_BLOCKS blocks per vertex (3 * 72^2 rows), or one
+    # CPU, and the collars are built on the calling thread
+    import concurrent.futures
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(lift_module, "_cpu_count", lambda: workers)
+    smooth_lift(triangle_curve(), 1.0, resolution=resolution)
+    assert made == [(workers,)] * pools
+
+
 @pytest.mark.parametrize("vi, j", [(0, 0), (2, 2)])
 def test_collar_sheet_unchanged_by_the_shared_fiber_solve(monkeypatch, vi, j):
     import troplag.lift as lift
@@ -991,9 +1016,9 @@ def test_collar_sheet_unchanged_by_the_shared_fiber_solve(monkeypatch, vi, j):
     S, T = np.meshgrid(np.linspace(ls.r_prime / scale, ls.r / scale, 32),
                        (np.arange(32) + 0.5) * PI / 32, indexing="ij")
     args = (model, sched.lam[vi], [(j, cutoff, S.ravel(), T.ravel())])
-    [(P, fr)] = lift._collar_sheets(*args)
+    [(P, fr)] = _collar_sheets(*args)
     monkeypatch.setattr(lift, "_fiber_circle", _mirrored_fiber_oracle)
-    [(P0, fr0)] = lift._collar_sheets(*args)
+    [(P0, fr0)] = _collar_sheets(*args)
     assert P.tobytes() == P0.tobytes() and fr.tobytes() == fr0.tobytes()
 
 
@@ -1006,8 +1031,9 @@ def _smooth_cases():
 
 @pytest.mark.parametrize("name, t, resolution", _smooth_cases())
 def test_smooth_lift_matches_per_leg_oracle(name, t, resolution):
-    # one fiber solve and one kernel call per vertex give every piece the
-    # points and frames of the per-leg path on the row-wise evaluators
+    # one fiber solve and one kernel call per block of collar rows give
+    # every piece the points and frames of the per-leg path on the
+    # row-wise evaluators
     X = _triangle_curve(6, 0) if name == "triangle6" else load_fixture(name)["curve"]
     sched = default_schedule(X)
     mesh = smooth_lift(X, t, sched, resolution=resolution)
@@ -1033,7 +1059,7 @@ def test_collar_loops_wind_zero():
     # the tangent plane rotates fastest, have vanishing phase winding
     X = standard_line()
     sched = default_schedule(X)
-    from troplag.lift import Cutoff, LocalModel, _collar_sheets
+    from troplag.lift import Cutoff, LocalModel
     model = LocalModel(X, X.vertices[0])
     for j in (0, 1, 2):
         ls = sched.legs[(0, j)]
