@@ -22,7 +22,7 @@ import numpy as np
 from .coamoeba import PI, edge_fiber_from_dual, reduce_mod_pi, rstar_apply
 from .errors import ConfigurationError, InputError, NumericError
 from .pants import HESSIAN_MARGIN, PantsMap, h_chart_terms, solve_leg_fiber
-from .tropical import adapted_frame, tangent_line
+from .tropical import adapted_frame, tangent_line, tangent_star
 from .polyhedral import primitive
 
 
@@ -129,7 +129,7 @@ class LocalModel:
 
     def __init__(self, X, v):
         self.v = np.array([float(c) for c in v])
-        line = tangent_line(X, v)
+        star, dirs, line = tangent_star(X, v)
         frame, (u0, u1, u2) = adapted_frame(line)
         self.frame = frame
         self.u = {0: u0, 1: u1, 2: u2}
@@ -138,8 +138,7 @@ class LocalModel:
         self.B_int = np.round(self.B).astype(int)
         # incident curve edges by leg label
         self.leg_edge = {}
-        for e in X.edges_at(v):
-            d = X.outgoing_direction(e, v)
+        for e, d in zip(star, dirs):
             for j, uj in self.u.items():
                 if tuple(d) == tuple(uj):
                     self.leg_edge[j] = e
@@ -322,6 +321,18 @@ def _vertex_arrays(X):
     return B, norms
 
 
+def _distinct_rows(*arrays):
+    """The distinct rows of the arrays' axis-0 slices laid side by side,
+    compared bit for bit (so 0.0 and -0.0 differ): the index of each
+    distinct row's first occurrence, and per row the position of its
+    distinct row in that list."""
+    rows = np.concatenate([np.asarray(a, dtype=float).reshape(len(a), -1) for a in arrays],
+                          axis=1)
+    _, first, inverse = np.unique(rows.view(np.uint64), axis=0,
+                                  return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
                      ball_factor=0.45):
     """Schedule per the default policy: balls at 0.45 x min vertex distance,
@@ -333,9 +344,11 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
     at scale lam is lam times a unit cloud whose terms are computed once.
     Each vertex starts at hi = 2 x its shortest r' (lattice units) and
     takes hi if that is feasible, else the feasible end lo of 40 halvings
-    of [hi / 1000, hi].  All vertices run through the halvings in
-    lockstep: each halving is one _feasible call on the vertices still
-    bisecting."""
+    of [hi / 1000, hi].  The scale depends only on the vertex's frame B
+    and leg cuts, so only one vertex of each distinct (B, cuts) row is
+    bisected, and its scale goes to every vertex of that row.  The rows
+    run through the halvings in lockstep: each halving is one _feasible
+    call on the rows still bisecting."""
     if X.subdivision is None:
         raise InputError("schedule needs a subdivision-backed curve")
     R = ball_factor * X.min_vertex_distance()
@@ -345,7 +358,9 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
     B, norms = _vertex_arrays(X)
     cuts = [f * R for f in fractions]
     legs_lat = np.array(cuts)[None, None, :] / norms[:, :, None]
-    ball_r = np.full(nv, R)
+    first, row_of = _distinct_rows(B, legs_lat)
+    B, legs_lat = B[first], legs_lat[first]
+    ball_r = np.full(len(first), R)
     hi = 2.0 * legs_lat[:, :, 0].min(axis=1)
     lo = hi * 1e-3
     todo = np.flatnonzero(~_feasible(hi, B, legs_lat, ball_r))
@@ -354,13 +369,31 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
         ok = _feasible(mid, B[todo], legs_lat[todo], ball_r[todo])
         lo[todo[ok]] = mid[ok]
         hi[todo[~ok]] = mid[~ok]
-    lam_v = hi.copy()
-    lam_v[todo] = lo[todo]
+    lam_row = hi.copy()
+    lam_row[todo] = lo[todo]
+    lam_v = lam_row[row_of]
     legs = {(vi, j): LegSchedule(*cuts) for vi in range(nv) for j in range(3)}
     sched = GluingSchedule({vi: R for vi in range(nv)},
                            {vi: float(lam_v[vi]) for vi in range(nv)}, legs, truncation)
     validate_schedule(X, sched)
     return sched
+
+
+def _balls_meet(vs, ball_r):
+    """Whether two of the balls (centers vs, radii ball_r) meet: some pair
+    at distance <= the sum of its radii.  Only pairs whose x gap is within
+    twice the largest radius can meet, so only those are compared, by a
+    sweep in x order; the relative slack covers the rounding of the x
+    gaps, so the result is that of comparing all pairs."""
+    order = np.argsort(vs[:, 0], kind="stable")
+    xs = vs[order, 0]
+    reach = 2.0 * ball_r.max(initial=0.0) * (1.0 + 1e-9)
+    ends = np.searchsorted(xs, xs + reach, side="right")
+    counts = ends - np.arange(1, len(xs) + 1)
+    a = np.repeat(np.arange(len(xs)), counts)
+    b = a + 1 + (np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts, counts))
+    i, k = order[a], order[b]
+    return bool(np.any(np.linalg.norm(vs[i] - vs[k], axis=1) <= ball_r[i] + ball_r[k]))
 
 
 def validate_schedule(X, sched):
@@ -375,10 +408,8 @@ def validate_schedule(X, sched):
         if ls.r > sched.ball_radius[vi]:
             raise ConfigurationError("leg cut points must stay inside the ball")
     ball_r = np.array([sched.ball_radius[vi] for vi in range(nv)], dtype=float)
-    # balls pairwise disjoint
     vs = np.array([[float(c) for c in v] for v in X.vertices]).reshape(-1, 2)
-    i, k = np.triu_indices(nv, 1)
-    if np.any(np.linalg.norm(vs[i] - vs[k], axis=1) <= ball_r[i] + ball_r[k]):
+    if _balls_meet(vs, ball_r):
         raise ConfigurationError("vertex balls are not pairwise disjoint")
     # bounded edges keep a flat middle segment
     for e in X.bounded_edges():
@@ -399,11 +430,15 @@ def validate_schedule(X, sched):
                                          "of every ray's leg")
     # trimmed regions inside balls, at the scheduled scale
     B, norms = _vertex_arrays(X)
-    cuts = np.array([[list(sched.legs[(vi, j)].as_dict().values()) for j in range(3)]
+    cuts = np.array([[(ls.r_prime, ls.r_second, ls.r_bar, ls.r)
+                      for ls in (sched.legs[(vi, j)] for j in range(3))]
                      for vi in range(nv)]).reshape(nv, 3, 4)
     legs_lat = cuts / norms[:, :, None]
     lam = np.array([sched.lam[vi] for vi in range(nv)], dtype=float)
-    bad = np.flatnonzero(~_feasible(lam, B, legs_lat, ball_r))
+    # one check per distinct (B, cuts, lam, ball radius) row
+    first, row_of = _distinct_rows(B, legs_lat, lam, ball_r)
+    ok = _feasible(lam[first], B[first], legs_lat[first], ball_r[first])
+    bad = np.flatnonzero(~ok[row_of])
     if len(bad):
         raise ConfigurationError(f"pants scale at vertex {bad[0]} violates the ball bound")
     return True
@@ -983,8 +1018,9 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         raise InputError("smooth lifting needs a smooth curve")
     _check_sample_size(_smooth_sample_bound(X, resolution))
     if sched is None:
-        sched = default_schedule(X)
-    validate_schedule(X, sched)
+        sched = default_schedule(X)  # validated there
+    else:
+        validate_schedule(X, sched)
     models = [_local_model(X, vi) for vi in range(len(X.vertices))]
     vertex_legs = [{j: tuple(getattr(sched.legs[(vi, j)], f) / model.leg_norm[j]
                              for f in ("r_prime", "r_second", "r_bar", "r"))

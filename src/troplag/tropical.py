@@ -268,18 +268,24 @@ class TropicalLine:
         return True
 
 
-def tangent_line(X, v):
-    """Cone of the star of vertex v, with primitive generators."""
+def tangent_star(X, v):
+    """Edges of the star of vertex v and their outgoing primitive
+    directions, both in star order, and the cone they span (the tangent
+    line, generators in sorted order)."""
     v = tuple(Fraction(x) for x in v)
-    if v not in X.vertices:
+    if v not in X._index:
         raise InputError(f"vertex {v} not in complex")
     star = X.edges_at(v)
-    gens, ws = [], []
-    for e in star:
-        gens.append(X.outgoing_direction(e, v))
-        ws.append(e.weight)
+    gens = [X.outgoing_direction(e, v) for e in star]
     order = sorted(range(len(gens)), key=lambda i: gens[i])
-    return TropicalLine(v, tuple(gens[i] for i in order), tuple(ws[i] for i in order))
+    line = TropicalLine(v, tuple(gens[i] for i in order),
+                        tuple(star[i].weight for i in order))
+    return star, gens, line
+
+
+def tangent_line(X, v):
+    """Cone of the star of vertex v, with primitive generators."""
+    return tangent_star(X, v)[2]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from troplag.coamoeba import PI, rstar_apply
 from troplag.errors import ConfigurationError, InputError
 from troplag.fixtures import _load, fixture_names, load_fixture
 from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LegSchedule, LocalModel,
-                          MeshPiece, TwistData, _boundary_cloud, _feasible, _fold_fiber,
+                          MeshPiece, TwistData, _balls_meet, _boundary_cloud, _distinct_rows,
+                          _feasible, _fold_fiber,
                           default_schedule, exactness_check,
                           hausdorff_distance, maslov_winding,
                           pants_basis_loop, phase_values, pl_lift, smooth_lift,
@@ -359,7 +360,6 @@ def test_lockstep_schedule_matches_oracle_on_fixtures(X):
 @pytest.mark.parametrize("seed", [7, 101])
 @pytest.mark.parametrize("degree", [4, 6, 8, 10])
 def test_lockstep_schedule_matches_oracle_on_triangles(degree, seed):
-    # degree 6 has 36 vertices: the last feasibility block is partial
     X = _triangle_curve(degree, seed)
     assert len(X.vertices) == degree * degree
     _assert_matches_oracle(X)
@@ -375,11 +375,13 @@ def test_cached_boundary_cloud_is_the_chart_cloud(lam):
 
 def test_feasibility_kernel_matches_oracle_decisions():
     # random scales, balls and cut points; half of the cases get arms
-    # of zero width, where the body check alone decides
+    # of zero width, where the body check alone decides.  n is not a
+    # multiple of _FEASIBLE_BLOCK, so the last block is partial.
     X = _triangle_curve(4, 7)
     models = [LocalModel(X, v) for v in X.vertices]
     rng = np.random.default_rng(0)
-    n = 1000
+    n = 1001
+    assert n % lift_module._FEASIBLE_BLOCK
     vi = rng.integers(len(models), size=n)
     lam = 10 ** rng.uniform(-2, 1, n)
     ball = 10 ** rng.uniform(-1, 1, n)
@@ -404,6 +406,112 @@ def test_validate_rejects_a_bisected_scale_raised_one_percent():
     bad.lam[vi] = sched.lam[vi] * 1.01
     with pytest.raises(ConfigurationError, match=f"vertex {vi} violates"):
         validate_schedule(X, bad)
+
+
+def test_local_model_matches_legs_in_star_order():
+    # the leg map pairs each incident edge with the leg of its outgoing
+    # direction, in the order of the vertex's star
+    for X in (triangle_curve(), _triangle_curve(6, 7)):
+        for v in X.vertices:
+            model = LocalModel(X, v)
+            want = {j: e for e in X.edges_at(v) for j, u in model.u.items()
+                    if X.outgoing_direction(e, v) == tuple(u)}
+            assert list(model.leg_edge.items()) == list(want.items())
+
+
+def test_default_schedule_checks_each_distinct_vertex_row_once(monkeypatch):
+    # the degree-8 triangle has 64 vertices but two distinct (B, cuts)
+    # rows; the schedule and its validation check only those
+    rows = []
+    feasible = lift_module._feasible
+
+    def counting(lam, B, legs_lat, ball_r):
+        rows.append(len(lam))
+        return feasible(lam, B, legs_lat, ball_r)
+    monkeypatch.setattr(lift_module, "_feasible", counting)
+    X = _triangle_curve(8, 7)
+    sched = default_schedule(X)
+    assert len(sched.lam) == 64
+    assert rows and max(rows) <= 2
+    want, _ = _oracle_schedule(X)
+    assert sched.to_json() == want.to_json()
+
+
+def test_distinct_rows_compare_bits():
+    B = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, -0.0], [0.0, 1.0]],
+                  [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    cuts = np.array([[0.5], [0.5], [0.5], [0.25]])
+    assert B[0].tolist() == B[1].tolist()  # equal as floats
+    first, row_of = _distinct_rows(B, cuts)
+    assert sorted(first.tolist()) == [0, 1, 3]
+    assert row_of[first].tolist() == [0, 1, 2]
+    assert row_of[2] == row_of[0] and len(set(row_of[[0, 1, 3]].tolist())) == 3
+
+
+def _all_pairs_meet(vs, ball_r):
+    i, k = np.triu_indices(len(vs), 1)
+    return bool(np.any(np.linalg.norm(vs[i] - vs[k], axis=1) <= ball_r[i] + ball_r[k]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ball_sweep_matches_all_pairs(seed):
+    # lattice points, so that many share an x column, with radii around
+    # the touching threshold; the last case makes the only meeting pair
+    # the first and the last vertex
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 120))
+    vs = rng.integers(-6, 7, size=(n, 2)).astype(float) * rng.uniform(0.1, 2.0)
+    vs = np.unique(vs, axis=0)
+    rng.shuffle(vs)
+    d = np.linalg.norm(vs[:, None] - vs[None], axis=2)
+    np.fill_diagonal(d, np.inf)
+    gap = d.min() if len(vs) > 1 else 1.0
+    for scale in (0.3, 0.49, 0.5, 0.51, 0.8):
+        ball_r = gap * scale * rng.uniform(0.9, 1.1, len(vs))
+        assert _balls_meet(vs, ball_r) == _all_pairs_meet(vs, ball_r)
+    far = np.concatenate([vs, vs[:1] + [0.0, gap * 0.3]])
+    ball_r = np.full(len(far), gap * 0.2)
+    assert _balls_meet(far, ball_r) and _all_pairs_meet(far, ball_r)
+    ball_r[-1] = gap * 0.05
+    assert not _balls_meet(far, ball_r) and not _all_pairs_meet(far, ball_r)
+
+
+def test_validate_finds_meeting_balls_far_apart_in_vertex_order():
+    # the closest pair of vertices farthest apart in vertex order: their
+    # balls touch once both radii are half their distance, while every
+    # other ball keeps the default radius 0.45 x that distance
+    X = _triangle_curve(8, 7)
+    sched = default_schedule(X)
+    vs = np.array([[float(c) for c in v] for v in X.vertices])
+    i, k = np.triu_indices(len(vs), 1)
+    dist = np.linalg.norm(vs[i] - vs[k], axis=1)
+    closest = np.flatnonzero(dist == dist.min())
+    pick = closest[np.argmax(k[closest] - i[closest])]
+    i, k, dist = int(i[pick]), int(k[pick]), float(dist[pick])
+    assert k - i > 8
+    bad = GluingSchedule(dict(sched.ball_radius), dict(sched.lam), dict(sched.legs),
+                         sched.truncation)
+    bad.ball_radius[i] = bad.ball_radius[k] = dist / 2
+    with pytest.raises(ConfigurationError, match="pairwise disjoint"):
+        validate_schedule(X, bad)
+    bad.ball_radius[k] = 0.49 * dist
+    assert validate_schedule(X, bad)
+
+
+def test_smooth_lift_validates_only_a_given_schedule(monkeypatch):
+    calls = []
+    validate = lift_module.validate_schedule
+
+    def counting(X, sched):
+        calls.append(sched)
+        return validate(X, sched)
+    monkeypatch.setattr(lift_module, "validate_schedule", counting)
+    X = triangle_curve()
+    mesh = smooth_lift(X, resolution=8)
+    assert calls == [mesh.schedule]  # default_schedule's own check
+    calls.clear()
+    smooth_lift(X, 0.5, mesh.schedule, resolution=8)
+    assert calls == [mesh.schedule]
 
 
 def test_default_schedule_builds_no_pants_map(monkeypatch):
