@@ -30,10 +30,6 @@ MAX_RESOLUTION = 512
 MAX_N = 4
 
 
-def _cmdline():
-    return "troplag " + " ".join(sys.argv[1:])
-
-
 def _read_json(path):
     """The JSON object in the file at path; InputError if the file is
     missing, not UTF-8, not JSON or not an object."""
@@ -83,7 +79,7 @@ def cmd_tropical(args):
     with open(os.path.join(args.out, "curve.json"), "w") as fh:
         json.dump(_curve_to_json(X), fh, indent=2, sort_keys=True)
     draw_curve_and_subdivision(X, os.path.join(args.out, "curve.svg"),
-                               command=_cmdline())
+                               command=args.cmdline)
     if args.check_smooth:
         print("smooth:", str(is_smooth(X)).lower())
     print(f"wrote curve.json and curve.svg to {args.out}")
@@ -97,7 +93,7 @@ def cmd_pants(args):
     pm = PantsMap(args.n, args.lam)
     if args.n == 1:
         draw_region_h(args.lam, os.path.join(args.out, "region.svg"),
-                      command=_cmdline())
+                      command=args.cmdline)
     if args.section is not None:
         if args.n != 2:
             raise InputError("--section requires n = 2")
@@ -285,7 +281,10 @@ def build_parser():
 
 
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
+    args.cmdline = "troplag " + " ".join(argv)  # the SVG files' metadata line
     if getattr(args, "resolution", 8) < 8:
         print("error: resolution must be >= 8", file=sys.stderr)
         return 2

@@ -116,9 +116,6 @@ class Cutoff:
 # ---------------------------------------------------------------------------
 # vertex-local models
 
-_STD_DIRS = {0: (-1, -1), 1: (1, 0), 2: (0, 1)}
-
-
 class LocalModel:
     """Adapted coordinates of a smooth curve vertex.
 
@@ -131,11 +128,9 @@ class LocalModel:
         self.v = np.array([float(c) for c in v])
         star, dirs, line = tangent_star(X, v)
         frame, (u0, u1, u2) = adapted_frame(line)
-        self.frame = frame
         self.u = {0: u0, 1: u1, 2: u2}
         self.A = np.array(frame.A, dtype=float)
         self.B = np.linalg.inv(self.A)
-        self.B_int = np.round(self.B).astype(int)
         # incident curve edges by leg label
         self.leg_edge = {}
         for e, d in zip(star, dirs):
@@ -333,11 +328,18 @@ def _distinct_rows(*arrays):
     return first, inverse.reshape(-1)
 
 
-def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
-                     ball_factor=0.45):
-    """Schedule per the default policy: balls at 0.45 x min vertex distance,
-    cut points at fixed fractions of the ball radius along each leg, pants
-    scales by bisection so the trimmed region sits inside 0.9 x ball.
+# The default schedule's ball radius, as a fraction of the smallest vertex
+# distance, and its leg cut points r', r'', rbar, r, as fractions of the
+# ball radius.
+_BALL_FACTOR = 0.45
+_LEG_CUT_FRACTIONS = (0.5, 0.65, 0.8, 0.95)
+
+
+def default_schedule(X):
+    """Schedule per the default policy: balls at _BALL_FACTOR x min vertex
+    distance, cut points at _LEG_CUT_FRACTIONS of the ball radius along
+    each leg, rays truncated at _default_truncation, pants scales by
+    bisection so the trimmed region sits inside 0.9 x ball.
 
     The gradient map h is linear in lambda, and the region it bounds is
     (n+1)^{n+1} x_1...x_{n+1} = lambda^{n+1}, so the boundary cloud tested
@@ -351,12 +353,10 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
     call on the rows still bisecting."""
     if X.subdivision is None:
         raise InputError("schedule needs a subdivision-backed curve")
-    R = ball_factor * X.min_vertex_distance()
-    if truncation is None:
-        truncation = _default_truncation(X)
+    R = _BALL_FACTOR * X.min_vertex_distance()
     nv = len(X.vertices)
     B, norms = _vertex_arrays(X)
-    cuts = [f * R for f in fractions]
+    cuts = [f * R for f in _LEG_CUT_FRACTIONS]
     legs_lat = np.array(cuts)[None, None, :] / norms[:, :, None]
     first, row_of = _distinct_rows(B, legs_lat)
     B, legs_lat = B[first], legs_lat[first]
@@ -374,7 +374,8 @@ def default_schedule(X, truncation=None, fractions=(0.5, 0.65, 0.8, 0.95),
     lam_v = lam_row[row_of]
     legs = {(vi, j): LegSchedule(*cuts) for vi in range(nv) for j in range(3)}
     sched = GluingSchedule({vi: R for vi in range(nv)},
-                           {vi: float(lam_v[vi]) for vi in range(nv)}, legs, truncation)
+                           {vi: float(lam_v[vi]) for vi in range(nv)}, legs,
+                           _default_truncation(X))
     validate_schedule(X, sched)
     return sched
 
@@ -489,8 +490,7 @@ class PLLift:
         chi = 0
         for piece in self.pieces:
             if piece.kind == "vertex":
-                dual = self.X.dual_cell(piece.cell)
-                chi -= dual.poly.normalized_volume()
+                chi -= self.X.dual_cell(piece.cell).normalized_volume()
         return chi
 
     def punctures(self):
@@ -625,31 +625,17 @@ def pl_lift(X):
     if X.subdivision is None:
         raise InputError("missing duality data; build the curve from a subdivision")
     from .coamoeba import CellCoamoeba, CoveringCoamoeba
-    pieces = []
-    for e in X.edges:
-        dual = X.dual_cell(e)
-        pieces.append(PLPiece("edge", e, edge_fiber_from_dual(e, dual)))
-    for v in X.vertices:
-        key = X._vertex_dual[v]
-        dual = X.subdivision.face(key)
-        if dual.poly.is_elementary_simplex() or len(X.edges_at(v)) != 3:
-            fiber = CellCoamoeba(dual.poly)
+    pieces = [PLPiece("edge", e, edge_fiber_from_dual(e, X.dual_cell(e))) for e in X.edges]
+    for cell in X.cells:
+        if cell.kind != "vertex":
+            continue
+        v, dual = cell.verts[0], X.dual_cell(cell)
+        if dual.is_elementary_simplex() or len(X.edges_at(v)) != 3:
+            fiber = CellCoamoeba(dual)
         else:
             fiber = CoveringCoamoeba(tangent_line(X, v))
-        pieces.append(PLPiece("vertex", TropCellVertex(v, key), fiber))
+        pieces.append(PLPiece("vertex", cell, fiber))
     return PLLift(X, pieces)
-
-
-@dataclass(frozen=True)
-class TropCellVertex:
-    point: tuple
-    dual_key: frozenset
-
-    kind = "vertex"
-
-    @property
-    def verts(self):
-        return (self.point,)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +802,7 @@ def _pants_chart_points(model, pm, legs_lat, resolution):
     return np.vstack(pts_all), np.vstack(fr_all)
 
 
-def _collar_sheets(model, lam, legs, out, reduce_torus=True):
+def _collar_sheets(model, lam, legs, out):
     """Collar points and analytic frames at one vertex: for each leg
     (j, cutoff, S, T), the graph of d(eta * G) in leg-j working coordinates
     at paired arrays S of leg coordinate and T of fiber angle, mapped to
@@ -853,9 +839,8 @@ def _collar_sheets(model, lam, legs, out, reduce_torus=True):
         x_std, y_std = LocalModel.from_working(j, xw, yw)
         dxs_std, dys_std = _dworking_to_std(j, dxw_s, dyw_s)
         dxt_std, dyt_std = _dworking_to_std(j, dxw_t, dyw_t)
-        y_amb = model.y_ambient(y_std) if reduce_torus else model.y_ambient_raw(y_std)
         P[:, :2] = model.x_ambient(x_std)
-        P[:, 2:] = y_amb
+        P[:, 2:] = model.y_ambient(y_std)
         fr[:, 0, :2] = model.dx_ambient(dxs_std)
         fr[:, 0, 2:] = model.dy_ambient(dys_std)
         fr[:, 1, :2] = model.dx_ambient(dxt_std)
@@ -1071,11 +1056,10 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
 # ---------------------------------------------------------------------------
 # verification quantities
 
-def symplectic_residual(mesh_or_pieces):
-    """max |omega(v, w)| over the sampled tangent frames."""
-    pieces = mesh_or_pieces.pieces if hasattr(mesh_or_pieces, "pieces") else mesh_or_pieces
+def symplectic_residual(mesh):
+    """max |omega(v, w)| over the sampled tangent frames of the mesh."""
     worst = 0.0
-    for p in pieces:
+    for p in mesh.pieces:
         v, w = p.frames[:, 0, :], p.frames[:, 1, :]
         om = (np.sum(v[:, :2] * w[:, 2:], axis=1) - np.sum(w[:, :2] * v[:, 2:], axis=1)) / PI
         if len(om):

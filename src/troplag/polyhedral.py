@@ -2,7 +2,7 @@
 
 Convex hulls of lattice polytopes in ambient dimension 1 or 2, regular
 subdivisions induced by integral lifting functions, and the discrete
-Legendre transform together with its dual polyhedral decomposition.
+Legendre transform with the duals of the subdivision's 2-cells and edges.
 Every result here is exact (ints and Fraction); no float enters, not even
 to propose the cells of a regular subdivision (see regular_subdivision).
 """
@@ -224,31 +224,13 @@ class LiftingFunction:
         return LiftingFunction({p: c for p in polytope.lattice_points})
 
 
-@dataclass(frozen=True)
-class Face:
-    """A cell of the subdivision face lattice of any dimension."""
-
-    poly: LatticePolytope
-
-    @property
-    def dim(self):
-        return self.poly.dim
-
-    @property
-    def key(self):
-        return self.poly.key
-
-    @property
-    def vertices(self):
-        return self.poly.vertices
-
-
 class Subdivision:
     """Regular subdivision of a lattice polytope by an integral lifting.
 
     cells holds the maximal linearity domains; faces_by_dim the full face
-    lattice.  Cells cover P and meet along common faces (a property of
-    lower hulls, asserted rather than re-derived here).
+    lattice, each face a LatticePolytope.  Cells cover P and meet along
+    common faces (a property of lower hulls, asserted rather than
+    re-derived here).
     """
 
     def __init__(self, polytope, lifting, cells):
@@ -261,7 +243,7 @@ class Subdivision:
         def add(points, poly=None):
             key = frozenset(points)
             if key not in index:  # build each shared face once
-                f = index[key] = Face(poly or LatticePolytope.from_points(points))
+                f = index[key] = poly or LatticePolytope.from_points(points)
                 self.faces_by_dim.setdefault(f.dim, []).append(f)
 
         # each cell, then each of its edges followed by the edge's endpoints
@@ -420,11 +402,11 @@ def _cell_left_of(p, q, vals, lifted):
 
 
 # ---------------------------------------------------------------------------
-# discrete Legendre transform and the dual decomposition
+# discrete Legendre transform and the duals of 2-cells and edges
 
 @dataclass(frozen=True)
 class DualCell:
-    """Polyhedron of the dual decomposition: vertex set + recession rays."""
+    """Dual polyhedron of a subdivision face: vertex set + recession rays."""
 
     verts: tuple
     rays: tuple
@@ -441,40 +423,38 @@ class DualCell:
 class PiecewiseAffine:
     """min-of-affine function: one piece <v,m> + c per subdivision vertex.
 
-    Carries the dual polyhedral decomposition and the cell bijection
-    e -> dual(e) as computed from the inducing subdivision.
+    Carries the dual cell of each 2-cell and edge of the inducing
+    subdivision, the faces that the tropical curve is built from.
     """
 
-    def __init__(self, pieces, subdivision=None, dual_cells=None):
+    def __init__(self, pieces, dual_cells):
         seen = {}
         for v, c in pieces:
             seen[(tuple(v), c)] = None
         self.pieces = [(tuple(v), c) for (v, c) in seen]
-        self.subdivision = subdivision
-        self._dual = dual_cells or {}
+        self._dual = dual_cells
 
     def dual_of(self, face):
-        key = face.key if isinstance(face, Face) else frozenset(tuple(p) for p in face)
-        return self._dual[key]
+        """DualCell of a 2-cell or edge (a LatticePolytope) of the subdivision."""
+        return self._dual[face.key]
 
 
 def discrete_legendre(subdivision):
-    """Discrete Legendre transform of the lifting, with dual decomposition."""
+    """Discrete Legendre transform of the lifting, with the dual cells of
+    the subdivision's 2-cells (points) and edges (segments and rays, or
+    lines when P is a segment)."""
     S = subdivision
     nu = S.lifting
     pieces = [(p, nu(p)) for p in S.vertex_points()]
-    all_pts = list(S.polytope.lattice_points)
     dual = {}
-    # cells and edges at each lattice point, in S.cells / S.faces(1) order
-    cells_at, edges_at = {}, {}
-    for at, faces in ((cells_at, S.cells), (edges_at, S.faces(1))):
-        for c in faces:
-            for v in c.vertices:
-                at.setdefault(v, []).append(c)
     if S.top_dim == 2:
-        cell_vertex = {}
+        # the cells at each lattice point, in S.cells order, and each
+        # cell's dual vertex
+        cells_at, cell_vertex = {}, {}
         for c in S.cells:
             cell_vertex[c.key] = _dual_vertex(c, nu)
+            for v in c.vertices:
+                cells_at.setdefault(v, []).append(c)
         for f in S.faces(2):
             dual[f.key] = DualCell((cell_vertex[f.key],), ())
         for f in S.faces(1):
@@ -485,21 +465,8 @@ def discrete_legendre(subdivision):
                     (cell_vertex[owners[0].key], cell_vertex[owners[1].key]), ())
             else:
                 base = cell_vertex[owners[0].key]
-                ray = _boundary_ray_direction(f, all_pts, nu)
+                ray = _boundary_ray_direction(f, S.polytope)
                 dual[f.key] = DualCell((base,), (ray,))
-        for f in S.faces(0):
-            v = f.vertices[0]
-            verts, rays = [], []
-            for e in edges_at.get(v, ()):
-                dc = dual[e.key]
-                verts.extend(dc.verts)
-                rays.extend(dc.rays)
-            for c in cells_at.get(v, ()):
-                verts.append(cell_vertex[c.key])
-            uv = sorted(set(verts))
-            if not uv:
-                uv = [(Fraction(0), Fraction(0))]
-            dual[f.key] = DualCell(tuple(uv), tuple(sorted(set(rays))))
     else:
         # segment polytope: duals of 1-cells are full lines
         for f in S.faces(1):
@@ -509,23 +476,7 @@ def discrete_legendre(subdivision):
             base = _point_on_line(d, c)
             perp = primitive((-d[1], d[0]))
             dual[f.key] = DualCell((base,), (perp, tuple(-x for x in perp)))
-        for f in S.faces(0):
-            v = f.vertices[0]
-            owners = cells_at[v]
-            verts, rays = [], []
-            for c in owners:
-                dc = dual[c.key]
-                verts.extend(dc.verts)
-                rays.extend(dc.rays)
-            if len(owners) == 1:
-                # endpoint of P: dual is a half plane, receding away from
-                # the rest of the segment
-                c = owners[0]
-                other = [p for p in c.vertices if p != v][0]
-                n = primitive(vsub(v, other))
-                rays.append(tuple(-x for x in n))
-            dual[f.key] = DualCell(tuple(sorted(set(verts))), tuple(sorted(set(rays))))
-    return PiecewiseAffine(pieces, S, dual)
+    return PiecewiseAffine(pieces, dual)
 
 
 def _dual_vertex(cell, nu):
@@ -539,19 +490,14 @@ def _dual_vertex(cell, nu):
     return (x, y)
 
 
-def _boundary_ray_direction(face, all_pts, nu):
-    """Primitive recession direction of the dual ray of a boundary edge."""
+def _boundary_ray_direction(face, polytope):
+    """Primitive recession direction of the dual ray of a boundary edge:
+    the edge normal on whose side P lies, tested at P's vertices (a linear
+    function is least over P at one of them)."""
     v1, v2 = face.vertices[0], face.vertices[-1]
     d = vsub(v2, v1)
     for cand in (primitive((-d[1], d[0])), primitive((d[1], -d[0]))):
-        ok = True
-        for w in all_pts:
-            if w in (v1, v2):
-                continue
-            if dot(vsub(w, v1), cand) < 0:
-                ok = False
-                break
-        if ok:
+        if all(dot(vsub(w, v1), cand) >= 0 for w in polytope.vertices):
             return cand
     raise DegeneracyError("no valid dual ray direction; input not a polytope?")
 

@@ -242,10 +242,9 @@ class LiftTopology:
 
 def _vertex_dual_volume(X, v):
     """Normalized volume of the dual cell of a vertex: minus its chi share."""
-    if X.subdivision is not None and hasattr(X, "_vertex_dual"):
-        key = X._vertex_dual.get(tuple(v))
-        if key is not None:
-            return X.subdivision.face(key).poly.normalized_volume()
+    key = X.vertex_dual.get(v)
+    if key is not None:
+        return X.subdivision.face(key).normalized_volume()
     # reconstruct the dual polygon from the weighted star
     star = X.edges_at(v)
     vecs = []

@@ -1,8 +1,8 @@
 """Tropical hypersurfaces/curves as weighted balanced polyhedral complexes.
 
 Curves live in the plane; cells carry exact rational data (Fractions),
-weights are positive integers, and the duality with the inducing
-subdivision is kept as an explicit bijection.
+weights are positive integers, and each cell of a curve built from a
+subdivision keeps the key of its dual subdivision face.
 """
 
 from __future__ import annotations
@@ -30,26 +30,31 @@ class TropCell:
     weight: int = 1
     dual_key: frozenset | None = None
 
+    def __post_init__(self):
+        # the primitive direction of a 1-cell, computed once
+        d = (primitive(vsub(self.verts[1], self.verts[0])) if self.kind == "segment"
+             else self.rays[0] if self.rays else None)
+        object.__setattr__(self, "_direction", d)
+
     @property
     def dim(self):
         return 0 if self.kind == "vertex" else 1
 
     def direction(self):
-        """Primitive direction of a 1-cell (sign is arbitrary for segments)."""
-        if self.kind == "segment":
-            return primitive(vsub(self.verts[1], self.verts[0]))
-        return self.rays[0]
+        """Primitive direction of a 1-cell: from verts[0] to verts[1] for a
+        segment, rays[0] otherwise."""
+        return self._direction
 
 
 class TropicalComplex:
-    """Weighted polyhedral complex in the plane with optional duality data."""
+    """Weighted polyhedral complex in the plane with optional duality data:
+    the inducing subdivision and, per vertex, the key of its dual face."""
 
-    def __init__(self, vertices, edges, subdivision=None, dual=None):
+    def __init__(self, vertices, edges, subdivision=None, vertex_dual=None):
         self.vertices = [tuple(Fraction(x) for x in v) for v in vertices]
         self.edges = list(edges)
         self.subdivision = subdivision
-        self.dual = dual  # PiecewiseAffine from discrete_legendre, if any
-        self.ambient_dim = 2
+        self.vertex_dual = vertex_dual or {}
         # per-vertex index: star of each endpoint (edges in list order) and
         # the first position of each vertex
         self._star = {}
@@ -64,9 +69,8 @@ class TropicalComplex:
 
     @property
     def cells(self):
-        vdual = getattr(self, "_vertex_dual", {})
-        return [TropCell("vertex", (v,), dual_key=vdual.get(v)) for v in self.vertices] \
-            + self.edges
+        return [TropCell("vertex", (v,), dual_key=self.vertex_dual.get(v))
+                for v in self.vertices] + self.edges
 
     def edges_at(self, v):
         return list(self._star.get(tuple(Fraction(x) for x in v), ()))
@@ -80,12 +84,10 @@ class TropicalComplex:
 
     def outgoing_direction(self, e, v):
         """Primitive direction of edge e pointing away from vertex v."""
-        v = tuple(Fraction(x) for x in v)
-        if e.kind == "segment":
-            a, b = e.verts
-            other = b if tuple(a) == v else a
-            return primitive(vsub(other, v))
-        return e.rays[0]
+        d = e.direction()
+        if e.kind == "segment" and e.verts[0] != tuple(v):
+            return tuple(-x for x in d)
+        return d
 
     def dual_cell(self, cell):
         """Subdivision face dual to a curve cell (requires duality data)."""
@@ -144,7 +146,7 @@ def tropical_hypersurface(subdivision):
             vertex_dual[dc.verts[0]] = f.key
         for f in S.faces(1):
             dc = pa.dual_of(f)
-            w = f.poly.normalized_volume()
+            w = f.normalized_volume()
             if dc.rays:
                 edges.append(TropCell("ray", dc.verts, dc.rays, w, f.key))
             else:
@@ -154,11 +156,9 @@ def tropical_hypersurface(subdivision):
     else:
         for f in S.faces(1):
             dc = pa.dual_of(f)
-            w = f.poly.normalized_volume()
+            w = f.normalized_volume()
             edges.append(TropCell("line", dc.verts, dc.rays, w, f.key))
-    X = TropicalComplex(verts, edges, S, pa)
-    X._vertex_dual = vertex_dual
-    return X
+    return TropicalComplex(verts, edges, S, vertex_dual)
 
 
 def load_curve_json(data):
@@ -206,37 +206,21 @@ def _vertex_ref(i, vs):
 
 def balancing_check(X):
     """Weighted primitive directions at every vertex sum to zero."""
-    for v in X.vertices:
-        total = (0, 0)
-        for e in X.edges_at(v):
-            d = X.outgoing_direction(e, v)
-            total = vadd(total, tuple(e.weight * x for x in d))
-        if any(total):
-            return False
-    return True
+    return all(tangent_line(X, v).is_balanced() for v in X.vertices)
 
 
 def is_smooth(X):
     """Smoothness: the dual subdivision is unimodal.
 
     For directly-input curves (no subdivision) the equivalent local test
-    is used: all weights 1, all vertices trivalent with pairwise
-    unimodular outgoing directions.
+    is used: all weights 1 (a line has no vertex to check it at), and
+    every vertex's tangent line is smooth (trivalent, pairwise unimodular
+    outgoing directions).
     """
     if X.subdivision is not None:
         return X.subdivision.is_unimodal()
-    if any(e.weight != 1 for e in X.edges):
-        return False
-    for v in X.vertices:
-        star = X.edges_at(v)
-        if len(star) != 3:
-            return False
-        dirs = [X.outgoing_direction(e, v) for e in star]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]) != 1:
-                    return False
-    return True
+    return (all(e.weight == 1 for e in X.edges)
+            and all(tangent_line(X, v).is_smooth() for v in X.vertices))
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,76 @@ def test_verify_all_output_bytes_are_pinned(tmp_path):
     assert got == VERIFY_ALL_SEED7_SHA256
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the exact layer's outputs, run in a fresh directory with
+# `--out out` so the SVG metadata line is the same on every run:
+# curve.json and curve.svg of `troplag tropical NAME` per polytope fixture
+TROPICAL_SHA256 = {
+    "standard_line": ("5c40d085ddb369ce45bb0558331f1049a0847347ca055e777b91f34dd392b4dc",
+                      "6cb038599303ec12cca407cec391eea355d6f36c8b9413b64e83d7cd38dcfee4"),
+    "triangle": ("6cce07bac3221f9a2390c75f62978fca89349527166245c411b40c2ecb5c6406",
+                 "60ede75862a6f09c62b95dd17881f879f8612f25dccec2a4db3c872cc28a9a21"),
+    "weight2_line": ("eff6851c17b2ec03a3f72ebcb5e6ab7e06761f6ece5f9c6680fff35165bd8f54",
+                     "28fe03f76da57b2c9877ced519e89b176c46f6ff2159b126dd55570480874cf5"),
+    "weight2_segment": ("51ec46ac35424b6df82235648bfa1c6af5f109c19613c07de70095c529a60ce5",
+                        "1210af7d25fb7d2a2e97ff0f316bdad084fb16332acf8cca17512e236b42cb7b"),
+}
+# toric_report.json of `troplag toric NAME` per fixture with a polygon
+TORIC_SHA256 = {
+    "nonorientable": "9e16d0cff2413d52b546da91c47255cb92826776cab2c90ad298e5b08baefe99",
+    "p1p1_monotone": "d4160447ef09dc72194723d2fcffc6b7d0061f772b6ef2ac395adfd70b0b404f",
+    "p1p1_torus": "3c5e88e557efba98820a1715b8f8d3464b886f6758c465bf5699ea1758787f82",
+    "p2_monotone": "9176787a5c72c8d63cfbc699778acaca1d634421aff7a07b2d37199a064a0cb0",
+    "p2_torus": "698d6585932911a58cccfb1092713e790bab14bafa8ee4c7a756fd67564626cb",
+}
+# pl_cloud.csv and report.jsonl of `troplag lift NAME --pl-only --resolution
+# 16`; weight2_line's vertex fiber is a covering coamoeba
+PL_ONLY_RES16_SHA256 = {
+    "triangle": ("88200aa35c552d09f332fa002b62f7ce9b1877b5ca7988282b8002c663e9dcf2",
+                 "9f098e53c315bf3487589d3b7e9b8c984b58cfd88de6bd37855162ccf11b8e83"),
+    "weight2_line": ("a80026ce139ded6a38c9cf9c6ff6e99d08c2a9a5ad622e78fa6cb766c1ba77b2",
+                     "2666a30b7369c510ba589d7c4d098f2a0c1bc556b7cf8068ccbe62baa17a8539"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TROPICAL_SHA256))
+def test_tropical_output_bytes_are_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["tropical", name, "--out", "out"]) == 0
+    out = tmp_path / "out"
+    assert (_sha256(out / "curve.json"), _sha256(out / "curve.svg")) == TROPICAL_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TORIC_SHA256))
+def test_toric_output_bytes_are_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["toric", name, "--out", "out"]) == 0
+    assert _sha256(tmp_path / "out" / "toric_report.json") == TORIC_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PL_ONLY_RES16_SHA256))
+def test_pl_only_lift_output_bytes_are_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["lift", name, "--pl-only", "--resolution", "16", "--out", "out"]) == 0
+    out = tmp_path / "out"
+    got = (_sha256(out / "pl_cloud.csv"), _sha256(out / "report.jsonl"))
+    assert got == PL_ONLY_RES16_SHA256[name]
+
+
+def test_svg_metadata_is_the_command_that_main_ran(tmp_path, monkeypatch):
+    # main(argv) records its own argv, not the process's sys.argv
+    monkeypatch.setattr(sys, "argv", ["prog", "--bogus", "args"])
+    out = tmp_path / "o"
+    assert run(["tropical", "triangle", "--out", str(out)]) == 0
+    assert run(["pants", "--grid", "8", "--out", str(out)]) == 0
+    curve, region = ((out / name).read_text() for name in ("curve.svg", "region.svg"))
+    assert f"<!-- generated by: troplag tropical triangle --out {out} -->" in curve
+    assert f"<!-- generated by: troplag pants --grid 8 --out {out} -->" in region
+
+
 def test_lift_pl_only_and_twist(tmp_path):
     out1 = tmp_path / "L1"
     assert run(["lift", "triangle", "--pl-only", "--resolution", "12",

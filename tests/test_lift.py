@@ -875,20 +875,27 @@ def test_smooth_lift_refuses_a_scale_below_its_limit(name, resolution):
     assert symplectic_residual(mesh) < 1e-6
 
 
-def _collar_sheets(model, lam, legs, reduce_torus=True):
+def _collar_sheets(model, lam, legs):
     # lift._collar_sheets into arrays of its own
     out = [(np.empty((len(S), 4)), np.empty((len(S), 2, 4))) for _, _, S, _ in legs]
-    return lift_module._collar_sheets(model, lam, legs, out, reduce_torus)
+    return lift_module._collar_sheets(model, lam, legs, out)
 
 
 def test_collar_analytic_frames_match_fd(line_mesh):
     # the closed-form frames of the collar graph agree with centered
-    # differences of its positions, including through the cutoff ramp
+    # differences of its positions, including through the cutoff ramp;
+    # the torus differences are wrapped, so none crosses the cut at pi
     X, sched, _ = line_mesh
+    from troplag.coamoeba import FlatTorus
     from troplag.lift import Cutoff, LocalModel
 
-    def _collar_sheet(model, j, lam, cutoff, S, T, reduce_torus):
-        return _collar_sheets(model, lam, [(j, cutoff, S, T)], reduce_torus)[0]
+    def _collar_sheet(model, j, lam, cutoff, S, T):
+        return _collar_sheets(model, lam, [(j, cutoff, S, T)])[0]
+
+    def _difference(P, M):
+        d = P - M
+        d[:, 2:] = FlatTorus(2).wrap_centered(d[:, 2:])
+        return d
     model = LocalModel(X, X.vertices[0])
     lam = sched.lam[0]
     for j in (0, 1, 2):
@@ -898,14 +905,14 @@ def test_collar_analytic_frames_match_fd(line_mesh):
         rng = np.random.default_rng(j)
         S = rng.uniform(ls.r_prime / scale, ls.r / scale, 40)
         T = rng.uniform(0.1, PI - 0.1, 40)
-        P0, fr = _collar_sheet(model, j, lam, cutoff, S, T, reduce_torus=False)
+        P0, fr = _collar_sheet(model, j, lam, cutoff, S, T)
         h = 1e-6
-        Ps = _collar_sheet(model, j, lam, cutoff, S + h, T, reduce_torus=False)[0]
-        Ms = _collar_sheet(model, j, lam, cutoff, S - h, T, reduce_torus=False)[0]
-        Pt = _collar_sheet(model, j, lam, cutoff, S, T + h, reduce_torus=False)[0]
-        Mt = _collar_sheet(model, j, lam, cutoff, S, T - h, reduce_torus=False)[0]
-        fd_s = (Ps - Ms) / (2 * h)
-        fd_t = (Pt - Mt) / (2 * h)
+        Ps = _collar_sheet(model, j, lam, cutoff, S + h, T)[0]
+        Ms = _collar_sheet(model, j, lam, cutoff, S - h, T)[0]
+        Pt = _collar_sheet(model, j, lam, cutoff, S, T + h)[0]
+        Mt = _collar_sheet(model, j, lam, cutoff, S, T - h)[0]
+        fd_s = _difference(Ps, Ms) / (2 * h)
+        fd_t = _difference(Pt, Mt) / (2 * h)
         scale_s = 1 + np.abs(fr[:, 0, :]).max()
         scale_t = 1 + np.abs(fr[:, 1, :]).max()
         assert np.abs(fd_s - fr[:, 0, :]).max() < 1e-5 * scale_s

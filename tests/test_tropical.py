@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from troplag.cli import _curve_to_json
 from troplag.errors import InputError
-from troplag.polyhedral import LatticePolytope, LiftingFunction, regular_subdivision, vsub
+from troplag.polyhedral import (LatticePolytope, LiftingFunction, affine_dim,
+                                regular_subdivision, vsub)
 from troplag.tropical import (AffineFrame, TropCell, TropicalComplex, TropicalLine,
                               adapted_frame, balancing_check, is_smooth, load_curve_json,
                               tangent_line, tropical_hypersurface)
@@ -158,6 +160,23 @@ def test_curves_from_lifts_are_balanced(vals):
     nu = LiftingFunction(dict(zip(P.lattice_points, vals)))
     X = tropical_hypersurface(regular_subdivision(P, nu))
     assert balancing_check(X)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=6),
+       st.lists(st.integers(-3, 3), min_size=16, max_size=16))
+@example([(0, 0), (1, 2), (2, 1)], [1, 0, 0, 0] + [0] * 12)  # smooth
+@example([(0, 0), (1, 2), (2, 1)], [0] * 16)  # one cell of area 3, primitive edges
+def test_subdivision_and_star_smoothness_agree(points, values):
+    # is_smooth of a polytope-backed curve tests its subdivision's cells,
+    # and of the same curve read back as a direct curve each vertex's star
+    assume(affine_dim(points) == 2)
+    P = LatticePolytope.from_points(points)
+    X = tropical_hypersurface(regular_subdivision(P, dict(zip(P.lattice_points, values))))
+    Y = load_curve_json(_curve_to_json(X))
+    assert Y.subdivision is None
+    assert is_smooth(Y) == is_smooth(X)
+    assert balancing_check(X) and balancing_check(Y)
 
 
 def test_every_smooth_vertex_is_trivalent_unimodular():
