@@ -207,10 +207,12 @@ def cmd_toric(args):
         raise InputError("input carries no moment polygon")
     out = {"delzant": delzant_check(poly)}
     hits = classify_boundary(X, poly)
+    # a boundary vertex is written like a point, a boundary edge as its index
     out["classification"] = [
         {"point": [str(c) for c in h.point], "edge": h.edge_index,
-         "boundary": [h.boundary[0], str(h.boundary[1])], "index": h.index,
-         "kind": h.kind} for h in hits]
+         "boundary": [h.boundary[0], h.boundary[1] if h.boundary[0] == "edge"
+                      else [str(c) for c in h.boundary[1]]],
+         "index": h.index, "kind": h.kind} for h in hits]
     topo = lift_topology(X, poly)
     out["topology"] = {"chi": topo.chi, "orientable": topo.orientable,
                        "boundary_circles": topo.boundary_circles,

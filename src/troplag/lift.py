@@ -948,7 +948,7 @@ _LIFT_POOL_BLOCKS = 2
 
 def _cpu_count():
     """CPUs this process may run on: smooth_lift's pool and the KD-tree
-    queries of _directed_max use this many threads."""
+    queries of hausdorff_distance use this many threads."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -1079,10 +1079,13 @@ def _fold_fiber(cloud):
 # Approximation factor of the bounding query in hausdorff_distance: each
 # returned distance is at most (1 + eps) times the nearest distance.
 _HAUSDORFF_EPS = 3.0
-# Rows per anchor group of the certificate in _directed_max, and rows per
-# block of its bound computation (bounds memory to a few MB).
+# Rows per anchor group of the certificate in _anchor_bounds, and rows per
+# block of its bound computation.  hausdorff_distance's worker computes
+# cloud_a's bounds, and glibc keeps the memory of each thread's temporaries
+# in that thread's arena: blocks of 2^12 rows keep them under 1 MB.  Over
+# theorem41's three distances, 2^15-row blocks raised the peak RSS by 4 MB.
 _HAUSDORFF_STRIDE = 8
-_HAUSDORFF_BLOCK = 1 << 15
+_HAUSDORFF_BLOCK = 1 << 12
 
 
 def hausdorff_distance(cloud_a, cloud_b):
@@ -1098,18 +1101,27 @@ def hausdorff_distance(cloud_a, cloud_b):
     consecutive groups of _HAUSDORFF_STRIDE, and only each group's middle
     row (its anchor) is queried exactly.  The distance to a cloud is
     1-Lipschitz, so a row's nearest distance is at most its anchor's plus
-    its own distance to the anchor, in any row order.  The largest exact
-    distance so far is a lower bound lo on the result, carried from the
-    first direction into the second.  Only rows whose bound (inflated by a
-    relative 1e-9 and an absolute 1e-12 against rounding) exceeds lo get an
-    approximate query (eps = 3), a second upper bound; the row with the
-    largest such bound is queried exactly to raise lo, and the rows whose
-    bound still exceeds lo are queried exactly.  A point's exact distance
-    does not depend on which other points are queried, so the result is the
-    same float as exact queries of all points in both directions, and it
-    does not depend on how many threads (_cpu_count) the queries use.  The
-    direction from cloud_b runs first: the callers pass the PL cloud there,
-    which holds the maximum at small scales and so prunes the larger mesh.
+    its own distance to the anchor, in any row order.  The largest anchor
+    distance of either direction is a lower bound lo on the result.  Only
+    rows whose bound (inflated by a relative 1e-9 and an absolute 1e-12
+    against rounding) exceeds lo get an approximate query (eps = 3), a
+    second upper bound; the row with the largest such bound is queried
+    exactly to raise lo, and the rows whose bound still exceeds lo are
+    queried exactly.  The direction from cloud_b finishes first, and its lo
+    is carried into the direction from cloud_a: the callers pass the PL
+    cloud as cloud_b, which holds the maximum at small scales and so prunes
+    the larger mesh.  A point's exact distance does not depend on which
+    other points are queried, so the result is the same float as exact
+    queries of all points in both directions, whatever the thread timing
+    and however many threads (_cpu_count) the queries use.
+
+    The two directions start side by side.  The calling thread builds
+    cloud_a's tree (the callers' larger cloud), while one worker thread
+    builds cloud_b's tree, queries cloud_a's anchors in it and writes the
+    bound of every cloud_a row into an array of the calling thread.  The
+    worker is joined before anything else runs, also when either side
+    raises; the rest runs on the calling thread, with its KD-tree queries
+    on _cpu_count() threads.
 
     ValueError if either cloud holds NaN or inf.
     """
@@ -1119,36 +1131,65 @@ def hausdorff_distance(cloud_a, cloud_b):
         raise ValueError("point clouds must be finite")
     A = _fold_fiber(cloud_a)
     B = _fold_fiber(cloud_b)
-    return float(_directed_max(A, B, _directed_max(B, A, 0.0)))
+    bound_a = np.empty(len(A))
+
+    def b_side():
+        tree = _fiber_tree(B)
+        return tree, _anchor_bounds(A, tree, 1, bound_a)
+
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as pool:
+        worker = pool.submit(b_side)
+        tree_a = _fiber_tree(A)
+    tree_b, lo = worker.result()
+    bound_b = np.empty(len(B))
+    lo = max(lo, _anchor_bounds(B, tree_a, _cpu_count(), bound_b))
+    lo = _finish_directed(B, tree_a, bound_b, lo)
+    return float(_finish_directed(A, tree_b, bound_a, lo))
 
 
-def _directed_max(P, Q, lo):
-    """The larger of lo and the largest exact nearest distance from a row
-    of P to Q, by the certificate of hausdorff_distance; each direction's
-    tree is freed on return."""
+def _fiber_tree(cloud):
+    """KD-tree of a folded cloud, periodic in the fiber axes.  A folded
+    cloud is a private contiguous copy, so the tree keeps it uncopied."""
     # imported on first use: only a Hausdorff distance needs scipy, and
     # importing it with this module doubled the start-up of every command
     from scipy.spatial import cKDTree
-    tree = cKDTree(Q, boxsize=(0.0, 0.0, PI, PI), balanced_tree=False)
-    n, stride, workers = len(P), _HAUSDORFF_STRIDE, _cpu_count()
+    return cKDTree(cloud, boxsize=(0.0, 0.0, PI, PI), balanced_tree=False,
+                   copy_data=False)
+
+
+def _anchor_bounds(P, tree, workers, out):
+    """Anchor phase of the certificate of hausdorff_distance: query each
+    anchor of P exactly in the tree, on this many threads, and write every
+    row's inflated upper bound on its nearest distance into out.  Returns
+    the largest anchor distance."""
+    n, stride = len(P), _HAUSDORFF_STRIDE
     starts = np.arange(0, n, stride)
     anchors = starts + np.minimum(stride, n - starts) // 2
     d_anchor = tree.query(P[anchors], k=1, workers=workers)[0]
-    lo = max(lo, d_anchor.max())
-    far = []
     for b in range(0, n, _HAUSDORFF_BLOCK):
         rows = P[b:b + _HAUSDORFF_BLOCK]
         group = np.arange(b, b + len(rows)) // stride
         step = np.abs(rows - P[anchors[group]])
         fiber = step[:, 2:]
         np.minimum(fiber, PI - fiber, out=fiber)
-        bound = d_anchor[group] + np.sqrt(np.einsum("ij,ij->i", step, step))
-        far.append(b + np.flatnonzero(bound * (1.0 + 1e-9) + 1e-12 > lo))
-    far = P[np.concatenate(far)]
+        bound = out[b:b + len(rows)]
+        np.add(d_anchor[group], np.sqrt(np.einsum("ij,ij->i", step, step)), out=bound)
+        bound *= 1.0 + 1e-9
+        bound += 1e-12
+    return d_anchor.max()
+
+
+def _finish_directed(P, tree, bound, lo):
+    """Finishing phase of the certificate: the larger of lo and the largest
+    exact nearest distance from a row of P to the tree's cloud, querying
+    only the rows whose bound from _anchor_bounds exceeds lo."""
+    workers = _cpu_count()
+    far = P[bound > lo]
     if len(far):
-        bound = tree.query(far, k=1, eps=_HAUSDORFF_EPS, workers=workers)[0]
-        lo = max(lo, tree.query(far[np.argmax(bound)], k=1)[0])
-        far = far[bound > lo]
+        approx = tree.query(far, k=1, eps=_HAUSDORFF_EPS, workers=workers)[0]
+        lo = max(lo, tree.query(far[np.argmax(approx)], k=1)[0])
+        far = far[approx > lo]
     return max(lo, tree.query(far, k=1, workers=workers)[0].max()) if len(far) else lo
 
 

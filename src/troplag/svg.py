@@ -33,11 +33,6 @@ class SvgCanvas:
         self.items.append(
             f'<polyline points="{s}" fill="none" stroke="{color}" stroke-width="{width}"/>')
 
-    def polygon(self, pts, fill="none", color="black", width=1.0):
-        s = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(self._map, pts))
-        self.items.append(
-            f'<polygon points="{s}" fill="{fill}" stroke="{color}" stroke-width="{width}"/>')
-
     def dot(self, p, r=3.0, color="black"):
         x, y = self._map(p)
         self.items.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{color}"/>')

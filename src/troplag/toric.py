@@ -23,9 +23,6 @@ class PolygonEdge:
     length: Fraction  # None for an unbounded edge (a ray from base)
     inward: tuple     # primitive integer inward normal
 
-    def point(self, t):
-        return tuple(Fraction(b) + t * d for b, d in zip(self.base, self.direction))
-
 
 class DelzantPolygon:
     """Possibly-unbounded rational polygon given by edges + inward normals."""

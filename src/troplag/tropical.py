@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InputError
 from .polyhedral import discrete_legendre, parse_int, primitive, vadd, vsub
@@ -35,10 +36,6 @@ class TropCell:
         d = (primitive(vsub(self.verts[1], self.verts[0])) if self.kind == "segment"
              else self.rays[0] if self.rays else None)
         object.__setattr__(self, "_direction", d)
-
-    @property
-    def dim(self):
-        return 0 if self.kind == "vertex" else 1
 
     def direction(self):
         """Primitive direction of a 1-cell: from verts[0] to verts[1] for a
@@ -113,14 +110,21 @@ class TropicalComplex:
     def min_vertex_distance(self):
         """Smallest distance between two vertices (1.0 with fewer than two).
 
-        A sweep in exact x order: a row stops at the first vertex whose x
-        gap alone, squared as a float, exceeds the best squared distance so
-        far, since later vertices are no closer in x.  Pairs that are
-        compared give the same float as a loop over all pairs."""
-        vs = sorted(self.vertices, key=lambda v: v[0])
+        A sweep in exact (x, y) order.  Within a column of equal x, a vertex
+        is compared only with the next one, since the later ones lie farther
+        up.  Past its column, a row stops at the first vertex whose x gap
+        alone, squared as a float, exceeds the best squared distance so far,
+        since later vertices are no closer in x.  The skipped pairs cannot be
+        nearer, so the result is the same float as a loop over all pairs."""
+        vs = sorted(self.vertices)
+        n = len(vs)
+        column_end = [n] * n  # index of the first vertex right of vs[i]'s column
+        for i in range(n - 2, -1, -1):
+            column_end[i] = column_end[i + 1] if vs[i + 1][0] == vs[i][0] else i + 1
         best = None
         for i, a in enumerate(vs):
-            for j in range(i + 1, len(vs)):
+            end = column_end[i]
+            for j in chain(range(i + 1, min(i + 2, end)), range(end, n)):
                 d = vsub(vs[j], a)
                 dx = float(d[0]) ** 2
                 if best is not None and dx > best:

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -266,11 +267,11 @@ TROPICAL_SHA256 = {
 }
 # toric_report.json of `troplag toric NAME` per fixture with a polygon
 TORIC_SHA256 = {
-    "nonorientable": "9e16d0cff2413d52b546da91c47255cb92826776cab2c90ad298e5b08baefe99",
-    "p1p1_monotone": "d4160447ef09dc72194723d2fcffc6b7d0061f772b6ef2ac395adfd70b0b404f",
-    "p1p1_torus": "3c5e88e557efba98820a1715b8f8d3464b886f6758c465bf5699ea1758787f82",
-    "p2_monotone": "9176787a5c72c8d63cfbc699778acaca1d634421aff7a07b2d37199a064a0cb0",
-    "p2_torus": "698d6585932911a58cccfb1092713e790bab14bafa8ee4c7a756fd67564626cb",
+    "nonorientable": "4effe6fb8c47736f69a22f6005c4d8f04948125d1937070d7dc2a7d698cf2901",
+    "p1p1_monotone": "ed49c76290cec94dd6a34788656450475d09efc38a8787cc4039e40b03a8fbcd",
+    "p1p1_torus": "453dea604b0433630b075ca432ce0d7b4590ae5b6c9b972a4bf5ea645883bb78",
+    "p2_monotone": "9b81e5897b95ed40cf468b5713eb23e9a19e9c78be942acfc9265c05d60339d1",
+    "p2_torus": "9da8b0bcf805ebb6fea92c972fa4e1d1997f8fe5311ebc38635b7b65e060ff8f",
 }
 # pl_cloud.csv and report.jsonl of `troplag lift NAME --pl-only --resolution
 # 16`; weight2_line's vertex fiber is a covering coamoeba
@@ -295,6 +296,31 @@ def test_toric_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     assert run(["toric", name, "--out", "out"]) == 0
     assert _sha256(tmp_path / "out" / "toric_report.json") == TORIC_SHA256[name]
+
+
+def _json_leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _json_leaves(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("name", sorted(TORIC_SHA256))
+def test_toric_report_holds_no_python_reprs(tmp_path, name):
+    # a boundary vertex is written like a point, a boundary edge as its index
+    out = tmp_path / "out"
+    assert run(["toric", name, "--out", str(out)]) == 0
+    rep = json.loads((out / "toric_report.json").read_text())
+    assert not [v for v in _json_leaves(rep) if "Fraction(" in str(v)]
+    for hit in rep["classification"]:
+        kind, where = hit["boundary"]
+        if kind == "vertex":
+            assert [str(Fraction(c)) for c in where] == where == hit["point"]
+        else:
+            assert kind == "edge" and type(where) is int
 
 
 @pytest.mark.parametrize("name", sorted(PL_ONLY_RES16_SHA256))

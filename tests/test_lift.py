@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -186,7 +187,6 @@ def test_rejection_sampler_matches_pointwise_membership(resolution):
 
 def test_pl_sample_of_a_square_cell_is_quick():
     # 256^2 grid points of the square cell's torus, tested at once
-    import time
     pl = pl_lift(_unit_square_curve())
     start = time.perf_counter()
     pl.sample(64)
@@ -820,6 +820,50 @@ def test_anchor_certificate_across_block_boundaries(monkeypatch, block):
         A[n // 3, :2] += 5.0  # one far row, usually not an anchor
         assert hausdorff_distance(A, B) == _hausdorff_full_queries(A, B)
         assert hausdorff_distance(B, A) == _hausdorff_full_queries(B, A)
+
+
+def _before_tree_build(monkeypatch, on_worker, action):
+    """Run action before each KD-tree build of hausdorff_distance on its
+    worker thread, or on the calling thread."""
+    build = lift_module._fiber_tree
+
+    def patched(cloud):
+        if (threading.current_thread() is not threading.main_thread()) == on_worker:
+            action()
+        return build(cloud)
+    monkeypatch.setattr(lift_module, "_fiber_tree", patched)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("slow", [None, "worker", "caller"])
+def test_hausdorff_does_not_depend_on_cpus_or_thread_timing(monkeypatch, workers, slow):
+    # a delayed worker lets the calling thread finish cloud_a's tree first,
+    # a delayed caller the other way round; neither moves the float
+    monkeypatch.setattr(lift_module, "_cpu_count", lambda: workers)
+    if slow is not None:
+        _before_tree_build(monkeypatch, slow == "worker", lambda: time.sleep(0.05))
+    rng = np.random.default_rng(workers)
+    A = rng.uniform(-1.0, 1.0, (3000, 4)) * [1.0, 1.0, PI, PI]
+    B = rng.uniform(-1.0, 1.0, (500, 4)) * [1.0, 1.0, PI, PI]
+    B[7, :2] += 4.0  # B -> A holds the maximum
+    A[11, :2] -= 2.0  # a second far row, in A
+    threads = threading.active_count()
+    for P, Q in ((A, B), (B, A)):
+        assert hausdorff_distance(P, Q) == _hausdorff_full_queries(P, Q)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("on_worker", [True, False])
+def test_hausdorff_tree_build_error_propagates_and_joins_the_worker(monkeypatch, on_worker):
+    def fail():
+        raise MemoryError("tree build failed")
+    _before_tree_build(monkeypatch, on_worker, fail)
+    rng = np.random.default_rng(5)
+    A, B = rng.uniform(0.0, 1.0, (200, 4)), rng.uniform(0.0, 1.0, (50, 4))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="tree build failed"):
+        hausdorff_distance(A, B)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("side", [0, 1])

@@ -234,3 +234,15 @@ def test_min_vertex_distance_sweep_is_the_all_pairs_float(vertices):
     # few distinct x values (or none shared), repeated and coincident vertices
     X = TropicalComplex(vertices, [])
     assert X.min_vertex_distance() == _min_vertex_distance_all_pairs(X.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0, Fraction(1, 2), 3]),
+                          st.fractions(min_value=-6, max_value=6, max_denominator=4)),
+                min_size=2, max_size=40))
+@example([(0, 0), (0, 3), (0, 1), (Fraction(1, 2), 2), (0, 1)])
+def test_min_vertex_distance_compares_only_column_neighbours(vertices):
+    # many vertices per column of equal x, repeats among them, and columns
+    # close enough that the nearest pair may cross between them
+    X = TropicalComplex(vertices, [])
+    assert X.min_vertex_distance() == _min_vertex_distance_all_pairs(X.vertices)
