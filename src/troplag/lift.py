@@ -19,9 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coamoeba import PI, edge_fiber_from_dual, reduce_mod_pi, rstar_apply
+from .coamoeba import PI, edge_fiber_from_dual, r_apply, reduce_mod_pi, rstar_apply
 from .errors import ConfigurationError, InputError, NumericError
-from .pants import HESSIAN_MARGIN, PantsMap, h_chart_terms, solve_leg_fiber
+from .pants import (HESSIAN_MARGIN, PantsMap, h_chart_terms, hessian_rows, scaled_h,
+                    solve_leg_fiber)
 from .tropical import adapted_frame, tangent_line, tangent_star
 from .polyhedral import primitive
 
@@ -723,105 +724,133 @@ def _write_rows(fh, fmt, rows):
 # ---------------------------------------------------------------------------
 # construction of the smooth lift
 
-def _pants_vertex_piece(model, lam, legs_lat, resolution):
-    """Sample the trimmed pants over one vertex, with tangent frames."""
-    pm = PantsMap(1, lam)
+# The pants over a vertex depend on the vertex only through an integral
+# affine map: smooth_lift solves and evaluates every piece in standard
+# coordinates, once per distinct row of (lam, leg cuts), and maps it to each
+# vertex of that row with LocalModel's x/y/dx/dy_ambient.
+
+def _body_grid(resolution):
+    """Torus points of the plus half of the pants body grid."""
     res = max(8, resolution)
     grid = (np.arange(res) + 0.5) / res
     l1, l2 = np.meshgrid(grid, grid)
     keep = (l1 + l2) < 1.0 - 1e-9
-    bary = np.stack([l1[keep], l2[keep]], axis=1) * (PI / 2)
-    y_all = np.vstack([bary, -bary])
-    h_all, H_all = pm._evaluate(y_all, "hH")
-    c = np.stack([LocalModel.leg_coordinate(h_all, j) for j in range(3)], axis=1)
-    trims = np.array([legs_lat[j][1] for j in range(3)])  # trim at r''
-    keep = np.all(c <= trims[None, :], axis=1)
-    y_in = y_all[keep]
-    h_in = h_all[keep]
-    H = H_all[keep]
-    P = np.concatenate([model.x_ambient(h_in), model.y_ambient(y_in)], axis=1)
-    N = len(y_in)
+    return np.stack([l1[keep], l2[keep]], axis=1) * (PI / 2)
+
+
+@lru_cache(maxsize=1)
+def _unit_pants(resolution):
+    """Scale-free tables of the pants over a vertex at this resolution,
+    read-only; every scale lam reads them through scaled_h and
+    hessian_rows, so its bits are those of PantsMap(1, lam).
+
+    - body: at the plus half of _body_grid, the terms of h
+      (PantsMap._h_terms) and the Hessian over lam in columns, not
+      symmetrized (PantsMap._hessian_core).  The minus half has the same
+      plus representative, bit for bit: the same h, and the Hessian times
+      -1.
+    - charts: the blow-up collar grid around the exceptional circle of
+      vertex 0, stacked with its four difference stencils (alpha +- da,
+      t +- dt): the h_chart terms (num, den) of each, shapes (5, G, 2) and
+      (5, G, 1), the torus points, shape (5, G, 2), and the stencil widths
+      2 da and 2 dt, shape (G,).  The circles of vertices 1 and 2 are
+      their images under r_apply and rstar_apply."""
+    terms, core = PantsMap(1)._unit_terms(_body_grid(resolution))
+    res_a = max(8, resolution // 2)
+    res_t = max(6, resolution // 4)
+    alphas = np.exp(np.linspace(np.log(2e-2), np.log(5e1), res_a))
+    A, Tn = np.meshgrid(alphas, np.linspace(-1.0, 1.0, res_t), indexing="ij")
+    a = A.ravel()
+    tcap = np.minimum(0.3 * PI / 2, 0.9 * (PI / 2) / (1.0 + a))
+    t = Tn.ravel() * tcap
+    da, dt = 1e-5 * a, 1e-5 * tcap
+    aa = np.stack([a, a + da, a - da, a, a])
+    tt = np.stack([t, t, t, t + dt, t - dt])
+    num, den = h_chart_terms(1, aa.reshape(-1, 1), tt.ravel())
+    charts = (num.reshape(5, -1, 2), den.reshape(5, -1, 1), np.stack([tt * aa, tt], axis=-1),
+              2 * da, 2 * dt)
+    for arr in (*terms[:2], *(rows for rows, _ in terms[2]), core, *charts):
+        arr.setflags(write=False)
+    return (terms, core), charts
+
+
+def _within_trims(h, trims):
+    """Rows of standard-side points h whose leg coordinates are all at most
+    trims, one per leg."""
+    return np.all([LocalModel.leg_coordinate(h, j) <= trims[j] for j in range(3)], axis=0)
+
+
+def _standard_pants(lam, trims, resolution):
+    """The trimmed pants over a vertex at scale lam, in standard
+    coordinates, from _unit_pants: the body and the chart collars whose
+    leg coordinates are all at most trims (r'' per leg, in lattice
+    units).
+
+    Returns (body, charts).  body is (h, y, H): the kept grid points, plus
+    half then minus half, and their symmetric Hessians.  charts is (h, y,
+    2 da, 2 dt): the standard points of the kept collar points around the
+    exceptional circles k = 0, 1, 2, in that order, followed by the same
+    rows of each of their four stencils, shape (5K, 2) each, and the
+    stencil widths, shape (K, 1) each."""
+    (terms, core), (num, den, y0, da2, dt2) = _unit_pants(resolution)
+    h = scaled_h(1, lam, terms)
+    keep = _within_trims(h, trims)
+    h, y, core = h[keep], _body_grid(resolution)[keep], core[:, :, keep]
+    sign = np.repeat([1.0, -1.0], len(h))
+    body = (np.concatenate([h, h]), np.concatenate([y, -y]),
+            hessian_rows(np.concatenate([core, core], axis=2), lam, sign))
+    x = lam * num / den
+    hs, ys, keeps = [], [], []
+    for k in (0, 1, 2):
+        xk = rstar_apply(1, k, x) if k else x
+        keep = _within_trims(xk[0], trims)
+        hs.append(xk[:, keep])
+        ys.append(r_apply(1, k, y0[:, keep]) if k else y0[:, keep])
+        keeps.append(np.flatnonzero(keep))
+    keep = np.concatenate(keeps)
+    charts = (np.concatenate(hs, axis=1).reshape(-1, 2),
+              np.concatenate(ys, axis=1).reshape(-1, 2), da2[keep, None], dt2[keep, None])
+    return body, charts
+
+
+def _pants_vertex_piece(model, pants):
+    """Points and tangent frames of the trimmed pants over one vertex, from
+    _standard_pants.  The body's frames are its Hessian columns; the chart
+    collars' are finite differences of their stencils, taken after the map
+    to the vertex (on the raw torus lift, so nothing crosses the
+    fundamental-domain cut)."""
+    (h, y, H), (hc, yc, da2, dt2) = pants
+    N = len(h)
     frames = np.empty((N, 2, 4))
     for i in range(2):
         e = np.zeros((1, 2))
         e[0, i] = 1.0
         frames[:, i, :2] = model.dx_ambient(H[:, :, i])
-        frames[:, i, 2:] = np.repeat(model.dy_ambient(e), N, axis=0)
-    chart_pts, chart_frames = _pants_chart_points(model, pm, legs_lat, resolution)
-    if len(chart_pts):
-        P = np.vstack([P, chart_pts])
-        frames = np.vstack([frames, chart_frames])
-    return P, frames
+        frames[:, i, 2:] = model.dy_ambient(e)
+    P0, Pa_up, Pa_dn, Pt_up, Pt_dn = np.split(
+        np.concatenate([model.x_ambient(hc), model.y_ambient_raw(yc)], axis=1), 5)
+    P0[:, 2:] = reduce_mod_pi(P0[:, 2:])
+    return (np.vstack([np.concatenate([model.x_ambient(h), model.y_ambient(y)], axis=1), P0]),
+            np.vstack([frames, np.stack([(Pa_up - Pa_dn) / da2, (Pt_up - Pt_dn) / dt2], axis=1)]))
 
 
-def _pants_chart_points(model, pm, legs_lat, resolution):
-    """Blow-up collars around the three exceptional circles; FD frames in
-    chart coordinates (positions are exact, the raw torus lift is used for
-    the differences so nothing crosses the fundamental-domain cut)."""
-    from .coamoeba import r_apply, rstar_apply
-    res_a = max(8, resolution // 2)
-    res_t = max(6, resolution // 4)
-    alphas = np.exp(np.linspace(np.log(2e-2), np.log(5e1), res_a))
-    tgrid = np.linspace(-1.0, 1.0, res_t)
-    trims = np.array([legs_lat[j][1] for j in range(3)])
-    pts_all, fr_all = [], []
-    for k in (0, 1, 2):
-        A, Tn = np.meshgrid(alphas, tgrid, indexing="ij")
-        a = A.ravel()
-        tcap = np.minimum(0.3 * PI / 2, 0.9 * (PI / 2) / (1.0 + a))
-        t = Tn.ravel() * tcap
-
-        def emb_raw(aa, tt):
-            yy = np.stack([tt * aa, tt], axis=1)
-            if k != 0:
-                yy = r_apply(1, k, yy)
-            hh = np.atleast_2d(pm.h_chart(aa[:, None], tt))
-            if k != 0:
-                hh = rstar_apply(1, k, hh)
-            return np.concatenate([model.x_ambient(hh), model.y_ambient_raw(yy)],
-                                  axis=1), hh
-
-        P0, h0 = emb_raw(a, t)
-        c = np.stack([LocalModel.leg_coordinate(h0, j) for j in range(3)], axis=1)
-        keep = np.all(c <= trims[None, :], axis=1)
-        a, t, tcap, P0 = a[keep], t[keep], tcap[keep], P0[keep]
-        if not len(a):
-            continue
-        da = 1e-5 * a
-        dt = 1e-5 * tcap
-        # the four difference stencils of the kept points in one evaluation
-        Pa_up, Pa_dn, Pt_up, Pt_dn = np.split(emb_raw(np.concatenate([a + da, a - da, a, a]),
-                                                      np.concatenate([t, t, t + dt, t - dt]))[0], 4)
-        va = (Pa_up - Pa_dn) / (2 * da[:, None])
-        vt = (Pt_up - Pt_dn) / (2 * dt[:, None])
-        P0[:, 2:] = reduce_mod_pi(P0[:, 2:])
-        pts_all.append(P0)
-        fr_all.append(np.stack([va, vt], axis=1))
-    if not pts_all:
-        return np.zeros((0, 4)), np.zeros((0, 2, 4))
-    return np.vstack(pts_all), np.vstack(fr_all)
-
-
-def _collar_sheets(model, lam, legs, out):
-    """Collar points and analytic frames at one vertex: for each leg
-    (j, cutoff, S, T), the graph of d(eta * G) in leg-j working coordinates
-    at paired arrays S of leg coordinate and T of fiber angle, mapped to
-    ambient coordinates and written into that leg's pair (points, frames)
-    of out, arrays of shapes (n, 4) and (n, 2, 4); returns out.  The legs
-    share the scale and, in working coordinates, the face J = {1}: one
-    fiber solve and one evaluation of the potential serve all of them.
-    Every step works row by row, so a block of rows gets the bits it gets
-    as part of the whole grid; smooth_lift calls this once per block of
-    _LIFT_BLOCK rows."""
+def _collar_sheets(lam, legs):
+    """Collar sheets at scale lam in standard coordinates: for each leg
+    (j, S, T, eta, eta', eta''), the graph of d(eta * G) in leg-j working
+    coordinates at paired arrays S of leg coordinate and T of fiber angle,
+    with the cutoff and its derivatives at S, as standard-side points and
+    frames (x, y, dx_s, dy_s, dx_t, dy_t).  The legs share the scale and,
+    in working coordinates, the face J = {1}: one fiber solve and one
+    evaluation of the potential serve all of them.  Every step works row by
+    row, so a block of rows gets the bits it gets as part of the whole
+    grid."""
     pm = PantsMap(1, lam)
-    qw = _fiber_circle(pm, 1, np.concatenate([leg[2] for leg in legs]),
-                       np.concatenate([leg[3] for leg in legs]))
-    ends = np.cumsum([len(leg[2]) for leg in legs])[:-1]
+    qw = _fiber_circle(pm, 1, np.concatenate([leg[1] for leg in legs]),
+                       np.concatenate([leg[2] for leg in legs]))
+    ends = np.cumsum([len(leg[1]) for leg in legs])[:-1]
     rows = zip(*(np.split(a, ends) for a in (qw, *pm._evaluate(qw, "FhH"))))
-    for (j, cutoff, Sf, Tf), (q, Fq, hq, Hq), (P, fr) in zip(legs, rows, out):
-        eta = cutoff.eta(Sf)
-        etap = cutoff.eta_prime(Sf)
-        etas = cutoff.eta_second(Sf)
+    sheets = []
+    for (j, Sf, Tf, eta, etap, etas), (q, Fq, hq, Hq) in zip(legs, rows):
         G = -Fq + Sf * q[:, 0]
         x2 = eta * hq[:, 1]
         y1 = etap * G + eta * q[:, 0]
@@ -836,44 +865,61 @@ def _collar_sheets(model, lam, legs, out):
                          axis=1)
         dyw_t = np.stack([-etap * hq[:, 1] - eta * Hq[:, 0, 1] / Hq[:, 0, 0],
                           np.ones_like(Sf)], axis=1)
-        x_std, y_std = LocalModel.from_working(j, xw, yw)
-        dxs_std, dys_std = _dworking_to_std(j, dxw_s, dyw_s)
-        dxt_std, dyt_std = _dworking_to_std(j, dxw_t, dyw_t)
-        P[:, :2] = model.x_ambient(x_std)
-        P[:, 2:] = model.y_ambient(y_std)
-        fr[:, 0, :2] = model.dx_ambient(dxs_std)
-        fr[:, 0, 2:] = model.dy_ambient(dys_std)
-        fr[:, 1, :2] = model.dx_ambient(dxt_std)
-        fr[:, 1, 2:] = model.dy_ambient(dyt_std)
-    return out
+        sheets.append((*LocalModel.from_working(j, xw, yw), *_dworking_to_std(j, dxw_s, dyw_s),
+                       *_dworking_to_std(j, dxw_t, dyw_t)))
+    return sheets
 
 
-def _collar_pieces(model, vi, lam, legs_lat, resolution):
+def _collar_block(lam, legs, targets):
+    """One block of collar rows: _collar_sheets once, mapped to the vertex
+    of each target (model, out) and written into out, one pair (points,
+    frames) of arrays of shapes (n, 4) and (n, 2, 4) per sheet."""
+    sheets = _collar_sheets(lam, legs)
+    for model, out in targets:
+        for (x, y, dxs, dys, dxt, dyt), (P, fr) in zip(sheets, out):
+            P[:, :2] = model.x_ambient(x)
+            P[:, 2:] = model.y_ambient(y)
+            fr[:, 0, :2] = model.dx_ambient(dxs)
+            fr[:, 0, 2:] = model.dy_ambient(dys)
+            fr[:, 1, :2] = model.dx_ambient(dxt)
+            fr[:, 1, 2:] = model.dy_ambient(dyt)
+
+
+def _collar_pieces(vertices, legs_lat, resolution):
     """Graphs of d(eta * G) over [r', r] x (fiber circle) for the legs of
-    vertex vi; legs_lat[j] holds r', r'', rbar and r in lattice units.
-    Returns the pieces, whose arrays are still to be filled, and their
-    blocks: the legs' grids, stacked, are cut into blocks of _LIFT_BLOCK
-    rows, in row order, and each block is the arguments (legs, out) of one
-    _collar_sheets call (one fiber solve) that fills its rows of the
-    pieces.  A block may span legs, so a small grid costs one call per
-    vertex, not one per leg."""
+    the vertices, pairs (vi, model) that share the scale and the leg cuts
+    legs_lat (legs_lat[j] holds r', r'', rbar and r in lattice units).
+    Returns the pieces per vertex, whose arrays are still to be filled,
+    and the blocks: the legs' grids, stacked, are cut into blocks of
+    _LIFT_BLOCK rows, in row order, and each block is the arguments (legs,
+    targets) of one _collar_block call (one fiber solve) that fills its
+    rows of every vertex's pieces.  A block may span legs, so a small grid
+    costs one call, not one per leg.  The cutoffs are evaluated once per
+    leg coordinate."""
     thetas = (np.arange(resolution) + 0.5) * PI / resolution
     n = resolution * resolution
-    legs, pieces = [], []
+    legs = []
     for j, (r1, r2, rbar, r) in legs_lat.items():
-        S, T = np.meshgrid(np.linspace(r1, r, resolution), thetas, indexing="ij")
-        legs.append((j, Cutoff(r2, rbar), S.ravel(), T.ravel()))
-        pieces.append(MeshPiece("collar", (vi, j), np.empty((n, 4)), np.empty((n, 2, 4)),
-                                grid=(resolution, resolution)))
+        s = np.linspace(r1, r, resolution)
+        S, T = np.meshgrid(s, thetas, indexing="ij")
+        cutoff = Cutoff(r2, rbar)
+        legs.append((j, S.ravel(), T.ravel(),
+                     *(np.repeat(f(s), resolution)
+                       for f in (cutoff.eta, cutoff.eta_prime, cutoff.eta_second))))
+    pieces = {vi: [MeshPiece("collar", (vi, j), np.empty((n, 4)), np.empty((n, 2, 4)),
+                             grid=(resolution, resolution)) for j in legs_lat]
+              for vi, _ in vertices}
     blocks = []
     for start in range(0, len(legs) * n, _LIFT_BLOCK):
-        part, out = [], []
-        for k, ((j, cutoff, S, T), piece) in enumerate(zip(legs, pieces)):
+        part, spans = [], []
+        for k, (j, *arrays) in enumerate(legs):
             rows = slice(max(start - k * n, 0), min(start + _LIFT_BLOCK - k * n, n))
             if rows.start < rows.stop:
-                part.append((j, cutoff, S[rows], T[rows]))
-                out.append((piece.points[rows], piece.frames[rows]))
-        blocks.append((part, out))
+                part.append((j, *(a[rows] for a in arrays)))
+                spans.append((k, rows))
+        targets = [(model, [(pieces[vi][k].points[rows], pieces[vi][k].frames[rows])
+                            for k, rows in spans]) for vi, model in vertices]
+        blocks.append((part, targets))
     return pieces, blocks
 
 
@@ -939,10 +985,11 @@ def _flat_piece(X, sched, ei, resolution):
 # RSS of a verify run, 2^13 about 6 MB, and 2^11 made the lift slower
 # than one thread.
 _LIFT_BLOCK = 1 << 13
-# A vertex whose collars make at most this many blocks (resolution 72 and
-# below) is built on the calling thread alone: the pool's threads trade
-# the interpreter lock at every numpy call on small arrays, and on a
-# 2-CPU host two pooled blocks per vertex made the lift slower.
+# A lift whose collars make at most this many blocks per distinct vertex
+# row (resolution 72 and below) is built on the calling thread alone: the
+# pool's threads trade the interpreter lock at every numpy call on small
+# arrays, and on a 2-CPU host two pooled blocks per vertex made the lift
+# slower.
 _LIFT_POOL_BLOCKS = 2
 
 
@@ -958,7 +1005,7 @@ def _cpu_count():
 def _smooth_sample_bound(X, resolution):
     """Upper bound on the points of smooth_lift: per vertex the pants body
     (below its grid of max(8, r)^2), three collars of r^2 and the three
-    chart collars of _pants_chart_points; per edge a flat cylinder of r^2."""
+    chart collars of _unit_pants; per edge a flat cylinder of r^2."""
     r = resolution
     vertex = max(8, r) ** 2 + 3 * r * r + 3 * max(8, r // 2) * max(6, r // 4)
     return len(X.vertices) * vertex + len(X.edges) * r * r
@@ -980,6 +1027,29 @@ def _smallest_scale(sched, vertex_legs, resolution):
     h = PantsMap(1).h(np.stack([np.full_like(b, _COLLAR_MARGIN), b], axis=1))[:, 0]
     return max(max(leg[3] for leg in legs.values()) / sched.lam[vi]
                for vi, legs in enumerate(vertex_legs)) / h.min()
+
+
+def _lift_vertex_row(lam, legs_lat, vertices, resolution, pool):
+    """The pieces of the vertices, pairs (vi, model), that share one
+    distinct row of scale lam and leg cuts legs_lat: its pants and collars
+    are built once, in standard coordinates, and mapped to each vertex.
+    Returns, per vi, its pants piece and its three collar pieces.  With a
+    pool, the collar blocks run on it while the calling thread builds the
+    pants; the first failing block in row order raises."""
+    collars, blocks = _collar_pieces(vertices, legs_lat, resolution)
+    if pool is not None:
+        futures = [pool.submit(_collar_block, lam, legs, targets) for legs, targets in blocks]
+    # the pants are trimmed at r''
+    std = _standard_pants(lam, [legs_lat[j][1] for j in range(3)], resolution)
+    pants = {vi: MeshPiece("pants", (vi,), *_pants_vertex_piece(model, std))
+             for vi, model in vertices}
+    if pool is None:
+        for legs, targets in blocks:
+            _collar_block(lam, legs, targets)
+    else:
+        for future in futures:
+            future.result()  # raises the first failing block's error, in row order
+    return {vi: [pants[vi], *collars[vi]] for vi, _ in vertices}
 
 
 def smooth_lift(X, t=1.0, sched=None, resolution=128):
@@ -1015,10 +1085,15 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         raise InputError(f"--scale {t:g} is too small for this curve and schedule: "
                          f"it must exceed {t_min:.6g}, below which a collar's fiber "
                          f"solve comes within {HESSIAN_MARGIN:g} of a coamoeba face")
-    # A vertex's collar blocks (three grids of resolution^2 rows) run on a
-    # thread pool, while the calling thread builds its pants body, only
-    # when they are many enough to pay for the pool; otherwise every block
-    # runs on the calling thread.
+    # The pants and collars of a vertex depend only on its row of lam and
+    # leg cuts, so each distinct row is built once, in the order of its
+    # first vertex, and mapped to each of its vertices.  A row's collar
+    # blocks (three grids of resolution^2 rows) run on a thread pool, while
+    # the calling thread builds its pants, only when they are many enough
+    # to pay for the pool; otherwise every block runs on the calling thread.
+    nv = len(models)
+    lams = np.array([t * sched.lam[vi] for vi in range(nv)])
+    first, row_of = _distinct_rows(lams, [[legs[j] for j in range(3)] for legs in vertex_legs])
     workers = _cpu_count()
     pool = None
     if workers > 1 and 3 * resolution * resolution > _LIFT_POOL_BLOCKS * _LIFT_BLOCK:
@@ -1026,26 +1101,16 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         # pay for it
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
-    pieces = []
+    by_vertex = {}
     try:
-        for vi, (model, legs_lat) in enumerate(zip(models, vertex_legs)):
-            lam = t * sched.lam[vi]
-            collars, blocks = _collar_pieces(model, vi, lam, legs_lat, resolution)
-            if pool is None:
-                P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
-                for legs, out in blocks:
-                    _collar_sheets(model, lam, legs, out)
-            else:
-                futures = [pool.submit(_collar_sheets, model, lam, legs, out)
-                           for legs, out in blocks]
-                P, fr = _pants_vertex_piece(model, lam, legs_lat, resolution)
-                for future in futures:
-                    future.result()  # raises the first failing block's error, in row order
-            pieces.append(MeshPiece("pants", (vi,), P, fr))
-            pieces.extend(collars)
+        for d in np.argsort(first):
+            vertices = [(int(vi), models[vi]) for vi in np.flatnonzero(row_of == d)]
+            by_vertex.update(_lift_vertex_row(lams[first[d]], vertex_legs[first[d]], vertices,
+                                              resolution, pool))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    pieces = [p for vi in range(nv) for p in by_vertex[vi]]
     for ei, e in enumerate(X.edges):
         pieces.append(_flat_piece(X, sched, ei, resolution))
     mesh = LagrangianMesh(pieces, t, sched)
@@ -1057,14 +1122,18 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
 # verification quantities
 
 def symplectic_residual(mesh):
-    """max |omega(v, w)| over the sampled tangent frames of the mesh."""
+    """max |omega(v, w)| over the sampled tangent frames of the mesh, with
+    omega(v, w) = (<v_x, w_y> - <w_x, v_y>) / pi.  Each pairing is written
+    as its two products; rounding is monotone, so dividing the largest
+    |<v_x, w_y> - <w_x, v_y>| by pi gives the largest quotient."""
     worst = 0.0
     for p in mesh.pieces:
-        v, w = p.frames[:, 0, :], p.frames[:, 1, :]
-        om = (np.sum(v[:, :2] * w[:, 2:], axis=1) - np.sum(w[:, :2] * v[:, 2:], axis=1)) / PI
-        if len(om):
+        if len(p.frames):
+            v0, v1, v2, v3 = (p.frames[:, 0, i] for i in range(4))
+            w0, w1, w2, w3 = (p.frames[:, 1, i] for i in range(4))
+            om = (v0 * w2 + v1 * w3) - (w0 * v2 + w1 * v3)
             worst = max(worst, float(np.abs(om).max()))
-    return worst
+    return worst / PI
 
 
 def _fold_fiber(cloud):
@@ -1115,13 +1184,14 @@ def hausdorff_distance(cloud_a, cloud_b):
     queries of all points in both directions, whatever the thread timing
     and however many threads (_cpu_count) the queries use.
 
-    The two directions start side by side.  The calling thread builds
-    cloud_a's tree (the callers' larger cloud), while one worker thread
-    builds cloud_b's tree, queries cloud_a's anchors in it and writes the
-    bound of every cloud_a row into an array of the calling thread.  The
-    worker is joined before anything else runs, also when either side
-    raises; the rest runs on the calling thread, with its KD-tree queries
-    on _cpu_count() threads.
+    The two anchor phases run side by side, each on one thread.  The
+    calling thread builds cloud_a's tree (the callers' larger cloud) and
+    queries cloud_b's anchors in it, while one worker thread builds
+    cloud_b's tree, queries cloud_a's anchors in it and writes the bound
+    of every cloud_a row into an array of the calling thread.  The worker
+    is joined before anything else runs, also when either side raises;
+    the finishing phases run on the calling thread, with their KD-tree
+    queries on _cpu_count() threads.
 
     ValueError if either cloud holds NaN or inf.
     """
@@ -1131,7 +1201,7 @@ def hausdorff_distance(cloud_a, cloud_b):
         raise ValueError("point clouds must be finite")
     A = _fold_fiber(cloud_a)
     B = _fold_fiber(cloud_b)
-    bound_a = np.empty(len(A))
+    bound_a, bound_b = np.empty(len(A)), np.empty(len(B))
 
     def b_side():
         tree = _fiber_tree(B)
@@ -1141,10 +1211,9 @@ def hausdorff_distance(cloud_a, cloud_b):
     with ThreadPoolExecutor(1) as pool:
         worker = pool.submit(b_side)
         tree_a = _fiber_tree(A)
-    tree_b, lo = worker.result()
-    bound_b = np.empty(len(B))
-    lo = max(lo, _anchor_bounds(B, tree_a, _cpu_count(), bound_b))
-    lo = _finish_directed(B, tree_a, bound_b, lo)
+        lo_b = _anchor_bounds(B, tree_a, 1, bound_b)
+    tree_b, lo_a = worker.result()
+    lo = _finish_directed(B, tree_a, bound_b, max(lo_a, lo_b))
     return float(_finish_directed(A, tree_b, bound_a, lo))
 
 

@@ -56,6 +56,30 @@ def h_chart_terms(n, alpha, t):
     return num, (n + 1) * base[:, None]
 
 
+def scaled_h(n, lam, terms):
+    """The gradient map at scale lam from its terms (num, den, charts) of
+    PantsMap._h_terms: (lam * num) / den, mapped by rstar_apply(n, k, .) on
+    the rows of each chart, as h_chart maps them.  DomainError where it is
+    not finite."""
+    num, den, charts = terms
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        h = lam * num / den[:, None]
+        for rows, k in charts:
+            h[rows] = rstar_apply(n, k, h[rows])
+    if not np.all(np.isfinite(h)):
+        raise DomainError("gradient undefined on an open face of the coamoeba")
+    return h
+
+
+def hessian_rows(core, lam, sign):
+    """Symmetric Hessian rows, shape (N, m, m), at scale lam from the
+    Hessian over lam in columns, core of shape (m, m, N), and the row signs
+    (+1 plus, -1 minus half): entry (j, k) is the mean of (core * lam) *
+    sign over (j, k) and (k, j), exactly symmetric, for frames."""
+    H = core * lam * sign
+    return np.ascontiguousarray((0.5 * (H + H.swapaxes(0, 1))).transpose(2, 0, 1))
+
+
 class _PlusJet:
     """lam * F on the plus half and its first two derivatives at the
     columns w (shape (m, N)) of plus rows; no domain checks.  F, each h_j
@@ -86,11 +110,16 @@ class _PlusJet:
     def _base(self):
         return np.power(np.clip(self.g, 1e-300, None), self.n / self.m)
 
+    def h_terms(self, j):
+        """Numerator and denominator of column j of the gradient map: h(j)
+        is (lam * num) / den, and neither term depends on lam."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.cos(self.w[j] + self.s) * (self.P / self.sins[j]), self.m * self._base
+
     def h(self, j):
         """Column j of the gradient map; no chart near the vertices."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            num = np.cos(self.w[j] + self.s) * (self.P / self.sins[j])
-            return self.lam * num / (self.m * self._base)
+        num, den = self.h_terms(j)
+        return self.lam * num / den
 
     @functools.cached_property
     def _second(self):
@@ -107,15 +136,19 @@ class _PlusJet:
             self._first[j] = cot, d, self.P * d
         return self._first[j]
 
-    def H(self, j, k):
-        """Hessian entry (j, k), not symmetrized; interior rows only."""
+    def H_core(self, j, k):
+        """Hessian entry (j, k) over lam, not symmetrized; interior rows only."""
         Sn, A, B = self._second
         cot_j, d_j, g_j = self._dg(j)
         cot_k, _, g_k = self._dg(k)
         gjk = self.P * (cot_k * d_j - Sn * cot_j - self.C)
         if j == k:
             gjk = gjk - self.C * self.P / (self.sins[j] * self.sins[j])
-        return (A * g_j * g_k + B * gjk) * self.lam
+        return A * g_j * g_k + B * gjk
+
+    def H(self, j, k):
+        """Hessian entry (j, k), not symmetrized; interior rows only."""
+        return self.H_core(j, k) * self.lam
 
 
 class PantsMap:
@@ -176,21 +209,39 @@ class PantsMap:
             val = sign * jet.F() * self.lam
             out.append(float(val[0]) if single else val)
         if "h" in parts:
-            h = self._h_switched(w, jet)
+            h = scaled_h(self.n, self.lam, self._h_terms(w, jet))
             out.append(h[0] if single else h)
         if "H" in parts:
-            if not np.all((w > HESSIAN_MARGIN).all(axis=0)
-                          & (jet.s < PI / 2 - HESSIAN_MARGIN)):
-                raise DomainError("Hessian needs interior points of a coamoeba half")
-            H = np.array([[jet.H(j, k) * sign for k in range(self.m)] for j in range(self.m)])
-            H = np.ascontiguousarray((0.5 * (H + H.swapaxes(0, 1))).transpose(2, 0, 1))
-            out.append(H[0] if single else H)  # exactly symmetric, for frames
+            H = hessian_rows(self._hessian_core(w, jet), self.lam, sign)
+            out.append(H[0] if single else H)
         return out
 
-    def _h_switched(self, w, jet):
-        """h at plus columns w: the jet's gradient, replaced by the chart
-        expression within VERTEX_SWITCH_DIST of a vertex."""
-        out = np.stack([jet.h(j) for j in range(self.m)], axis=1)
+    def _unit_terms(self, y):
+        """The terms of h (_h_terms) and the Hessian over lam
+        (_hessian_core) at rows y of the open plus half, neither of which
+        depends on lam: _evaluate(y, "hH") is scaled_h(n, lam, terms) and
+        hessian_rows(core, lam, 1)."""
+        w, sign = self._plus_rep(y)
+        if not np.all(sign == 1.0):
+            raise DomainError("scale-free terms need points of the plus half")
+        jet = _PlusJet(self.n, self.lam, w)
+        return self._h_terms(w, jet), self._hessian_core(w, jet)
+
+    def _hessian_core(self, w, jet):
+        """The Hessian over lam at plus columns w, not symmetrized: shape
+        (m, m, N); DomainError unless every column is interior."""
+        if not np.all((w > HESSIAN_MARGIN).all(axis=0) & (jet.s < PI / 2 - HESSIAN_MARGIN)):
+            raise DomainError("Hessian needs interior points of a coamoeba half")
+        return np.array([[jet.H_core(j, k) for k in range(self.m)] for j in range(self.m)])
+
+    def _h_terms(self, w, jet):
+        """Terms (num, den, charts) of h at plus columns w, none of which
+        depends on lam: the jet's h_terms, replaced by those of the chart
+        expression within VERTEX_SWITCH_DIST of a vertex.  charts lists
+        (rows, k) for the rows near a vertex k != 0, which scaled_h maps by
+        rstar_apply(n, k, .) after scaling."""
+        cols = [jet.h_terms(j) for j in range(self.m)]
+        num, den, charts = np.stack([c[0] for c in cols], axis=1), cols[0][1], []
         # FlatTorus.distance to the vertices 0 and (pi/2) e_k, column by
         # column: only coordinate k - 1 of w - p_k differs from w
         wrap = self.coamoeba.torus.wrap_centered
@@ -210,15 +261,15 @@ class PantsMap:
             z = w.T[rows]
             if k != 0:
                 z = r_apply(self.n, k, z)
+                charts.append((rows, int(k)))
             z = np.mod(z + PI / 2, PI) - PI / 2
             t = np.where(np.abs(z[:, -1]) < 1e-300, 1e-300, z[:, -1])
             # on a face through the vertex the chart terms are 0/0 or
-            # overflow; the finiteness check below reports such rows
+            # overflow; scaled_h reports such rows
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                out[rows] = self.h_chart(z[:, :-1] / t[:, None], t, int(k))
-        if not np.all(np.isfinite(out)):
-            raise DomainError("gradient undefined on an open face of the coamoeba")
-        return out
+                num[rows], den_k = h_chart_terms(self.n, z[:, :-1] / t[:, None], t)
+            den[rows] = den_k[:, 0]
+        return num, den, charts
 
     def h_chart(self, alpha, t, k=0):
         """Smooth chart expression of h near vertex k.
@@ -345,9 +396,9 @@ def solve_leg_fiber(pants, j, target, wp, tol=1e-12, max_iter=80):
     (pi/2 - rest)/2, where rest is the sum of the other coordinates, and
     vanishes at hi.  For n = 1, h_j = target is a quadratic in
     sin(2 q_j + rest) and Newton starts at its root (leg_fiber_root), so
-    one iteration confirms it.  Otherwise, or where that root cannot be
-    formed (target / lam so large that q_j underflows), the start is
-    asymptotic: as q_j -> 0, h_j ~ A q_j^(-n/m) with
+    one iteration confirms it.  Otherwise, or on the rows where that root
+    cannot be formed (target / lam so large that q_j underflows), the
+    start is asymptotic: as q_j -> 0, h_j ~ A q_j^(-n/m) with
     A = lam cos(rest) P_rest / (m (cos(rest) P_rest)^(n/m)) and P_rest
     the product of the other sines, giving (A/target)^(m/n).  A start
     that is not finite or lies outside the bracket is replaced by hi/2.
@@ -370,16 +421,19 @@ def solve_leg_fiber(pants, j, target, wp, tol=1e-12, max_iter=80):
     if not np.all(others > 1e-12):
         raise DomainError("fiber solve needs interior points of a coamoeba half")
     y = 0.5 * hi
-    if pants.n:  # for n = 0, h_j has no pole at q_j = 0
-        c = np.cos(rest) * np.prod(np.sin(others), axis=1)
-        A = pants.lam * c / (pants.m * np.power(c, pants.n / pants.m))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y0 = np.power(A / target, pants.m / pants.n)
-        y = np.where(np.isfinite(y0) & (y0 > 0) & (y0 < hi), y0, y)
+    start = np.arange(len(y))  # rows still without a start
     if pants.n == 1:
         with np.errstate(over="ignore"):
             y0 = leg_fiber_root(others[:, 0], target / pants.lam)
-        y = np.where(np.isfinite(y0) & (y0 > 0) & (y0 < hi), y0, y)
+        ok = np.isfinite(y0) & (y0 > 0) & (y0 < hi)
+        y = np.where(ok, y0, y)
+        start = start[~ok]
+    if pants.n and len(start):  # for n = 0, h_j has no pole at q_j = 0
+        c = np.cos(rest[start]) * np.prod(np.sin(others[start]), axis=1)
+        A = pants.lam * c / (pants.m * np.power(c, pants.n / pants.m))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y0 = np.power(A / target[start], pants.m / pants.n)
+        y[start] = np.where(np.isfinite(y0) & (y0 > 0) & (y0 < hi[start]), y0, y[start])
     # rows still moving, with their point columns, brackets and targets
     act, w, lo, t = np.arange(len(y)), wp.T.copy(), np.zeros_like(hi), target
     for _ in range(max_iter):

@@ -4,14 +4,15 @@ before the column-wise kernel: the oracles of test_pants and test_lift.
 OraclePantsMap overrides F, h and hessian with numpy reductions over the
 coordinate axis (_plus_rep, _h_plus_raw, _g_derivatives) and keeps h_chart;
 oracle_solve_scalar is the fiber solve on _h_and_hessian_diag, and
-oracle_smooth_pieces builds the pants and one collar per (vertex, leg) with
-a fiber solve and F, h and hessian calls of its own.
+oracle_smooth_pieces builds, vertex by vertex, the pants with their chart
+collars and one collar per (vertex, leg) with a fiber solve and F, h,
+h_chart and hessian calls of its own.
 """
 
 import numpy as np
 
 from troplag import lift
-from troplag.coamoeba import PI, r_apply, rstar_apply
+from troplag.coamoeba import PI, r_apply, reduce_mod_pi, rstar_apply
 from troplag.errors import DomainError, NumericError
 from troplag.lift import Cutoff, LocalModel, MeshPiece
 from troplag.pants import VERTEX_SWITCH_DIST, PantsMap
@@ -273,11 +274,57 @@ def oracle_pants_vertex_piece(model, lam, legs_lat, resolution):
         e[0, i] = 1.0
         frames[:, i, :2] = model.dx_ambient(H[:, :, i])
         frames[:, i, 2:] = np.repeat(model.dy_ambient(e), N, axis=0)
-    chart_pts, chart_frames = lift._pants_chart_points(model, pm, legs_lat, resolution)
+    chart_pts, chart_frames = oracle_pants_chart_points(model, pm, legs_lat, resolution)
     if len(chart_pts):
         P = np.vstack([P, chart_pts])
         frames = np.vstack([frames, chart_frames])
     return P, frames
+
+
+def oracle_pants_chart_points(model, pm, legs_lat, resolution):
+    """Blow-up collars around the three exceptional circles of one vertex,
+    evaluated, trimmed and differenced per vertex; FD frames in chart
+    coordinates (positions are exact, the raw torus lift is used for the
+    differences so nothing crosses the fundamental-domain cut)."""
+    res_a = max(8, resolution // 2)
+    res_t = max(6, resolution // 4)
+    alphas = np.exp(np.linspace(np.log(2e-2), np.log(5e1), res_a))
+    tgrid = np.linspace(-1.0, 1.0, res_t)
+    trims = np.array([legs_lat[j][1] for j in range(3)])
+    pts_all, fr_all = [], []
+    for k in (0, 1, 2):
+        A, Tn = np.meshgrid(alphas, tgrid, indexing="ij")
+        a = A.ravel()
+        tcap = np.minimum(0.3 * PI / 2, 0.9 * (PI / 2) / (1.0 + a))
+        t = Tn.ravel() * tcap
+
+        def emb_raw(aa, tt):
+            yy = np.stack([tt * aa, tt], axis=1)
+            if k != 0:
+                yy = r_apply(1, k, yy)
+            hh = np.atleast_2d(pm.h_chart(aa[:, None], tt))
+            if k != 0:
+                hh = rstar_apply(1, k, hh)
+            return np.concatenate([model.x_ambient(hh), model.y_ambient_raw(yy)], axis=1), hh
+
+        P0, h0 = emb_raw(a, t)
+        c = np.stack([LocalModel.leg_coordinate(h0, j) for j in range(3)], axis=1)
+        keep = np.all(c <= trims[None, :], axis=1)
+        a, t, tcap, P0 = a[keep], t[keep], tcap[keep], P0[keep]
+        if not len(a):
+            continue
+        da = 1e-5 * a
+        dt = 1e-5 * tcap
+        Pa_up, Pa_dn, Pt_up, Pt_dn = np.split(emb_raw(np.concatenate([a + da, a - da, a, a]),
+                                                      np.concatenate([t, t, t + dt, t - dt]))[0], 4)
+        va = (Pa_up - Pa_dn) / (2 * da[:, None])
+        vt = (Pt_up - Pt_dn) / (2 * dt[:, None])
+        P0[:, 2:] = reduce_mod_pi(P0[:, 2:])
+        pts_all.append(P0)
+        fr_all.append(np.stack([va, vt], axis=1))
+    if not pts_all:
+        return np.zeros((0, 4)), np.zeros((0, 2, 4))
+    return np.vstack(pts_all), np.vstack(fr_all)
 
 
 def oracle_smooth_pieces(X, t, sched, resolution):

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import math
 import random
@@ -5,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -866,6 +869,51 @@ def test_hausdorff_tree_build_error_propagates_and_joins_the_worker(monkeypatch,
     assert threading.active_count() == threads
 
 
+def _patch_anchor_phase(monkeypatch, before):
+    """Call before(on_worker, workers) ahead of each anchor phase of
+    hausdorff_distance; returns the list of (on_worker, largest anchor
+    distance) of the phases that finished."""
+    phase, done = lift_module._anchor_bounds, []
+
+    def patched(P, tree, workers, out):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        before(on_worker, workers)
+        lo = phase(P, tree, workers, out)
+        done.append((on_worker, lo))
+        return lo
+    monkeypatch.setattr(lift_module, "_anchor_bounds", patched)
+    return done
+
+
+def test_hausdorff_anchor_phases_run_side_by_side_on_one_thread_each(monkeypatch):
+    monkeypatch.setattr(lift_module, "_cpu_count", lambda: 3)
+    calls = []
+    done = _patch_anchor_phase(monkeypatch, lambda on_worker, workers:
+                               calls.append((on_worker, workers)))
+    rng = np.random.default_rng(11)
+    A, B = rng.uniform(0.0, 1.0, (400, 4)), rng.uniform(0.0, 1.0, (90, 4))
+    assert hausdorff_distance(A, B) == _hausdorff_full_queries(A, B)
+    assert sorted(calls) == [(False, 1), (True, 1)]
+    assert len(done) == 2
+
+
+def test_hausdorff_anchor_phase_error_on_the_caller_joins_the_worker(monkeypatch):
+    # the calling thread's anchor phase fails while the worker's still
+    # runs: the error propagates once the worker has finished and is joined
+    def before(on_worker, workers):
+        if not on_worker:
+            raise MemoryError("anchor phase failed")
+        time.sleep(0.05)
+    done = _patch_anchor_phase(monkeypatch, before)
+    rng = np.random.default_rng(12)
+    A, B = rng.uniform(0.0, 1.0, (400, 4)), rng.uniform(0.0, 1.0, (90, 4))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="anchor phase failed"):
+        hausdorff_distance(A, B)
+    assert [on_worker for on_worker, _ in done] == [True]
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("column", [0, 2])
 def test_hausdorff_raises_on_a_nan_point(side, column):
@@ -920,9 +968,13 @@ def test_smooth_lift_refuses_a_scale_below_its_limit(name, resolution):
 
 
 def _collar_sheets(model, lam, legs):
-    # lift._collar_sheets into arrays of its own
-    out = [(np.empty((len(S), 4)), np.empty((len(S), 2, 4))) for _, _, S, _ in legs]
-    return lift_module._collar_sheets(model, lam, legs, out)
+    # lift._collar_sheets of the legs (j, cutoff, S, T), mapped to one
+    # vertex in arrays of its own
+    legs = [(j, S, T, cutoff.eta(S), cutoff.eta_prime(S), cutoff.eta_second(S))
+            for j, cutoff, S, T in legs]
+    out = [(np.empty((len(leg[1]), 4)), np.empty((len(leg[1]), 2, 4))) for leg in legs]
+    lift_module._collar_block(lam, legs, [(model, out)])
+    return out
 
 
 def test_collar_analytic_frames_match_fd(line_mesh):
@@ -1200,6 +1252,78 @@ def test_smooth_lift_matches_per_leg_oracle(name, t, resolution):
     assert [(p.tag, p.owner, p.grid) for p in mesh.pieces] == \
         [(p.tag, p.owner, p.grid) for p in want]
     for got, ref in zip(mesh.pieces, want):
+        assert got.points.tobytes() == ref.points.tobytes()
+        assert got.frames.tobytes() == ref.frames.tobytes()
+
+
+# sha256 over the points and then the frames of every piece, in piece
+# order, as the lift wrote them when it built each vertex's pants and
+# collars on its own
+SMOOTH_LIFT_SHA256 = {
+    ("triangle", 1.0, 16): "73fa284d11a2f5b7024b59cf84128eecf04a605fad09c14c252c08532a9ac541",
+    ("triangle", 1.0, 128): "2be0a0fc2fa82431f579e38bff86df7544fb92c2e73a5f8130a22408e55be58c",
+    ("triangle", 0.5, 16): "7cda7e1795e01fd291e8cb8e6a34730f3d2e2ea3a7f0286811601a959bb5d4ee",
+    ("triangle", 0.5, 128): "0aa3c144464c56f4a65b73b2635838d0c7c101903d347b739860a483cdedf5af",
+    ("triangle", 0.1, 16): "8905c0fe1b0b2984aa45a4c40dceafa40e274f40ab4b817135867f4c4689f405",
+    ("triangle", 0.1, 128): "a428b5235da378ef6e4176de257ca23f6ca7e969f584c1446715f269a755d5db",
+    ("standard_line", 1.0, 16): "f50ef84e4915f26e27a48fc11cbe115e9b66020c215e6c476c9a36a5902ba57a",
+    ("standard_line", 1.0, 128): "73c575629b7947ad457f17e8b36b7f2604c64d4f6e26caf7cb8f58ef5ce71fbc",
+    ("standard_line", 0.5, 16): "f5f82c4a7351063f0ef475fbbfd282b39fe02cc9385c1c5d429d44f8345eceba",
+    ("standard_line", 0.5, 128): "d501588ed195092427f0b4d560137a353072493ea53e10e432387f5d0226fe96",
+    ("standard_line", 0.1, 16): "1f45a4559008a4b2dec93f78df9035e8bfe82cdb8b836e49c545ee573784d3c5",
+    ("standard_line", 0.1, 128): "48db51e1194e9241ed7ff4bbb0dd88b6ed07f52b92ee84950020dd8fe3fb5d66",
+}
+
+
+@pytest.mark.parametrize("name, t, resolution", list(SMOOTH_LIFT_SHA256))
+def test_smooth_lift_pieces_keep_their_bytes(name, t, resolution):
+    X = load_fixture(name)["curve"]
+    h = hashlib.sha256()
+    for p in smooth_lift(X, t, default_schedule(X), resolution=resolution).pieces:
+        h.update(p.points.tobytes())
+        h.update(p.frames.tobytes())
+    assert h.hexdigest() == SMOOTH_LIFT_SHA256[(name, t, resolution)]
+
+
+def test_theorem41_builds_the_scale_free_pants_table_once(monkeypatch):
+    from troplag.verify import verify_theorem41
+    table, built = lift_module._unit_pants, []
+
+    def counted(resolution):
+        built.append(resolution)
+        return table.__wrapped__(resolution)
+    monkeypatch.setattr(lift_module, "_unit_pants", functools.lru_cache(maxsize=1)(counted))
+    verify_theorem41(resolution=32)
+    assert built == [32]
+
+
+def test_smooth_lift_builds_each_distinct_vertex_row_once(monkeypatch):
+    # the 36 vertices of a degree-6 triangle share two rows of (lam, leg
+    # cuts in lattice units): two pants bodies and two collar grids are
+    # solved, and every vertex gets the pieces of the per-leg oracle
+    X = _triangle_curve(6, 0)
+    sched = default_schedule(X)
+    norms = [lift_module._local_model(X, vi).leg_norm for vi in range(len(X.vertices))]
+    rows = {(sched.lam[vi], tuple(c / norms[vi][j] for j in range(3)
+                                  for c in astuple(sched.legs[(vi, j)])))
+            for vi in range(len(X.vertices))}
+    assert (len(X.vertices), len(rows)) == (36, 2)
+    solve, standard = lift_module.solve_leg_fiber, lift_module._standard_pants
+    solved, bodies = [], []
+
+    def solve_counted(pm, j, target, wp, *args):
+        solved.append(len(target))
+        return solve(pm, j, target, wp, *args)
+
+    def standard_counted(*args):
+        bodies.append(args[0])
+        return standard(*args)
+    monkeypatch.setattr(lift_module, "solve_leg_fiber", solve_counted)
+    monkeypatch.setattr(lift_module, "_standard_pants", standard_counted)
+    mesh = smooth_lift(X, 1.0, sched, resolution=16)
+    assert sum(solved) == len(rows) * 3 * 16 * 16
+    assert sorted(bodies) == sorted(lam for lam, _ in rows)
+    for got, ref in zip(mesh.pieces, oracle_smooth_pieces(X, 1.0, sched, 16)):
         assert got.points.tobytes() == ref.points.tobytes()
         assert got.frames.tobytes() == ref.frames.tobytes()
 
