@@ -14,7 +14,7 @@ from .tropical import (TropicalComplex, TropicalLine, adapted_frame,
                        tangent_line, tropical_hypersurface)
 from .coamoeba import Coamoeba, four_valent_potential
 from .pants import PantsMap, eta_curve, gamma_curve
-from .lift import (GluingSchedule, TwistData, default_schedule, exactness_check,
+from .lift import (GluingSchedule, default_schedule, exactness_check,
                    hausdorff_distance, maslov_winding, pl_lift, smooth_lift,
                    symplectic_residual, twist)
 from .toric import (DelzantPolygon, classify_boundary, delzant_check,
@@ -27,7 +27,7 @@ __all__ = [
     "adapted_frame", "load_curve_json", "Coamoeba", "four_valent_potential",
     "PantsMap", "gamma_curve", "eta_curve", "pl_lift", "smooth_lift",
     "default_schedule", "GluingSchedule", "symplectic_residual",
-    "hausdorff_distance", "twist", "TwistData", "exactness_check",
+    "hausdorff_distance", "twist", "exactness_check",
     "maslov_winding", "DelzantPolygon", "delzant_check", "classify_boundary",
     "lift_topology", "monotone_report",
 ]

@@ -139,14 +139,14 @@ def cmd_lift(args):
                        "chi": pl.euler_characteristic(),
                        "punctures": pl.punctures(), "genus": pl.genus()})
     else:
-        twist_data = _parse_twist(args.twist) if args.twist else None
+        windings = _parse_twist(args.twist) if args.twist else None
         sched = (None if args.schedule is None
                  else GluingSchedule.from_dict(_read_json(args.schedule)))
         mesh = smooth_lift(X, args.scale, sched, resolution=args.resolution)
         sched = mesh.schedule
         twist_class = None
-        if twist_data is not None:
-            mesh, twist_class = twist(mesh, twist_data)
+        if windings is not None:
+            mesh, twist_class = twist(mesh, windings)
         os.makedirs(args.out, exist_ok=True)
         mesh.to_off(os.path.join(args.out, "mesh.off"), projection=args.projection)
         mesh.to_obj(os.path.join(args.out, "mesh.obj"), projection=args.projection)
@@ -156,8 +156,8 @@ def cmd_lift(args):
         points = mesh.points
         del mesh  # its pieces and export text are not needed from here on
         # a twisted lift converges to the twisted PL lift, not the plain one
-        cloud = (pl.sample(args.resolution) if twist_data is None
-                 else twist_pl_cloud(pl, twist_data, args.resolution))
+        cloud = (pl.sample(args.resolution) if windings is None
+                 else twist_pl_cloud(pl, windings, args.resolution))
         dh = hausdorff_distance(points, cloud)
         rec = {"kind": "mesh", "scale": args.scale, "points": int(len(points)),
                "symplectic_residual": res, "hausdorff_to_pl": dh}
@@ -172,7 +172,6 @@ def cmd_lift(args):
 
 
 def _parse_twist(spec):
-    from .lift import TwistData
     windings = {}
     for part in spec.split(";"):
         try:
@@ -181,7 +180,7 @@ def _parse_twist(spec):
         except (ValueError, KeyError):
             raise InputError(f"malformed --twist part {part!r}: "
                              "expected edge=I,winding=W with integers I and W")
-    return TwistData(windings)
+    return windings
 
 
 def cmd_verify(args):

@@ -154,7 +154,7 @@ class Coamoeba:
         return frozenset(J)
 
     # -- sampling ----------------------------------------------------------
-    def sample_interior(self, m, seed=0, half=+1, margin=1e-6):
+    def sample_interior(self, m, seed=0, margin=1e-6):
         """Deterministic quasi-random points of the open simplex interior.
 
         Uses the R_d additive recurrence; `seed` offsets the sequence.
@@ -174,7 +174,7 @@ class Coamoeba:
         u = np.clip(u, margin, 1 - margin)
         scale = np.minimum(1.0, (1 - margin) / np.maximum(u.sum(axis=1), 1e-300))
         u = u * scale[:, None]
-        return half * (PI / 2) * u
+        return (PI / 2) * u
 
 
 def _rd_generator_gamma(d):

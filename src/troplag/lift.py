@@ -413,23 +413,17 @@ def validate_schedule(X, sched):
     vs = np.array([[float(c) for c in v] for v in X.vertices]).reshape(-1, 2)
     if _balls_meet(vs, ball_r):
         raise ConfigurationError("vertex balls are not pairwise disjoint")
-    # bounded edges keep a flat middle segment
-    for e in X.bounded_edges():
-        a, b = (np.array([float(c) for c in p]) for p in e.verts)
-        length = np.linalg.norm(b - a)
-        ia = X.vertex_index(e.verts[0])
-        ib = X.vertex_index(e.verts[1])
-        ja = _leg_of_edge(X, ia, e)
-        jb = _leg_of_edge(X, ib, e)
-        if sched.legs[(ia, ja)].r + sched.legs[(ib, jb)].r >= length:
-            raise ConfigurationError("leg cut points overlap on a bounded edge")
-    # rays keep a flat piece between the leg's cut point and the truncation
-    for e in X.edges:
-        if e.kind == "ray":
-            vi = X.vertex_index(e.verts[0])
-            if sched.truncation <= sched.legs[(vi, _leg_of_edge(X, vi, e))].r:
-                raise ConfigurationError("truncation must lie beyond the cut point r "
-                                         "of every ray's leg")
+    # each edge keeps a flat piece: between its two legs' cut points on a
+    # bounded edge, between its leg's cut point and the truncation on a ray
+    for e, ends in zip(X.edges, _edge_legs(X)):
+        r = [sched.legs[end].r for end in ends]
+        if e.kind == "segment":
+            a, b = (np.array([float(c) for c in p]) for p in e.verts)
+            if r[0] + r[1] >= np.linalg.norm(b - a):
+                raise ConfigurationError("leg cut points overlap on a bounded edge")
+        elif e.kind == "ray" and sched.truncation <= r[0]:
+            raise ConfigurationError("truncation must lie beyond the cut point r "
+                                     "of every ray's leg")
     # trimmed regions inside balls, at the scheduled scale
     B, norms = _vertex_arrays(X)
     cuts = np.array([[(ls.r_prime, ls.r_second, ls.r_bar, ls.r)
@@ -457,11 +451,13 @@ def _local_model(X, vi):
     return models[vi]
 
 
-def _leg_of_edge(X, vi, e):
-    for j, ec in _local_model(X, vi).leg_edge.items():
-        if ec is e:
-            return j
-    raise InputError("edge is not incident to the vertex")
+def _edge_legs(X):
+    """Per edge, in X.edges order, the (vertex index, leg) of each end that
+    is a curve vertex, in the order of the edge's verts: two for a segment,
+    one for a ray, none for a line.  Read from the vertices' LocalModels."""
+    legs = {(id(e), X.vertices[vi]): (vi, j) for vi in range(len(X.vertices))
+            for j, e in _local_model(X, vi).leg_edge.items()}
+    return [[legs[id(e), p] for p in e.verts] if e.kind != "line" else [] for e in X.edges]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +479,7 @@ class PLLift:
 
     def sample(self, resolution=64, truncation=None):
         """Point cloud (x1, x2, y1, y2); rays truncated."""
-        return _pl_cloud(self, {}, resolution, truncation)
+        return twist_pl_cloud(self, {}, resolution, truncation)
 
     def euler_characteristic(self):
         """chi of the lift surface: each vertex contributes minus the
@@ -512,6 +508,13 @@ def _default_truncation(X):
     return 3.0 * (max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 1.0)
 
 
+def _fiber_angles(resolution):
+    """The angles (k + 0.5) pi / resolution, k < resolution, at which every
+    fiber circle is sampled.  At an odd resolution the middle one is pi/2,
+    a vertex of the coamoeba, so smooth_lift takes even ones only."""
+    return (np.arange(resolution) + 0.5) * PI / resolution
+
+
 def _cylinder(base, fiber):
     """Rows (x, y) for every base point x (outer) and fiber point y (inner)."""
     return np.concatenate([np.repeat(base, len(fiber), axis=0),
@@ -532,7 +535,7 @@ def _check_sample_size(bound):
 
 
 def _pl_sample_bound(pl, resolution):
-    """Upper bound on the rows of _pl_cloud: a triangle coamoeba holds
+    """Upper bound on the rows of twist_pl_cloud: a triangle coamoeba holds
     (r+1)(r+2) points and any other vertex fiber at most its (4r)^2 grid; an
     edge holds w circles of r points over r base points (2r - 1 on a line,
     counted as 2r)."""
@@ -546,17 +549,16 @@ def _pl_sample_bound(pl, resolution):
     return n
 
 
-def _pl_cloud(pl, windings, resolution, truncation):
+def twist_pl_cloud(pl, windings, resolution=64, truncation=None):
     """PL lift sample: each vertex's coamoeba over the vertex, and over each
-    edge its fiber circles, rotated along the edge by pi * m * psi(s) times
-    the edge's dual vector when windings maps the edge index to m != 0.
-    Edge indices are piece indices: pl_lift puts the edges first, in
-    X.edges order.  InputError when _pl_sample_bound exceeds
-    MAX_SAMPLE_POINTS."""
+    edge its fiber circles, twisted along the edge (_twist_fibers) when
+    windings maps the edge index to m != 0.  Edge indices are piece
+    indices: pl_lift puts the edges first, in X.edges order.  InputError
+    when _pl_sample_bound exceeds MAX_SAMPLE_POINTS."""
     _check_sample_size(_pl_sample_bound(pl, resolution))
     if truncation is None:
         truncation = _default_truncation(pl.X)
-    thetas = (np.arange(resolution) + 0.5) * PI / resolution
+    thetas = _fiber_angles(resolution)
     pts = []
     for ei, piece in enumerate(pl.pieces):
         if piece.kind != "edge":
@@ -566,12 +568,12 @@ def _pl_cloud(pl, windings, resolution, truncation):
         seg = _edge_param_points(piece.cell, resolution, truncation)
         m = windings.get(ei, 0)
         if m:
-            v = np.array(_dual_basis_vector(piece.cell.direction()), dtype=float)
-            shift = (PI * m * _BUMP.psi(np.linspace(0.0, 1.0, len(seg))))[:, None, None] * v
+            s = np.linspace(0.0, 1.0, len(seg))[:, None]
+            v = _dual_basis_vector(piece.cell.direction())
         for j in range(piece.fiber.w):
             ys = piece.fiber.points(thetas, j)
             if m:
-                yy = np.mod(ys + shift, PI).reshape(-1, 2)
+                yy = _twist_fibers(ys, m, s, v).reshape(-1, 2)
                 pts.append(np.concatenate([np.repeat(seg, len(ys), axis=0), yy], axis=1))
             else:
                 pts.append(_cylinder(seg, ys))
@@ -586,7 +588,7 @@ def _edge_param_points(cell, resolution, truncation):
     base = np.array([float(c) for c in cell.verts[0]])
     d = np.array(cell.rays[0], dtype=float)
     tmax = truncation / np.linalg.norm(d)
-    ts = np.linspace(0.0, 1.0, resolution) ** 1.0 * tmax
+    ts = np.linspace(0.0, 1.0, resolution) * tmax
     pts = base[None, :] + ts[:, None] * d[None, :]
     if cell.kind == "line":
         pts = np.vstack([pts, base[None, :] - ts[1:, None] * d[None, :]])
@@ -652,7 +654,10 @@ class MeshPiece:
 
 
 class LagrangianMesh:
-    def __init__(self, pieces, scale, schedule):
+    """The pieces of a smooth lift of the curve X, with its scale and schedule."""
+
+    def __init__(self, X, pieces, scale, schedule):
+        self.X = X
         self.pieces = pieces
         self.scale = scale
         self.schedule = schedule
@@ -896,12 +901,11 @@ def _collar_pieces(vertices, legs_lat, resolution):
     rows of every vertex's pieces.  A block may span legs, so a small grid
     costs one call, not one per leg.  The cutoffs are evaluated once per
     leg coordinate."""
-    thetas = (np.arange(resolution) + 0.5) * PI / resolution
     n = resolution * resolution
     legs = []
     for j, (r1, r2, rbar, r) in legs_lat.items():
         s = np.linspace(r1, r, resolution)
-        S, T = np.meshgrid(s, thetas, indexing="ij")
+        S, T = np.meshgrid(s, _fiber_angles(resolution), indexing="ij")
         cutoff = Cutoff(r2, rbar)
         legs.append((j, S.ravel(), T.ravel(),
                      *(np.repeat(f(s), resolution)
@@ -944,39 +948,30 @@ def _dworking_to_std(j, dx, dy):
     return dxs, dys
 
 
-def _flat_piece(X, sched, ei, resolution):
+def _flat_piece(X, sched, ei, ends, resolution):
+    """The flat cylinder over edge ei between the cut point r of its leg at
+    each vertex end, ends as in _edge_legs, and the truncation on a ray."""
     e = X.edges[ei]
     fiber = edge_fiber_from_dual(e, X.dual_cell(e))
+    a = np.array([float(c) for c in e.verts[0]])
     if e.kind == "segment":
-        ia = X.vertex_index(e.verts[0])
-        ib = X.vertex_index(e.verts[1])
-        ja = _leg_of_edge(X, ia, e)
-        jb = _leg_of_edge(X, ib, e)
-        a, b = (np.array([float(c) for c in p]) for p in e.verts)
+        b = np.array([float(c) for c in e.verts[1]])
         d = (b - a) / np.linalg.norm(b - a)
-        p0 = a + d * sched.legs[(ia, ja)].r
-        p1 = b - d * sched.legs[(ib, jb)].r
+        p1 = b - d * sched.legs[ends[1]].r
     else:
-        ia = X.vertex_index(e.verts[0])
-        ja = _leg_of_edge(X, ia, e)
-        a = np.array([float(c) for c in e.verts[0]])
         d = np.array(e.rays[0], dtype=float)
         d = d / np.linalg.norm(d)
-        p0 = a + d * sched.legs[(ia, ja)].r
         p1 = a + d * sched.truncation
+    p0 = a + d * sched.legs[ends[0]].r
     ts = np.linspace(0.0, 1.0, resolution)
     seg = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-    thetas = (np.arange(resolution) + 0.5) * PI / resolution
-    ys = fiber.points(thetas, 0)
-    tangent = (p1 - p0) / np.linalg.norm(p1 - p0)
-    circ = np.array(fiber.direction, dtype=float)
-    P = _cylinder(seg, ys)
     fr = np.empty((resolution * resolution, 2, 4))
-    fr[:, 0, :2] = tangent
+    fr[:, 0, :2] = (p1 - p0) / np.linalg.norm(p1 - p0)
     fr[:, 0, 2:] = 0.0
     fr[:, 1, :2] = 0.0
-    fr[:, 1, 2:] = circ
-    return MeshPiece("flat", (ei,), P, fr, grid=(resolution, resolution))
+    fr[:, 1, 2:] = fiber.direction
+    return MeshPiece("flat", (ei,), _cylinder(seg, fiber.points(_fiber_angles(resolution), 0)),
+                     fr, grid=(resolution, resolution))
 
 
 # Rows per collar block of smooth_lift.  On the lift's thread pool each
@@ -1022,7 +1017,7 @@ def _smallest_scale(sched, vertex_legs, resolution):
     fiber and is lam times its value at lam = 1, so the root of h_1 = S
     clears the margin iff S < t lam h_1(margin, b) at lam = 1; the
     largest S is the collar's outer end r, at every fiber angle b."""
-    thetas = (np.arange(resolution) + 0.5) * PI / resolution
+    thetas = _fiber_angles(resolution)
     b = np.where(thetas > PI / 2, PI - thetas, thetas)
     h = PantsMap(1).h(np.stack([np.full_like(b, _COLLAR_MARGIN), b], axis=1))[:, 0]
     return max(max(leg[3] for leg in legs.values()) / sched.lam[vi]
@@ -1071,6 +1066,8 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     from .tropical import is_smooth
     if not is_smooth(X):
         raise InputError("smooth lifting needs a smooth curve")
+    if not X.vertices:
+        raise InputError("smooth lifting needs a curve with a vertex to put a pants on")
     _check_sample_size(_smooth_sample_bound(X, resolution))
     if sched is None:
         sched = default_schedule(X)  # validated there
@@ -1111,11 +1108,9 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     pieces = [p for vi in range(nv) for p in by_vertex[vi]]
-    for ei, e in enumerate(X.edges):
-        pieces.append(_flat_piece(X, sched, ei, resolution))
-    mesh = LagrangianMesh(pieces, t, sched)
-    mesh._curve = X
-    return mesh
+    pieces += [_flat_piece(X, sched, ei, ends, resolution)
+               for ei, ends in enumerate(_edge_legs(X))]
+    return LagrangianMesh(X, pieces, t, sched)
 
 
 # ---------------------------------------------------------------------------
@@ -1265,23 +1260,20 @@ def _finish_directed(P, tree, bound, lo):
 # ---------------------------------------------------------------------------
 # twisting
 
-@dataclass
-class TwistData:
-    """Integer winding per edge index; sections constant outside the flat zone."""
-
-    windings: dict
-
-    def total(self):
-        return int(sum(self.windings.values()))
+def _twist_fibers(y, m, s, v):
+    """Fiber points y over edge parameters s in [0, 1], rotated by
+    pi * m * psi(s) times v (the edge's _dual_basis_vector), mod pi; s
+    broadcasts against the rows of y."""
+    return np.mod(y + (PI * m * _BUMP.psi(s))[..., None] * v, PI)
 
 
 def _dual_basis_vector(u):
-    """Integer v with <u, v> = 1 for primitive u."""
+    """Integer v with <u, v> = 1 for primitive u, as floats."""
     a, b = int(u[0]), int(u[1])
     g, x, y = _egcd(a, b)
     if g != 1:
         raise InputError("edge tangent is not primitive")
-    return (x, y)
+    return np.array((x, y), dtype=float)
 
 
 def _egcd(a, b):
@@ -1291,45 +1283,34 @@ def _egcd(a, b):
     return (g, y, x - (a // b) * y)
 
 
-def twist(mesh, data):
-    """Twisted lift: fibers over the flat zones rotate by the section.
+def twist(mesh, windings):
+    """Twisted lift: the fibers over the flat piece of each edge index in
+    windings rotate along it by its winding m (_twist_fibers).
 
-    Returns (twisted mesh, total class n_sigma).  The base projection is
-    untouched.
+    Returns (twisted mesh, total class n_sigma = the sum of the windings).
+    The base projection is untouched.
     """
-    X = getattr(mesh, "_curve", None)
-    if X is None:
-        raise InputError("mesh carries no curve reference; cannot twist")
-    for ei in data.windings:
+    X = mesh.X
+    for ei in windings:
         if not 0 <= ei < len(X.edges):
             raise InputError(f"no edge with index {ei}")
-    total = data.total()
     new_pieces = []
     for p in mesh.pieces:
-        if p.tag != "flat" or p.owner[0] not in data.windings:
+        if p.tag != "flat" or p.owner[0] not in windings:
             new_pieces.append(p)
             continue
-        m = data.windings[p.owner[0]]
-        u = X.edges[p.owner[0]].direction()
-        v = np.array(_dual_basis_vector(u), dtype=float)
-        q = p.points.copy()
+        m = windings[p.owner[0]]
         fr = p.frames.copy()
         nu, nv = p.grid
         s = np.repeat(np.linspace(0.0, 1.0, nu), nv)
         arc = np.linalg.norm(p.points[(nu - 1) * nv, :2] - p.points[0, :2])
-        psi = PI * m * _BUMP.psi(s)
-        q[:, 2:] = np.mod(q[:, 2:] + psi[:, None] * v[None, :], PI)
+        v = _dual_basis_vector(X.edges[p.owner[0]].direction())
+        q = np.concatenate([p.points[:, :2], _twist_fibers(p.points[:, 2:], m, s, v)], axis=1)
         dpsi_darc = PI * m * _BUMP.psi_prime(s) / max(arc, 1e-300)
-        fr[:, 0, 2:] = fr[:, 0, 2:] + dpsi_darc[:, None] * v[None, :]
+        fr[:, 0, 2:] += dpsi_darc[:, None] * v
         new_pieces.append(MeshPiece("flat", p.owner, q, fr, p.grid))
-    out = LagrangianMesh(new_pieces, mesh.scale, mesh.schedule)
-    out._curve = X
-    return out, total
-
-
-def twist_pl_cloud(pl, data, resolution=64, truncation=None):
-    """Twisted PL lift sampling: fibers over each edge rotate by the loop."""
-    return _pl_cloud(pl, data.windings, resolution, truncation)
+    total = int(sum(windings.values()))
+    return LagrangianMesh(X, new_pieces, mesh.scale, mesh.schedule), total
 
 
 # ---------------------------------------------------------------------------
@@ -1367,12 +1348,12 @@ def phase_values(points, frames):
     return a1 * b2 - a2 * b1
 
 
-def maslov_winding(points, frames, max_step=1.0):
+def maslov_winding(points, frames):
     """Winding number of the phase along a sampled closed loop.
 
     Works with the squared phase so the result is insensitive to frame
     orientation flips between neighboring samples.  Refuses loops whose
-    consecutive phase steps exceed max_step radians: the wrap-around
+    consecutive phase steps exceed 1 radian: the wrap-around
     heuristic would alias and the integer could be silently wrong.
     """
     om = phase_values(points, frames)
@@ -1381,7 +1362,7 @@ def maslov_winding(points, frames, max_step=1.0):
     ang = np.angle(om ** 2)
     d = np.diff(np.concatenate([ang, ang[:1]]))
     d = np.mod(d + PI, 2 * PI) - PI
-    if np.abs(d).max() > max_step:
+    if np.abs(d).max() > 1.0:
         raise NumericError("phase steps too large; sample the loop more densely",
                            {"max_step": float(np.abs(d).max())})
     total = d.sum()
@@ -1395,8 +1376,7 @@ def pants_basis_loop(lam, leg, x_value, resolution=700):
     (points, frames) sampled along the whole fiber circle.
     """
     pm = PantsMap(1, lam)
-    thetas = (np.arange(resolution) + 0.5) * PI / resolution
-    q = _fiber_circle(pm, leg, np.full(resolution, x_value), thetas)
+    q = _fiber_circle(pm, leg, np.full(resolution, x_value), _fiber_angles(resolution))
     h, H = pm._evaluate(q, "hH")
     pts = np.concatenate([h, q], axis=1)
     fr = np.empty((resolution, 2, 4))

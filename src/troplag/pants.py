@@ -346,8 +346,8 @@ class PantsMap:
     # ------------------------------------------------------------------
     # sampling helpers
 
-    def sample_interior(self, m, seed=0, half=+1):
-        return self.coamoeba.sample_interior(m, seed=seed, half=half)
+    def sample_interior(self, m, seed=0):
+        return self.coamoeba.sample_interior(m, seed=seed)
 
     def sample_W_J0(self, m, seed=0):
         """Quasi-random points of the vertex-star W^+_{J_0} (interior)."""
@@ -562,7 +562,7 @@ class DecompositionData:
     def __init__(self):
         self.q0 = np.array([1.0, 1.0, 1.0]) / 3.0
 
-    def z(self, t, tol=1e-15):
+    def z(self, t):
         """Unique positive root of 9 z^2 (2z + 3t) = 1 for finite t >= 1/9."""
         t = float(t)
         if not 1.0 / 9.0 - 1e-12 <= t < np.inf:  # false for NaN as well
@@ -574,7 +574,7 @@ class DecompositionData:
             znew = z - f / df
             if znew <= 0:
                 znew = z / 2
-            if abs(znew - z) < tol:
+            if abs(znew - z) < 1e-15:
                 z = znew
                 break
             z = znew
@@ -597,12 +597,12 @@ class DecompositionData:
 # ---------------------------------------------------------------------------
 # appendix test curves
 
-def gamma_curve(a, t, pants=None):
+def gamma_curve(a, t):
     """h along the ray from the origin vertex with direction a, sum(a) = pi/2."""
     a = np.asarray(a, dtype=float)
     if abs(a.sum() - PI / 2) > 1e-9 or np.any(a <= 0):
         raise InputError("need positive a with sum(a) = pi/2")
-    pm = pants or PantsMap(len(a) - 1)
+    pm = PantsMap(len(a) - 1)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any((t <= 0) | (t >= 1)):
         raise DomainError("t must lie in (0, 1)")
@@ -611,11 +611,11 @@ def gamma_curve(a, t, pants=None):
     return out if len(t) > 1 else out[0]
 
 
-def eta_curve(a, b, t, pants=None):
+def eta_curve(a, b, t):
     """h along the edge-to-edge segment ((pi/2-b)t, bt, (1-t)a), n = 2."""
     if not (0 < a < PI / 4 and 0 < b < PI / 4):
         raise InputError("need a, b in (0, pi/4)")
-    pm = pants or PantsMap(2)
+    pm = PantsMap(2)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any((t <= 0) | (t >= 1)):
         raise DomainError("t must lie in (0, 1)")

@@ -51,8 +51,9 @@ class SvgCanvas:
             fh.write(head + "\n" + meta + "\n" + body + "\n</svg>\n")
 
 
-def draw_curve_and_subdivision(X, path, command="", truncation=3.0):
+def draw_curve_and_subdivision(X, path, command=""):
     """Curve with weights on the left, dual subdivision on the right."""
+    truncation = 3.0  # drawn length of a ray
     verts = [(float(a), float(b)) for a, b in X.vertices]
     xs = [v[0] for v in verts] or [0.0]
     ys = [v[1] for v in verts] or [0.0]
@@ -92,14 +93,15 @@ def draw_curve_and_subdivision(X, path, command="", truncation=3.0):
     cv.write(path)
 
 
-def draw_region_h(lam, path, command="", extent=2.5, samples=160):
+def draw_region_h(lam, path, command=""):
     """The amoeba-like region boundary: 4 x1 x2 = lam^2 and its two images."""
+    extent = 2.5  # half the side of the drawn square
     import numpy as np
     from .coamoeba import rstar_apply
     cv = SvgCanvas(bounds=(-extent, -extent, extent, extent), command=command)
     cv.line((-extent, 0), (extent, 0), color="#bbbbbb", width=0.7)
     cv.line((0, -extent), (0, extent), color="#bbbbbb", width=0.7)
-    x1 = np.exp(np.linspace(np.log(lam / 2 / extent / 2), np.log(extent * 1.2), samples))
+    x1 = np.exp(np.linspace(np.log(lam / 2 / extent / 2), np.log(extent * 1.2), 160))
     s0 = np.stack([x1, (lam / 2) ** 2 / x1], axis=1)
     for k, color in ((0, "navy"), (1, "crimson"), (2, "darkgreen")):
         pts = s0 if k == 0 else rstar_apply(1, k, s0)

@@ -317,7 +317,7 @@ def _is_plane_polygon(poly):
 # ---------------------------------------------------------------------------
 # monotone arithmetic
 
-def monotone_report(X, poly, include_tau=True):
+def monotone_report(X, poly):
     """Maslov index / area pairs for the standard disk classes.
 
     The curve must have a single vertex; each facet contributes a disk with
@@ -332,7 +332,7 @@ def monotone_report(X, poly, include_tau=True):
     for i, e in enumerate(poly.edges):
         om = poly.facet_distance(v, i)
         rows.append({"class": f"facet-{i}", "mu": 2, "omega": om})
-    if include_tau and all(e.length is not None for e in poly.edges):
+    if all(e.length is not None for e in poly.edges):
         om_tau = sum(r["omega"] for r in rows)
         rows.insert(0, {"class": "tau", "mu": 2 * len(poly.edges), "omega": om_tau})
     rows.append({"class": "fiber", "mu": 0, "omega": Fraction(0)})

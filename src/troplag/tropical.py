@@ -52,17 +52,14 @@ class TropicalComplex:
         self.edges = list(edges)
         self.subdivision = subdivision
         self.vertex_dual = vertex_dual or {}
-        # per-vertex index: star of each endpoint (edges in list order) and
-        # the first position of each vertex
+        # star of each endpoint, edges in list order
         self._star = {}
         for e in self.edges:
             if e.weight < 1:
                 raise InputError("edge weights must be positive integers")
             for p in dict.fromkeys(tuple(p) for p in e.verts):
                 self._star.setdefault(p, []).append(e)
-        self._index = {}
-        for i, v in enumerate(self.vertices):
-            self._index.setdefault(v, i)
+        self._vertex_set = frozenset(self.vertices)
 
     @property
     def cells(self):
@@ -71,13 +68,6 @@ class TropicalComplex:
 
     def edges_at(self, v):
         return list(self._star.get(tuple(Fraction(x) for x in v), ()))
-
-    def vertex_index(self, v):
-        """Position of vertex v in self.vertices."""
-        try:
-            return self._index[tuple(v)]
-        except KeyError:
-            raise InputError("vertex not found")
 
     def outgoing_direction(self, e, v):
         """Primitive direction of edge e pointing away from vertex v."""
@@ -261,7 +251,7 @@ def tangent_star(X, v):
     directions, both in star order, and the cone they span (the tangent
     line, generators in sorted order)."""
     v = tuple(Fraction(x) for x in v)
-    if v not in X._index:
+    if v not in X._vertex_set:
         raise InputError(f"vertex {v} not in complex")
     star = X.edges_at(v)
     gens = [X.outgoing_direction(e, v) for e in star]

@@ -348,6 +348,9 @@ def oracle_smooth_pieces(X, t, sched, resolution):
             P, fr = oracle_collar_sheet(model, j, lam, cutoff, S.ravel(), T.ravel())
             pieces.append(MeshPiece("collar", (vi, j), P, fr,
                                     grid=(resolution, resolution)))
-    for ei in range(len(X.edges)):
-        pieces.append(lift._flat_piece(X, sched, ei, resolution))
+    for ei, e in enumerate(X.edges):
+        # the (vertex, leg) of each end of the edge, by a scan of the legs
+        ends = [(vi, j) for vi in (X.vertices.index(p) for p in e.verts)
+                for j, edge in lift._local_model(X, vi).leg_edge.items() if edge is e]
+        pieces.append(lift._flat_piece(X, sched, ei, ends, resolution))
     return pieces

@@ -236,6 +236,25 @@ def test_lift_output_bytes_past_one_export_block_are_pinned(tmp_path):
     assert got == LIFT_RES48_XYY_SHA256
 
 
+# sha256 of `troplag lift triangle --resolution 16 --twist
+# "edge=3,winding=1;edge=0,winding=-2"`: the twisted flat pieces, the twisted
+# PL cloud behind hausdorff_to_pl, n_sigma and the schedule
+LIFT_TWIST_RES16_SHA256 = {
+    "mesh.off": "00df5a022369a8859165fef07fd2330eac8aaebb9bc4d617625c378b2ed479a5",
+    "mesh.obj": "f2c8f37da376978f06552bcbf0554d2c2e60b653cf60162df1ff91c264b53e8a",
+    "report.jsonl": "2304a0fb916a73ed1267952fea2c587359f196e9b7060a1e2811a56f52bc0d78",
+    "schedule.json": "aa37eab34fba2b2301d5e82132144cf6ba367bda1cc49e73cd5c13e231283457",
+}
+
+
+def test_twisted_lift_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "L"
+    assert run(["lift", "triangle", "--resolution", "16", "--twist",
+                "edge=3,winding=1;edge=0,winding=-2", "--out", str(out)]) == 0
+    got = {name: _sha256(out / name) for name in LIFT_TWIST_RES16_SHA256}
+    assert got == LIFT_TWIST_RES16_SHA256
+
+
 # sha256 of `troplag verify all --seed 7`: same seed, same bytes, across
 # changes too; a change that moves a reported figure must update it on purpose
 VERIFY_ALL_SEED7_SHA256 = "ad1b61dcb6bba4edc9f467198c9143edf0af91ca3d5d216e64e8b81bfd1b0064"
@@ -432,7 +451,7 @@ def test_resolution_outside_the_even_range_exits_2_before_sampling(resolution):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(lift, "default_schedule", _refuse_to_sample), \
             mock.patch.object(lift, "_pants_vertex_piece", _refuse_to_sample), \
-            mock.patch.object(lift, "_pl_cloud", _refuse_to_sample):
+            mock.patch.object(lift, "twist_pl_cloud", _refuse_to_sample):
         out = os.path.join(tmp, "x")
         start = time.perf_counter()
         assert main(["lift", "triangle", "--resolution", str(resolution),
@@ -461,6 +480,40 @@ def test_sample_bound_refuses_degree_20_at_512_within_a_second(tmp_path, capsys,
     assert code == 2
     assert "error: the sample would hold up to" in capsys.readouterr().err
     assert not out.exists()  # refused before any sample or output
+
+
+def test_curve_without_vertices_exits_2_from_lift_and_0_from_pl_only(tmp_path, capsys):
+    # two parallel lines: nothing to put a pants on, but a PL lift exists
+    from unittest import mock
+    from troplag import lift
+    src = tmp_path / "lines.json"
+    src.write_text(json.dumps({"vertices": [[0, 0], [2, 0]],
+                               "lifting": {"0,0": 0, "1,0": 0, "2,0": 1}}))
+    with mock.patch.object(lift, "default_schedule", _refuse_to_sample):
+        assert run(["lift", str(src), "--resolution", "8", "--out", str(tmp_path / "a")]) == 2
+    assert "vertex" in capsys.readouterr().err
+    assert run(["lift", str(src), "--pl-only", "--resolution", "8",
+                "--out", str(tmp_path / "b")]) == 0
+
+
+_SMALL_POINTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=_SMALL_POINTS,
+       values=st.lists(st.integers(-4, 4), min_size=16, max_size=16),
+       flags=st.sampled_from([[], ["--pl-only"], ["--scale", "0.5"]]))
+def test_lift_of_any_small_polytope_keeps_the_exit_code_contract(points, values, flags):
+    # 0 lifted, 2 input error, 3 numeric failure; never a traceback
+    lifting = {f"{i},{j}": values[4 * i + j] for i in range(4) for j in range(4)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poly.json")
+        with open(path, "w") as fh:
+            json.dump({"vertices": [list(p) for p in points], "lifting": lifting}, fh)
+        code = main(["lift", path, "--resolution", "8", "--out", os.path.join(tmp, "o")]
+                    + flags)
+    assert code in (0, 2, 3)
 
 
 # Imports the modules every command uses, runs the commands and the calls of

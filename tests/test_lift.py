@@ -20,7 +20,7 @@ from troplag.coamoeba import PI, rstar_apply
 from troplag.errors import ConfigurationError, InputError
 from troplag.fixtures import _load, fixture_names, load_fixture
 from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LegSchedule, LocalModel,
-                          MeshPiece, TwistData, _balls_meet, _boundary_cloud, _distinct_rows,
+                          MeshPiece, _balls_meet, _boundary_cloud, _distinct_rows,
                           _feasible, _fold_fiber,
                           default_schedule, exactness_check,
                           hausdorff_distance, maslov_winding,
@@ -204,9 +204,9 @@ def test_pl_clouds_match_pointwise_oracle(name):
     trunc = _default_truncation(X)
     plain = pl.sample(24)
     assert plain.tobytes() == _pl_cloud_oracle(pl, {}, 24, trunc).tobytes()
-    assert twist_pl_cloud(pl, TwistData({}), resolution=24).tobytes() == plain.tobytes()
+    assert twist_pl_cloud(pl, {}, resolution=24).tobytes() == plain.tobytes()
     windings = {0: 1, len(X.edges) - 1: -2}
-    got = twist_pl_cloud(pl, TwistData(windings), resolution=24, truncation=2.5)
+    got = twist_pl_cloud(pl, windings, resolution=24, truncation=2.5)
     assert got.tobytes() == _pl_cloud_oracle(pl, windings, 24, 2.5).tobytes()
 
 
@@ -1041,14 +1041,14 @@ def test_twist_identity_and_classes():
     X = triangle_curve()
     sched = default_schedule(X)
     mesh = smooth_lift(X, 0.5, sched, resolution=16)
-    t0, n0 = twist(mesh, TwistData({}))
+    t0, n0 = twist(mesh, {})
     assert n0 == 0
     assert np.array_equal(t0.points, mesh.points)
-    t1, n1 = twist(mesh, TwistData({3: 1}))
+    t1, n1 = twist(mesh, {3: 1})
     assert n1 == 1
     assert np.array_equal(t1.points[:, :2], mesh.points[:, :2])  # base preserved
     assert not np.allclose(t1.points, mesh.points)
-    t2, n2 = twist(mesh, TwistData({3: 1, 4: -1}))
+    t2, n2 = twist(mesh, {3: 1, 4: -1})
     assert n2 == 0
     assert not np.allclose(t2.points, mesh.points)
     assert symplectic_residual(t1) < 1e-6
@@ -1058,14 +1058,14 @@ def test_twist_requires_valid_edge():
     X = triangle_curve()
     mesh = smooth_lift(X, 0.5, resolution=16)
     with pytest.raises(InputError):
-        twist(mesh, TwistData({99: 1}))
+        twist(mesh, {99: 1})
 
 
 def test_twist_pl_cloud():
     X = triangle_curve()
     pl = pl_lift(X)
-    c0 = twist_pl_cloud(pl, TwistData({}), resolution=12)
-    c1 = twist_pl_cloud(pl, TwistData({0: 1}), resolution=12)
+    c0 = twist_pl_cloud(pl, {}, resolution=12)
+    c1 = twist_pl_cloud(pl, {0: 1}, resolution=12)
     assert c0.shape == c1.shape
     assert np.array_equal(c0[:, :2], c1[:, :2])
     assert not np.allclose(c0, c1)
@@ -1446,15 +1446,15 @@ def _assert_export_matches_oracle(mesh, tmp_path, projection="xxy"):
     # to_off and to_obj share the vertex text that the first of them
     # formats: check both call orders, each on a copy with an empty memo
     for order in (("m.off", "m.obj"), ("m.obj", "m.off")):
-        fresh = LagrangianMesh(mesh.pieces, mesh.scale, mesh.schedule)
+        fresh = LagrangianMesh(mesh.X, mesh.pieces, mesh.scale, mesh.schedule)
         for name in order:
             _assert_file_matches_oracle(fresh, tmp_path, name, projection)
 
 
 def _synthetic_mesh(points, grid):
     points = np.asarray(points, dtype=float)
-    return LagrangianMesh([MeshPiece("flat", (0,), points,
-                                     np.zeros((len(points), 2, 4)), grid)], 1.0, None)
+    return LagrangianMesh(None, [MeshPiece("flat", (0,), points,
+                                           np.zeros((len(points), 2, 4)), grid)], 1.0, None)
 
 
 @pytest.fixture(scope="module")
@@ -1472,19 +1472,19 @@ def test_export_matches_per_line_oracle(tmp_path, triangle_mesh, projection):
 
 def test_export_of_two_projections_on_one_mesh_matches_oracle(tmp_path, triangle_mesh):
     # each projection keeps its own rows: xyy after xxy, then xxy again
-    mesh = LagrangianMesh(triangle_mesh.pieces, 0.5, None)
+    mesh = LagrangianMesh(triangle_mesh.X, triangle_mesh.pieces, 0.5, None)
     for projection in ("xxy", "xyy", "xxy"):
         for name in ("m.obj", "m.off"):
             _assert_file_matches_oracle(mesh, tmp_path, name, projection)
 
 
 def test_export_of_a_twisted_mesh_matches_oracle(tmp_path, triangle_mesh):
-    twisted, _ = twist(triangle_mesh, TwistData({3: 1, 0: -2}))
+    twisted, _ = twist(triangle_mesh, {3: 1, 0: -2})
     _assert_export_matches_oracle(twisted, tmp_path, "xyy")
 
 
 def test_export_without_gridded_pieces_matches_oracle(tmp_path, triangle_mesh):
-    pants = LagrangianMesh(_pieces(triangle_mesh, "pants"), 0.5, None)
+    pants = LagrangianMesh(triangle_mesh.X, _pieces(triangle_mesh, "pants"), 0.5, None)
     _assert_export_matches_oracle(pants, tmp_path)
     assert (tmp_path / "m.off").read_text().splitlines()[1].endswith(" 0 0")
 
