@@ -108,14 +108,10 @@ def cmd_pants(args):
     F = pm.F(ys)
     h = pm.h(ys)
     eig = pm.hessian_eigen_max(ys)
-    path = os.path.join(args.out, "grid.csv")
-    with open(path, "w") as fh:
-        cols = [f"y{i+1}" for i in range(pm.m)] + ["F"] + \
-               [f"h{i+1}" for i in range(pm.m)] + ["max_eig"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(ys)):
-            row = list(ys[i]) + [F[i]] + list(h[i]) + [eig[i]]
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    cols = ([f"y{i+1}" for i in range(pm.m)] + ["F"] + [f"h{i+1}" for i in range(pm.m)]
+            + ["max_eig"])
+    np.savetxt(os.path.join(args.out, "grid.csv"), np.column_stack([ys, F, h, eig]),
+               fmt="%.12g", delimiter=",", header=",".join(cols), comments="")
     print(f"eigenvalue summary: max over grid = {eig.max():.6g} "
           f"({'all negative' if eig.max() < 0 else 'NOT all negative'})")
     print(f"wrote outputs to {args.out}")
@@ -123,8 +119,8 @@ def cmd_pants(args):
 
 
 def cmd_lift(args):
-    from .lift import (GluingSchedule, hausdorff_distance, pl_lift, smooth_lift,
-                       symplectic_residual, twist, twist_pl_cloud)
+    from .lift import (GluingSchedule, check_windings, hausdorff_distance, pl_lift,
+                       smooth_lift, symplectic_residual, twist, twist_pl_cloud)
     fx = _load_curve_arg(args.input)
     X = fx["curve"]
     report_path = os.path.join(args.out, "report.jsonl")
@@ -140,6 +136,8 @@ def cmd_lift(args):
                        "punctures": pl.punctures(), "genus": pl.genus()})
     else:
         windings = _parse_twist(args.twist) if args.twist else None
+        if windings is not None:
+            check_windings(X, windings)  # before the lift, which can take seconds
         sched = (None if args.schedule is None
                  else GluingSchedule.from_dict(_read_json(args.schedule)))
         mesh = smooth_lift(X, args.scale, sched, resolution=args.resolution)

@@ -1,4 +1,4 @@
-"""Torus-side geometry: coamoebas, their faces and vertex symmetries.
+"""Torus-side geometry: coamoebas, their membership tests and vertex symmetries.
 
 The torus is R^{n+1}/(pi Z^{n+1}).  The standard coamoeba is two copies of
 the simplex with vertices p_0 = 0 and p_k = (pi/2) e_k glued at vertices;
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, InputError
 
 PI = math.pi
-EPS_FACE = 1e-10  # face-classification tolerance
+EPS_FACE = 1e-10  # tolerance of Coamoeba.contains on the vertices and faces
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +70,8 @@ def r_apply(n, k, y):
 class Coamoeba:
     """Standard (n+1)-dimensional Lagrangian coamoeba in R^{n+1}/pi Z^{n+1}.
 
-    Contains its vertices and the two open simplex interiors; open faces of
-    intermediate dimension are excluded.  Faces are indexed by proper
-    subsets J of {0, ..., n+1}: E_J has vertices {p_k : k not in J}.
+    Its points are the two closed simplices, glued at the vertices, as
+    contains tests them up to eps.
     """
 
     def __init__(self, n):
@@ -84,50 +83,16 @@ class Coamoeba:
         self.vertices = np.vstack([np.zeros(n + 1)] + [PI / 2 * e for e in np.eye(n + 1)])
 
     # -- halves ------------------------------------------------------------
-    def _shifted_wrap(self, y):
-        """Wrap to [-pi/4, 3pi/4): keeps the plus simplex away from wrap cuts."""
+    def plus_coords(self, y):
+        """Coordinates wrapped to [-pi/4, 3pi/4), which keeps the plus
+        simplex away from the wrap cuts; y is in closed C+ iff all are >= 0
+        and their sum is <= pi/2."""
         return np.mod(np.asarray(y, dtype=float) + PI / 4, PI) - PI / 4
 
-    def plus_coords(self, y):
-        """Wrapped coordinates; in closed C+ iff all >= 0 and sum <= pi/2."""
-        return self._shifted_wrap(y)
-
-    def in_plus_closure(self, y, eps=EPS_FACE):
-        w = self.plus_coords(y)
-        return bool(np.all(w >= -eps) and w.sum() <= PI / 2 + eps)
-
-    def in_minus_closure(self, y, eps=EPS_FACE):
-        return self.in_plus_closure(-np.asarray(y, dtype=float), eps)
-
-    def vertex_index(self, y, eps=EPS_FACE):
-        d = self.torus.distance(np.asarray(y, dtype=float)[None, :], self.vertices)
-        k = int(np.argmin(d))
-        return k if d[k] <= eps else None
-
-    def membership(self, y, eps=EPS_FACE):
-        """Classify a torus point.
-
-        Returns one of ("interior_plus",), ("interior_minus",),
-        ("vertex", k), ("face", J), ("outside",).
-        """
-        y = np.asarray(y, dtype=float)
-        k = self.vertex_index(y, eps)
-        if k is not None:
-            return ("vertex", k)
-        w = self.plus_coords(y)
-        if np.all(w > eps) and w.sum() < PI / 2 - eps:
-            return ("interior_plus",)
-        wm = self.plus_coords(-y)
-        if np.all(wm > eps) and wm.sum() < PI / 2 - eps:
-            return ("interior_minus",)
-        if self.in_plus_closure(y, eps) or self.in_minus_closure(y, eps):
-            J = self.face_equations(y, eps)
-            if J:
-                return ("face", J)
-        return ("outside",)
-
     def contains(self, y, eps=EPS_FACE):
-        """Whether membership(y) is not ("outside",), for rows y at once."""
+        """Whether each row y lies in the coamoeba, up to eps: near a
+        vertex, in an open half, or in a closed half and on one of its face
+        equations (y_j = 0, or sum(y) = pi/2, mod pi)."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         near_vertex = self.torus.distance(y[:, None, :], self.vertices).min(axis=1) <= eps
         halves = (self.plus_coords(y), self.plus_coords(-y))
@@ -138,20 +103,6 @@ class Coamoeba:
                    | (np.minimum(s, PI - s) <= eps))
         return (near_vertex | open_half[0] | open_half[1]
                 | ((closed[0] | closed[1]) & on_face))
-
-    def face_equations(self, y, eps=EPS_FACE):
-        """Indices whose closure equation holds: y_j = 0 (j >= 1) and
-        sum(y) = pi/2 (j = 0), both mod pi."""
-        y = np.asarray(y, dtype=float)
-        J = set()
-        cw = self.torus.wrap_centered(y)
-        for j in range(1, self.n + 2):
-            if abs(cw[j - 1]) <= eps:
-                J.add(j)
-        s = float(np.mod(y.sum() - PI / 2, PI))
-        if min(s, PI - s) <= eps:
-            J.add(0)
-        return frozenset(J)
 
     # -- sampling ----------------------------------------------------------
     def sample_interior(self, m, seed=0, margin=1e-6):
@@ -226,21 +177,10 @@ class CellCoamoeba:
         return ((np.abs(d[0] * w[1] - d[1] * w[0]) <= eps * (abs(d[0]) + abs(d[1])))
                 & (-eps <= t) & (t <= 1 + eps))
 
-    def classify(self, y, eps=1e-9):
-        y = np.asarray(y, dtype=float)[None, :]
-        for sign, tag in ((1.0, "plus"), (-1.0, "minus")):
-            for q in self._candidates(sign * y):
-                if not self._in_cell(q, eps)[0]:
-                    continue
-                for v in self.cell.vertices:
-                    if abs(q[0, 0] - v[0]) <= eps and abs(q[0, 1] - v[1]) <= eps:
-                        return ("vertex", tuple(v))
-                return ("interior_" + tag,) if self.cell.dim == 2 else ("on_" + tag,)
-        return ("outside",)
-
     def contains(self, y, eps=1e-9):
-        """Whether classify(y) is not ("outside",), for one point or for
-        rows of points at once."""
+        """Whether y, one point or rows of points at once, lies in the cell
+        coamoeba up to eps: some translate of 2y/pi or -2y/pi mod 2 lies in
+        the cell."""
         y = np.asarray(y, dtype=float)
         rows = np.atleast_2d(y)
         inside = np.zeros(len(rows), dtype=bool)

@@ -310,11 +310,23 @@ def _feasible(lam, B, legs_lat, ball_r):
 
 def _vertex_arrays(X):
     """Frame matrices of the curve's vertices, shape (V, 2, 2), and their
-    lattice leg lengths, shape (V, 3)."""
+    lattice leg lengths, shape (V, 3); InputError for a curve without
+    vertices, which has nothing to put a pants on."""
+    if not X.vertices:
+        raise InputError("smooth lifting needs a curve with a vertex to put a pants on")
     models = [_local_model(X, vi) for vi in range(len(X.vertices))]
-    B = np.array([m.B for m in models]).reshape(-1, 2, 2)
-    norms = np.array([[m.leg_norm[j] for j in range(3)] for m in models]).reshape(-1, 3)
-    return B, norms
+    return (np.array([m.B for m in models]),
+            np.array([[m.leg_norm[j] for j in range(3)] for m in models]))
+
+
+def _leg_cuts(sched, norms):
+    """The leg cuts r', r'', rbar and r of the schedule in lattice units,
+    shape (V, 3, 4): each ambient cut of leg j at vertex vi over the leg's
+    lattice length norms[vi, j]."""
+    cuts = np.array([[(ls.r_prime, ls.r_second, ls.r_bar, ls.r)
+                      for ls in (sched.legs[(vi, j)] for j in range(3))]
+                     for vi in range(len(norms))], dtype=float)
+    return cuts / norms[:, :, None]
 
 
 def _distinct_rows(*arrays):
@@ -354,9 +366,9 @@ def default_schedule(X):
     call on the rows still bisecting."""
     if X.subdivision is None:
         raise InputError("schedule needs a subdivision-backed curve")
+    B, norms = _vertex_arrays(X)
     R = _BALL_FACTOR * X.min_vertex_distance()
     nv = len(X.vertices)
-    B, norms = _vertex_arrays(X)
     cuts = [f * R for f in _LEG_CUT_FRACTIONS]
     legs_lat = np.array(cuts)[None, None, :] / norms[:, :, None]
     first, row_of = _distinct_rows(B, legs_lat)
@@ -399,12 +411,16 @@ def _balls_meet(vs, ball_r):
 
 
 def validate_schedule(X, sched):
+    B, norms = _vertex_arrays(X)
     nv = len(X.vertices)
     if (set(sched.ball_radius) != set(range(nv)) or set(sched.lam) != set(range(nv))
             or set(sched.legs) != {(vi, j) for vi in range(nv) for j in range(3)}):
         raise ConfigurationError("schedule keys do not match the curve's vertices and legs")
     if not sched.truncation > 0:
         raise ConfigurationError("truncation must be positive")
+    lam = np.array([sched.lam[vi] for vi in range(nv)], dtype=float)
+    if not np.all(lam > 0):
+        raise ConfigurationError("pants scales must be positive")
     for (vi, j), ls in sched.legs.items():
         ls.validate()
         if ls.r > sched.ball_radius[vi]:
@@ -425,12 +441,7 @@ def validate_schedule(X, sched):
             raise ConfigurationError("truncation must lie beyond the cut point r "
                                      "of every ray's leg")
     # trimmed regions inside balls, at the scheduled scale
-    B, norms = _vertex_arrays(X)
-    cuts = np.array([[(ls.r_prime, ls.r_second, ls.r_bar, ls.r)
-                      for ls in (sched.legs[(vi, j)] for j in range(3))]
-                     for vi in range(nv)]).reshape(nv, 3, 4)
-    legs_lat = cuts / norms[:, :, None]
-    lam = np.array([sched.lam[vi] for vi in range(nv)], dtype=float)
+    legs_lat = _leg_cuts(sched, norms)
     # one check per distinct (B, cuts, lam, ball radius) row
     first, row_of = _distinct_rows(B, legs_lat, lam, ball_r)
     ok = _feasible(lam[first], B[first], legs_lat[first], ball_r[first])
@@ -785,11 +796,11 @@ def _within_trims(h, trims):
     return np.all([LocalModel.leg_coordinate(h, j) <= trims[j] for j in range(3)], axis=0)
 
 
-def _standard_pants(lam, trims, resolution):
+def _standard_pants(lam, legs_lat, resolution):
     """The trimmed pants over a vertex at scale lam, in standard
     coordinates, from _unit_pants: the body and the chart collars whose
-    leg coordinates are all at most trims (r'' per leg, in lattice
-    units).
+    leg coordinates are all at most r'' (legs_lat[j, 1], leg j's cuts in
+    lattice units).
 
     Returns (body, charts).  body is (h, y, H): the kept grid points, plus
     half then minus half, and their symmetric Hessians.  charts is (h, y,
@@ -798,6 +809,7 @@ def _standard_pants(lam, trims, resolution):
     rows of each of their four stencils, shape (5K, 2) each, and the
     stencil widths, shape (K, 1) each."""
     (terms, core), (num, den, y0, da2, dt2) = _unit_pants(resolution)
+    trims = legs_lat[:, 1]
     h = scaled_h(1, lam, terms)
     keep = _within_trims(h, trims)
     h, y, core = h[keep], _body_grid(resolution)[keep], core[:, :, keep]
@@ -893,7 +905,7 @@ def _collar_block(lam, legs, targets):
 def _collar_pieces(vertices, legs_lat, resolution):
     """Graphs of d(eta * G) over [r', r] x (fiber circle) for the legs of
     the vertices, pairs (vi, model) that share the scale and the leg cuts
-    legs_lat (legs_lat[j] holds r', r'', rbar and r in lattice units).
+    legs_lat (row j holds leg j's r', r'', rbar and r in lattice units).
     Returns the pieces per vertex, whose arrays are still to be filled,
     and the blocks: the legs' grids, stacked, are cut into blocks of
     _LIFT_BLOCK rows, in row order, and each block is the arguments (legs,
@@ -903,7 +915,7 @@ def _collar_pieces(vertices, legs_lat, resolution):
     leg coordinate."""
     n = resolution * resolution
     legs = []
-    for j, (r1, r2, rbar, r) in legs_lat.items():
+    for j, (r1, r2, rbar, r) in enumerate(legs_lat):
         s = np.linspace(r1, r, resolution)
         S, T = np.meshgrid(s, _fiber_angles(resolution), indexing="ij")
         cutoff = Cutoff(r2, rbar)
@@ -911,7 +923,7 @@ def _collar_pieces(vertices, legs_lat, resolution):
                      *(np.repeat(f(s), resolution)
                        for f in (cutoff.eta, cutoff.eta_prime, cutoff.eta_second))))
     pieces = {vi: [MeshPiece("collar", (vi, j), np.empty((n, 4)), np.empty((n, 2, 4)),
-                             grid=(resolution, resolution)) for j in legs_lat]
+                             grid=(resolution, resolution)) for j in range(3)]
               for vi, _ in vertices}
     blocks = []
     for start in range(0, len(legs) * n, _LIFT_BLOCK):
@@ -1011,31 +1023,31 @@ def _smooth_sample_bound(X, resolution):
 _COLLAR_MARGIN = HESSIAN_MARGIN + np.spacing(PI / 4)
 
 
-def _smallest_scale(sched, vertex_legs, resolution):
+def _smallest_scale(lam, legs_lat, resolution):
     """The scale t at and below which the leg-fiber root of some collar
-    point lies within _COLLAR_MARGIN of q_1 = 0.  h_1 decreases along each
-    fiber and is lam times its value at lam = 1, so the root of h_1 = S
-    clears the margin iff S < t lam h_1(margin, b) at lam = 1; the
+    point lies within _COLLAR_MARGIN of q_1 = 0, for the vertices' pants
+    scales lam and leg cuts legs_lat (_leg_cuts).  h_1 decreases along
+    each fiber and is lam times its value at lam = 1, so the root of
+    h_1 = S clears the margin iff S < t lam h_1(margin, b) at lam = 1; the
     largest S is the collar's outer end r, at every fiber angle b."""
     thetas = _fiber_angles(resolution)
     b = np.where(thetas > PI / 2, PI - thetas, thetas)
     h = PantsMap(1).h(np.stack([np.full_like(b, _COLLAR_MARGIN), b], axis=1))[:, 0]
-    return max(max(leg[3] for leg in legs.values()) / sched.lam[vi]
-               for vi, legs in enumerate(vertex_legs)) / h.min()
+    return (legs_lat[:, :, 3].max(axis=1) / lam).max() / h.min()
 
 
 def _lift_vertex_row(lam, legs_lat, vertices, resolution, pool):
     """The pieces of the vertices, pairs (vi, model), that share one
-    distinct row of scale lam and leg cuts legs_lat: its pants and collars
-    are built once, in standard coordinates, and mapped to each vertex.
+    distinct row of scale lam and leg cuts legs_lat (a (3, 4) row of
+    _leg_cuts): its pants and collars are built once, in standard
+    coordinates, and mapped to each vertex.
     Returns, per vi, its pants piece and its three collar pieces.  With a
     pool, the collar blocks run on it while the calling thread builds the
     pants; the first failing block in row order raises."""
     collars, blocks = _collar_pieces(vertices, legs_lat, resolution)
     if pool is not None:
         futures = [pool.submit(_collar_block, lam, legs, targets) for legs, targets in blocks]
-    # the pants are trimmed at r''
-    std = _standard_pants(lam, [legs_lat[j][1] for j in range(3)], resolution)
+    std = _standard_pants(lam, legs_lat, resolution)
     pants = {vi: MeshPiece("pants", (vi,), *_pants_vertex_piece(model, std))
              for vi, model in vertices}
     if pool is None:
@@ -1054,9 +1066,10 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     (vertex, leg) with the smooth cutoff, flat cylinders over each edge
     middle; the whole pants scale is multiplied by t.  Without sched, the
     default schedule is used (the mesh keeps it as .schedule).
-    InputError when the resolution is odd or _smooth_sample_bound exceeds
-    MAX_SAMPLE_POINTS, before any schedule or sample is computed, and
-    when t is at or below _smallest_scale, before any sample is computed.
+    InputError when the resolution is odd, the curve has no vertex or
+    _smooth_sample_bound exceeds MAX_SAMPLE_POINTS, before any schedule or
+    sample is computed, and when t is at or below _smallest_scale, before
+    any sample is computed.
     """
     if not 0 < t <= 1:
         raise InputError("scale t must lie in (0, 1]")
@@ -1066,18 +1079,16 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     from .tropical import is_smooth
     if not is_smooth(X):
         raise InputError("smooth lifting needs a smooth curve")
-    if not X.vertices:
-        raise InputError("smooth lifting needs a curve with a vertex to put a pants on")
+    norms = _vertex_arrays(X)[1]  # InputError for a curve without vertices
     _check_sample_size(_smooth_sample_bound(X, resolution))
     if sched is None:
         sched = default_schedule(X)  # validated there
     else:
         validate_schedule(X, sched)
-    models = [_local_model(X, vi) for vi in range(len(X.vertices))]
-    vertex_legs = [{j: tuple(getattr(sched.legs[(vi, j)], f) / model.leg_norm[j]
-                             for f in ("r_prime", "r_second", "r_bar", "r"))
-                    for j in range(3)} for vi, model in enumerate(models)]
-    t_min = _smallest_scale(sched, vertex_legs, resolution)
+    nv = len(norms)
+    lam = np.array([sched.lam[vi] for vi in range(nv)], dtype=float)
+    legs_lat = _leg_cuts(sched, norms)
+    t_min = _smallest_scale(lam, legs_lat, resolution)
     if t <= t_min:
         raise InputError(f"--scale {t:g} is too small for this curve and schedule: "
                          f"it must exceed {t_min:.6g}, below which a collar's fiber "
@@ -1088,9 +1099,8 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     # blocks (three grids of resolution^2 rows) run on a thread pool, while
     # the calling thread builds its pants, only when they are many enough
     # to pay for the pool; otherwise every block runs on the calling thread.
-    nv = len(models)
-    lams = np.array([t * sched.lam[vi] for vi in range(nv)])
-    first, row_of = _distinct_rows(lams, [[legs[j] for j in range(3)] for legs in vertex_legs])
+    lams = t * lam
+    first, row_of = _distinct_rows(lams, legs_lat)
     workers = _cpu_count()
     pool = None
     if workers > 1 and 3 * resolution * resolution > _LIFT_POOL_BLOCKS * _LIFT_BLOCK:
@@ -1101,8 +1111,8 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     by_vertex = {}
     try:
         for d in np.argsort(first):
-            vertices = [(int(vi), models[vi]) for vi in np.flatnonzero(row_of == d)]
-            by_vertex.update(_lift_vertex_row(lams[first[d]], vertex_legs[first[d]], vertices,
+            vertices = [(int(vi), _local_model(X, vi)) for vi in np.flatnonzero(row_of == d)]
+            by_vertex.update(_lift_vertex_row(lams[first[d]], legs_lat[first[d]], vertices,
                                               resolution, pool))
     finally:
         if pool is not None:
@@ -1283,6 +1293,13 @@ def _egcd(a, b):
     return (g, y, x - (a // b) * y)
 
 
+def check_windings(X, windings):
+    """InputError unless each edge index of windings is one of X.edges."""
+    for ei in windings:
+        if not 0 <= ei < len(X.edges):
+            raise InputError(f"no edge with index {ei}")
+
+
 def twist(mesh, windings):
     """Twisted lift: the fibers over the flat piece of each edge index in
     windings rotate along it by its winding m (_twist_fibers).
@@ -1291,9 +1308,7 @@ def twist(mesh, windings):
     The base projection is untouched.
     """
     X = mesh.X
-    for ei in windings:
-        if not 0 <= ei < len(X.edges):
-            raise InputError(f"no edge with index {ei}")
+    check_windings(X, windings)
     new_pieces = []
     for p in mesh.pieces:
         if p.tag != "flat" or p.owner[0] not in windings:

@@ -59,8 +59,8 @@ def h_chart_terms(n, alpha, t):
 def scaled_h(n, lam, terms):
     """The gradient map at scale lam from its terms (num, den, charts) of
     PantsMap._h_terms: (lam * num) / den, mapped by rstar_apply(n, k, .) on
-    the rows of each chart, as h_chart maps them.  DomainError where it is
-    not finite."""
+    the rows of the chart of each vertex k.  DomainError where it is not
+    finite."""
     num, den, charts = terms
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         h = lam * num / den[:, None]
@@ -271,16 +271,14 @@ class PantsMap:
             den[rows] = den_k[:, 0]
         return num, den, charts
 
-    def h_chart(self, alpha, t, k=0):
-        """Smooth chart expression of h near vertex k.
+    def h_chart(self, alpha, t):
+        """Smooth chart expression of h near vertex 0.
 
         alpha: (N, n) positive; t: (N,); valid for both signs of t and at
         t = 0, where it restricts to the boundary-surface diffeomorphism.
         """
         num, den = h_chart_terms(self.n, alpha, t)
         h = self.lam * num / den
-        if k != 0:
-            h = rstar_apply(self.n, k, h)
         return h if h.shape[0] > 1 else h[0]
 
     def hessian_eigen_max(self, y):
@@ -289,20 +287,7 @@ class PantsMap:
         return vals.max(axis=1)
 
     # ------------------------------------------------------------------
-    # the region H and its cells
-
-    def region_slack(self, x):
-        """min over k of the H_k inequality slacks; >= 0 means inside."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        cval = (self.lam / self.m) ** self.m
-        best = np.full(len(x), -np.inf)
-        for k in range(self.m + 1):
-            xk = x if k == 0 else rstar_apply(self.n, k, x)
-            slack = np.minimum(xk.min(axis=1), cval - np.prod(np.clip(xk, 0, None), axis=1))
-            best = np.maximum(best, slack)
-        return best
-
-    # -- barycentric cells ------------------------------------------------
+    # barycentric cells
 
     def delta_value(self, j, k, y):
         """Signed slack of the half-space Delta_{jk} at plus coordinates y."""
@@ -323,24 +308,6 @@ class PantsMap:
         for q in ks:
             for j in J:
                 ok &= self.delta_value(j, q, y) >= -tol
-        return ok
-
-    def d_value(self, j, k, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if k == 0:
-            return x[:, j - 1]
-        if j == 0:
-            return -x[:, k - 1]
-        return x[:, j - 1] - x[:, k - 1]
-
-    def in_V(self, J, x, k=None, tol=1e-12):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        J = frozenset(J)
-        ks = [k] if k is not None else [q for q in range(self.m + 1) if q not in J]
-        ok = np.ones(len(x), dtype=bool)
-        for q in ks:
-            for j in J:
-                ok &= self.d_value(j, q, x) >= -tol
         return ok
 
     # ------------------------------------------------------------------

@@ -219,10 +219,6 @@ class LiftingFunction:
         except KeyError:
             raise InputError(f"missing lifting value at lattice point {p}")
 
-    @staticmethod
-    def constant(polytope, c=0):
-        return LiftingFunction({p: c for p in polytope.lattice_points})
-
 
 class Subdivision:
     """Regular subdivision of a lattice polytope by an integral lifting.
@@ -410,14 +406,6 @@ class DualCell:
 
     verts: tuple
     rays: tuple
-
-    def sample_point(self):
-        """A relative-interior rational point."""
-        n = len(self.verts)
-        p = tuple(sum(Fraction(v[i]) for v in self.verts) / n for i in range(2))
-        for r in self.rays:
-            p = vadd(p, tuple(Fraction(x, 2) for x in r))
-        return p
 
 
 class PiecewiseAffine:

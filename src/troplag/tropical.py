@@ -82,9 +82,6 @@ class TropicalComplex:
             raise InputError("complex has no duality data")
         return self.subdivision.face(cell.dual_key)
 
-    def bounded_edges(self):
-        return [e for e in self.edges if e.kind == "segment"]
-
     def unbounded_edges(self):
         return [e for e in self.edges if e.kind in ("ray", "line")]
 

@@ -1,0 +1,56 @@
+"""Oracles and conveniences of the tests that no troplag command needs: the
+region H and the cells V of the pants, the constant lifting and a relative
+interior point of a dual cell."""
+
+from fractions import Fraction
+
+import numpy as np
+
+from troplag.coamoeba import rstar_apply
+from troplag.polyhedral import LiftingFunction, vadd
+
+
+def region_slack(pm, x):
+    """min over k of the H_k inequality slacks of PantsMap pm at rows x;
+    >= 0 means inside the region H."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    cval = (pm.lam / pm.m) ** pm.m
+    best = np.full(len(x), -np.inf)
+    for k in range(pm.m + 1):
+        xk = x if k == 0 else rstar_apply(pm.n, k, x)
+        slack = np.minimum(xk.min(axis=1), cval - np.prod(np.clip(xk, 0, None), axis=1))
+        best = np.maximum(best, slack)
+    return best
+
+
+def _d_value(j, k, x):
+    """Signed slack of the half-space of V_{jk} at rows x."""
+    if k == 0:
+        return x[:, j - 1]
+    if j == 0:
+        return -x[:, k - 1]
+    return x[:, j - 1] - x[:, k - 1]
+
+
+def in_V(pm, J, x, k=None, tol=1e-12):
+    """Membership of rows x in the cell V_J of PantsMap pm, or in V_{J,k}."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ks = [k] if k is not None else [q for q in range(pm.m + 1) if q not in J]
+    ok = np.ones(len(x), dtype=bool)
+    for q in ks:
+        for j in J:
+            ok &= _d_value(j, q, x) >= -tol
+    return ok
+
+
+def constant_lifting(polytope, c=0):
+    return LiftingFunction({p: c for p in polytope.lattice_points})
+
+
+def dual_sample_point(dc):
+    """A relative-interior rational point of the DualCell dc."""
+    n = len(dc.verts)
+    p = tuple(sum(Fraction(v[i]) for v in dc.verts) / n for i in range(2))
+    for r in dc.rays:
+        p = vadd(p, tuple(Fraction(x, 2) for x in r))
+    return p

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import troplag
-from troplag.cli import _curve_to_json, _load_curve_arg, main
+from troplag.cli import MAX_GRID, _curve_to_json, _load_curve_arg, main
 from troplag.fixtures import fixture_names, load_fixture
 
 
@@ -170,6 +170,20 @@ def test_pants_n_outside_its_range_exits_2_within_a_second(tmp_path, capsys, n):
     assert not out.exists()  # refused before any work
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(-1, 5),
+       grid=st.one_of(st.integers(-2, 12), st.integers(MAX_GRID + 1, 10 ** 12)),
+       lam=st.one_of(st.none(), st.floats(), st.sampled_from([0.0, 1e-320, 1e100, 1e101])),
+       section=st.one_of(st.none(), st.floats(), st.sampled_from([1 / 9, 0.11, 1e300])))
+def test_pants_keeps_the_exit_code_contract(n, grid, lam, section):
+    # 0 written, 2 input error; never a traceback
+    argv = ["pants", "--n", str(n), "--grid", str(grid)]
+    argv += [] if lam is None else [f"--lam={lam!r}"]
+    argv += [] if section is None else [f"--section={section!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(argv + ["--out", os.path.join(tmp, "o")]) in (0, 2)
+
+
 def test_pants_section_must_be_a_number(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["pants", "--n", "2", "--section", "abc", "--out", str(tmp_path / "p")])
@@ -292,6 +306,22 @@ TORIC_SHA256 = {
     "p2_monotone": "9b81e5897b95ed40cf468b5713eb23e9a19e9c78be942acfc9265c05d60339d1",
     "p2_torus": "9da8b0bcf805ebb6fea92c972fa4e1d1997f8fe5311ebc38635b7b65e060ff8f",
 }
+# every output of `troplag pants OPTIONS`: grid.csv, region.svg (n = 1) and
+# section.json (--section)
+PANTS_SHA256 = {
+    "--n 0 --grid 16": {
+        "grid.csv": "cbd218ebbbc0fbc0e9b63044ec0e3b515535922b38d8a0c38b370014e11a7dea"},
+    "--n 1 --grid 16 --lam 2.5 --seed 3": {
+        "grid.csv": "be527e88c2c7adfa1b2d8bb517b553245714bbcde7f0039c4a7680f3ec361b67",
+        "region.svg": "104eb2c545f8df32edc1927aac284015d712b1816546838ac2a3683976d0bdeb"},
+    "--n 2 --grid 12 --section 0.5": {
+        "grid.csv": "24a6e01ef3e61604841c04b6ceece0969207d611dd9ccdfe6e3032799caf5da0",
+        "section.json": "94612a87925cadf3f6235cf0703fce6f68145d8d46a9ce3a94a967538c9246c3"},
+    "--n 3 --grid 8": {
+        "grid.csv": "0f12a53659152f5bf1d77178fe0524c3ffc5b6f53201b10c7193200cc5e49869"},
+    "--n 4 --grid 8 --seed 5": {
+        "grid.csv": "316e1bb9385825d8fd62cf422b5339a62447332c5fefd1dabac4c2ccf4bd47cf"},
+}
 # pl_cloud.csv and report.jsonl of `troplag lift NAME --pl-only --resolution
 # 16`; weight2_line's vertex fiber is a covering coamoeba
 PL_ONLY_RES16_SHA256 = {
@@ -340,6 +370,14 @@ def test_toric_report_holds_no_python_reprs(tmp_path, name):
             assert [str(Fraction(c)) for c in where] == where == hit["point"]
         else:
             assert kind == "edge" and type(where) is int
+
+
+@pytest.mark.parametrize("options", sorted(PANTS_SHA256))
+def test_pants_output_bytes_are_pinned(tmp_path, monkeypatch, options):
+    monkeypatch.chdir(tmp_path)
+    assert run(["pants", *options.split(), "--out", "out"]) == 0
+    out = tmp_path / "out"
+    assert {p.name: _sha256(p) for p in out.iterdir()} == PANTS_SHA256[options]
 
 
 @pytest.mark.parametrize("name", sorted(PL_ONLY_RES16_SHA256))
@@ -595,6 +633,16 @@ def test_lift_malformed_twist_exits_2(tmp_path, capsys, spec):
     assert "--twist" in capsys.readouterr().err
 
 
+def test_twist_of_a_missing_edge_exits_2_before_the_lift(tmp_path, capsys):
+    from unittest import mock
+    from troplag import lift
+    with mock.patch.object(lift, "smooth_lift", _refuse_to_sample):
+        assert run(["lift", "triangle", "--resolution", "8", "--twist", "edge=99,winding=1",
+                    "--out", str(tmp_path / "x")]) == 2
+    assert "no edge with index 99" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.fixture(scope="module")
 def triangle_schedule():
     from troplag.lift import default_schedule
@@ -627,6 +675,7 @@ def _add_leg(d):
     b"[1]",
     _edit(["lam", "0"], None),                                     # KeyError: 0
     _edit(["lam", "0"], "x"),                                      # ValueError
+    _edit(["lam", "0"], 0.0),                                      # pants scale 0
     _edit(["legs", "0,0", "r"], "x"),                              # TypeError
     _edit(["legs", "0,0", "zz"], 1.0),                             # TypeError
     _edit(["legs", "0,0", "r_bar"], None),
@@ -637,7 +686,8 @@ def _add_leg(d):
     _edit(["truncation"], -1),                                     # exit 0
     _edit(["truncation"], 0.01),                                   # exit 0, below r
     _edit(["ball_radius", "1"], 10 ** 400),
-], ids=["brace", "non_utf8", "list", "lam_deleted", "lam_x", "leg_r_x", "leg_extra_field",
+], ids=["brace", "non_utf8", "list", "lam_deleted", "lam_x", "lam_zero", "leg_r_x",
+        "leg_extra_field",
         "leg_field_deleted", "leg_key_zz", "leg_key_extra", "legs_deleted", "truncation_nan",
         "truncation_negative", "truncation_inside_leg", "ball_radius_huge"])
 def test_malformed_schedule_exits_2(tmp_path, capsys, triangle_schedule, change):

@@ -41,19 +41,20 @@ def test_distance_symmetric_and_translate_invariant(a, b):
 
 def test_membership_examples():
     C = Coamoeba(1)
-    assert C.membership([PI / 6, PI / 6]) == ("interior_plus",)
-    assert C.membership([PI / 2, 0.0]) == ("vertex", 1)
-    assert C.membership([PI / 4, PI / 4]) == ("face", frozenset({0}))
-    assert C.membership([-PI / 6, -PI / 6]) == ("interior_minus",)
-    assert C.membership([PI / 2 + 0.4, PI / 2 + 0.3]) == ("outside",)
-    # an open facet point of E_2 (segment p0-p1)
-    assert C.membership([0.4, 0.0]) == ("face", frozenset({2}))
+    inside = [[PI / 6, PI / 6], [-PI / 6, -PI / 6],  # the open halves
+              [PI / 2, 0.0], [0.0, PI / 2], [PI, PI],  # the vertices, mod pi
+              [PI / 4, PI / 4], [0.4, 0.0], [0.0, -0.4]]  # faces of both halves
+    outside = [[PI / 2 + 0.4, PI / 2 + 0.3], [PI / 4 + 1e-6, PI / 4 + 1e-6], [0.4, -0.5]]
+    assert C.contains(inside).all()
+    assert not C.contains(outside).any()
+    assert C.contains([PI / 6, PI / 6]).shape == (1,)
+    # on the face plane y_1 = 0 of E_1, but in neither closed half
+    assert not Coamoeba(2).contains([0.0, 0.5, 1.3])[0]
 
 
 def test_whole_circle_when_n_is_zero():
     C = Coamoeba(0)
-    for y in np.linspace(0, PI, 37, endpoint=False):
-        assert C.membership([y]) != ("outside",)
+    assert C.contains(np.linspace(0, PI, 37, endpoint=False)[:, None]).all()
 
 
 def test_vertex_count():
@@ -64,28 +65,14 @@ def test_vertex_count():
 def test_membership_iota_equivariant():
     C = Coamoeba(2)
     pts = C.sample_interior(50, seed=4)
-    for y in pts:
-        assert C.membership(y)[0] == "interior_plus"
-        assert C.membership(-y)[0] == "interior_minus"
+    assert C.contains(pts).all() and C.contains(-pts).all()
     face_pt = (1.0 * C.vertices[0] + 1.1 * C.vertices[2] + 1.2 * C.vertices[3]) / 3.3  # in E_{1}
-    cls = C.membership(face_pt)
-    cls_m = C.membership(-face_pt)
-    assert cls == cls_m == ("face", frozenset({1}))
-
-
-def test_face_duality_inclusion_reversing():
-    # J subset J'  <=>  every vertex of E_{J'} satisfies the E_J closure eqs
-    for n in (1, 2):
-        C = Coamoeba(n)
-        idx = list(range(n + 2))
-        import itertools
-        subsets = [frozenset(s) for r in range(1, n + 2)
-                   for s in itertools.combinations(idx, r)]
-        for J in subsets:
-            for Jp in subsets:
-                contained = all(C.face_equations(C.vertices[k]) >= J
-                                for k in idx if k not in Jp)
-                assert contained == (J <= Jp)
+    assert C.contains(np.stack([face_pt, -face_pt])).all()
+    # y -> -y maps the coamoeba onto itself, points outside it too
+    ys = np.random.default_rng(3).uniform(0, PI, (400, 3))
+    inside = C.contains(ys)
+    assert 0 < inside.sum() < len(ys)
+    assert np.array_equal(C.contains(-ys), inside)
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +115,21 @@ def test_rstar_permutes_ray_generators():
 
 
 def test_faces_permute_under_symmetry():
+    # R_k maps the coamoeba onto itself: the faces E_J into it, and every
+    # other point in or out as it was
     C = Coamoeba(2)
+    ys = np.random.default_rng(5).uniform(0, PI, (400, 3))
+    inside = C.contains(ys)
+    assert 0 < inside.sum() < len(ys)
     for k in (1, 2, 3):
+        assert np.array_equal(C.contains(r_apply(2, k, ys)), inside)
         for J in (frozenset({0}), frozenset({1}), frozenset({0, 2}), frozenset({3})):
             # a relative-interior point of E_J: a positive combination of
             # the vertices p_l, l not in J
             ks = [l for l in range(4) if l not in J]
             w = np.array([1.0, 2.0, 3.0][:len(ks)])
             y = (w[:, None] * C.vertices[ks]).sum(axis=0) / w.sum()
-            got = C.membership(r_apply(2, k, y))
-            # R_k acts on the face indices by exchanging 0 and k
-            assert got == ("face", frozenset({0: k, k: 0}.get(j, j) for j in J))
+            assert C.contains(r_apply(2, k, y))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +142,28 @@ def test_edge_cell_coamoeba_is_closed_geodesic():
     for th in np.linspace(0, PI, 11, endpoint=False):
         assert cc.contains(base + th * d)
     assert not cc.contains([0.3, 0.7])
-    assert cc.classify(base)[0] == "vertex"
 
 
 def test_two_cell_coamoeba_is_sheared_standard():
     cc = CellCoamoeba(LatticePolytope.from_points([(0, 0), (1, 1), (2, 1)]))
     # midpoint of the cell scaled by pi/2 is interior
     mid = np.array([1.0, 2.0 / 3.0]) * PI / 2
-    assert cc.classify(mid)[0] == "interior_plus"
-    assert cc.classify(-mid)[0] == "interior_minus"
+    assert cc.contains(mid) and cc.contains(-mid)
     for v in [(0, 0), (1, 1), (2, 1)]:
-        assert cc.classify(np.array(v, dtype=float) * PI / 2)[0] == "vertex"
+        assert cc.contains(np.array(v, dtype=float) * PI / 2)
+    # just past the edge from (0, 0) to (2, 1), on both halves
+    past = np.array([1.0, 0.5 - 1e-6]) * PI / 2
+    assert not cc.contains(past) and not cc.contains(-past)
 
 
 def test_simplex_cell_coamoeba_matches_standard():
     cc = CellCoamoeba(LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)]))
     C = Coamoeba(1)
-    for y in [np.array([PI / 6, PI / 6]), np.array([PI / 2, 0.0]),
-              np.array([2.0, 2.0]), np.array([-0.2, -0.2])]:
-        inside_std = C.membership(y)[0] != "outside"
-        assert cc.contains(y) == inside_std
+    ys = np.vstack([[PI / 6, PI / 6], [PI / 2, 0.0], [2.0, 2.0], [-0.2, -0.2],
+                    np.random.default_rng(7).uniform(0, PI, (400, 2))])
+    inside = C.contains(ys)
+    assert 0 < inside.sum() < len(ys)
+    assert np.array_equal(cc.contains(ys), inside)
 
 
 def test_cell_coamoeba_rejects_points():

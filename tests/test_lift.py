@@ -11,6 +11,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from helpers import constant_lifting, in_V, region_slack
 from hypothesis import example, given, settings, strategies as st
 from oracle_pants import oracle_smooth_pieces
 from scipy.spatial import cKDTree
@@ -70,7 +71,7 @@ def test_pl_lift_triangle_topology():
 
 def test_pl_lift_weight2_edge_has_two_circles():
     P = LatticePolytope.from_points([(0, 0), (2, 0)])
-    X = tropical_hypersurface(regular_subdivision(P, LiftingFunction.constant(P)))
+    X = tropical_hypersurface(regular_subdivision(P, constant_lifting(P)))
     pl = pl_lift(X)
     (piece,) = [p for p in pl.pieces if p.kind == "edge"]
     assert piece.fiber.w == 2
@@ -140,14 +141,32 @@ def test_coamoeba_cloud_matches_double_loop(resolution):
         assert got.tobytes() == _coamoeba_cloud_oracle(fiber, resolution).tobytes()
 
 
+def _in_standard_coamoeba(y, eps):
+    """Whether one point y of the 2-torus lies in the standard coamoeba:
+    within eps of a vertex, in an open half, or in a closed half and on a
+    face equation (y_j = 0, or y_1 + y_2 = pi/2, mod pi)."""
+    centered = np.mod(y + PI / 2, PI) - PI / 2
+    for v in ((0.0, 0.0), (PI / 2, 0.0), (0.0, PI / 2)):
+        d = np.mod(y - np.array(v) + PI / 2, PI) - PI / 2
+        if np.sqrt(np.sum(d * d)) <= eps:
+            return True
+    halves = [np.mod(sign * y + PI / 4, PI) - PI / 4 for sign in (1.0, -1.0)]
+    if any(np.all(w > eps) and w.sum() < PI / 2 - eps for w in halves):
+        return True
+    s = np.mod(y.sum() - PI / 2, PI)
+    on_face = np.any(np.abs(centered) <= eps) or min(s, PI - s) <= eps
+    return bool(on_face and any(np.all(w >= -eps) and w.sum() <= PI / 2 + eps
+                                for w in halves))
+
+
 def _contains_pointwise(fiber, y, eps=1e-9):
     """Membership of one torus point as the rejection sampler tested it one
-    point at a time: the standard model's membership of beta(y) for a
-    covering fiber; else some translate of 2y/pi or -2y/pi, over the
-    point's own range of translates, on the inner side of every cell edge."""
+    point at a time: beta(y) in the standard coamoeba for a covering fiber;
+    else some translate of 2y/pi or -2y/pi, over the point's own range of
+    translates, on the inner side of every cell edge."""
     from troplag.coamoeba import CoveringCoamoeba
     if isinstance(fiber, CoveringCoamoeba):
-        return fiber.standard.membership(fiber.beta(y), eps)[0] != "outside"
+        return _in_standard_coamoeba(fiber.beta(y), eps)
     verts = list(fiber.cell.vertices)
     for sign in (1.0, -1.0):
         z = np.mod(2.0 * (sign * y) / PI, 2.0)
@@ -290,7 +309,7 @@ def _schedule_feasible(lam, model, legs_lat, ball_r):
         arm = (c[:, j] >= rp[j]) & (c[:, j] <= legs_lat[j][3])
         if not np.any(arm):
             continue
-        if not np.all(pm.in_V({j}, cloud[arm], k=_LEG_AUX[j], tol=-1e-12)):
+        if not np.all(in_V(pm, {j}, cloud[arm], k=_LEG_AUX[j], tol=-1e-12)):
             return False
         if np.any(np.linalg.norm(amb[arm], axis=1) > ball_r):
             return False
@@ -449,6 +468,18 @@ def test_distinct_rows_compare_bits():
     assert sorted(first.tolist()) == [0, 1, 3]
     assert row_of[first].tolist() == [0, 1, 2]
     assert row_of[2] == row_of[0] and len(set(row_of[[0, 1, 3]].tolist())) == 3
+
+
+def test_schedule_of_a_curve_without_vertices_is_an_input_error():
+    # two parallel lines: nothing to put a pants on
+    from troplag.fixtures import load_input
+    X = load_input({"vertices": [[0, 0], [2, 0]],
+                    "lifting": {"0,0": 0, "1,0": 0, "2,0": 1}})["curve"]
+    assert not X.vertices
+    with pytest.raises(InputError, match="vertex"):
+        default_schedule(X)
+    with pytest.raises(InputError, match="vertex"):
+        validate_schedule(X, GluingSchedule({}, {}, {}, 1.0))
 
 
 def _all_pairs_meet(vs, ball_r):
@@ -637,7 +668,7 @@ def test_mesh_projects_into_region(line_mesh):
     model = LocalModel(X, X.vertices[0])
     pm = PantsMap(1, 1.0)
     x_std = (mesh.points[:, :2] - model.v) @ np.linalg.inv(model.B.T)
-    slack = pm.region_slack(x_std)
+    slack = region_slack(pm, x_std)
     assert slack.min() >= -1e-9
 
 
@@ -947,7 +978,7 @@ def test_smooth_lift_validations():
     with pytest.raises(InputError):
         smooth_lift(X, 0.0)
     P = LatticePolytope.from_points([(0, 0), (2, 0)])
-    Xw = tropical_hypersurface(regular_subdivision(P, LiftingFunction.constant(P)))
+    Xw = tropical_hypersurface(regular_subdivision(P, constant_lifting(P)))
     with pytest.raises(InputError):
         smooth_lift(Xw, 1.0)
 

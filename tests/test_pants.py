@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import region_slack
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracle_pants import OraclePantsMap, oracle_solve_scalar
@@ -225,7 +226,7 @@ def test_soft_check_higher_dimension():
 
 def test_region_images_cover_all_components():
     ys = PM1.sample_interior(200, seed=1)
-    assert PM1.region_slack(PM1.h(ys)).min() >= -1e-9
+    assert region_slack(PM1, PM1.h(ys)).min() >= -1e-9
 
 
 def test_cell_classification_examples():

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from helpers import constant_lifting, dual_sample_point
 from hypothesis import given, settings, strategies as st
 
 from troplag.errors import DegeneracyError, InputError
@@ -33,7 +34,7 @@ def test_triangle_subdivision_is_the_three_triangles():
 
 
 def test_constant_lift_gives_single_cell():
-    S = regular_subdivision(SIMPLEX, LiftingFunction.constant(SIMPLEX))
+    S = regular_subdivision(SIMPLEX, constant_lifting(SIMPLEX))
     assert cells_as_sets(S) == [[(0, 0), (0, 1), (1, 0)]]
 
 
@@ -61,9 +62,9 @@ def test_non_integral_lifting_rejected():
 
 def test_unimodality():
     assert regular_subdivision(TRIANGLE, TRIANGLE_NU).is_unimodal()
-    assert regular_subdivision(SIMPLEX, LiftingFunction.constant(SIMPLEX)).is_unimodal()
+    assert regular_subdivision(SIMPLEX, constant_lifting(SIMPLEX)).is_unimodal()
     big = LatticePolytope.from_points([(0, 0), (2, 1), (1, 2)])
-    assert not regular_subdivision(big, LiftingFunction.constant(big)).is_unimodal()
+    assert not regular_subdivision(big, constant_lifting(big)).is_unimodal()
 
 
 def test_discrete_legendre_pieces_triangle():
@@ -75,7 +76,7 @@ def test_discrete_legendre_pieces_triangle():
 
 
 def test_discrete_legendre_standard_simplex():
-    S = regular_subdivision(SIMPLEX, LiftingFunction.constant(SIMPLEX))
+    S = regular_subdivision(SIMPLEX, constant_lifting(SIMPLEX))
     pa = discrete_legendre(S)
     assert sorted(pa.pieces) == [((0, 0), 0), ((0, 1), 0), ((1, 0), 0)]
     assert legendre_value(pa, (2, 3)) == 0
@@ -83,8 +84,8 @@ def test_discrete_legendre_standard_simplex():
 
 
 def test_constant_shift_keeps_argmin_structure():
-    S0 = regular_subdivision(SIMPLEX, LiftingFunction.constant(SIMPLEX, 0))
-    S5 = regular_subdivision(SIMPLEX, LiftingFunction.constant(SIMPLEX, 5))
+    S0 = regular_subdivision(SIMPLEX, constant_lifting(SIMPLEX, 0))
+    S5 = regular_subdivision(SIMPLEX, constant_lifting(SIMPLEX, 5))
     pa0, pa5 = discrete_legendre(S0), discrete_legendre(S5)
     for m in [(0, 0), (3, -2), (-1, -1), (7, 7)]:
         assert legendre_value(pa5, m) == legendre_value(pa0, m) + 5
@@ -142,7 +143,7 @@ def test_dual_edge_lies_in_orthogonal_hyperplane():
         probes = list(dc.verts)
         if dc.rays:
             probes.append(tuple(Fraction(a) + 7 * r for a, r in zip(dc.verts[0], dc.rays[0])))
-        probes.append(dc.sample_point())
+        probes.append(dual_sample_point(dc))
         for m in probes:
             assert dot(vsub(v1, v2), m) == target
 
@@ -311,7 +312,7 @@ def test_degree_20_triangle_is_unimodular_through_the_hull():
 def test_constant_lift_on_degree_20_triangle_skips_brute_force():
     # the walk finds the single cell P from one plane; no triple search
     P, _ = _degree_triangle(20)
-    S = regular_subdivision(P, LiftingFunction.constant(P, 7))
+    S = regular_subdivision(P, constant_lifting(P, 7))
     assert S.cells == [LatticePolytope.from_points(P.lattice_points)]
 
 

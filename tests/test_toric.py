@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import constant_lifting
 from hypothesis import given, settings, strategies as st
 
 from troplag.errors import InputError
@@ -265,10 +266,10 @@ def test_pl_lift_topology_agrees_with_lift_topology(case):
 def test_line_weights_count_cylinder_ends():
     # a weight-w line lifts to w cylinders: 2w punctures, w components
     seg = LatticePolytope.from_points([(0, 0), (2, 0)])
-    X = tropical_hypersurface(regular_subdivision(seg, LiftingFunction.constant(seg)))
+    X = tropical_hypersurface(regular_subdivision(seg, constant_lifting(seg)))
     assert X.lift_ends() == (4, 2)
     assert (pl_lift(X).punctures(), pl_lift(X).genus()) == (4, 0)
     prim = LatticePolytope.from_points([(1, 3), (2, 1)])
-    X = tropical_hypersurface(regular_subdivision(prim, LiftingFunction.constant(prim)))
+    X = tropical_hypersurface(regular_subdivision(prim, constant_lifting(prim)))
     assert (lift_topology(X).punctures, lift_topology(X).genus) == (2, 0)
     assert (pl_lift(X).punctures(), pl_lift(X).genus()) == (2, 0)
