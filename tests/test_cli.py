@@ -669,6 +669,10 @@ def _add_leg(d):
     d["legs"]["9,0"] = d["legs"]["0,0"]
 
 
+def _add_fourth_leg(d):
+    d["legs"]["0,3"] = d["legs"]["0,0"]
+
+
 @pytest.mark.parametrize("change", [
     b"{",                                                          # JSONDecodeError
     b"\xff\xfe{}",                                                 # UnicodeDecodeError
@@ -686,10 +690,14 @@ def _add_leg(d):
     _edit(["truncation"], -1),                                     # exit 0
     _edit(["truncation"], 0.01),                                   # exit 0, below r
     _edit(["ball_radius", "1"], 10 ** 400),
+    _edit(["lam", "3"], 0.1),
+    _edit(["ball_radius", "2"], None),
+    _add_fourth_leg,
 ], ids=["brace", "non_utf8", "list", "lam_deleted", "lam_x", "lam_zero", "leg_r_x",
         "leg_extra_field",
         "leg_field_deleted", "leg_key_zz", "leg_key_extra", "legs_deleted", "truncation_nan",
-        "truncation_negative", "truncation_inside_leg", "ball_radius_huge"])
+        "truncation_negative", "truncation_inside_leg", "ball_radius_huge", "lam_key_extra",
+        "ball_radius_missing_vertex", "leg_index_3"])
 def test_malformed_schedule_exits_2(tmp_path, capsys, triangle_schedule, change):
     src = tmp_path / "schedule.json"
     if isinstance(change, bytes):

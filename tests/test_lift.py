@@ -244,6 +244,50 @@ def test_default_schedule_valid_and_serializable():
         assert 0 < ls.r_prime < ls.r_second < ls.r_bar < ls.r <= sched.ball_radius[vi]
 
 
+# sha256 of default_schedule(X).to_json(): the degree-8 triangle of the
+# curve benchmark (seed 7, 64 vertices) and the triangle fixture.
+DEFAULT_SCHEDULE_SHA256 = {
+    "degree8_seed7": "3ea9fde8f040870fdcc4b18a0b726430c989a6ebf468b22238588e6687cff0a6",
+    "triangle": "aa37eab34fba2b2301d5e82132144cf6ba367bda1cc49e73cd5c13e231283457",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_SCHEDULE_SHA256))
+def test_default_schedule_bytes_are_pinned(name):
+    X = _triangle_curve(8, 7) if name == "degree8_seed7" else triangle_curve()
+    text = default_schedule(X).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SCHEDULE_SHA256[name]
+
+
+_LEG_FIELDS = ("r_prime", "r_second", "r_bar", "r")
+
+
+@st.composite
+def _schedule_dicts(draw):
+    """JSON-shaped schedules of 1-12 vertices whose values keep the bounds:
+    positive scales and radii, and leg cuts 0 < r' < r'' < rbar < r <= the
+    vertex's ball radius."""
+    nv = draw(st.integers(1, 12))
+    positive = st.floats(1e-6, 1e6)
+    ball = draw(st.lists(positive, min_size=nv, max_size=nv))
+    lam = draw(st.lists(positive, min_size=nv, max_size=nv))
+    fractions = st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=4, max_size=4,
+                         unique=True)
+    legs = {f"{vi},{j}": dict(zip(_LEG_FIELDS, (f * ball[vi] for f in sorted(draw(fractions)))))
+            for vi in range(nv) for j in range(3)}
+    return {"ball_radius": {str(vi): r for vi, r in enumerate(ball)},
+            "lam": {str(vi): v for vi, v in enumerate(lam)},
+            "legs": legs, "truncation": draw(positive)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_schedule_dicts())
+def test_schedule_json_round_trips(d):
+    text = GluingSchedule.from_dict(d).to_json()
+    assert GluingSchedule.from_dict(json.loads(text)).to_json() == text
+    assert json.loads(text) == d
+
+
 def test_shared_local_models_leave_the_curve_free_of_cycles():
     # the per-vertex LocalModel cache lives on the curve; a model that
     # referred back to it would keep every curve alive until a full
