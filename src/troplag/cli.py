@@ -121,6 +121,7 @@ def cmd_pants(args):
 def cmd_lift(args):
     from .lift import (GluingSchedule, check_windings, hausdorff_distance, pl_lift,
                        smooth_lift, symplectic_residual, twist, twist_pl_cloud)
+    from .toric import lift_topology
     fx = _load_curve_arg(args.input)
     X = fx["curve"]
     report_path = os.path.join(args.out, "report.jsonl")
@@ -131,9 +132,9 @@ def cmd_lift(args):
         os.makedirs(args.out, exist_ok=True)
         np.savetxt(os.path.join(args.out, "pl_cloud.csv"), cloud, delimiter=",",
                    header="x1,x2,y1,y2", comments="")
-        report.append({"kind": "pl", "points": int(len(cloud)),
-                       "chi": pl.euler_characteristic(),
-                       "punctures": pl.punctures(), "genus": pl.genus()})
+        topo = lift_topology(X)
+        report.append({"kind": "pl", "points": int(len(cloud)), "chi": topo.chi,
+                       "punctures": topo.punctures, "genus": topo.genus})
     else:
         windings = _parse_twist(args.twist) if args.twist else None
         if windings is not None:

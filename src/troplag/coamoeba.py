@@ -90,19 +90,14 @@ class Coamoeba:
         return np.mod(np.asarray(y, dtype=float) + PI / 4, PI) - PI / 4
 
     def contains(self, y, eps=EPS_FACE):
-        """Whether each row y lies in the coamoeba, up to eps: near a
-        vertex, in an open half, or in a closed half and on one of its face
-        equations (y_j = 0, or sum(y) = pi/2, mod pi)."""
+        """Whether each row y lies in the coamoeba, up to eps: in the plus
+        half or the minus half, each closed and widened by eps.  A point
+        within eps / 2 of a vertex lies in both widened halves."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        near_vertex = self.torus.distance(y[:, None, :], self.vertices).min(axis=1) <= eps
-        halves = (self.plus_coords(y), self.plus_coords(-y))
-        open_half = [(w > eps).all(axis=1) & (w.sum(axis=1) < PI / 2 - eps) for w in halves]
-        closed = [(w >= -eps).all(axis=1) & (w.sum(axis=1) <= PI / 2 + eps) for w in halves]
-        s = np.mod(y.sum(axis=1) - PI / 2, PI)
-        on_face = ((np.abs(self.torus.wrap_centered(y)) <= eps).any(axis=1)
-                   | (np.minimum(s, PI - s) <= eps))
-        return (near_vertex | open_half[0] | open_half[1]
-                | ((closed[0] | closed[1]) & on_face))
+        inside = np.zeros(len(y), dtype=bool)
+        for w in (self.plus_coords(y), self.plus_coords(-y)):
+            inside |= (w >= -eps).all(axis=1) & (w.sum(axis=1) <= PI / 2 + eps)
+        return inside
 
     # -- sampling ----------------------------------------------------------
     def sample_interior(self, m, seed=0, margin=1e-6):
@@ -140,15 +135,15 @@ def _rd_generator_gamma(d):
 # coamoebas of subdivision cells
 
 class CellCoamoeba:
-    """Coamoeba of a cell e of (P, nu): points with 2(y - k) in e (scaled).
+    """Coamoeba of a 2-cell e of (P, nu): points with 2(y - k) in e (scaled).
 
     In torus coordinates the condition reads (2/pi) y in e mod 2 Z^2.
     """
 
     def __init__(self, cell):
         self.cell = cell  # LatticePolytope
-        if cell.dim < 1:
-            raise InputError("cell coamoeba needs dim(e) >= 1")
+        if cell.dim != 2:
+            raise InputError("cell coamoeba needs a 2-cell; an edge's fiber is an EdgeFiber")
 
     def _candidates(self, y):
         """Translates z + 2k of z = 2y/pi mod 2 (rows y), over every k that
@@ -165,17 +160,10 @@ class CellCoamoeba:
     def _in_cell(self, q, eps):
         """Rows q (scaled torus lifts) in the cell, up to eps."""
         v = [tuple(float(c) for c in p) for p in self.cell.vertices]
-        if self.cell.dim == 2:
-            ok = np.ones(len(q), dtype=bool)
-            for a, b in zip(v, v[1:] + v[:1]):
-                ok &= (b[0] - a[0]) * (q[:, 1] - a[1]) - (b[1] - a[1]) * (q[:, 0] - a[0]) >= -eps
-            return ok
-        a, b = v[0], v[-1]
-        d = (b[0] - a[0], b[1] - a[1])
-        w = (q[:, 0] - a[0], q[:, 1] - a[1])
-        t = (w[0] * d[0] + w[1] * d[1]) / (d[0] ** 2 + d[1] ** 2)
-        return ((np.abs(d[0] * w[1] - d[1] * w[0]) <= eps * (abs(d[0]) + abs(d[1])))
-                & (-eps <= t) & (t <= 1 + eps))
+        ok = np.ones(len(q), dtype=bool)
+        for a, b in zip(v, v[1:] + v[:1]):
+            ok &= (b[0] - a[0]) * (q[:, 1] - a[1]) - (b[1] - a[1]) * (q[:, 0] - a[0]) >= -eps
+        return ok
 
     def contains(self, y, eps=1e-9):
         """Whether y, one point or rows of points at once, lies in the cell

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,6 +23,7 @@ from .coamoeba import PI, edge_fiber_from_dual, r_apply, reduce_mod_pi, rstar_ap
 from .errors import ConfigurationError, InputError, NumericError
 from .pants import (HESSIAN_MARGIN, PantsMap, h_chart_terms, hessian_rows, scaled_h,
                     solve_leg_fiber)
+from .toric import lift_topology
 from .tropical import adapted_frame, tangent_line, tangent_star
 from .polyhedral import primitive
 
@@ -122,24 +123,20 @@ class LocalModel:
 
     Base side x = v + B x_std, torus side y = y_c + A^T y_std (mod pi) with
     B = [u_1 u_2], A = B^{-1}, y_c = (pi/2) v_0 for the dual-cell vertex v_0
-    shared by the subdivision edges dual to the legs u_1 and u_2.
+    shared by the subdivision edges dual to the legs u_1 and u_2.  The legs
+    are indexed j = 0, 1, 2 in the order of adapted_frame's sorted
+    generators: u[j], leg_edge[j] (the incident curve edge) and leg_norm[j].
     """
 
     def __init__(self, X, v):
         self.v = np.array([float(c) for c in v])
         star, dirs, line = tangent_star(X, v)
-        frame, (u0, u1, u2) = adapted_frame(line)
-        self.u = {0: u0, 1: u1, 2: u2}
+        frame, self.u = adapted_frame(line)
         self.A = np.array(frame.A, dtype=float)
         self.B = np.linalg.inv(self.A)
-        # incident curve edges by leg label
-        self.leg_edge = {}
-        for e, d in zip(star, dirs):
-            for j, uj in self.u.items():
-                if tuple(d) == tuple(uj):
-                    self.leg_edge[j] = e
-        if len(self.leg_edge) != 3:
-            raise InputError(f"vertex {v} has unmatched leg directions")
+        # adapted_frame required three distinct generators, so sorting the
+        # star by direction orders its edges as the legs
+        self.leg_edge = [star[i] for i in sorted(range(len(star)), key=dirs.__getitem__)]
         # dual data: v0 = common vertex of the dual edges of legs 1 and 2
         f1 = X.dual_cell(self.leg_edge[1])
         f2 = X.dual_cell(self.leg_edge[2])
@@ -148,7 +145,7 @@ class LocalModel:
             raise InputError("dual edges of the two frame legs do not share a vertex")
         self.v0 = common.pop()
         self.y_c = np.array(self.v0, dtype=float) * PI / 2
-        self.leg_norm = {j: float(np.hypot(*self.u[j])) for j in range(3)}
+        self.leg_norm = [float(np.hypot(*u)) for u in self.u]
 
     def x_ambient(self, x_std):
         return self.v[None, :] + np.atleast_2d(x_std) @ self.B.T
@@ -197,61 +194,66 @@ class LocalModel:
 # ---------------------------------------------------------------------------
 # gluing schedule
 
-@dataclass
-class LegSchedule:
-    r_prime: float
-    r_second: float
-    r_bar: float
-    r: float
-
-    def validate(self):
-        if not (0 < self.r_prime < self.r_second < self.r_bar < self.r):
-            raise ConfigurationError("leg parameters must satisfy r' < r'' < rbar < r")
-
-    def as_dict(self):
-        return asdict(self)
+# The cut points of a leg, in the order of the last axis of
+# GluingSchedule.cuts.
+LEG_CUT_FIELDS = ("r_prime", "r_second", "r_bar", "r")
 
 
-@dataclass
+@dataclass(eq=False)  # == of arrays is ambiguous; compare to_json()
 class GluingSchedule:
     """Ball radii, pants scales and leg cut points for a smooth lift.
 
-    Leg parameters are ambient arc lengths from the vertex along the leg;
-    `legs[(vi, j)]` holds a LegSchedule for leg j at vertex index vi.
+    ball_radius and lam have shape (V,), by vertex index; cuts[vi, j], of
+    shape (V, 3, 4), holds leg j's cut points at vertex vi in the order of
+    LEG_CUT_FIELDS, as ambient arc lengths from the vertex along the leg.
     """
 
-    ball_radius: dict
-    lam: dict
-    legs: dict
+    ball_radius: np.ndarray
+    lam: np.ndarray
+    cuts: np.ndarray
     truncation: float
 
     def to_json(self):
+        # string keys, which sort_keys puts in text order ("10" before "2")
+        by_vertex = lambda a: {str(vi): v for vi, v in enumerate(a.tolist())}
         return json.dumps({
-            "ball_radius": {str(k): v for k, v in self.ball_radius.items()},
-            "lam": {str(k): v for k, v in self.lam.items()},
-            "legs": {f"{vi},{j}": ls.as_dict() for (vi, j), ls in self.legs.items()},
+            "ball_radius": by_vertex(self.ball_radius),
+            "lam": by_vertex(self.lam),
+            "legs": {f"{vi},{j}": dict(zip(LEG_CUT_FIELDS, cuts))
+                     for vi, legs in enumerate(self.cuts.tolist()) for j, cuts in enumerate(legs)},
             "truncation": self.truncation,
         }, indent=2, sort_keys=True)
 
     @staticmethod
     def from_dict(d):
-        """Schedule of a parsed to_json() object; InputError when an entry is
-        missing, a key is not an integer or "vi,j", a leg has other fields
-        than a LegSchedule, or a value is not a finite number."""
+        """Schedule of a parsed to_json() object, whose vertex count V is the
+        number of lam entries; InputError when an entry is missing, a key is
+        not an integer or "vi,j", the keys are not exactly the vertices
+        0..V-1 and their legs 0, 1, 2, a leg has other fields than
+        LEG_CUT_FIELDS, or a value is not a finite number."""
         def number(x):
             if isinstance(x, bool) or not math.isfinite(x):
                 raise ValueError(f"{x!r} is not a finite number")
             return x
 
-        def leg(key, ls):
+        def leg(key, cuts):
             vi, j = (int(p) for p in key.split(","))
-            return (vi, j), LegSchedule(**{f: number(v) for f, v in ls.items()})
+            if set(cuts) != set(LEG_CUT_FIELDS):
+                raise ValueError(f"leg {key} has fields {sorted(cuts)}, not {LEG_CUT_FIELDS}")
+            return (vi, j), [number(cuts[f]) for f in LEG_CUT_FIELDS]
 
         try:
-            legs = dict(leg(key, ls) for key, ls in d["legs"].items())
             ball, lam = ({int(k): number(v) for k, v in d[name].items()}
                          for name in ("ball_radius", "lam"))
-            return GluingSchedule(ball, lam, legs, number(d["truncation"]))
+            legs = dict(leg(key, cuts) for key, cuts in d["legs"].items())
+            nv = len(lam)
+            if not set(ball) == set(lam) == set(range(nv)) or set(legs) != set(np.ndindex(nv, 3)):
+                raise ValueError(f"the keys are not the vertices 0..{nv - 1} and their legs")
+            return GluingSchedule(np.array([ball[vi] for vi in range(nv)], dtype=float),
+                                  np.array([lam[vi] for vi in range(nv)], dtype=float),
+                                  np.array([legs[k] for k in np.ndindex(nv, 3)],
+                                           dtype=float).reshape(nv, 3, 4),
+                                  float(number(d["truncation"])))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"malformed schedule ({type(exc).__name__}: {exc})")
 
@@ -316,17 +318,7 @@ def _vertex_arrays(X):
         raise InputError("smooth lifting needs a curve with a vertex to put a pants on")
     models = [_local_model(X, vi) for vi in range(len(X.vertices))]
     return (np.array([m.B for m in models]),
-            np.array([[m.leg_norm[j] for j in range(3)] for m in models]))
-
-
-def _leg_cuts(sched, norms):
-    """The leg cuts r', r'', rbar and r of the schedule in lattice units,
-    shape (V, 3, 4): each ambient cut of leg j at vertex vi over the leg's
-    lattice length norms[vi, j]."""
-    cuts = np.array([[(ls.r_prime, ls.r_second, ls.r_bar, ls.r)
-                      for ls in (sched.legs[(vi, j)] for j in range(3))]
-                     for vi in range(len(norms))], dtype=float)
-    return cuts / norms[:, :, None]
+            np.array([m.leg_norm for m in models]))
 
 
 def _distinct_rows(*arrays):
@@ -368,9 +360,8 @@ def default_schedule(X):
         raise InputError("schedule needs a subdivision-backed curve")
     B, norms = _vertex_arrays(X)
     R = _BALL_FACTOR * X.min_vertex_distance()
-    nv = len(X.vertices)
-    cuts = [f * R for f in _LEG_CUT_FRACTIONS]
-    legs_lat = np.array(cuts)[None, None, :] / norms[:, :, None]
+    cuts = np.array(_LEG_CUT_FRACTIONS) * R
+    legs_lat = cuts / norms[:, :, None]
     first, row_of = _distinct_rows(B, legs_lat)
     B, legs_lat = B[first], legs_lat[first]
     ball_r = np.full(len(first), R)
@@ -384,10 +375,8 @@ def default_schedule(X):
         hi[todo[~ok]] = mid[~ok]
     lam_row = hi.copy()
     lam_row[todo] = lo[todo]
-    lam_v = lam_row[row_of]
-    legs = {(vi, j): LegSchedule(*cuts) for vi in range(nv) for j in range(3)}
-    sched = GluingSchedule({vi: R for vi in range(nv)},
-                           {vi: float(lam_v[vi]) for vi in range(nv)}, legs,
+    nv = len(norms)
+    sched = GluingSchedule(np.full(nv, R), lam_row[row_of], np.tile(cuts, (nv, 3, 1)),
                            _default_truncation(X))
     validate_schedule(X, sched)
     return sched
@@ -412,27 +401,25 @@ def _balls_meet(vs, ball_r):
 
 def validate_schedule(X, sched):
     B, norms = _vertex_arrays(X)
-    nv = len(X.vertices)
-    if (set(sched.ball_radius) != set(range(nv)) or set(sched.lam) != set(range(nv))
-            or set(sched.legs) != {(vi, j) for vi in range(nv) for j in range(3)}):
-        raise ConfigurationError("schedule keys do not match the curve's vertices and legs")
+    nv = len(norms)
+    lam, ball_r, cuts = sched.lam, sched.ball_radius, sched.cuts
+    if (lam.shape, ball_r.shape, cuts.shape) != ((nv,), (nv,), (nv, 3, 4)):
+        raise ConfigurationError("schedule shapes do not match the curve's vertices and legs")
     if not sched.truncation > 0:
         raise ConfigurationError("truncation must be positive")
-    lam = np.array([sched.lam[vi] for vi in range(nv)], dtype=float)
     if not np.all(lam > 0):
         raise ConfigurationError("pants scales must be positive")
-    for (vi, j), ls in sched.legs.items():
-        ls.validate()
-        if ls.r > sched.ball_radius[vi]:
-            raise ConfigurationError("leg cut points must stay inside the ball")
-    ball_r = np.array([sched.ball_radius[vi] for vi in range(nv)], dtype=float)
+    if not (np.all(cuts[..., 0] > 0) and np.all(cuts[..., :-1] < cuts[..., 1:])):
+        raise ConfigurationError("leg parameters must satisfy 0 < r' < r'' < rbar < r")
+    if np.any(cuts[..., 3] > ball_r[:, None]):
+        raise ConfigurationError("leg cut points must stay inside the ball")
     vs = np.array([[float(c) for c in v] for v in X.vertices]).reshape(-1, 2)
     if _balls_meet(vs, ball_r):
         raise ConfigurationError("vertex balls are not pairwise disjoint")
     # each edge keeps a flat piece: between its two legs' cut points on a
     # bounded edge, between its leg's cut point and the truncation on a ray
     for e, ends in zip(X.edges, _edge_legs(X)):
-        r = [sched.legs[end].r for end in ends]
+        r = [cuts[vi, j, 3] for vi, j in ends]
         if e.kind == "segment":
             a, b = (np.array([float(c) for c in p]) for p in e.verts)
             if r[0] + r[1] >= np.linalg.norm(b - a):
@@ -441,7 +428,7 @@ def validate_schedule(X, sched):
             raise ConfigurationError("truncation must lie beyond the cut point r "
                                      "of every ray's leg")
     # trimmed regions inside balls, at the scheduled scale
-    legs_lat = _leg_cuts(sched, norms)
+    legs_lat = cuts / norms[:, :, None]
     # one check per distinct (B, cuts, lam, ball radius) row
     first, row_of = _distinct_rows(B, legs_lat, lam, ball_r)
     ok = _feasible(lam[first], B[first], legs_lat[first], ball_r[first])
@@ -467,7 +454,7 @@ def _edge_legs(X):
     is a curve vertex, in the order of the edge's verts: two for a segment,
     one for a ray, none for a line.  Read from the vertices' LocalModels."""
     legs = {(id(e), X.vertices[vi]): (vi, j) for vi in range(len(X.vertices))
-            for j, e in _local_model(X, vi).leg_edge.items()}
+            for j, e in enumerate(_local_model(X, vi).leg_edge)}
     return [[legs[id(e), p] for p in e.verts] if e.kind != "line" else [] for e in X.edges]
 
 
@@ -492,24 +479,8 @@ class PLLift:
         """Point cloud (x1, x2, y1, y2); rays truncated."""
         return twist_pl_cloud(self, {}, resolution, truncation)
 
-    def euler_characteristic(self):
-        """chi of the lift surface: each vertex contributes minus the
-        normalized volume of its dual cell, cylinders contribute zero."""
-        chi = 0
-        for piece in self.pieces:
-            if piece.kind == "vertex":
-                chi -= self.X.dual_cell(piece.cell).normalized_volume()
-        return chi
-
-    def punctures(self):
-        return self.X.lift_ends()[0]
-
     def genus(self):
-        p, c = self.X.lift_ends()
-        g2 = 2 * c - self.euler_characteristic() - p
-        if g2 % 2:
-            raise InputError("inconsistent Euler data")
-        return g2 // 2
+        return lift_topology(self.X).genus
 
 
 def _default_truncation(X):
@@ -965,16 +936,17 @@ def _flat_piece(X, sched, ei, ends, resolution):
     each vertex end, ends as in _edge_legs, and the truncation on a ray."""
     e = X.edges[ei]
     fiber = edge_fiber_from_dual(e, X.dual_cell(e))
+    r = [sched.cuts[vi, j, 3] for vi, j in ends]
     a = np.array([float(c) for c in e.verts[0]])
     if e.kind == "segment":
         b = np.array([float(c) for c in e.verts[1]])
         d = (b - a) / np.linalg.norm(b - a)
-        p1 = b - d * sched.legs[ends[1]].r
+        p1 = b - d * r[1]
     else:
         d = np.array(e.rays[0], dtype=float)
         d = d / np.linalg.norm(d)
         p1 = a + d * sched.truncation
-    p0 = a + d * sched.legs[ends[0]].r
+    p0 = a + d * r[0]
     ts = np.linspace(0.0, 1.0, resolution)
     seg = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
     fr = np.empty((resolution * resolution, 2, 4))
@@ -1026,10 +998,11 @@ _COLLAR_MARGIN = HESSIAN_MARGIN + np.spacing(PI / 4)
 def _smallest_scale(lam, legs_lat, resolution):
     """The scale t at and below which the leg-fiber root of some collar
     point lies within _COLLAR_MARGIN of q_1 = 0, for the vertices' pants
-    scales lam and leg cuts legs_lat (_leg_cuts).  h_1 decreases along
-    each fiber and is lam times its value at lam = 1, so the root of
-    h_1 = S clears the margin iff S < t lam h_1(margin, b) at lam = 1; the
-    largest S is the collar's outer end r, at every fiber angle b."""
+    scales lam and leg cuts legs_lat (the schedule's cuts in lattice units).
+    h_1 decreases along each fiber and is lam times its value at lam = 1,
+    so the root of h_1 = S clears the margin iff S < t lam h_1(margin, b)
+    at lam = 1; the largest S is the collar's outer end r, at every fiber
+    angle b."""
     thetas = _fiber_angles(resolution)
     b = np.where(thetas > PI / 2, PI - thetas, thetas)
     h = PantsMap(1).h(np.stack([np.full_like(b, _COLLAR_MARGIN), b], axis=1))[:, 0]
@@ -1038,9 +1011,9 @@ def _smallest_scale(lam, legs_lat, resolution):
 
 def _lift_vertex_row(lam, legs_lat, vertices, resolution, pool):
     """The pieces of the vertices, pairs (vi, model), that share one
-    distinct row of scale lam and leg cuts legs_lat (a (3, 4) row of
-    _leg_cuts): its pants and collars are built once, in standard
-    coordinates, and mapped to each vertex.
+    distinct row of scale lam and leg cuts legs_lat (a vertex's (3, 4) row
+    of the schedule's cuts in lattice units): its pants and collars are
+    built once, in standard coordinates, and mapped to each vertex.
     Returns, per vi, its pants piece and its three collar pieces.  With a
     pool, the collar blocks run on it while the calling thread builds the
     pants; the first failing block in row order raises."""
@@ -1085,9 +1058,7 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         sched = default_schedule(X)  # validated there
     else:
         validate_schedule(X, sched)
-    nv = len(norms)
-    lam = np.array([sched.lam[vi] for vi in range(nv)], dtype=float)
-    legs_lat = _leg_cuts(sched, norms)
+    lam, legs_lat = sched.lam, sched.cuts / norms[:, :, None]
     t_min = _smallest_scale(lam, legs_lat, resolution)
     if t <= t_min:
         raise InputError(f"--scale {t:g} is too small for this curve and schedule: "
@@ -1117,7 +1088,7 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    pieces = [p for vi in range(nv) for p in by_vertex[vi]]
+    pieces = [p for vi in range(len(lam)) for p in by_vertex[vi]]
     pieces += [_flat_piece(X, sched, ei, ends, resolution)
                for ei, ends in enumerate(_edge_legs(X))]
     return LagrangianMesh(X, pieces, t, sched)
@@ -1210,13 +1181,13 @@ def hausdorff_distance(cloud_a, cloud_b):
 
     def b_side():
         tree = _fiber_tree(B)
-        return tree, _anchor_bounds(A, tree, 1, bound_a)
+        return tree, _anchor_bounds(A, tree, bound_a)
 
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1) as pool:
         worker = pool.submit(b_side)
         tree_a = _fiber_tree(A)
-        lo_b = _anchor_bounds(B, tree_a, 1, bound_b)
+        lo_b = _anchor_bounds(B, tree_a, bound_b)
     tree_b, lo_a = worker.result()
     lo = _finish_directed(B, tree_a, bound_b, max(lo_a, lo_b))
     return float(_finish_directed(A, tree_b, bound_a, lo))
@@ -1232,15 +1203,15 @@ def _fiber_tree(cloud):
                    copy_data=False)
 
 
-def _anchor_bounds(P, tree, workers, out):
+def _anchor_bounds(P, tree, out):
     """Anchor phase of the certificate of hausdorff_distance: query each
-    anchor of P exactly in the tree, on this many threads, and write every
+    anchor of P exactly in the tree, on the calling thread, and write every
     row's inflated upper bound on its nearest distance into out.  Returns
     the largest anchor distance."""
     n, stride = len(P), _HAUSDORFF_STRIDE
     starts = np.arange(0, n, stride)
     anchors = starts + np.minimum(stride, n - starts) // 2
-    d_anchor = tree.query(P[anchors], k=1, workers=workers)[0]
+    d_anchor = tree.query(P[anchors], k=1)[0]
     for b in range(0, n, _HAUSDORFF_BLOCK):
         rows = P[b:b + _HAUSDORFF_BLOCK]
         group = np.arange(b, b + len(rows)) // stride

@@ -333,16 +333,13 @@ def oracle_smooth_pieces(X, t, sched, resolution):
     for vi in range(len(X.vertices)):
         model = lift._local_model(X, vi)
         lam = t * sched.lam[vi]
-        legs_lat = {j: tuple(getattr(sched.legs[(vi, j)], f) / model.leg_norm[j]
-                             for f in ("r_prime", "r_second", "r_bar", "r"))
-                    for j in range(3)}
+        legs_lat = {j: tuple(sched.cuts[vi, j] / model.leg_norm[j]) for j in range(3)}
         P, fr = oracle_pants_vertex_piece(model, lam, legs_lat, resolution)
         pieces.append(MeshPiece("pants", (vi,), P, fr))
         for j in range(3):
-            ls = sched.legs[(vi, j)]
-            scale = model.leg_norm[j]
-            s_lat = np.linspace(ls.r_prime / scale, ls.r / scale, resolution)
-            cutoff = Cutoff(ls.r_second / scale, ls.r_bar / scale)
+            r1, r2, rbar, r = sched.cuts[vi, j] / model.leg_norm[j]
+            s_lat = np.linspace(r1, r, resolution)
+            cutoff = Cutoff(r2, rbar)
             thetas = (np.arange(resolution) + 0.5) * PI / resolution
             S, T = np.meshgrid(s_lat, thetas, indexing="ij")
             P, fr = oracle_collar_sheet(model, j, lam, cutoff, S.ravel(), T.ravel())
@@ -351,6 +348,6 @@ def oracle_smooth_pieces(X, t, sched, resolution):
     for ei, e in enumerate(X.edges):
         # the (vertex, leg) of each end of the edge, by a scan of the legs
         ends = [(vi, j) for vi in (X.vertices.index(p) for p in e.verts)
-                for j, edge in lift._local_model(X, vi).leg_edge.items() if edge is e]
+                for j, edge in enumerate(lift._local_model(X, vi).leg_edge) if edge is e]
         pieces.append(lift._flat_piece(X, sched, ei, ends, resolution))
     return pieces

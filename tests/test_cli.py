@@ -774,7 +774,7 @@ def test_collar_domain_error_is_deterministic_and_leaves_no_thread(
     from troplag.errors import DomainError
     X = load_fixture("triangle")["curve"]
     # the first collar row: vertex 0, leg 0, S = r', the first fiber angle
-    s0 = lift.default_schedule(X).legs[(0, 0)].r_prime / lift._local_model(X, 0).leg_norm[0]
+    s0 = float(lift.default_schedule(X).cuts[0, 0, 0] / lift._local_model(X, 0).leg_norm[0])
 
     def failing(pm, j, target, wp, tol, max_iter):
         # every block fails, naming its first row; the first block fails

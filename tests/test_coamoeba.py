@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troplag.coamoeba import (PI, CellCoamoeba, Coamoeba, CoveringCoamoeba, EdgeFiber,
+from troplag.coamoeba import (EPS_FACE, PI, CellCoamoeba, Coamoeba, CoveringCoamoeba, EdgeFiber,
                               FlatTorus, four_valent_potential,
                               four_valent_region_contains, four_valent_vertices,
                               r_apply, reduce_mod_pi, rstar_apply)
@@ -60,6 +60,22 @@ def test_whole_circle_when_n_is_zero():
 def test_vertex_count():
     for n in (0, 1, 2, 3):
         assert len(Coamoeba(n).vertices) == n + 2
+
+
+def test_points_near_a_vertex_are_contained():
+    # within EPS_FACE / 2 of a vertex, or of the vertex plus a multiple of
+    # pi, each coordinate moves by at most EPS_FACE / 2 and their sum by at
+    # most sqrt(n + 1) EPS_FACE / 2 <= EPS_FACE for n <= 3: the point is in
+    # both closed halves widened by EPS_FACE
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 3):
+        C = Coamoeba(n)
+        d = rng.normal(size=(20_000, n + 1))
+        d *= EPS_FACE / 2 * rng.uniform(0.0, 1.0, (len(d), 1)) / np.linalg.norm(
+            d, axis=1, keepdims=True)
+        shift = PI * rng.integers(-2, 3, size=d.shape)
+        for v in C.vertices:
+            assert C.contains(v + shift + d).all()
 
 
 def test_membership_iota_equivariant():
@@ -135,15 +151,6 @@ def test_faces_permute_under_symmetry():
 # ---------------------------------------------------------------------------
 # cell coamoebas
 
-def test_edge_cell_coamoeba_is_closed_geodesic():
-    cc = CellCoamoeba(LatticePolytope.from_points([(1, 1), (2, 1)]))
-    # the geodesic through (pi/2) (1, 1) along the primitive edge direction
-    base, d = np.array([PI / 2, PI / 2]), np.array([1.0, 0.0])
-    for th in np.linspace(0, PI, 11, endpoint=False):
-        assert cc.contains(base + th * d)
-    assert not cc.contains([0.3, 0.7])
-
-
 def test_two_cell_coamoeba_is_sheared_standard():
     cc = CellCoamoeba(LatticePolytope.from_points([(0, 0), (1, 1), (2, 1)]))
     # midpoint of the cell scaled by pi/2 is interior
@@ -167,8 +174,10 @@ def test_simplex_cell_coamoeba_matches_standard():
 
 
 def test_cell_coamoeba_rejects_points():
-    with pytest.raises(InputError):
-        CellCoamoeba(LatticePolytope.from_points([(1, 1)]))
+    # and edges, whose fibers in a PL lift are EdgeFibers
+    for points in ([(1, 1)], [(1, 1), (2, 1)]):
+        with pytest.raises(InputError):
+            CellCoamoeba(LatticePolytope.from_points(points))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import astuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from troplag import lift as lift_module
 from troplag.coamoeba import PI, rstar_apply
 from troplag.errors import ConfigurationError, InputError
 from troplag.fixtures import _load, fixture_names, load_fixture
-from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LegSchedule, LocalModel,
+from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LocalModel,
                           MeshPiece, _balls_meet, _boundary_cloud, _distinct_rows,
                           _feasible, _fold_fiber,
                           default_schedule, exactness_check,
@@ -31,6 +31,7 @@ from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LegSchedule, L
 from troplag.pants import PantsMap
 from troplag.polyhedral import (LatticePolytope, LiftingFunction, load_polytope_json,
                                 regular_subdivision)
+from troplag.toric import lift_topology
 from troplag.tropical import is_smooth, load_curve_json, tropical_hypersurface
 
 
@@ -53,9 +54,8 @@ def test_pl_lift_standard_line_topology():
     pl = pl_lift(standard_line())
     kinds = sorted(p.kind for p in pl.pieces)
     assert kinds == ["edge", "edge", "edge", "vertex"]
-    assert pl.euler_characteristic() == -1
-    assert pl.punctures() == 3
-    assert pl.genus() == 0  # three-punctured sphere
+    topo = lift_topology(pl.X)
+    assert (topo.chi, topo.punctures, pl.genus()) == (-1, 3, 0)  # three-punctured sphere
 
 
 def test_pl_lift_triangle_topology():
@@ -64,9 +64,8 @@ def test_pl_lift_triangle_topology():
     pl = pl_lift(triangle_curve())
     assert sum(1 for p in pl.pieces if p.kind == "edge") == 6
     assert sum(1 for p in pl.pieces if p.kind == "vertex") == 3
-    assert pl.euler_characteristic() == -3
-    assert pl.punctures() == 3
-    assert pl.genus() == 1
+    topo = lift_topology(pl.X)
+    assert (topo.chi, topo.punctures, pl.genus()) == (-3, 3, 1)
 
 
 def test_pl_lift_weight2_edge_has_two_circles():
@@ -240,8 +239,9 @@ def test_default_schedule_valid_and_serializable():
     text = sched.to_json()
     back = GluingSchedule.from_dict(json.loads(text))
     assert back.to_json() == text
-    for (vi, j), ls in sched.legs.items():
-        assert 0 < ls.r_prime < ls.r_second < ls.r_bar < ls.r <= sched.ball_radius[vi]
+    for vi, j in np.ndindex(sched.cuts.shape[:2]):
+        r1, r2, rbar, r = sched.cuts[vi, j]
+        assert 0 < r1 < r2 < rbar < r <= sched.ball_radius[vi]
 
 
 # sha256 of default_schedule(X).to_json(): the degree-8 triangle of the
@@ -309,19 +309,17 @@ def test_shared_local_models_leave_the_curve_free_of_cycles():
 def test_schedule_violations_raise():
     X = triangle_curve()
     sched = default_schedule(X)
-    bad = GluingSchedule(dict(sched.ball_radius), dict(sched.lam),
-                         dict(sched.legs), sched.truncation)
-    bad.legs[(0, 0)] = LegSchedule(0.3, 0.2, 0.35, 0.4)
+    cuts = sched.cuts.copy()
+    cuts[0, 0] = (0.3, 0.2, 0.35, 0.4)
+    bad = replace(sched, cuts=cuts)
     with pytest.raises(ConfigurationError):
         validate_schedule(X, bad)
-    bad2 = GluingSchedule({k: 10.0 for k in sched.ball_radius}, dict(sched.lam),
-                          {k: LegSchedule(5.0, 6.5, 8.0, 9.5) for k in sched.legs},
-                          sched.truncation)
+    bad2 = replace(sched, ball_radius=np.full(3, 10.0),
+                   cuts=np.tile([5.0, 6.5, 8.0, 9.5], (3, 3, 1)))
     with pytest.raises(ConfigurationError, match="pairwise disjoint"):
         validate_schedule(X, bad2)
     # oversized pants scale breaks the ball bound
-    bad3 = GluingSchedule(dict(sched.ball_radius), {k: 5.0 for k in sched.lam},
-                          dict(sched.legs), sched.truncation)
+    bad3 = replace(sched, lam=np.full(3, 5.0))
     with pytest.raises(ConfigurationError):
         validate_schedule(X, bad3)
 
@@ -365,13 +363,10 @@ def _oracle_schedule(X, fractions=(0.5, 0.65, 0.8, 0.95), ball_factor=0.45):
     R = ball_factor * X.min_vertex_distance()
     vs = np.array([[float(a) for a in v] for v in X.vertices])
     diam = max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 1.0
-    ball_radius, lam, legs, bisected = {}, {}, {}, []
+    lam, bisected = [], []
     for vi in range(len(X.vertices)):
         model = LocalModel(X, X.vertices[vi])
-        legs_lat = {}
-        for j in range(3):
-            legs_lat[j] = tuple(f * R / model.leg_norm[j] for f in fractions)
-            legs[(vi, j)] = LegSchedule(*(f * R for f in fractions))
+        legs_lat = {j: tuple(f * R / model.leg_norm[j] for f in fractions) for j in range(3)}
         hi = 2.0 * min(legs_lat[j][0] for j in range(3))
         lo = hi * 1e-3
         if _schedule_feasible(hi, model, legs_lat, R):
@@ -385,9 +380,10 @@ def _oracle_schedule(X, fractions=(0.5, 0.65, 0.8, 0.95), ball_factor=0.45):
                 else:
                     hi = mid
             lam_v = lo
-        ball_radius[vi] = R
-        lam[vi] = lam_v
-    return GluingSchedule(ball_radius, lam, legs, 3.0 * diam), bisected
+        lam.append(lam_v)
+    nv = len(lam)
+    cuts = np.tile([f * R for f in fractions], (nv, 3, 1))
+    return GluingSchedule(np.full(nv, R), np.array(lam), cuts, 3.0 * diam), bisected
 
 
 def _triangle_curve(degree, seed):
@@ -414,7 +410,7 @@ def _smooth_fixture_curves():
 def _assert_matches_oracle(X):
     sched = default_schedule(X)
     want, _ = _oracle_schedule(X)
-    assert [v.hex() for v in sched.lam.values()] == [v.hex() for v in want.lam.values()]
+    assert [v.hex() for v in sched.lam.tolist()] == [v.hex() for v in want.lam.tolist()]
     assert sched.to_json() == want.to_json()
 
 
@@ -467,22 +463,21 @@ def test_validate_rejects_a_bisected_scale_raised_one_percent():
     _, bisected = _oracle_schedule(X)
     assert bisected
     vi = bisected[0]
-    bad = GluingSchedule(dict(sched.ball_radius), dict(sched.lam),
-                         dict(sched.legs), sched.truncation)
+    bad = replace(sched, lam=sched.lam.copy())
     bad.lam[vi] = sched.lam[vi] * 1.01
     with pytest.raises(ConfigurationError, match=f"vertex {vi} violates"):
         validate_schedule(X, bad)
 
 
 def test_local_model_matches_legs_in_star_order():
-    # the leg map pairs each incident edge with the leg of its outgoing
-    # direction, in the order of the vertex's star
+    # leg j's edge is the incident edge whose outgoing direction is u[j]
     for X in (triangle_curve(), _triangle_curve(6, 7)):
         for v in X.vertices:
             model = LocalModel(X, v)
-            want = {j: e for e in X.edges_at(v) for j, u in model.u.items()
-                    if X.outgoing_direction(e, v) == tuple(u)}
-            assert list(model.leg_edge.items()) == list(want.items())
+            want = [e for u in model.u for e in X.edges_at(v)
+                    if X.outgoing_direction(e, v) == tuple(u)]
+            assert len(want) == 3
+            assert all(a is b for a, b in zip(model.leg_edge, want))
 
 
 def test_default_schedule_checks_each_distinct_vertex_row_once(monkeypatch):
@@ -523,7 +518,7 @@ def test_schedule_of_a_curve_without_vertices_is_an_input_error():
     with pytest.raises(InputError, match="vertex"):
         default_schedule(X)
     with pytest.raises(InputError, match="vertex"):
-        validate_schedule(X, GluingSchedule({}, {}, {}, 1.0))
+        validate_schedule(X, GluingSchedule(np.zeros(0), np.zeros(0), np.zeros((0, 3, 4)), 1.0))
 
 
 def _all_pairs_meet(vs, ball_r):
@@ -567,8 +562,7 @@ def test_validate_finds_meeting_balls_far_apart_in_vertex_order():
     pick = closest[np.argmax(k[closest] - i[closest])]
     i, k, dist = int(i[pick]), int(k[pick]), float(dist[pick])
     assert k - i > 8
-    bad = GluingSchedule(dict(sched.ball_radius), dict(sched.lam), dict(sched.legs),
-                         sched.truncation)
+    bad = replace(sched, ball_radius=sched.ball_radius.copy())
     bad.ball_radius[i] = bad.ball_radius[k] = dist / 2
     with pytest.raises(ConfigurationError, match="pairwise disjoint"):
         validate_schedule(X, bad)
@@ -652,9 +646,6 @@ def test_pants_interior_frames_are_exact(line_mesh):
     X, sched, mesh = line_mesh
     from troplag.lift import LocalModel, _pants_vertex_piece
     model = LocalModel(X, X.vertices[0])
-    legs_lat = {j: tuple(getattr(sched.legs[(0, j)], f) / model.leg_norm[j]
-                         for f in ("r_prime", "r_second", "r_bar", "r"))
-                for j in range(3)}
     from troplag.pants import PantsMap
     pm = PantsMap(1, sched.lam[0])
     res = 24
@@ -676,9 +667,9 @@ def test_overlap_identity_collar_equals_pants():
     lam = sched.lam[0]
     pm = PantsMap(1, lam)
     pp = ProjectionPair(pm, {1})
-    ls = sched.legs[(0, 1)]
+    r1, r2 = sched.cuts[0, 1, :2]
     worst = 0.0
-    for s in np.linspace(ls.r_prime, ls.r_second, 6):
+    for s in np.linspace(r1, r2, 6):
         for th in np.linspace(0.25, 1.25, 5):
             q = pp.fiber_solve(np.array([s, 0.0]), np.array([0.0, th]))
             hq = pm.h(q)
@@ -944,17 +935,30 @@ def test_hausdorff_tree_build_error_propagates_and_joins_the_worker(monkeypatch,
     assert threading.active_count() == threads
 
 
+class _QueryLog:
+    """A KD-tree whose queries log their workers argument."""
+
+    def __init__(self, tree):
+        self.tree, self.workers = tree, []
+
+    def query(self, *args, **kwargs):
+        self.workers.append(kwargs.get("workers", 1))
+        return self.tree.query(*args, **kwargs)
+
+
 def _patch_anchor_phase(monkeypatch, before):
-    """Call before(on_worker, workers) ahead of each anchor phase of
+    """Call before(on_worker) ahead of each anchor phase of
     hausdorff_distance; returns the list of (on_worker, largest anchor
-    distance) of the phases that finished."""
+    distance, the workers of each of its tree queries) of the phases that
+    finished."""
     phase, done = lift_module._anchor_bounds, []
 
-    def patched(P, tree, workers, out):
+    def patched(P, tree, out):
         on_worker = threading.current_thread() is not threading.main_thread()
-        before(on_worker, workers)
-        lo = phase(P, tree, workers, out)
-        done.append((on_worker, lo))
+        before(on_worker)
+        log = _QueryLog(tree)
+        lo = phase(P, log, out)
+        done.append((on_worker, lo, log.workers))
         return lo
     monkeypatch.setattr(lift_module, "_anchor_bounds", patched)
     return done
@@ -963,19 +967,19 @@ def _patch_anchor_phase(monkeypatch, before):
 def test_hausdorff_anchor_phases_run_side_by_side_on_one_thread_each(monkeypatch):
     monkeypatch.setattr(lift_module, "_cpu_count", lambda: 3)
     calls = []
-    done = _patch_anchor_phase(monkeypatch, lambda on_worker, workers:
-                               calls.append((on_worker, workers)))
+    done = _patch_anchor_phase(monkeypatch, calls.append)
     rng = np.random.default_rng(11)
     A, B = rng.uniform(0.0, 1.0, (400, 4)), rng.uniform(0.0, 1.0, (90, 4))
     assert hausdorff_distance(A, B) == _hausdorff_full_queries(A, B)
-    assert sorted(calls) == [(False, 1), (True, 1)]
-    assert len(done) == 2
+    assert sorted(calls) == [False, True]
+    assert sorted((on_worker, workers) for on_worker, _, workers in done) == [
+        (False, [1]), (True, [1])]
 
 
 def test_hausdorff_anchor_phase_error_on_the_caller_joins_the_worker(monkeypatch):
     # the calling thread's anchor phase fails while the worker's still
     # runs: the error propagates once the worker has finished and is joined
-    def before(on_worker, workers):
+    def before(on_worker):
         if not on_worker:
             raise MemoryError("anchor phase failed")
         time.sleep(0.05)
@@ -985,7 +989,7 @@ def test_hausdorff_anchor_phase_error_on_the_caller_joins_the_worker(monkeypatch
     threads = threading.active_count()
     with pytest.raises(MemoryError, match="anchor phase failed"):
         hausdorff_distance(A, B)
-    assert [on_worker for on_worker, _ in done] == [True]
+    assert [on_worker for on_worker, *_ in done] == [True]
     assert threading.active_count() == threads
 
 
@@ -1070,11 +1074,10 @@ def test_collar_analytic_frames_match_fd(line_mesh):
     model = LocalModel(X, X.vertices[0])
     lam = sched.lam[0]
     for j in (0, 1, 2):
-        ls = sched.legs[(0, j)]
-        scale = model.leg_norm[j]
-        cutoff = Cutoff(ls.r_second / scale, ls.r_bar / scale)
+        r1, r2, rbar, r = sched.cuts[0, j] / model.leg_norm[j]
+        cutoff = Cutoff(r2, rbar)
         rng = np.random.default_rng(j)
-        S = rng.uniform(ls.r_prime / scale, ls.r / scale, 40)
+        S = rng.uniform(r1, r, 40)
         T = rng.uniform(0.1, PI - 0.1, 40)
         P0, fr = _collar_sheet(model, j, lam, cutoff, S, T)
         h = 1e-6
@@ -1199,9 +1202,8 @@ def _collar_rows(X, sched, t, resolution):
     for vi in range(len(X.vertices)):
         norm = lift_module._local_model(X, vi).leg_norm
         for j in range(3):
-            ls = sched.legs[(vi, j)]
-            S, B = np.meshgrid(np.linspace(ls.r_prime / norm[j], ls.r / norm[j], resolution),
-                               folded, indexing="ij")
+            r1, r = sched.cuts[vi, j, [0, 3]] / norm[j]
+            S, B = np.meshgrid(np.linspace(r1, r, resolution), folded, indexing="ij")
             rows.append(np.stack([np.full(S.size, t * sched.lam[vi]), S.ravel(), B.ravel()],
                                  axis=1))
     return np.vstack(rows)
@@ -1297,9 +1299,9 @@ def test_collar_sheet_unchanged_by_the_shared_fiber_solve(monkeypatch, vi, j):
     X = triangle_curve()
     sched = default_schedule(X)
     model = lift._local_model(X, vi)
-    ls, scale = sched.legs[(vi, j)], model.leg_norm[j]
-    cutoff = Cutoff(ls.r_second / scale, ls.r_bar / scale)
-    S, T = np.meshgrid(np.linspace(ls.r_prime / scale, ls.r / scale, 32),
+    r1, r2, rbar, r = sched.cuts[vi, j] / model.leg_norm[j]
+    cutoff = Cutoff(r2, rbar)
+    S, T = np.meshgrid(np.linspace(r1, r, 32),
                        (np.arange(32) + 0.5) * PI / 32, indexing="ij")
     args = (model, sched.lam[vi], [(j, cutoff, S.ravel(), T.ravel())])
     [(P, fr)] = _collar_sheets(*args)
@@ -1378,10 +1380,10 @@ def test_smooth_lift_builds_each_distinct_vertex_row_once(monkeypatch):
     # solved, and every vertex gets the pieces of the per-leg oracle
     X = _triangle_curve(6, 0)
     sched = default_schedule(X)
-    norms = [lift_module._local_model(X, vi).leg_norm for vi in range(len(X.vertices))]
-    rows = {(sched.lam[vi], tuple(c / norms[vi][j] for j in range(3)
-                                  for c in astuple(sched.legs[(vi, j)])))
-            for vi in range(len(X.vertices))}
+    norms = np.array([lift_module._local_model(X, vi).leg_norm
+                      for vi in range(len(X.vertices))])
+    cuts = (sched.cuts / norms[:, :, None]).reshape(-1, 12)
+    rows = {(lam, tuple(row)) for lam, row in zip(sched.lam.tolist(), cuts.tolist())}
     assert (len(X.vertices), len(rows)) == (36, 2)
     solve, standard = lift_module.solve_leg_fiber, lift_module._standard_pants
     solved, bodies = [], []
@@ -1420,13 +1422,12 @@ def test_collar_loops_wind_zero():
     from troplag.lift import Cutoff, LocalModel
     model = LocalModel(X, X.vertices[0])
     for j in (0, 1, 2):
-        ls = sched.legs[(0, j)]
+        r1, r2, rbar, r = sched.cuts[0, j]
         scale = model.leg_norm[j]
-        cutoff = Cutoff(ls.r_second / scale, ls.r_bar / scale)
+        cutoff = Cutoff(r2 / scale, rbar / scale)
         fracs = (0.0, 0.35, 0.5, 0.65, 1.0)
         T = (np.arange(1024) + 0.5) * PI / 1024
-        legs = [(j, cutoff, np.full(1024, (ls.r_prime + f * (ls.r - ls.r_prime)) / scale), T)
-                for f in fracs]
+        legs = [(j, cutoff, np.full(1024, (r1 + f * (r - r1)) / scale), T) for f in fracs]
         for pts, fr in _collar_sheets(model, sched.lam[0], legs):
             assert maslov_winding(pts, fr) == 0
 

