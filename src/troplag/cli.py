@@ -32,10 +32,18 @@ MAX_N = 4
 
 def _read_json(path):
     """The JSON object in the file at path; InputError if the file is
-    missing, not UTF-8, not JSON or not an object."""
+    missing, not UTF-8, not JSON, not an object or repeats a key in one of
+    its objects (json.load would keep the last value silently)."""
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            raise InputError(f"{path} repeats the key {max(keys, key=keys.count)!r} in one object")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise InputError(f"no such input file: {path}")
     except UnicodeDecodeError:
@@ -171,14 +179,19 @@ def cmd_lift(args):
 
 
 def _parse_twist(spec):
+    """{edge: winding} of "edge=I,winding=W;...": each part has exactly
+    these two fields, and no two parts name the same edge."""
     windings = {}
     for part in spec.split(";"):
         try:
             fields = dict(kv.split("=") for kv in part.split(","))
-            windings[int(fields["edge"])] = int(fields["winding"])
+            edge = int(fields["edge"])
+            if part.count(",") != 1 or set(fields) != {"edge", "winding"} or edge in windings:
+                raise ValueError
+            windings[edge] = int(fields["winding"])
         except (ValueError, KeyError):
-            raise InputError(f"malformed --twist part {part!r}: "
-                             "expected edge=I,winding=W with integers I and W")
+            raise InputError(f"malformed --twist part {part!r}: expected "
+                             "edge=I,winding=W with integers I and W, each edge once")
     return windings
 
 

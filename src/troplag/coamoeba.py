@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 PI = math.pi
 EPS_FACE = 1e-10  # tolerance of Coamoeba.contains on the vertices and faces
@@ -231,7 +231,7 @@ class CoveringCoamoeba:
 
     The span of two weighted directions is a finite-index sublattice; the
     quotient covering of tori has degree m_e = |w1 u1 ^ w2 u2| and the
-    standard coamoeba and potential pull back through it.
+    standard coamoeba pulls back through it.
     """
 
     def __init__(self, line):
@@ -242,133 +242,19 @@ class CoveringCoamoeba:
         # deterministic labels, matching the adapted-frame convention:
         # u0 is the lexicographically smallest generator
         order = sorted(range(3), key=lambda i: line.generators[i])
-        (u0, w0), (u1, w1), (u2, w2) = [
-            (line.generators[i], line.weights[i]) for i in order]
-        b1 = (w1 * u1[0], w1 * u1[1])
-        b2 = (w2 * u2[0], w2 * u2[1])
-        self.B = np.array([[b1[0], b2[0]], [b1[1], b2[1]]], dtype=int)  # columns
+        # columns w1 u1 and w2 u2, of the two generators after u0
+        self.B = np.array([[line.weights[i] * c for c in line.generators[i]]
+                           for i in order[1:]], dtype=int).T
         self.degree = abs(int(round(np.linalg.det(self.B))))
-        self.line = line
         self.standard = Coamoeba(1)
-        self._Bt_inv = np.linalg.inv(self.B.T.astype(float))
 
     def beta(self, y):
         """Covering map to the standard model torus: y' = B^T y."""
         y = np.asarray(y, dtype=float)
         return reduce_mod_pi(y @ self.B.astype(float))
 
-    def potential(self, y):
-        """Pulled-back pair-of-pants potential F' o beta."""
-        from .pants import PantsMap
-        pm = PantsMap(1)
-        return pm.F(self.beta(y))
-
     def contains(self, y, eps=1e-9):
         """Whether beta(y) lies in the standard coamoeba, for one point or
         for rows of points at once."""
         inside = self.standard.contains(self.beta(y), eps)
         return inside if np.ndim(y) == 2 else bool(inside[0])
-
-    def vertex_points(self):
-        """All preimages of the three model vertices: 3 * degree points."""
-        det = int(round(np.linalg.det(self.B.T)))
-        reps = _lattice_quotient_reps(self.B.T)
-        out = []
-        for pk in self.standard.vertices:
-            for r in reps:
-                target = pk + PI * np.asarray(r, dtype=float)
-                out.append(reduce_mod_pi(target @ self._Bt_inv.T))
-        return out
-
-    def puncture_count(self):
-        return int(sum(self.line.weights))
-
-    def euler_characteristic(self):
-        return -self.degree
-
-    def genus(self):
-        chi = self.euler_characteristic()
-        p = self.puncture_count()
-        g2 = 2 - chi - p
-        if g2 % 2:
-            raise InputError("inconsistent topology data")
-        return g2 // 2
-
-
-def _lattice_quotient_reps(M):
-    """Coset representatives of Z^2 / M Z^2 for an integer 2x2 matrix."""
-    det = abs(int(round(np.linalg.det(M))))
-    Minv = np.linalg.inv(M.astype(float))
-    reps = []
-    seen = set()
-    bound = int(abs(M).max()) * 2 + 2
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            v = np.array([a, b], dtype=float)
-            key = tuple(np.round(np.mod(Minv @ v, 1.0), 9))
-            key = tuple(x % 1.0 for x in key)
-            if key not in seen:
-                seen.add(key)
-                reps.append((a, b))
-            if len(reps) == det:
-                return reps
-    return reps
-
-
-# ---------------------------------------------------------------------------
-# the 4-valent local model
-
-FOUR_VALENT_DIRECTIONS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-
-
-def _four_valent_cell(y):
-    """Locate y in the pi/4-shifted diagonal grid.
-
-    Returns (kept, eps_sign, on_edge): the cells of the model region are the
-    grid squares whose center has exactly one of (s, d) congruent to pi/2
-    mod pi; the sign is +1 when s is the pi/2 one.  The potential extends by
-    zero to edges of kept squares.
-    """
-    y = np.asarray(y, dtype=float)
-    s = y[0] + y[1]
-    d = y[0] - y[1]
-    sc = round(s / (PI / 2)) * (PI / 2)
-    dc = round(d / (PI / 2)) * (PI / 2)
-    on_edge = (abs(abs(s - sc) - PI / 4) < 1e-12) or (abs(abs(d - dc) - PI / 4) < 1e-12)
-    s_half = abs((sc % PI) - PI / 2) < 1e-9
-    d_half = abs((dc % PI) - PI / 2) < 1e-9
-    kept = s_half != d_half
-    sign = 1.0 if s_half else -1.0
-    return kept, sign, on_edge
-
-
-def four_valent_region_contains(y):
-    kept, _, on_edge = _four_valent_cell(y)
-    return kept or on_edge
-
-
-def four_valent_potential(y):
-    """Potential of the 4-valent local model on its four-square coamoeba.
-
-    F(y) = eps(y) * (prod_j |sin(<u_j, y> - pi/4)|)^(1/2) with the square
-    marking eps chosen so the gradient graph extends across every corner.
-    """
-    y = np.asarray(y, dtype=float)
-    kept, sign, on_edge = _four_valent_cell(y)
-    if not kept and not on_edge:
-        raise DomainError("point outside the 4-valent model region")
-    prod = 1.0
-    for u in FOUR_VALENT_DIRECTIONS:
-        prod *= abs(math.sin(u[0] * y[0] + u[1] * y[1] - PI / 4))
-    return sign * math.sqrt(prod) if kept else 0.0
-
-
-def four_valent_vertices():
-    """The eight corner points of the model region in [0, pi)^2."""
-    pts = []
-    for a in (PI / 4, 3 * PI / 4):
-        pts.append((a, 0.0))
-        pts.append((0.0, a))
-        pts.append((a, PI / 2))
-        pts.append((PI / 2, a))
-    return [tuple(np.mod(p, PI)) for p in pts]

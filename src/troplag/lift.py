@@ -25,7 +25,7 @@ from .pants import (HESSIAN_MARGIN, PantsMap, h_chart_terms, hessian_rows, scale
                     solve_leg_fiber)
 from .toric import lift_topology
 from .tropical import adapted_frame, tangent_line, tangent_star
-from .polyhedral import primitive
+from .polyhedral import parse_key, primitive
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +228,23 @@ class GluingSchedule:
     def from_dict(d):
         """Schedule of a parsed to_json() object, whose vertex count V is the
         number of lam entries; InputError when an entry is missing, a key is
-        not an integer or "vi,j", the keys are not exactly the vertices
-        0..V-1 and their legs 0, 1, 2, a leg has other fields than
-        LEG_CUT_FIELDS, or a value is not a finite number."""
+        spelled otherwise than to_json writes it ("vi", "vi,j"), the keys are
+        not exactly the vertices 0..V-1 and their legs 0, 1, 2, a leg has
+        other fields than LEG_CUT_FIELDS, or a value is not a finite number."""
         def number(x):
             if isinstance(x, bool) or not math.isfinite(x):
                 raise ValueError(f"{x!r} is not a finite number")
             return x
 
         def leg(key, cuts):
-            vi, j = (int(p) for p in key.split(","))
+            vi, j = parse_key(key, 2, "leg key")
             if set(cuts) != set(LEG_CUT_FIELDS):
                 raise ValueError(f"leg {key} has fields {sorted(cuts)}, not {LEG_CUT_FIELDS}")
             return (vi, j), [number(cuts[f]) for f in LEG_CUT_FIELDS]
 
         try:
-            ball, lam = ({int(k): number(v) for k, v in d[name].items()}
+            ball, lam = ({parse_key(k, 1, f"{name} key")[0]: number(v)
+                          for k, v in d[name].items()}
                          for name in ("ball_radius", "lam"))
             legs = dict(leg(key, cuts) for key, cuts in d["legs"].items())
             nv = len(lam)

@@ -203,6 +203,22 @@ def parse_int(x, what):
     return value
 
 
+def parse_key(key, n, what):
+    """The n (1 or 2) ints of a JSON object key spelled
+    ",".join(str(i) for i in ints), as the fixtures and
+    GluingSchedule.to_json write it; InputError for any other spelling
+    ("00", " 0", "+0", "0, 1"), so that no two keys of one object name
+    the same entry."""
+    try:
+        ints = tuple(int(p) for p in key.split(","))
+    except (AttributeError, ValueError):
+        ints = ()
+    if len(ints) != n or key != ",".join(str(i) for i in ints):
+        raise InputError(f"{what} {key!r} is not spelled \"{','.join('ij'[:n])}\" "
+                         "with plain integers")
+    return ints
+
+
 class LiftingFunction:
     """Integral lifting values on lattice points."""
 
@@ -266,13 +282,6 @@ class Subdivision:
     @property
     def top_dim(self):
         return max(c.dim for c in self.cells)
-
-    def vertex_points(self):
-        """Lattice points appearing as vertices of the subdivision."""
-        out = []
-        for f in self.faces(0):
-            out.append(f.vertices[0])
-        return sorted(set(out))
 
     def is_unimodal(self):
         return all(c.is_elementary_simplex() for c in self.cells)
@@ -433,7 +442,7 @@ def discrete_legendre(subdivision):
     lines when P is a segment)."""
     S = subdivision
     nu = S.lifting
-    pieces = [(p, nu(p)) for p in S.vertex_points()]
+    pieces = [(p, nu(p)) for p in sorted({f.vertices[0] for f in S.faces(0)})]
     dual = {}
     if S.top_dim == 2:
         # the cells at each lattice point, in S.cells order, and each
@@ -511,8 +520,8 @@ def load_polytope_json(data, default_zero=False):
                          f"not {type(raw).__name__}")
     values = {}
     for k, v in raw.items():
-        try:
-            p = tuple(int(x) for x in (k.split(",") if isinstance(k, str) else k))
+        try:  # tuple keys come from Python callers
+            p = parse_key(k, 2, "lifting key") if isinstance(k, str) else tuple(int(x) for x in k)
         except (TypeError, ValueError):
             raise InputError(f"lifting key {k!r} is not of the form \"i,j\"")
         values[p] = v

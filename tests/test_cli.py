@@ -81,7 +81,10 @@ SIMPLEX_LIFTING = '{"0,0": 0, "1,0": 0, "0,1": %s}'
     SIMPLEX_POLYTOPE % '{"0,0": 0, "1,0": 0, "0,1": 0, "a,b": 0}',  # ValueError
     SIMPLEX_POLYTOPE % "[1, 2, 3]",                                # AttributeError
     '{"vertices": [[0, 0], [1.5, 0], [0, 1]], "lifting": {}}',     # truncated to (1, 0)
-], ids=["value_x", "value_1e400", "key_a_b", "lifting_list", "vertex_1.5"])
+    SIMPLEX_POLYTOPE % '{"0,0": 0, "1,0": 0, "0,1": 0, " 0,0": 5}',  # a second (0, 0)
+    SIMPLEX_POLYTOPE % '{"00,0": 0, "1,0": 0, "0,1": 0}',            # read as (0, 0)
+], ids=["value_x", "value_1e400", "key_a_b", "lifting_list", "vertex_1.5", "key_space_0_0",
+        "key_00_0"])
 def test_malformed_polytope_exits_2(tmp_path, capsys, text):
     src = tmp_path / "poly.json"
     src.write_text(text)
@@ -626,7 +629,9 @@ def test_pl_only_lift_of_a_primitive_segment(tmp_path):
     assert (rec["chi"], rec["punctures"], rec["genus"]) == (0, 2, 0)
 
 
-@pytest.mark.parametrize("spec", ["garbage", "edge=99", "edge=x,winding=1"])
+@pytest.mark.parametrize("spec", ["garbage", "edge=99", "edge=x,winding=1",
+                                  "edge=0,winding=1;edge=0,winding=2",
+                                  "edge=0,winding=1,bogus=7"])
 def test_lift_malformed_twist_exits_2(tmp_path, capsys, spec):
     assert run(["lift", "triangle", "--resolution", "8", "--twist", spec,
                 "--out", str(tmp_path / "x")]) == 2
@@ -661,8 +666,10 @@ def _edit(path, value):
     return apply
 
 
-def _rename_leg(d):
-    d["legs"]["zz"] = d["legs"].pop("0,0")
+def _rename(name, key, alias):
+    def apply(d):
+        d[name][alias] = d[name].pop(key)
+    return apply
 
 
 def _add_leg(d):
@@ -671,6 +678,15 @@ def _add_leg(d):
 
 def _add_fourth_leg(d):
     d["legs"]["0,3"] = d["legs"]["0,0"]
+
+
+def _repeat_lam_0(d):
+    # the text of d with a first "0" entry in lam, which json.load alone
+    # would drop for the second, valid one
+    text = json.dumps(d)
+    head = '"lam": {"0": '
+    assert text.count(head) == 1
+    return text.replace(head, head + '2.0, "0": ')
 
 
 @pytest.mark.parametrize("change", [
@@ -683,7 +699,7 @@ def _add_fourth_leg(d):
     _edit(["legs", "0,0", "r"], "x"),                              # TypeError
     _edit(["legs", "0,0", "zz"], 1.0),                             # TypeError
     _edit(["legs", "0,0", "r_bar"], None),
-    _rename_leg,                                                   # ValueError
+    _rename("legs", "0,0", "zz"),                                  # ValueError
     _add_leg,
     _edit(["legs"], None),
     _edit(["truncation"], float("nan")),                           # ValueError
@@ -693,19 +709,23 @@ def _add_fourth_leg(d):
     _edit(["lam", "3"], 0.1),
     _edit(["ball_radius", "2"], None),
     _add_fourth_leg,
+    _rename("lam", "0", "00"),
+    _rename("ball_radius", "1", " 1"),
+    _rename("legs", "0,0", "+0,0"),
+    _repeat_lam_0,
 ], ids=["brace", "non_utf8", "list", "lam_deleted", "lam_x", "lam_zero", "leg_r_x",
         "leg_extra_field",
         "leg_field_deleted", "leg_key_zz", "leg_key_extra", "legs_deleted", "truncation_nan",
         "truncation_negative", "truncation_inside_leg", "ball_radius_huge", "lam_key_extra",
-        "ball_radius_missing_vertex", "leg_index_3"])
+        "ball_radius_missing_vertex", "leg_index_3", "lam_key_00", "ball_radius_key_space_1",
+        "leg_key_plus_0_0", "lam_key_repeated"])
 def test_malformed_schedule_exits_2(tmp_path, capsys, triangle_schedule, change):
     src = tmp_path / "schedule.json"
     if isinstance(change, bytes):
         src.write_bytes(change)
     else:
         data = json.loads(json.dumps(triangle_schedule))
-        change(data)
-        src.write_text(json.dumps(data))
+        src.write_text(change(data) or json.dumps(data))
     assert run(["lift", "triangle", "--resolution", "8", "--schedule", str(src),
                 "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -718,6 +738,42 @@ def test_schedule_file_round_trips(tmp_path, triangle_schedule):
     assert run(["lift", "triangle", "--resolution", "8", "--schedule", str(src),
                 "--out", str(out)]) == 0
     assert json.loads((out / "schedule.json").read_text()) == triangle_schedule
+
+
+_SCHEDULE_KEYS = st.sampled_from([
+    "ball_radius", "lam", "legs", "truncation", "r_prime", "r_second", "r_bar", "r", "x",
+    "0", "1", "2", "3", "00", " 1", "+0", "-0", "1.0",
+    "0,0", "1,2", "2,2", "0,3", "00,0", " 1,1", "+0,1", "0, 2", "0,0,0"])
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10 ** 400),
+              st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_SCHEDULE_KEYS, inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+def _laid_over(base, edits):
+    """base with the entries of edits laid over it, object into object."""
+    out = dict(base)
+    for k, v in edits.items():
+        both = isinstance(v, dict) and isinstance(out.get(k), dict)
+        out[k] = _laid_over(out[k], v) if both else v
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(edits=st.dictionaries(_SCHEDULE_KEYS, _JSON_VALUES, max_size=4), over_valid=st.booleans())
+def test_any_schedule_file_keeps_the_exit_code_contract(triangle_schedule, edits, over_valid):
+    # any JSON object, alone or laid over a valid schedule: 0 lifted,
+    # 2 input error, 3 numeric failure; never a traceback
+    data = _laid_over(triangle_schedule, edits) if over_valid else edits
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "schedule.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        code = main(["lift", "triangle", "--resolution", "8", "--schedule", path,
+                     "--out", os.path.join(tmp, "o")])
+    assert code in (0, 2, 3)
 
 
 def test_numeric_failure_prints_diagnostics(tmp_path, capsys, monkeypatch):

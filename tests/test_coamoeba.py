@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troplag.coamoeba import (EPS_FACE, PI, CellCoamoeba, Coamoeba, CoveringCoamoeba, EdgeFiber,
-                              FlatTorus, four_valent_potential,
-                              four_valent_region_contains, four_valent_vertices,
-                              r_apply, reduce_mod_pi, rstar_apply)
-from troplag.errors import DomainError, InputError
+                              FlatTorus, r_apply, reduce_mod_pi, rstar_apply)
+from troplag.errors import InputError
 from troplag.polyhedral import LatticePolytope
 from troplag.tropical import TropicalLine
 
@@ -183,93 +181,21 @@ def test_cell_coamoeba_rejects_points():
 # ---------------------------------------------------------------------------
 # coverings
 
-def test_covering_standard_line_is_trivial():
-    cov = CoveringCoamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -1))))
-    assert cov.degree == 1
-    vp = sorted(tuple(np.round(v, 9)) for v in cov.vertex_points())
-    assert np.allclose(vp, [(0, 0), (0, PI / 2), (PI / 2, 0)])
-    y = np.array([0.3, 0.4])
-    from troplag.pants import PantsMap
-    assert cov.potential(y) == pytest.approx(PantsMap(1).F(y), abs=1e-14)
-
-
-def test_covering_degree_three_torus():
-    cov = CoveringCoamoeba(TropicalLine((0, 0), ((1, 1), (-2, 1), (1, -2))))
-    assert cov.degree == 3
-    assert cov.puncture_count() == 3
-    assert cov.euler_characteristic() == -3
-    assert cov.genus() == 1
-    assert len(cov.vertex_points()) == 9
-
-
-def test_covering_weight_two():
-    cov = CoveringCoamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -1)), (2, 2, 2)))
-    assert cov.degree == 4
-    assert cov.puncture_count() == 6
-    assert cov.genus() == 0  # (w-1)(w-2)/2 for w = 2
+@pytest.mark.parametrize("gens, weights, degree", [
+    (((1, 0), (0, 1), (-1, -1)), (1, 1, 1), 1),
+    (((1, 1), (-2, 1), (1, -2)), (1, 1, 1), 3),
+    (((1, 0), (0, 1), (-1, -1)), (2, 2, 2), 4),
+], ids=["standard_line", "degree_three", "weight_two"])
+def test_covering_degree_is_det(gens, weights, degree):
+    # the degree of the covering of tori is |det B|, computed here in integers
+    cov = CoveringCoamoeba(TropicalLine((0, 0), gens, weights))
+    (a, b), (c, d) = cov.B.tolist()
+    assert cov.degree == degree == abs(a * d - b * c)
 
 
 def test_covering_requires_balance():
     with pytest.raises(InputError):
         CoveringCoamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -2))))
-
-
-def test_covering_potential_is_pullback():
-    cov = CoveringCoamoeba(TropicalLine((0, 0), ((1, 1), (-2, 1), (1, -2))))
-    ys = []
-    rng = np.random.default_rng(0)
-    while len(ys) < 10:
-        y = rng.uniform(0, PI, 2)
-        if cov.contains(y):
-            ys.append(y)
-    from troplag.pants import PantsMap
-    pm = PantsMap(1)
-    for y in ys:
-        assert cov.potential(y) == pytest.approx(pm.F(cov.beta(y)), abs=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# the 4-valent model
-
-def test_four_valent_vanishes_at_vertices_and_edges():
-    for v in four_valent_vertices():
-        assert four_valent_potential(v) == pytest.approx(0.0, abs=1e-12)
-    # generic edge point: exactly one sine factor vanishes
-    edge_pt = np.array([PI / 4 + 0.1, -0.1])  # on y1 + y2 = pi/4
-    assert four_valent_region_contains(edge_pt)
-    assert four_valent_potential(edge_pt) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_four_valent_center_values_and_gradient():
-    plus_center = np.array([PI / 4, PI / 4])
-    minus_center = np.array([3 * PI / 4, PI / 4])
-    assert four_valent_potential(plus_center) == pytest.approx(0.5)
-    assert four_valent_potential(minus_center) == pytest.approx(-0.5)
-    h = 1e-6
-    for e in (np.array([h, 0]), np.array([0, h])):
-        g = (four_valent_potential(plus_center + e)
-             - four_valent_potential(plus_center - e)) / (2 * h)
-        assert abs(g) < 1e-9
-
-
-def test_four_valent_outside_raises():
-    with pytest.raises(DomainError):
-        four_valent_potential([PI / 2, 0.0])  # center of an excluded square
-    with pytest.raises(DomainError):
-        four_valent_potential([0.0, 0.0])
-
-
-def test_four_valent_sign_layout_is_smooth_at_vertices():
-    # crossing any vertex along a straight line, the potential changes sign,
-    # which is what lets the gradient graph extend (and forces the marking
-    # to be symmetric rather than antisymmetric under y -> -y)
-    v = np.array([PI / 4, 0.0])
-    d = np.array([0.0, 1.0])  # transverse to both vanishing lines at v
-    f_plus = four_valent_potential(v + 0.05 * d)
-    f_minus = four_valent_potential(v - 0.05 * d)
-    assert f_plus * f_minus < 0
-    y = np.array([PI / 4 + 0.07, PI / 4 - 0.02])
-    assert four_valent_potential(-y) == pytest.approx(four_valent_potential(y))
 
 
 def test_edge_fiber_circle_counts():
