@@ -21,7 +21,7 @@ from .errors import InputError, NumericError, TroplagError
 from .fixtures import fixture_names, load_fixture, load_input
 
 # Largest --grid of `pants` and --resolution of `lift`; memory grows with the
-# square of either (a lift of the triangle fixture at 512 peaks near 1.1 GB).
+# square of either (a lift of the triangle fixture at 512 peaks near 0.9 GB).
 MAX_GRID = 1024
 MAX_RESOLUTION = 512
 # Largest --n of `pants`: its interior sampler keeps 1/(n+1)! of its
@@ -128,32 +128,32 @@ def cmd_pants(args):
 
 def cmd_lift(args):
     from .lift import (GluingSchedule, check_windings, hausdorff_distance, pl_lift,
-                       smooth_lift, symplectic_residual, twist, twist_pl_cloud)
+                       smooth_lift, symplectic_residual, twist)
     from .toric import lift_topology
     fx = _load_curve_arg(args.input)
     X = fx["curve"]
-    report_path = os.path.join(args.out, "report.jsonl")
-    report = []
     pl = pl_lift(X)
+    windings = _parse_twist(args.twist) if args.twist else None
+    if windings is not None:
+        check_windings(X, windings)  # before the lift, which can take seconds
     if args.pl_only:
-        cloud = pl.sample(args.resolution)
+        if args.schedule is not None:
+            raise InputError("--schedule sets the gluing of the smooth lift; "
+                             "it has no effect with --pl-only")
+        cloud = pl.sample(args.resolution, windings=windings)
         os.makedirs(args.out, exist_ok=True)
         np.savetxt(os.path.join(args.out, "pl_cloud.csv"), cloud, delimiter=",",
                    header="x1,x2,y1,y2", comments="")
         topo = lift_topology(X)
-        report.append({"kind": "pl", "points": int(len(cloud)), "chi": topo.chi,
-                       "punctures": topo.punctures, "genus": topo.genus})
+        rec = {"kind": "pl", "points": int(len(cloud)), "chi": topo.chi,
+               "punctures": topo.punctures, "genus": topo.genus}
     else:
-        windings = _parse_twist(args.twist) if args.twist else None
-        if windings is not None:
-            check_windings(X, windings)  # before the lift, which can take seconds
         sched = (None if args.schedule is None
                  else GluingSchedule.from_dict(_read_json(args.schedule)))
         mesh = smooth_lift(X, args.scale, sched, resolution=args.resolution)
         sched = mesh.schedule
-        twist_class = None
         if windings is not None:
-            mesh, twist_class = twist(mesh, windings)
+            twist(mesh, windings)  # in place
         os.makedirs(args.out, exist_ok=True)
         mesh.to_off(os.path.join(args.out, "mesh.off"), projection=args.projection)
         mesh.to_obj(os.path.join(args.out, "mesh.obj"), projection=args.projection)
@@ -161,19 +161,15 @@ def cmd_lift(args):
             fh.write(sched.to_json())
         res = symplectic_residual(mesh)
         points = mesh.points
-        del mesh  # its pieces and export text are not needed from here on
+        del mesh  # its frames and export text are not needed from here on
         # a twisted lift converges to the twisted PL lift, not the plain one
-        cloud = (pl.sample(args.resolution) if windings is None
-                 else twist_pl_cloud(pl, windings, args.resolution))
-        dh = hausdorff_distance(points, cloud)
+        dh = hausdorff_distance(points, pl.sample(args.resolution, windings=windings))
         rec = {"kind": "mesh", "scale": args.scale, "points": int(len(points)),
                "symplectic_residual": res, "hausdorff_to_pl": dh}
-        if twist_class is not None:
-            rec["n_sigma"] = twist_class
-        report.append(rec)
-    with open(report_path, "w") as fh:
-        for rec in report:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    if windings is not None:
+        rec["n_sigma"] = int(sum(windings.values()))
+    with open(os.path.join(args.out, "report.jsonl"), "w") as fh:
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
     print(f"wrote outputs to {args.out}")
     return 0
 
@@ -298,24 +294,17 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     args.cmdline = "troplag " + " ".join(argv)  # the SVG files' metadata line
-    if getattr(args, "resolution", 8) < 8:
-        print("error: resolution must be >= 8", file=sys.stderr)
-        return 2
-    if getattr(args, "resolution", 8) > MAX_RESOLUTION:
-        print(f"error: resolution must be at most {MAX_RESOLUTION}", file=sys.stderr)
-        return 2
-    if not 0 <= getattr(args, "n", 0) <= MAX_N:
-        print(f"error: n must lie in [0, {MAX_N}]", file=sys.stderr)
-        return 2
-    if getattr(args, "grid", 8) > MAX_GRID:
-        print(f"error: grid must be at most {MAX_GRID}", file=sys.stderr)
-        return 2
-    if not 0 < getattr(args, "scale", 1.0) <= 1.0:
-        print("error: scale must lie in (0, 1]", file=sys.stderr)
-        return 2
-    if not 0 <= getattr(args, "seed", 0) < 2 ** 32:
-        print("error: seed must lie in [0, 2^32)", file=sys.stderr)
-        return 2
+    get = vars(args).get
+    res = get("resolution", 8)
+    for bad, message in [(res < 8, "resolution must be >= 8"),
+                         (res > MAX_RESOLUTION, f"resolution must be at most {MAX_RESOLUTION}"),
+                         (not 0 <= get("n", 0) <= MAX_N, f"n must lie in [0, {MAX_N}]"),
+                         (get("grid", 8) > MAX_GRID, f"grid must be at most {MAX_GRID}"),
+                         (not 0 < get("scale", 1.0) <= 1.0, "scale must lie in (0, 1]"),
+                         (not 0 <= get("seed", 0) < 2 ** 32, "seed must lie in [0, 2^32)")]:
+        if bad:  # the first bound an option breaks, before any work
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except NumericError as exc:

@@ -476,9 +476,36 @@ class PLLift:
         self.X = X
         self.pieces = pieces
 
-    def sample(self, resolution=64, truncation=None):
-        """Point cloud (x1, x2, y1, y2); rays truncated."""
-        return twist_pl_cloud(self, {}, resolution, truncation)
+    def sample(self, resolution=64, truncation=None, windings=None):
+        """Point cloud (x1, x2, y1, y2): each vertex's coamoeba over the
+        vertex, and over each edge its fiber circles, twisted along the edge
+        (_twist_fibers) when windings maps the edge index to m != 0.  Edge
+        indices are piece indices: pl_lift puts the edges first, in X.edges
+        order.  Rays are truncated.  InputError when _pl_sample_bound
+        exceeds MAX_SAMPLE_POINTS."""
+        _check_sample_size(_pl_sample_bound(self, resolution))
+        if truncation is None:
+            truncation = _default_truncation(self.X)
+        thetas = _fiber_angles(resolution)
+        pts = []
+        for ei, piece in enumerate(self.pieces):
+            if piece.kind != "edge":
+                v = np.array([[float(c) for c in piece.cell.verts[0]]])
+                pts.append(_cylinder(v, _coamoeba_cloud(piece.fiber, resolution)))
+                continue
+            seg = _edge_param_points(piece.cell, resolution, truncation)
+            m = (windings or {}).get(ei, 0)
+            if m:
+                s = np.linspace(0.0, 1.0, len(seg))[:, None]
+                v = _dual_basis_vector(piece.cell.direction())
+            for j in range(piece.fiber.w):
+                ys = piece.fiber.points(thetas, j)
+                if m:
+                    yy = _twist_fibers(ys, m, s, v).reshape(-1, 2)
+                    pts.append(np.concatenate([np.repeat(seg, len(ys), axis=0), yy], axis=1))
+                else:
+                    pts.append(_cylinder(seg, ys))
+        return np.vstack(pts)
 
     def genus(self):
         return lift_topology(self.X).genus
@@ -506,8 +533,9 @@ def _cylinder(base, fiber):
 
 # Most points a smooth or PL lift sample may hold, checked against an upper
 # bound before sampling.  `troplag lift triangle` at resolution 256 and 384
-# (1.20 M and 2.69 M points) peaked at 331 and 671 MB, about 230 bytes a
-# point over 60 MB, so a run at this limit needs at most about 1.9 GB.
+# (1.20 M and 2.69 M points) peaked at 266 and 521 MiB on a 2-vCPU Linux
+# host, about 180 bytes a point over 61 MiB, so a run at this limit needs
+# at most about 1.5 GB.
 MAX_SAMPLE_POINTS = 8_000_000
 
 
@@ -518,7 +546,7 @@ def _check_sample_size(bound):
 
 
 def _pl_sample_bound(pl, resolution):
-    """Upper bound on the rows of twist_pl_cloud: a triangle coamoeba holds
+    """Upper bound on the rows of PLLift.sample: a triangle coamoeba holds
     (r+1)(r+2) points and any other vertex fiber at most its (4r)^2 grid; an
     edge holds w circles of r points over r base points (2r - 1 on a line,
     counted as 2r)."""
@@ -530,37 +558,6 @@ def _pl_sample_bound(pl, resolution):
         else:
             n += (r + 1) * (r + 2) if _triangle_fiber(piece.fiber) else 16 * r * r
     return n
-
-
-def twist_pl_cloud(pl, windings, resolution=64, truncation=None):
-    """PL lift sample: each vertex's coamoeba over the vertex, and over each
-    edge its fiber circles, twisted along the edge (_twist_fibers) when
-    windings maps the edge index to m != 0.  Edge indices are piece
-    indices: pl_lift puts the edges first, in X.edges order.  InputError
-    when _pl_sample_bound exceeds MAX_SAMPLE_POINTS."""
-    _check_sample_size(_pl_sample_bound(pl, resolution))
-    if truncation is None:
-        truncation = _default_truncation(pl.X)
-    thetas = _fiber_angles(resolution)
-    pts = []
-    for ei, piece in enumerate(pl.pieces):
-        if piece.kind != "edge":
-            v = np.array([[float(c) for c in piece.cell.verts[0]]])
-            pts.append(_cylinder(v, _coamoeba_cloud(piece.fiber, resolution)))
-            continue
-        seg = _edge_param_points(piece.cell, resolution, truncation)
-        m = windings.get(ei, 0)
-        if m:
-            s = np.linspace(0.0, 1.0, len(seg))[:, None]
-            v = _dual_basis_vector(piece.cell.direction())
-        for j in range(piece.fiber.w):
-            ys = piece.fiber.points(thetas, j)
-            if m:
-                yy = _twist_fibers(ys, m, s, v).reshape(-1, 2)
-                pts.append(np.concatenate([np.repeat(seg, len(ys), axis=0), yy], axis=1))
-            else:
-                pts.append(_cylinder(seg, ys))
-    return np.vstack(pts)
 
 
 def _edge_param_points(cell, resolution, truncation):
@@ -631,24 +628,26 @@ def pl_lift(X):
 class MeshPiece:
     tag: str             # "pants" | "collar" | "flat"
     owner: tuple         # (vertex index,) or (vertex index, leg) or (edge index,)
-    points: np.ndarray   # (N, 4): x1 x2 y1 y2
-    frames: np.ndarray   # (N, 2, 4)
+    points: np.ndarray   # (n, 4): x1 x2 y1 y2
+    frames: np.ndarray   # (n, 2, 4)
     grid: tuple = None   # grid shape for face export
 
 
 class LagrangianMesh:
-    """The pieces of a smooth lift of the curve X, with its scale and schedule."""
+    """A smooth lift of the curve X, with its scale and schedule: (N, 4)
+    points and (N, 2, 4) frames, allocated empty, and per entry (tag, owner,
+    rows, grid) of layout a piece that views its rows of both, in order."""
 
-    def __init__(self, X, pieces, scale, schedule):
+    def __init__(self, X, layout, scale, schedule):
         self.X = X
-        self.pieces = pieces
         self.scale = scale
         self.schedule = schedule
-        self._export = {}    # projection -> _export_rows; pieces fixed from then on
-
-    @property
-    def points(self):
-        return np.vstack([p.points for p in self.pieces])
+        ends = np.cumsum([0] + [rows for _, _, rows, _ in layout])
+        self.points = np.empty((ends[-1], 4))
+        self.frames = np.empty((ends[-1], 2, 4))
+        self.pieces = [MeshPiece(tag, owner, self.points[a:b], self.frames[a:b], grid)
+                       for (tag, owner, _, grid), a, b in zip(layout, ends, ends[1:])]
+        self._export = {}    # projection -> _export_rows; cleared by twist
 
     def to_off(self, path, projection="xxy"):
         n, blocks, faces = self._export_rows(projection)
@@ -656,14 +655,14 @@ class LagrangianMesh:
             fh.write("OFF\n")
             fh.write(f"{n} {len(faces)} 0\n")
             fh.writelines(blocks)
-            _write_rows(fh, "4 %d %d %d %d\n", faces)
+            fh.writelines(_row_blocks("4 %d %d %d %d\n", faces))
 
     def to_obj(self, path, projection="xxy"):
         n, blocks, faces = self._export_rows(projection)
         with open(path, "w") as fh:
             for block in blocks:
                 fh.write("v " + block[:-1].replace("\n", "\nv ") + "\n")
-            _write_rows(fh, "f %d %d %d %d\n", faces + 1)
+            fh.writelines(_row_blocks("f %d %d %d %d\n", faces + 1))
 
     _PROJ = {"xxy": (0, 1, 2), "xyy": (0, 2, 3), "x1y": (0, 2, 1), "x2y": (1, 2, 3)}
 
@@ -678,17 +677,16 @@ class LagrangianMesh:
         cols = self._PROJ.get(projection)
         if cols is None:
             raise InputError(f"unknown projection {projection!r}")
-        verts, faces = [], [np.zeros((0, 4), dtype=np.int64)]
+        faces = [np.zeros((0, 4), dtype=np.int64)]
         offset = 0
         for p in self.pieces:
-            verts.append(p.points[:, cols])
             if p.grid is not None:
                 nu, nv = p.grid
                 a = offset + (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
                 faces.append(np.stack([a, a + 1, a + nv + 1, a + nv], axis=1))
             offset += len(p.points)
-        verts = np.vstack(verts)
-        rows = (len(verts), list(_row_blocks("%.9g %.9g %.9g\n", verts)), np.vstack(faces))
+        rows = (len(self.points), list(_row_blocks("%.9g %.9g %.9g\n", self.points[:, cols])),
+                np.vstack(faces))
         self._export[projection] = rows
         return rows
 
@@ -702,11 +700,6 @@ def _row_blocks(fmt, rows):
     for s in range(0, len(rows), _EXPORT_BLOCK):
         block = rows[s:s + _EXPORT_BLOCK]
         yield (fmt * len(block)) % tuple(block.ravel().tolist())
-
-
-def _write_rows(fh, fmt, rows):
-    """Write fmt % row for every row of a 2-d array, a block at a time."""
-    fh.writelines(_row_blocks(fmt, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -802,25 +795,26 @@ def _standard_pants(lam, legs_lat, resolution):
     return body, charts
 
 
-def _pants_vertex_piece(model, pants):
-    """Points and tangent frames of the trimmed pants over one vertex, from
-    _standard_pants.  The body's frames are its Hessian columns; the chart
+def _pants_vertex_piece(model, pants, piece):
+    """Fill the piece with the trimmed pants over one vertex, from
+    _standard_pants: body, then chart collars.  The body's frames are its
+    Hessian columns; the chart
     collars' are finite differences of their stencils, taken after the map
     to the vertex (on the raw torus lift, so nothing crosses the
     fundamental-domain cut)."""
     (h, y, H), (hc, yc, da2, dt2) = pants
-    N = len(h)
-    frames = np.empty((N, 2, 4))
+    N, P, fr = len(h), piece.points, piece.frames
+    P[:N, :2] = model.x_ambient(h)
+    P[:N, 2:] = model.y_ambient(y)
     for i in range(2):
-        e = np.zeros((1, 2))
-        e[0, i] = 1.0
-        frames[:, i, :2] = model.dx_ambient(H[:, :, i])
-        frames[:, i, 2:] = model.dy_ambient(e)
+        fr[:N, i, :2] = model.dx_ambient(H[:, :, i])
+    fr[:N, :, 2:] = model.A  # dy_ambient of the unit vectors, row by row
     P0, Pa_up, Pa_dn, Pt_up, Pt_dn = np.split(
         np.concatenate([model.x_ambient(hc), model.y_ambient_raw(yc)], axis=1), 5)
-    P0[:, 2:] = reduce_mod_pi(P0[:, 2:])
-    return (np.vstack([np.concatenate([model.x_ambient(h), model.y_ambient(y)], axis=1), P0]),
-            np.vstack([frames, np.stack([(Pa_up - Pa_dn) / da2, (Pt_up - Pt_dn) / dt2], axis=1)]))
+    P[N:, :2] = P0[:, :2]
+    P[N:, 2:] = reduce_mod_pi(P0[:, 2:])
+    fr[N:, 0] = (Pa_up - Pa_dn) / da2
+    fr[N:, 1] = (Pt_up - Pt_dn) / dt2
 
 
 def _collar_sheets(lam, legs):
@@ -874,15 +868,14 @@ def _collar_block(lam, legs, targets):
             fr[:, 1, 2:] = model.dy_ambient(dyt)
 
 
-def _collar_pieces(vertices, legs_lat, resolution):
+def _collar_blocks(vertices, legs_lat, resolution):
     """Graphs of d(eta * G) over [r', r] x (fiber circle) for the legs of
-    the vertices, pairs (vi, model) that share the scale and the leg cuts
-    legs_lat (row j holds leg j's r', r'', rbar and r in lattice units).
-    Returns the pieces per vertex, whose arrays are still to be filled,
-    and the blocks: the legs' grids, stacked, are cut into blocks of
+    the vertices, pairs (model, three collar pieces) that share the scale
+    and the leg cuts legs_lat (row j holds leg j's r', r'', rbar and r in
+    lattice units).  The legs' grids, stacked, are cut into blocks of
     _LIFT_BLOCK rows, in row order, and each block is the arguments (legs,
     targets) of one _collar_block call (one fiber solve) that fills its
-    rows of every vertex's pieces.  A block may span legs, so a small grid
+    rows of every vertex's collars.  A block may span legs, so a small grid
     costs one call, not one per leg.  The cutoffs are evaluated once per
     leg coordinate."""
     n = resolution * resolution
@@ -894,9 +887,6 @@ def _collar_pieces(vertices, legs_lat, resolution):
         legs.append((j, S.ravel(), T.ravel(),
                      *(np.repeat(f(s), resolution)
                        for f in (cutoff.eta, cutoff.eta_prime, cutoff.eta_second))))
-    pieces = {vi: [MeshPiece("collar", (vi, j), np.empty((n, 4)), np.empty((n, 2, 4)),
-                             grid=(resolution, resolution)) for j in range(3)]
-              for vi, _ in vertices}
     blocks = []
     for start in range(0, len(legs) * n, _LIFT_BLOCK):
         part, spans = [], []
@@ -905,10 +895,10 @@ def _collar_pieces(vertices, legs_lat, resolution):
             if rows.start < rows.stop:
                 part.append((j, *(a[rows] for a in arrays)))
                 spans.append((k, rows))
-        targets = [(model, [(pieces[vi][k].points[rows], pieces[vi][k].frames[rows])
-                            for k, rows in spans]) for vi, model in vertices]
+        targets = [(model, [(collars[k].points[rows], collars[k].frames[rows])
+                            for k, rows in spans]) for model, collars in vertices]
         blocks.append((part, targets))
-    return pieces, blocks
+    return blocks
 
 
 def _fiber_circle(pm, j, target, thetas):
@@ -932,9 +922,11 @@ def _dworking_to_std(j, dx, dy):
     return dxs, dys
 
 
-def _flat_piece(X, sched, ei, ends, resolution):
-    """The flat cylinder over edge ei between the cut point r of its leg at
-    each vertex end, ends as in _edge_legs, and the truncation on a ray."""
+def _flat_piece(X, sched, ends, piece):
+    """Fill the piece with the flat cylinder over its edge between the cut
+    point r of its leg at each vertex end, ends as in _edge_legs, and the
+    truncation on a ray; row i r + k lies over base point i, fiber angle k."""
+    (ei,), (resolution, _) = piece.owner, piece.grid
     e = X.edges[ei]
     fiber = edge_fiber_from_dual(e, X.dual_cell(e))
     r = [sched.cuts[vi, j, 3] for vi, j in ends]
@@ -950,13 +942,14 @@ def _flat_piece(X, sched, ei, ends, resolution):
     p0 = a + d * r[0]
     ts = np.linspace(0.0, 1.0, resolution)
     seg = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-    fr = np.empty((resolution * resolution, 2, 4))
+    grid = piece.points.reshape(resolution, resolution, 4)  # a view: the rows are contiguous
+    grid[:, :, :2] = seg[:, None]
+    grid[:, :, 2:] = fiber.points(_fiber_angles(resolution), 0)
+    fr = piece.frames
     fr[:, 0, :2] = (p1 - p0) / np.linalg.norm(p1 - p0)
     fr[:, 0, 2:] = 0.0
     fr[:, 1, :2] = 0.0
     fr[:, 1, 2:] = fiber.direction
-    return MeshPiece("flat", (ei,), _cylinder(seg, fiber.points(_fiber_angles(resolution), 0)),
-                     fr, grid=(resolution, resolution))
 
 
 # Rows per collar block of smooth_lift.  On the lift's thread pool each
@@ -1010,27 +1003,26 @@ def _smallest_scale(lam, legs_lat, resolution):
     return (legs_lat[:, :, 3].max(axis=1) / lam).max() / h.min()
 
 
-def _lift_vertex_row(lam, legs_lat, vertices, resolution, pool):
-    """The pieces of the vertices, pairs (vi, model), that share one
-    distinct row of scale lam and leg cuts legs_lat (a vertex's (3, 4) row
-    of the schedule's cuts in lattice units): its pants and collars are
-    built once, in standard coordinates, and mapped to each vertex.
-    Returns, per vi, its pants piece and its three collar pieces.  With a
-    pool, the collar blocks run on it while the calling thread builds the
-    pants; the first failing block in row order raises."""
-    collars, blocks = _collar_pieces(vertices, legs_lat, resolution)
+def _lift_vertex_row(lam, legs_lat, pants, vertices, resolution, pool):
+    """Fill the pieces (pants, then three collars) of the vertices, pairs
+    (model, pieces), that share one distinct row of scale lam and leg cuts
+    legs_lat (a vertex's (3, 4) row of the schedule's cuts in lattice
+    units): its pants (from _standard_pants) and collars are built once, in
+    standard coordinates, and mapped to each vertex.  With a pool, the
+    collar blocks run on it while the calling thread maps the pants; the
+    first failing block in row order raises."""
+    blocks = _collar_blocks([(model, collars) for model, (_, *collars) in vertices],
+                            legs_lat, resolution)
     if pool is not None:
         futures = [pool.submit(_collar_block, lam, legs, targets) for legs, targets in blocks]
-    std = _standard_pants(lam, legs_lat, resolution)
-    pants = {vi: MeshPiece("pants", (vi,), *_pants_vertex_piece(model, std))
-             for vi, model in vertices}
+    for model, (piece, *_) in vertices:
+        _pants_vertex_piece(model, pants, piece)
     if pool is None:
         for legs, targets in blocks:
             _collar_block(lam, legs, targets)
     else:
         for future in futures:
             future.result()  # raises the first failing block's error, in row order
-    return {vi: [pants[vi], *collars[vi]] for vi, _ in vertices}
 
 
 def smooth_lift(X, t=1.0, sched=None, resolution=128):
@@ -1066,13 +1058,23 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
                          f"it must exceed {t_min:.6g}, below which a collar's fiber "
                          f"solve comes within {HESSIAN_MARGIN:g} of a coamoeba face")
     # The pants and collars of a vertex depend only on its row of lam and
-    # leg cuts, so each distinct row is built once, in the order of its
-    # first vertex, and mapped to each of its vertices.  A row's collar
-    # blocks (three grids of resolution^2 rows) run on a thread pool, while
-    # the calling thread builds its pants, only when they are many enough
-    # to pay for the pool; otherwise every block runs on the calling thread.
+    # leg cuts, so each distinct row is built once and mapped to each of
+    # its vertices, in the order of its first vertex.  The rows' pants sizes
+    # lay out the mesh: per vertex its pants and three collars, then the
+    # edges' flat cylinders.  A row's collar blocks run on a thread pool,
+    # while the calling thread maps its pants, only when they are many
+    # enough to pay for the pool; otherwise on the calling thread.
     lams = t * lam
     first, row_of = _distinct_rows(lams, legs_lat)
+    pants = [_standard_pants(lams[f], legs_lat[f], resolution) for f in first]
+    n, grid = resolution * resolution, (resolution, resolution)
+    layout = []
+    for vi, d in enumerate(row_of):
+        (h, _, _), (_, _, da2, _) = pants[d]
+        layout += [("pants", (vi,), len(h) + len(da2), None),
+                   *(("collar", (vi, j), n, grid) for j in range(3))]
+    layout += [("flat", (ei,), n, grid) for ei in range(len(X.edges))]
+    mesh = LagrangianMesh(X, layout, t, sched)
     workers = _cpu_count()
     pool = None
     if workers > 1 and 3 * resolution * resolution > _LIFT_POOL_BLOCKS * _LIFT_BLOCK:
@@ -1080,19 +1082,18 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         # pay for it
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
-    by_vertex = {}
     try:
         for d in np.argsort(first):
-            vertices = [(int(vi), _local_model(X, vi)) for vi in np.flatnonzero(row_of == d)]
-            by_vertex.update(_lift_vertex_row(lams[first[d]], legs_lat[first[d]], vertices,
-                                              resolution, pool))
+            vertices = [(_local_model(X, int(vi)), mesh.pieces[4 * vi:4 * vi + 4])
+                        for vi in np.flatnonzero(row_of == d)]
+            _lift_vertex_row(lams[first[d]], legs_lat[first[d]], pants[d], vertices,
+                             resolution, pool)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    pieces = [p for vi in range(len(lam)) for p in by_vertex[vi]]
-    pieces += [_flat_piece(X, sched, ei, ends, resolution)
-               for ei, ends in enumerate(_edge_legs(X))]
-    return LagrangianMesh(X, pieces, t, sched)
+    for ends, piece in zip(_edge_legs(X), mesh.pieces[4 * len(lam):]):
+        _flat_piece(X, sched, ends, piece)
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -1104,12 +1105,10 @@ def symplectic_residual(mesh):
     as its two products; rounding is monotone, so dividing the largest
     |<v_x, w_y> - <w_x, v_y>| by pi gives the largest quotient."""
     worst = 0.0
-    for p in mesh.pieces:
-        if len(p.frames):
-            v0, v1, v2, v3 = (p.frames[:, 0, i] for i in range(4))
-            w0, w1, w2, w3 = (p.frames[:, 1, i] for i in range(4))
-            om = (v0 * w2 + v1 * w3) - (w0 * v2 + w1 * v3)
-            worst = max(worst, float(np.abs(om).max()))
+    for s in range(0, len(mesh.frames), _LIFT_BLOCK):  # bounds the temporaries
+        (v0, v1, v2, v3), (w0, w1, w2, w3) = mesh.frames[s:s + _LIFT_BLOCK].transpose(1, 2, 0)
+        om = (v0 * w2 + v1 * w3) - (w0 * v2 + w1 * v3)
+        worst = max(worst, float(np.abs(om).max()))
     return worst / PI
 
 
@@ -1273,31 +1272,27 @@ def check_windings(X, windings):
 
 
 def twist(mesh, windings):
-    """Twisted lift: the fibers over the flat piece of each edge index in
-    windings rotate along it by its winding m (_twist_fibers).
+    """Twist the mesh in place: the fibers over the flat piece of each edge
+    index in windings rotate along it by its winding m (_twist_fibers).
+    Only those rows' fiber coordinates and first frame vectors change.
 
-    Returns (twisted mesh, total class n_sigma = the sum of the windings).
-    The base projection is untouched.
+    Returns (mesh, total class n_sigma = the sum of the windings).
     """
     X = mesh.X
     check_windings(X, windings)
-    new_pieces = []
+    mesh._export.clear()
     for p in mesh.pieces:
         if p.tag != "flat" or p.owner[0] not in windings:
-            new_pieces.append(p)
             continue
         m = windings[p.owner[0]]
-        fr = p.frames.copy()
         nu, nv = p.grid
         s = np.repeat(np.linspace(0.0, 1.0, nu), nv)
         arc = np.linalg.norm(p.points[(nu - 1) * nv, :2] - p.points[0, :2])
         v = _dual_basis_vector(X.edges[p.owner[0]].direction())
-        q = np.concatenate([p.points[:, :2], _twist_fibers(p.points[:, 2:], m, s, v)], axis=1)
+        p.points[:, 2:] = _twist_fibers(p.points[:, 2:], m, s, v)
         dpsi_darc = PI * m * _BUMP.psi_prime(s) / max(arc, 1e-300)
-        fr[:, 0, 2:] += dpsi_darc[:, None] * v
-        new_pieces.append(MeshPiece("flat", p.owner, q, fr, p.grid))
-    total = int(sum(windings.values()))
-    return LagrangianMesh(X, new_pieces, mesh.scale, mesh.schedule), total
+        p.frames[:, 0, 2:] += dpsi_darc[:, None] * v
+    return mesh, int(sum(windings.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,14 @@ def parse_int(x, what):
     return value
 
 
+def plane_point(coords, what):
+    """The tuple of coords; InputError unless it holds exactly two."""
+    p = tuple(coords)
+    if len(p) != 2:
+        raise InputError(f"{what} needs two coordinates, not {len(p)}")
+    return p
+
+
 def parse_key(key, n, what):
     """The n (1 or 2) ints of a JSON object key spelled
     ",".join(str(i) for i in ints), as the fixtures and
@@ -509,7 +517,7 @@ def _point_on_line(d, c):
 def load_polytope_json(data, default_zero=False):
     """Parse {"vertices": [[i,j],...], "lifting": {"i,j": v, ...}}."""
     try:
-        verts = [tuple(parse_int(x, "vertex coordinate") for x in p)
+        verts = [plane_point((parse_int(x, "vertex coordinate") for x in p), "polytope vertex")
                  for p in data["vertices"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad polytope JSON: {exc}")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import InputError
-from .polyhedral import discrete_legendre, parse_int, primitive, vadd, vsub
+from .polyhedral import discrete_legendre, parse_int, plane_point, primitive, vadd, vsub
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,8 @@ def load_curve_json(data):
     Balancing is checked on load.
     """
     try:
-        vs = [tuple(Fraction(str(x)) for x in p) for p in data["vertices"]]
+        vs = [plane_point((Fraction(str(x)) for x in p), "curve vertex")
+              for p in data["vertices"]]
         raw_edges = data.get("edges", [])
         raw_rays = data.get("rays", [])
         weights = data.get("weights")
@@ -171,7 +172,8 @@ def load_curve_json(data):
             raise InputError("weights length must match edges + rays")
         weights = [parse_int(w, "edge weight") for w in weights]
         segments = [(_vertex_ref(i, vs), _vertex_ref(j, vs)) for i, j in raw_edges]
-        rays = [(_vertex_ref(i, vs), primitive(d)) for i, d in raw_rays]
+        rays = [(_vertex_ref(i, vs), primitive(plane_point(d, "ray direction")))
+                for i, d in raw_rays]
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

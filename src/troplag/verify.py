@@ -186,7 +186,7 @@ def verify_theorem41(seed=0, resolution=128):
         mesh = smooth_lift(X, t, sched, resolution=resolution)
         residuals.append(symplectic_residual(mesh))
         points = mesh.points
-        del mesh  # its pieces are not needed for the distance
+        del mesh  # its frames are not needed for the distance
         dists.append(hausdorff_distance(points, cloud_pl))
     dt = time.perf_counter() - t0
     slope = math.log(dists[0] / dists[2]) / math.log(10.0)

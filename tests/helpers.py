@@ -1,12 +1,13 @@
 """Oracles and conveniences of the tests that no troplag command needs: the
-region H and the cells V of the pants, the constant lifting and a relative
-interior point of a dual cell."""
+region H and the cells V of the pants, the constant lifting, a relative
+interior point of a dual cell and a mesh of given pieces."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from troplag.coamoeba import rstar_apply
+from troplag.lift import LagrangianMesh
 from troplag.polyhedral import LiftingFunction, vadd
 
 
@@ -54,3 +55,19 @@ def dual_sample_point(dc):
     for r in dc.rays:
         p = vadd(p, tuple(Fraction(x, 2) for x in r))
     return p
+
+
+def mesh_of(pieces, X=None, scale=1.0, schedule=None):
+    """A LagrangianMesh laid out like the pieces, in order, holding copies
+    of their points and frames: a synthetic mesh to export, or a copy of a
+    lift to twist (twist rewrites its mesh in place)."""
+    mesh = LagrangianMesh(X, [(p.tag, p.owner, len(p.points), p.grid) for p in pieces],
+                          scale, schedule)
+    for p, q in zip(pieces, mesh.pieces):
+        q.points[:] = p.points
+        q.frames[:] = p.frames
+    return mesh
+
+
+def copy_mesh(mesh):
+    return mesh_of(mesh.pieces, mesh.X, mesh.scale, mesh.schedule)

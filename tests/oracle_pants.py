@@ -349,5 +349,9 @@ def oracle_smooth_pieces(X, t, sched, resolution):
         # the (vertex, leg) of each end of the edge, by a scan of the legs
         ends = [(vi, j) for vi in (X.vertices.index(p) for p in e.verts)
                 for j, edge in enumerate(lift._local_model(X, vi).leg_edge) if edge is e]
-        pieces.append(lift._flat_piece(X, sched, ei, ends, resolution))
+        n = resolution * resolution
+        piece = MeshPiece("flat", (ei,), np.empty((n, 4)), np.empty((n, 2, 4)),
+                          (resolution, resolution))
+        lift._flat_piece(X, sched, ends, piece)
+        pieces.append(piece)
     return pieces

@@ -83,8 +83,10 @@ SIMPLEX_LIFTING = '{"0,0": 0, "1,0": 0, "0,1": %s}'
     '{"vertices": [[0, 0], [1.5, 0], [0, 1]], "lifting": {}}',     # truncated to (1, 0)
     SIMPLEX_POLYTOPE % '{"0,0": 0, "1,0": 0, "0,1": 0, " 0,0": 5}',  # a second (0, 0)
     SIMPLEX_POLYTOPE % '{"00,0": 0, "1,0": 0, "0,1": 0}',            # read as (0, 0)
+    '{"vertices": [[0], [2]], "lifting": {}}',                     # IndexError
+    '{"vertices": [[0, 0, 5], [1, 0, 0], [0, 1, 0]], "lifting": {}}',  # third dropped
 ], ids=["value_x", "value_1e400", "key_a_b", "lifting_list", "vertex_1.5", "key_space_0_0",
-        "key_00_0"])
+        "key_00_0", "vertex_1_coordinate", "vertex_3_coordinates"])
 def test_malformed_polytope_exits_2(tmp_path, capsys, text):
     src = tmp_path / "poly.json"
     src.write_text(text)
@@ -106,7 +108,11 @@ def _two_vertex_curve(**change):
     {"weights": [1.5, 1, 1, 1, 1]},                                # truncated to 1
     {"edges": [[0, -1]]},                                          # read as [0, 1]
     {"rays": [[0, [0, 1]], [0, [-1, -1]], [-1, [0, -1]], [1, [1, 1]]]},  # base -1 read as 1
-], ids=["edge_out_of_range", "weight_x", "weight_1.5", "edge_negative", "ray_base_negative"])
+    {"vertices": [[0, 0, 7], [1, 0]]},                             # ValueError in svg.py
+    {"vertices": [[0], [1, 0]]},
+    {"rays": [[0, [0, 1]], [0, [-1, -1]], [1, [0, -1]], [1, [1, 1, 0]]]},  # kept in curve.json
+], ids=["edge_out_of_range", "weight_x", "weight_1.5", "edge_negative", "ray_base_negative",
+        "vertex_3_coordinates", "vertex_1_coordinate", "ray_3_coordinates"])
 def test_malformed_curve_exits_2(tmp_path, capsys, change):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(_two_vertex_curve()))
@@ -115,6 +121,28 @@ def test_malformed_curve_exits_2(tmp_path, capsys, change):
     capsys.readouterr()
     assert run(["tropical", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_COORDINATES = st.lists(st.integers(-2, 2), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vertices=st.lists(_COORDINATES, max_size=3),
+       edges=st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), max_size=2),
+       rays=st.lists(st.tuples(st.integers(0, 2), _COORDINATES).map(list), max_size=4))
+@example(vertices=[[0, 0], [1, 0]], edges=[[0, 1]],
+         rays=[[0, [0, 1]], [0, [-1, -1]], [1, [0, -1]], [1, [1, 1]]])
+@example(vertices=[[0, 0, 7], [1, 0]], edges=[[0, 1]],
+         rays=[[0, [0, 1]], [0, [-1, -1]], [1, [0, -1]], [1, [1, 1]]])
+@example(vertices=[[0, 0], [1, 0]], edges=[[0, 1]],
+         rays=[[0, [0, 1]], [0, [-1, -1]], [1, [0, -1]], [1, [1, 1, 0]]])
+def test_tropical_of_any_curve_object_keeps_the_exit_code_contract(vertices, edges, rays):
+    # 0 drawn, 2 input error; never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.json")
+        with open(path, "w") as fh:
+            json.dump({"vertices": vertices, "edges": edges, "rays": rays}, fh)
+        assert main(["tropical", path, "--out", os.path.join(tmp, "o")]) in (0, 2)
 
 
 @pytest.mark.parametrize("polygon", [
@@ -416,6 +444,39 @@ def test_lift_pl_only_and_twist(tmp_path):
     assert rec["n_sigma"] == 1
 
 
+def test_pl_only_lift_twists_the_cloud(tmp_path, capsys):
+    out = {}
+    for name, twist in (("plain", []), ("twisted", ["--twist", "edge=3,winding=1"])):
+        out[name] = tmp_path / name
+        assert run(["lift", "triangle", "--pl-only", "--resolution", "16", *twist,
+                    "--out", str(out[name])]) == 0
+    plain, twisted = ((out[n] / "pl_cloud.csv").read_bytes() for n in ("plain", "twisted"))
+    assert plain != twisted and plain.count(b"\n") == twisted.count(b"\n")
+    recs = {n: json.loads((out[n] / "report.jsonl").read_text()) for n in out}
+    assert recs["twisted"].pop("n_sigma") == 1
+    assert recs["twisted"] == recs["plain"]
+    missing = tmp_path / "missing"
+    assert run(["lift", "triangle", "--pl-only", "--resolution", "16",
+                "--twist", "edge=99,winding=1", "--out", str(missing)]) == 2
+    assert "no edge with index 99" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_pl_only_lift_refuses_a_schedule(tmp_path, capsys):
+    # a schedule sets the smooth lift's gluing; a PL lift has none to set
+    from troplag.lift import default_schedule
+    sched = tmp_path / "schedule.json"
+    sched.write_text(default_schedule(load_fixture("triangle")["curve"]).to_json())
+    for path in (sched, tmp_path / "nonexistent.json"):
+        out = tmp_path / "x"
+        assert run(["lift", "triangle", "--pl-only", "--resolution", "16",
+                    "--schedule", str(path), "--out", str(out)]) == 2
+        assert "--schedule" in capsys.readouterr().err
+        assert not out.exists()
+    assert run(["lift", "triangle", "--resolution", "16", "--schedule", str(sched),
+                "--out", str(tmp_path / "smooth")]) == 0
+
+
 def test_twisted_lift_is_measured_against_the_twisted_pl_lift(tmp_path):
     # the twisted smooth family converges to the twisted PL lift, so its
     # distance shrinks with the scale (to the untwisted lift it stays 0.646)
@@ -492,7 +553,7 @@ def test_resolution_outside_the_even_range_exits_2_before_sampling(resolution):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(lift, "default_schedule", _refuse_to_sample), \
             mock.patch.object(lift, "_pants_vertex_piece", _refuse_to_sample), \
-            mock.patch.object(lift, "twist_pl_cloud", _refuse_to_sample):
+            mock.patch.object(lift.PLLift, "sample", _refuse_to_sample):
         out = os.path.join(tmp, "x")
         start = time.perf_counter()
         assert main(["lift", "triangle", "--resolution", str(resolution),

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import constant_lifting, in_V, region_slack
+from helpers import constant_lifting, copy_mesh, in_V, mesh_of, region_slack
 from hypothesis import example, given, settings, strategies as st
 from oracle_pants import oracle_smooth_pieces
 from scipy.spatial import cKDTree
@@ -26,7 +26,7 @@ from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LocalModel,
                           default_schedule, exactness_check,
                           hausdorff_distance, maslov_winding,
                           pants_basis_loop, phase_values, pl_lift, smooth_lift,
-                          symplectic_residual, twist, twist_pl_cloud,
+                          symplectic_residual, twist,
                           validate_schedule)
 from troplag.pants import PantsMap
 from troplag.polyhedral import (LatticePolytope, LiftingFunction, load_polytope_json,
@@ -222,9 +222,9 @@ def test_pl_clouds_match_pointwise_oracle(name):
     trunc = _default_truncation(X)
     plain = pl.sample(24)
     assert plain.tobytes() == _pl_cloud_oracle(pl, {}, 24, trunc).tobytes()
-    assert twist_pl_cloud(pl, {}, resolution=24).tobytes() == plain.tobytes()
+    assert pl.sample(24, windings={}).tobytes() == plain.tobytes()
     windings = {0: 1, len(X.edges) - 1: -2}
-    got = twist_pl_cloud(pl, windings, resolution=24, truncation=2.5)
+    got = pl.sample(24, truncation=2.5, windings=windings)
     assert got.tobytes() == _pl_cloud_oracle(pl, windings, 24, 2.5).tobytes()
 
 
@@ -1119,17 +1119,67 @@ def test_twist_identity_and_classes():
     X = triangle_curve()
     sched = default_schedule(X)
     mesh = smooth_lift(X, 0.5, sched, resolution=16)
-    t0, n0 = twist(mesh, {})
+    t0, n0 = twist(copy_mesh(mesh), {})
     assert n0 == 0
     assert np.array_equal(t0.points, mesh.points)
-    t1, n1 = twist(mesh, {3: 1})
+    t1, n1 = twist(copy_mesh(mesh), {3: 1})
     assert n1 == 1
     assert np.array_equal(t1.points[:, :2], mesh.points[:, :2])  # base preserved
     assert not np.allclose(t1.points, mesh.points)
-    t2, n2 = twist(mesh, {3: 1, 4: -1})
+    t2, n2 = twist(copy_mesh(mesh), {3: 1, 4: -1})
     assert n2 == 0
     assert not np.allclose(t2.points, mesh.points)
     assert symplectic_residual(t1) < 1e-6
+
+
+def _row_span(mesh, piece):
+    """The rows [start, stop) of the mesh's arrays that the piece views."""
+    start = (piece.points.ctypes.data - mesh.points.ctypes.data) // mesh.points.strides[0]
+    return start, start + len(piece.points)
+
+
+def test_mesh_pieces_tile_one_point_array_and_one_frame_array():
+    X = triangle_curve()
+    mesh = smooth_lift(X, 0.5, default_schedule(X), resolution=16)
+    assert mesh.points.flags.c_contiguous and mesh.frames.flags.c_contiguous
+    assert (mesh.points.shape[1:], mesh.frames.shape) == ((4,), (len(mesh.points), 2, 4))
+    # per vertex its pants and three collars, then one flat cylinder per edge
+    assert [(p.tag, p.owner) for p in mesh.pieces] == \
+        [(tag, owner) for vi in range(len(X.vertices))
+         for tag, owner in [("pants", (vi,))] + [("collar", (vi, j)) for j in range(3)]] + \
+        [("flat", (ei,)) for ei in range(len(X.edges))]
+    start = 0
+    for p in mesh.pieces:
+        assert len(p.points) > 0 and len(p.frames) == len(p.points)
+        assert _row_span(mesh, p) == (start, start + len(p.points))
+        assert p.frames.ctypes.data == mesh.frames[start:].ctypes.data
+        assert np.shares_memory(p.points, mesh.points) and np.shares_memory(p.frames, mesh.frames)
+        start += len(p.points)
+    assert start == len(mesh.points)
+
+
+def test_twist_rewrites_only_the_flat_rows_of_its_edges(tmp_path):
+    X = triangle_curve()
+    mesh = smooth_lift(X, 0.5, default_schedule(X), resolution=16)
+    plain = copy_mesh(mesh)
+    mesh.to_off(str(tmp_path / "plain.off"))  # fills the export memo that twist clears
+    windings = {3: 1, 0: -2}
+    twisted, _ = twist(mesh, windings)
+    assert twisted is mesh
+    rows = np.zeros(len(mesh.points), dtype=bool)
+    for p in mesh.pieces:
+        if p.tag == "flat" and p.owner[0] in windings:
+            rows[slice(*_row_span(mesh, p))] = True
+    assert mesh.points[~rows].tobytes() == plain.points[~rows].tobytes()
+    assert mesh.frames[~rows].tobytes() == plain.frames[~rows].tobytes()
+    # on the twisted rows only the fiber coordinates and the fiber part of
+    # the first frame vector move
+    assert mesh.points[rows, :2].tobytes() == plain.points[rows, :2].tobytes()
+    assert mesh.frames[rows, 1].tobytes() == plain.frames[rows, 1].tobytes()
+    assert mesh.frames[rows, 0, :2].tobytes() == plain.frames[rows, 0, :2].tobytes()
+    assert not np.array_equal(mesh.points[rows, 2:], plain.points[rows, 2:])
+    assert not np.array_equal(mesh.frames[rows, 0, 2:], plain.frames[rows, 0, 2:])
+    _assert_file_matches_oracle(mesh, tmp_path, "m.off", "xxy")
 
 
 def test_twist_requires_valid_edge():
@@ -1142,8 +1192,8 @@ def test_twist_requires_valid_edge():
 def test_twist_pl_cloud():
     X = triangle_curve()
     pl = pl_lift(X)
-    c0 = twist_pl_cloud(pl, {}, resolution=12)
-    c1 = twist_pl_cloud(pl, {0: 1}, resolution=12)
+    c0 = pl.sample(12)
+    c1 = pl.sample(12, windings={0: 1})
     assert c0.shape == c1.shape
     assert np.array_equal(c0[:, :2], c1[:, :2])
     assert not np.allclose(c0, c1)
@@ -1522,15 +1572,13 @@ def _assert_export_matches_oracle(mesh, tmp_path, projection="xxy"):
     # to_off and to_obj share the vertex text that the first of them
     # formats: check both call orders, each on a copy with an empty memo
     for order in (("m.off", "m.obj"), ("m.obj", "m.off")):
-        fresh = LagrangianMesh(mesh.X, mesh.pieces, mesh.scale, mesh.schedule)
+        fresh = copy_mesh(mesh)
         for name in order:
             _assert_file_matches_oracle(fresh, tmp_path, name, projection)
 
 
 def _synthetic_mesh(points, grid):
-    points = np.asarray(points, dtype=float)
-    return LagrangianMesh(None, [MeshPiece("flat", (0,), points,
-                                           np.zeros((len(points), 2, 4)), grid)], 1.0, None)
+    return mesh_of([MeshPiece("flat", (0,), points, np.zeros((len(points), 2, 4)), grid)])
 
 
 @pytest.fixture(scope="module")
@@ -1548,19 +1596,19 @@ def test_export_matches_per_line_oracle(tmp_path, triangle_mesh, projection):
 
 def test_export_of_two_projections_on_one_mesh_matches_oracle(tmp_path, triangle_mesh):
     # each projection keeps its own rows: xyy after xxy, then xxy again
-    mesh = LagrangianMesh(triangle_mesh.X, triangle_mesh.pieces, 0.5, None)
+    mesh = copy_mesh(triangle_mesh)
     for projection in ("xxy", "xyy", "xxy"):
         for name in ("m.obj", "m.off"):
             _assert_file_matches_oracle(mesh, tmp_path, name, projection)
 
 
 def test_export_of_a_twisted_mesh_matches_oracle(tmp_path, triangle_mesh):
-    twisted, _ = twist(triangle_mesh, {3: 1, 0: -2})
+    twisted, _ = twist(copy_mesh(triangle_mesh), {3: 1, 0: -2})
     _assert_export_matches_oracle(twisted, tmp_path, "xyy")
 
 
 def test_export_without_gridded_pieces_matches_oracle(tmp_path, triangle_mesh):
-    pants = LagrangianMesh(triangle_mesh.X, _pieces(triangle_mesh, "pants"), 0.5, None)
+    pants = mesh_of(_pieces(triangle_mesh, "pants"), triangle_mesh.X, 0.5)
     _assert_export_matches_oracle(pants, tmp_path)
     assert (tmp_path / "m.off").read_text().splitlines()[1].endswith(" 0 0")
 
