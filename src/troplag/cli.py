@@ -48,7 +48,7 @@ def _read_json(path):
         raise InputError(f"no such input file: {path}")
     except UnicodeDecodeError:
         raise InputError(f"{path} is not UTF-8 text")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise InputError(f"malformed JSON in {path}: {exc}")
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object")

@@ -14,7 +14,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -313,13 +312,18 @@ def _feasible(lam, B, legs_lat, ball_r):
 
 def _vertex_arrays(X):
     """Frame matrices of the curve's vertices, shape (V, 2, 2), and their
-    lattice leg lengths, shape (V, 3); InputError for a curve without
-    vertices, which has nothing to put a pants on."""
+    lattice leg lengths, shape (V, 3), built once per curve and read-only;
+    InputError for a curve without vertices, which has nothing to put a
+    pants on."""
     if not X.vertices:
         raise InputError("smooth lifting needs a curve with a vertex to put a pants on")
-    models = [_local_model(X, vi) for vi in range(len(X.vertices))]
-    return (np.array([m.B for m in models]),
-            np.array([m.leg_norm for m in models]))
+    if not hasattr(X, "_vertex_arrays"):
+        models = [_local_model(X, vi) for vi in range(len(X.vertices))]
+        X._vertex_arrays = (np.array([m.B for m in models]),
+                            np.array([m.leg_norm for m in models]))
+        for a in X._vertex_arrays:
+            a.flags.writeable = False
+    return X._vertex_arrays
 
 
 def _distinct_rows(*arrays):
@@ -453,10 +457,14 @@ def _local_model(X, vi):
 def _edge_legs(X):
     """Per edge, in X.edges order, the (vertex index, leg) of each end that
     is a curve vertex, in the order of the edge's verts: two for a segment,
-    one for a ray, none for a line.  Read from the vertices' LocalModels."""
-    legs = {(id(e), X.vertices[vi]): (vi, j) for vi in range(len(X.vertices))
-            for j, e in enumerate(_local_model(X, vi).leg_edge)}
-    return [[legs[id(e), p] for p in e.verts] if e.kind != "line" else [] for e in X.edges]
+    one for a ray, none for a line.  Read from the vertices' LocalModels,
+    once per curve."""
+    if not hasattr(X, "_edge_legs"):
+        legs = {(id(e), X.vertices[vi]): (vi, j) for vi in range(len(X.vertices))
+                for j, e in enumerate(_local_model(X, vi).leg_edge)}
+        X._edge_legs = tuple(tuple(legs[id(e), p] for p in e.verts) if e.kind != "line"
+                             else () for e in X.edges)
+    return X._edge_legs
 
 
 # ---------------------------------------------------------------------------
@@ -940,13 +948,19 @@ def _flat_piece(X, sched, ends, piece):
         d = d / np.linalg.norm(d)
         p1 = a + d * sched.truncation
     p0 = a + d * r[0]
+    step = p1 - p0
+    length = np.linalg.norm(step)
+    if not length > 0:  # the float sum rounds both ends to one point
+        raise NumericError("a flat cylinder has no length in floats: its edge lies too far "
+                           "from the origin for its cut points",
+                           {"edge": int(ei), "p0": p0.tolist(), "p1": p1.tolist()})
     ts = np.linspace(0.0, 1.0, resolution)
-    seg = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
+    seg = p0[None, :] + ts[:, None] * step[None, :]
     grid = piece.points.reshape(resolution, resolution, 4)  # a view: the rows are contiguous
     grid[:, :, :2] = seg[:, None]
     grid[:, :, 2:] = fiber.points(_fiber_angles(resolution), 0)
     fr = piece.frames
-    fr[:, 0, :2] = (p1 - p0) / np.linalg.norm(p1 - p0)
+    fr[:, 0, :2] = step / length
     fr[:, 0, 2:] = 0.0
     fr[:, 1, :2] = 0.0
     fr[:, 1, 2:] = fiber.direction
@@ -1103,12 +1117,20 @@ def symplectic_residual(mesh):
     """max |omega(v, w)| over the sampled tangent frames of the mesh, with
     omega(v, w) = (<v_x, w_y> - <w_x, v_y>) / pi.  Each pairing is written
     as its two products; rounding is monotone, so dividing the largest
-    |<v_x, w_y> - <w_x, v_y>| by pi gives the largest quotient."""
+    |<v_x, w_y> - <w_x, v_y>| by pi gives the largest quotient.
+    NumericError, naming the first row and its piece, when a frame is not
+    finite."""
     worst = 0.0
     for s in range(0, len(mesh.frames), _LIFT_BLOCK):  # bounds the temporaries
         (v0, v1, v2, v3), (w0, w1, w2, w3) = mesh.frames[s:s + _LIFT_BLOCK].transpose(1, 2, 0)
-        om = (v0 * w2 + v1 * w3) - (w0 * v2 + w1 * v3)
-        worst = max(worst, float(np.abs(om).max()))
+        om = np.abs((v0 * w2 + v1 * w3) - (w0 * v2 + w1 * v3))
+        if not np.isfinite(om).all():
+            row = s + int(np.argmin(np.isfinite(om)))
+            ends = np.cumsum([len(p.frames) for p in mesh.pieces])
+            piece = mesh.pieces[int(np.searchsorted(ends, row, side="right"))]
+            raise NumericError("the mesh has a non-finite tangent frame",
+                               {"row": row, "piece": [piece.tag, *map(int, piece.owner)]})
+        worst = max(worst, float(om.max()))
     return worst / PI
 
 
@@ -1311,8 +1333,7 @@ def exactness_check(X):
         if n[0] < 0 or (n[0] == 0 and n[1] < 0):
             n = (-n[0], -n[1])
         base = e.verts[0]
-        c = n[0] * base[0] + n[1] * base[1]
-        constants[i] = Fraction(c) if isinstance(c, (int, Fraction)) else float(c)
+        constants[i] = n[0] * base[0] + n[1] * base[1]
     exact = all(c == 0 for c in constants.values())
     return {"exact": exact, "constants": constants}
 

@@ -3,8 +3,10 @@
 Convex hulls of lattice polytopes in ambient dimension 1 or 2, regular
 subdivisions induced by integral lifting functions, and the discrete
 Legendre transform with the duals of the subdivision's 2-cells and edges.
-Every result here is exact (ints and Fraction); no float enters, not even
-to propose the cells of a regular subdivision (see regular_subdivision).
+Every result here is exact: ints where a value is integral, Fraction only
+where a denominator remains (the dual vertex of a unimodular cell is an
+int point).  No float enters, not even to propose the cells of a regular
+subdivision (see regular_subdivision).
 """
 
 from __future__ import annotations
@@ -12,12 +14,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegeneracyError, InputError
 
 Point = tuple  # integer lattice point
-QPoint = tuple  # point with Fraction coordinates
+QPoint = tuple  # point with int or Fraction coordinates
+
+
+def exact_point(v):
+    """The numbers of v (ints, Fractions or floats) as a tuple: each an int
+    when it is integral, else a Fraction."""
+    return tuple(x if type(x) is int else _quotient(*Fraction(x).as_integer_ratio())
+                 for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -42,26 +51,19 @@ def cross2(o, a, b):
 
 def primitive(v):
     """Primitive integer vector positively parallel to v (v rational)."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    if not all(type(x) is int for x in v):
+        fr = [Fraction(x) for x in v]
+        den = lcm(*(x.denominator for x in fr))
+        v = [x.numerator * (den // x.denominator) for x in fr]
+    g = gcd(*v)
+    if g == 0:
         raise InputError("zero vector has no primitive direction")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
 def lattice_length(a, b):
     """Number of primitive steps from lattice point a to lattice point b."""
-    d = vsub(b, a)
-    g = 0
-    for x in d:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*vsub(b, a))
 
 
 def affine_dim(points):
@@ -237,9 +239,8 @@ class LiftingFunction:
             self.values[p] = parse_int(v, f"lifting value at {p}")
 
     def __call__(self, p):
-        p = tuple(int(x) for x in p)
         try:
-            return self.values[p]
+            return self.values[tuple(p)]
         except KeyError:
             raise InputError(f"missing lifting value at lattice point {p}")
 
@@ -484,15 +485,22 @@ def discrete_legendre(subdivision):
     return PiecewiseAffine(pieces, dual)
 
 
+def _quotient(n, d):
+    """n / d for ints n and d != 0: an int when d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _dual_vertex(cell, nu):
-    """Point where all pieces of a 2-cell are equal (and minimal)."""
+    """Point where all pieces of a 2-cell are equal (and minimal), by
+    Cramer's rule; int coordinates when the determinant is +-1 (a
+    unimodular cell) or otherwise divides the numerators."""
     v0 = cell.vertices[0]
     eqs = [(vsub(v, v0), nu(v0) - nu(v)) for v in cell.vertices[1:3]]
     (d1, c1), (d2, c2) = eqs
-    det = Fraction(d1[0] * d2[1] - d1[1] * d2[0])
-    x = (Fraction(c1) * d2[1] - Fraction(c2) * d1[1]) / det
-    y = (Fraction(c2) * d1[0] - Fraction(c1) * d2[0]) / det
-    return (x, y)
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    return (_quotient(c1 * d2[1] - c2 * d1[1], det),
+            _quotient(c2 * d1[0] - c1 * d2[0], det))
 
 
 def _boundary_ray_direction(face, polytope):
@@ -510,8 +518,8 @@ def _boundary_ray_direction(face, polytope):
 def _point_on_line(d, c):
     """Some rational solution m of <d, m> = c."""
     if d[0] != 0:
-        return (Fraction(c, d[0]), Fraction(0))
-    return (Fraction(0), Fraction(c, d[1]))
+        return (_quotient(c, d[0]), 0)
+    return (0, _quotient(c, d[1]))
 
 
 def load_polytope_json(data, default_zero=False):
@@ -537,7 +545,8 @@ def load_polytope_json(data, default_zero=False):
         for p in poly.lattice_points:
             values.setdefault(p, 0)
     missing = [p for p in poly.lattice_points if p not in values]
-    if missing:
-        raise InputError(f"missing lifting values at {missing}; "
+    if missing:  # the count and the first five: a polytope can have millions
+        shown = ", ".join(map(str, missing[:5] + ["..."] * (len(missing) > 5)))
+        raise InputError(f"missing lifting values at {len(missing)} lattice points ({shown}); "
                          "pass --default-zero to default them to 0")
     return poly, LiftingFunction(values)

@@ -6,6 +6,8 @@ the generating command line as metadata.
 
 from __future__ import annotations
 
+from .errors import InputError
+
 
 class SvgCanvas:
     def __init__(self, width=480, height=480, bounds=(-3, -3, 3, 3), command=""):
@@ -52,9 +54,27 @@ class SvgCanvas:
 
 
 def draw_curve_and_subdivision(X, path, command=""):
-    """Curve with weights on the left, dual subdivision on the right."""
+    """Curve with weights on the left, dual subdivision on the right.
+
+    The curve is drawn relative to the lower-left corner of its vertices'
+    bounding box, subtracted exactly, so that a curve far from the origin
+    keeps its shape in floats; InputError when a coordinate to draw does
+    not fit in a float."""
+    try:
+        cv = _curve_canvas(X, command)
+    except OverflowError:
+        raise InputError("the curve or its subdivision is too large to draw")
+    cv.write(path)
+
+
+def _curve_canvas(X, command):
     truncation = 3.0  # drawn length of a ray
-    verts = [(float(a), float(b)) for a, b in X.vertices]
+    origin = tuple(min((v[i] for v in X.vertices), default=0) for i in (0, 1))
+
+    def rel(p):
+        return [float(c - o) for c, o in zip(p, origin)]
+
+    verts = [rel(v) for v in X.vertices]
     xs = [v[0] for v in verts] or [0.0]
     ys = [v[1] for v in verts] or [0.0]
     pad = truncation
@@ -62,11 +82,11 @@ def draw_curve_and_subdivision(X, path, command=""):
     cv = SvgCanvas(bounds=bounds, width=760, height=420, command=command)
     for e in X.edges:
         if e.kind == "segment":
-            a, b = ([float(c) for c in p] for p in e.verts)
+            a, b = map(rel, e.verts)
             cv.line(a, b, color="navy", width=2)
             mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
         else:
-            a = [float(c) for c in e.verts[0]]
+            a = rel(e.verts[0])
             d = e.rays[0]
             nrm = (d[0] ** 2 + d[1] ** 2) ** 0.5
             b = (a[0] + d[0] / nrm * truncation, a[1] + d[1] / nrm * truncation)
@@ -90,7 +110,7 @@ def draw_curve_and_subdivision(X, path, command=""):
         for f in S.faces(0):
             v = f.vertices[0]
             cv.dot((v[0] + off_x, v[1] + off_y), color="darkgreen", r=2.5)
-    cv.write(path)
+    return cv
 
 
 def draw_region_h(lam, path, command=""):

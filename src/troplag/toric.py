@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .polyhedral import cross2, dot, primitive, vsub
+from .polyhedral import cross2, dot, lattice_length, primitive, vsub
 
 
 @dataclass(frozen=True)
 class PolygonEdge:
-    base: tuple       # rational point on the edge
+    base: tuple       # lattice point on the edge
     direction: tuple  # primitive integer tangent
-    length: Fraction  # None for an unbounded edge (a ray from base)
+    length: int       # lattice length; None for an unbounded edge (a ray from base)
     inward: tuple     # primitive integer inward normal
 
 
@@ -29,7 +29,7 @@ class DelzantPolygon:
 
     def __init__(self, edges, vertices):
         self.edges = list(edges)
-        self.vertices = [tuple(Fraction(c) for c in v) for v in vertices]
+        self.vertices = [tuple(v) for v in vertices]
 
     @staticmethod
     def from_vertices(points):
@@ -48,28 +48,25 @@ class DelzantPolygon:
             a, b = hull[i], hull[(i + 1) % m]
             d = primitive(vsub(b, a))
             n = (-d[1], d[0])  # CCW: inward normal is the left normal
-            L = Fraction(b[0] - a[0], d[0]) if d[0] else Fraction(b[1] - a[1], d[1])
-            edges.append(PolygonEdge(tuple(Fraction(c) for c in a), d, L, n))
-        return DelzantPolygon(edges, [tuple(Fraction(c) for c in v) for v in hull])
+            edges.append(PolygonEdge(a, d, lattice_length(a, b), n))
+        return DelzantPolygon(edges, hull)
 
     @staticmethod
     def quadrant():
         """The first quadrant, the moment polygon of the affine plane."""
-        e1 = PolygonEdge((Fraction(0), Fraction(0)), (1, 0), None, (0, 1))
-        e2 = PolygonEdge((Fraction(0), Fraction(0)), (0, 1), None, (1, 0))
-        return DelzantPolygon([e1, e2], [(Fraction(0), Fraction(0))])
+        e1 = PolygonEdge((0, 0), (1, 0), None, (0, 1))
+        e2 = PolygonEdge((0, 0), (0, 1), None, (1, 0))
+        return DelzantPolygon([e1, e2], [(0, 0)])
 
     def contains(self, p):
-        p = tuple(Fraction(c) for c in p)
         return all(dot(e.inward, vsub(p, e.base)) >= 0 for e in self.edges)
 
     def strictly_contains(self, p):
-        p = tuple(Fraction(c) for c in p)
         return all(dot(e.inward, vsub(p, e.base)) > 0 for e in self.edges)
 
     def boundary_element(self, p):
-        """("vertex", v), ("edge", i) or None for a boundary point."""
-        p = tuple(Fraction(c) for c in p)
+        """("vertex", v), ("edge", i) or None for a boundary point p (a
+        tuple)."""
         if not self.contains(p):
             return None
         active = [i for i, e in enumerate(self.edges)
@@ -84,7 +81,6 @@ class DelzantPolygon:
 
     def vertex_tangents(self, v):
         """Primitive tangents of the two edges at a vertex, pointing away."""
-        v = tuple(Fraction(c) for c in v)
         out = []
         for e in self.edges:
             rel = vsub(v, e.base)
@@ -102,7 +98,7 @@ class DelzantPolygon:
     def facet_distance(self, p, i):
         """Lattice-normalized affine distance from p to facet i."""
         e = self.edges[i]
-        return dot(e.inward, vsub(tuple(Fraction(c) for c in p), e.base))
+        return dot(e.inward, vsub(p, e.base))
 
 
 def _param_on_edge(e, p):
@@ -186,7 +182,7 @@ def classify_boundary(X, poly):
                 continue  # open end, or cell base (an interior curve vertex)
             if cell.kind == "segment" and t_end == 1:
                 continue
-            p = tuple(Fraction(av) + t_end * dv for av, dv in zip(a, d))
+            p = tuple(av + t_end * dv for av, dv in zip(a, d))
             elem = poly.boundary_element(p)
             if elem is None:
                 continue
@@ -335,6 +331,6 @@ def monotone_report(X, poly):
     if all(e.length is not None for e in poly.edges):
         om_tau = sum(r["omega"] for r in rows)
         rows.insert(0, {"class": "tau", "mu": 2 * len(poly.edges), "omega": om_tau})
-    rows.append({"class": "fiber", "mu": 0, "omega": Fraction(0)})
-    prop = all(Fraction(r["mu"]) == 2 * Fraction(r["omega"]) for r in rows)
+    rows.append({"class": "fiber", "mu": 0, "omega": 0})
+    prop = all(r["mu"] == 2 * r["omega"] for r in rows)
     return {"pairs": rows, "proportional": prop, "factor": 2 if prop else None}

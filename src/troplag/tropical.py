@@ -1,8 +1,9 @@
 """Tropical hypersurfaces/curves as weighted balanced polyhedral complexes.
 
-Curves live in the plane; cells carry exact rational data (Fractions),
-weights are positive integers, and each cell of a curve built from a
-subdivision keeps the key of its dual subdivision face.
+Curves live in the plane; cells carry exact rational data (ints where a
+coordinate is integral, Fractions otherwise), weights are positive
+integers, and each cell of a curve built from a subdivision keeps the key
+of its dual subdivision face.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import InputError
-from .polyhedral import discrete_legendre, parse_int, plane_point, primitive, vadd, vsub
+from .polyhedral import (discrete_legendre, exact_point, parse_int, plane_point, primitive,
+                         vadd, vsub)
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class TropicalComplex:
     the inducing subdivision and, per vertex, the key of its dual face."""
 
     def __init__(self, vertices, edges, subdivision=None, vertex_dual=None):
-        self.vertices = [tuple(Fraction(x) for x in v) for v in vertices]
+        self.vertices = [exact_point(v) for v in vertices]
         self.edges = list(edges)
         self.subdivision = subdivision
         self.vertex_dual = vertex_dual or {}
@@ -67,7 +69,7 @@ class TropicalComplex:
                 for v in self.vertices] + self.edges
 
     def edges_at(self, v):
-        return list(self._star.get(tuple(Fraction(x) for x in v), ()))
+        return list(self._star.get(tuple(v), ()))
 
     def outgoing_direction(self, e, v):
         """Primitive direction of edge e pointing away from vertex v."""
@@ -161,7 +163,7 @@ def load_curve_json(data):
     Balancing is checked on load.
     """
     try:
-        vs = [plane_point((Fraction(str(x)) for x in p), "curve vertex")
+        vs = [plane_point(exact_point(Fraction(str(x)) for x in p), "curve vertex")
               for p in data["vertices"]]
         raw_edges = data.get("edges", [])
         raw_rays = data.get("rays", [])
@@ -176,7 +178,7 @@ def load_curve_json(data):
                 for i, d in raw_rays]
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Fraction(inf) overflows
         raise InputError(f"bad curve JSON: {exc}")
     edges = [TropCell("segment", (vs[i], vs[j]), (), w)
              for (i, j), w in zip(segments, weights)]
@@ -249,7 +251,7 @@ def tangent_star(X, v):
     """Edges of the star of vertex v and their outgoing primitive
     directions, both in star order, and the cone they span (the tangent
     line, generators in sorted order)."""
-    v = tuple(Fraction(x) for x in v)
+    v = exact_point(v)
     if v not in X._vertex_set:
         raise InputError(f"vertex {v} not in complex")
     star = X.edges_at(v)
@@ -296,7 +298,7 @@ def adapted_frame(line):
     det = u1[0] * u2[1] - u1[1] * u2[0]
     # A = [u1 u2]^{-1} (columns); exact since |det| = 1
     A = ((u2[1] // det, -u2[0] // det), (-u1[1] // det, u1[0] // det))
-    frame = AffineFrame(tuple(Fraction(c) for c in line.center), A)
+    frame = AffineFrame(line.center, A)
     if frame.apply_linear(u1) != (1, 0) or frame.apply_linear(u2) != (0, 1):
         raise InputError("frame construction failed; generators not unimodular")
     return frame, (u0, u1, u2)

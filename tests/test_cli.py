@@ -145,6 +145,105 @@ def test_tropical_of_any_curve_object_keeps_the_exit_code_contract(vertices, edg
         assert main(["tropical", path, "--out", os.path.join(tmp, "o")]) in (0, 2)
 
 
+# JSON values of every kind: lists and objects of numbers (huge ones too),
+# strings, booleans and null
+_JSON_LEAF = (st.none() | st.booleans() | st.text(max_size=4)
+              | st.integers(-3, 3) | st.integers(-10 ** 400, 10 ** 400)
+              | st.floats(allow_nan=True, allow_infinity=True)
+              | st.sampled_from([10 ** 400, -10 ** 400, 1e308, -1e308, 10 ** 17, "1/2", "1e17"]))
+_JSON = st.recursive(_JSON_LEAF, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=8)
+_POINT = st.lists(_JSON_LEAF, min_size=2, max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertices=st.lists(_POINT | _JSON, max_size=3) | _JSON,
+       edges=st.lists(st.lists(st.integers(0, 2) | _JSON_LEAF, min_size=2, max_size=2)
+                      | _JSON, max_size=2) | _JSON,
+       rays=st.lists(st.tuples(st.integers(0, 2) | _JSON_LEAF, _POINT | _JSON).map(list),
+                     max_size=4) | _JSON,
+       weights=st.none() | st.lists(st.integers(1, 2) | _JSON_LEAF, max_size=6) | _JSON)
+@example(vertices=[[10 ** 400, 0]], edges=[], rays=[[0, [1, 1]], [0, [-1, 0]], [0, [0, -1]]],
+         weights=None)
+@example(vertices=[[0, 0], [10 ** 400, 0]], edges=[[0, 1]],
+         rays=[[0, [0, 1]], [0, [-1, -1]], [1, [0, -1]], [1, [1, 1]]], weights=None)
+@example(vertices=[[0, 0]], edges=[], rays=[[0, [math.inf, 0]]], weights=None)
+@example(vertices=[["1e17", 0]], edges=[], rays=[[0, [10 ** 200, 1]], [0, [-1, 0]]],
+         weights=None)
+def test_tropical_of_any_json_curve_keeps_the_exit_code_contract(vertices, edges, rays,
+                                                                 weights):
+    # non-list, non-numeric and huge entries anywhere: 0 drawn, 2 input
+    # error; never a traceback
+    data = {"vertices": vertices, "edges": edges, "rays": rays}
+    if weights is not None:
+        data["weights"] = weights
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert main(["tropical", path, "--out", os.path.join(tmp, "o")]) in (0, 2)
+
+
+def test_json_number_too_long_to_read_exits_2(tmp_path, capsys):
+    # json.load refuses an int of more than 4300 digits with a ValueError
+    # that is not a JSONDecodeError
+    src = tmp_path / "curve.json"
+    src.write_text('{"vertices": [[' + "7" * 5000 + ', 0]]}')
+    assert run(["tropical", str(src), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed JSON")
+
+
+_FAR_LIFTING = {"vertices": [[0, 0], [1, 0], [0, 1]],
+                "lifting": {"0,0": 0, "1,0": 10 ** 17, "0,1": 0}}
+
+
+def test_curve_far_from_the_origin_is_drawn_like_the_same_curve_at_it(tmp_path, capsys):
+    # the curve of this lifting is the standard line moved to (-1e17, 0),
+    # where x1 - x0 of the drawing's bounds rounded to 0 (ZeroDivisionError)
+    src = tmp_path / "far.json"
+    src.write_text(json.dumps(_FAR_LIFTING))
+    assert run(["tropical", str(src), "--out", str(tmp_path / "far")]) == 0
+    assert run(["tropical", "standard_line", "--out", str(tmp_path / "std")]) == 0
+    far, std = ((tmp_path / d / "curve.svg").read_text().split("\n", 2)[2]
+                for d in ("far", "std"))  # past the command line
+    assert far == std
+    for x in (10 ** 17, 0):  # a direct curve
+        src = tmp_path / f"direct{x}.json"
+        src.write_text(json.dumps({"vertices": [[x, 0]],
+                                   "rays": [[0, [1, 1]], [0, [-1, 0]], [0, [0, -1]]]}))
+        assert run(["tropical", str(src), "--out", str(tmp_path / f"direct{x}")]) == 0
+    far, near = ((tmp_path / f"direct{x}" / "curve.svg").read_text().split("\n", 2)[2]
+                 for x in (10 ** 17, 0))
+    assert far == near
+
+
+def test_curve_too_large_to_draw_exits_2(tmp_path, capsys):
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(_two_vertex_curve(vertices=[[0, 0], [10 ** 400, 0]])))
+    assert run(["tropical", str(src), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: the curve or its subdivision is too large to draw\n"
+
+
+def test_lift_far_from_the_origin_exits_3_with_diagnostics(tmp_path, capsys):
+    # its flat cylinders have no length in floats; the lift used to exit 0
+    # with a NaN frame read as "symplectic_residual": 0.0
+    src = tmp_path / "far.json"
+    src.write_text(json.dumps(_FAR_LIFTING))
+    assert run(["lift", str(src), "--resolution", "8", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: a flat cylinder has no length in floats")
+    assert '"p0": [-1e+17, 0.0]' in err
+
+
+def test_missing_lifting_values_message_is_short(tmp_path, capsys):
+    src = tmp_path / "poly.json"
+    src.write_text(json.dumps({"vertices": [[0, 0], [3000, 0], [0, 1]], "lifting": {"0,0": 0}}))
+    assert run(["tropical", str(src), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: missing lifting values at 3001 lattice points ((0, 1), (1, 0), "
+                   "(2, 0), (3, 0), (4, 0), ...); pass --default-zero to default them to 0\n")
+
+
 @pytest.mark.parametrize("polygon", [
     [[0, 0], [1]],                                                 # IndexError
     "x",                                                           # ValueError

@@ -8,6 +8,7 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from troplag import lift as lift_module
 from troplag.coamoeba import PI, rstar_apply
-from troplag.errors import ConfigurationError, InputError
+from troplag.errors import ConfigurationError, InputError, NumericError
 from troplag.fixtures import _load, fixture_names, load_fixture
 from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LocalModel,
                           MeshPiece, _balls_meet, _boundary_cloud, _distinct_rows,
@@ -1130,6 +1131,58 @@ def test_twist_identity_and_classes():
     assert n2 == 0
     assert not np.allclose(t2.points, mesh.points)
     assert symplectic_residual(t1) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symplectic_residual_refuses_a_non_finite_frame(bad):
+    # max(worst, nan) keeps worst, so a NaN frame used to read as 0.0
+    mesh = copy_mesh(smooth_lift(triangle_curve(), 1.0, resolution=8))
+    assert symplectic_residual(mesh) < 1e-6
+    piece = mesh.pieces[5]
+    piece.frames[2, 1, 3] = bad
+    with pytest.raises(NumericError) as err:
+        symplectic_residual(mesh)
+    assert err.value.diagnostics == {"row": _row_span(mesh, piece)[0] + 2,
+                                     "piece": [piece.tag, *piece.owner]}
+
+
+def test_flat_cylinder_with_no_float_length_is_a_numeric_error():
+    # the curve of this lifting is the standard line moved to x = -1e17,
+    # where a ray's cut point and truncation round to one float: the flat
+    # cylinder would divide by its zero length
+    poly, nu = load_polytope_json({"vertices": [[0, 0], [1, 0], [0, 1]],
+                                   "lifting": {"0,0": 0, "1,0": 10 ** 17, "0,1": 0}})
+    X = tropical_hypersurface(regular_subdivision(poly, nu))
+    assert X.vertices == [(-10 ** 17, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero on the way
+        with pytest.raises(NumericError) as err:
+            smooth_lift(X, resolution=8)
+    assert set(err.value.diagnostics) == {"edge", "p0", "p1"}
+    assert err.value.diagnostics["p0"] == err.value.diagnostics["p1"]
+
+
+def test_vertex_arrays_and_edge_legs_are_built_once_per_curve():
+    X = triangle_curve()
+    calls = []
+    build = lift_module._local_model
+
+    def counted(X, vi):
+        calls.append(vi)
+        return build(X, vi)
+
+    with mock.patch.object(lift_module, "_local_model", counted):
+        sched = default_schedule(X)
+        first = len(calls)
+        arrays, legs = lift_module._vertex_arrays(X), lift_module._edge_legs(X)
+        validate_schedule(X, sched)
+        assert len(calls) == first  # the schedule's validation built nothing again
+    assert lift_module._vertex_arrays(X) is arrays and lift_module._edge_legs(X) is legs
+    assert not any(a.flags.writeable for a in arrays)
+    mesh = smooth_lift(X, 1.0, sched, resolution=8)
+    assert lift_module._vertex_arrays(X) is arrays
+    fresh = smooth_lift(triangle_curve(), 1.0, resolution=8)  # built from a cold curve
+    assert np.array_equal(mesh.points, fresh.points) and np.array_equal(mesh.frames, fresh.frames)
 
 
 def _row_span(mesh, piece):

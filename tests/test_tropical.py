@@ -1,13 +1,20 @@
+import contextlib
+import os
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from helpers import constant_lifting
 from hypothesis import assume, example, given, settings, strategies as st
 
+from troplag import polyhedral, tropical
 from troplag.cli import _curve_to_json
 from troplag.errors import InputError
-from troplag.polyhedral import (LatticePolytope, LiftingFunction, affine_dim,
+from troplag.lift import default_schedule
+from troplag.polyhedral import (LatticePolytope, LiftingFunction, affine_dim, exact_point,
                                 regular_subdivision, vsub)
+from troplag.svg import draw_curve_and_subdivision
 from troplag.tropical import (AffineFrame, TropCell, TropicalComplex, TropicalLine,
                               adapted_frame, balancing_check, is_smooth, load_curve_json,
                               tangent_line, tropical_hypersurface)
@@ -247,3 +254,99 @@ def test_min_vertex_distance_compares_only_column_neighbours(vertices):
     # close enough that the nearest pair may cross between them
     X = TropicalComplex(vertices, [])
     assert X.min_vertex_distance() == _min_vertex_distance_all_pairs(X.vertices)
+
+
+# ---------------------------------------------------------------------------
+# the exact layer on ints: integral coordinates are ints, the rest Fractions
+
+def _fraction_dual_vertex(cell, nu):
+    # the dual vertex in Fractions throughout, as before the int path
+    v0 = cell.vertices[0]
+    (d1, c1), (d2, c2) = [(vsub(v, v0), nu(v0) - nu(v)) for v in cell.vertices[1:3]]
+    det = Fraction(d1[0] * d2[1] - d1[1] * d2[0])
+    return ((Fraction(c1) * d2[1] - Fraction(c2) * d1[1]) / det,
+            (Fraction(c2) * d1[0] - Fraction(c1) * d2[0]) / det)
+
+
+def _fraction_point_on_line(d, c):
+    return (Fraction(c, d[0]), Fraction(0)) if d[0] else (Fraction(0), Fraction(c, d[1]))
+
+
+def _fraction_path():
+    """Patches that hold every curve coordinate as a Fraction."""
+    stack = contextlib.ExitStack()
+    for module, name, value in [
+            (polyhedral, "_dual_vertex", _fraction_dual_vertex),
+            (polyhedral, "_point_on_line", _fraction_point_on_line),
+            (tropical, "exact_point", lambda v: tuple(Fraction(x) for x in v))]:
+        stack.enter_context(mock.patch.object(module, name, value))
+    return stack
+
+
+def _coordinate_types(X):
+    points = list(X.vertices) + [p for e in X.edges for p in e.verts]
+    return {type(c) for p in points for c in p}
+
+
+def _curve_outputs(X, tmp):
+    """curve.json's object, the SVG bytes, the default schedule's bytes
+    (for a smooth curve) and the smallest vertex distance."""
+    path = os.path.join(tmp, "curve.svg")
+    draw_curve_and_subdivision(X, path)
+    with open(path, "rb") as fh:
+        svg = fh.read()
+    smooth = is_smooth(X) and X.vertices
+    return (_curve_to_json(X), svg, default_schedule(X).to_json() if smooth else None,
+            X.min_vertex_distance())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=6),
+       st.lists(st.integers(-6, 6), min_size=25, max_size=25))
+@example([(0, 0), (3, 0), (0, 3)], [i * i + j * j + (i + j) ** 2 for i in range(4)
+                                    for j in range(4 - i)] + [0] * 15)  # smooth, 9 vertices
+@example([(0, 0), (1, 2), (2, 1)], [0, 5, 0, 1] + [0] * 21)  # one cell of area 3
+def test_int_path_and_fraction_path_give_the_same_curve(points, values):
+    # random lifted lattice polygons, unimodular or not: the curve built on
+    # ints equals the one built on Fractions, and so do its JSON, its SVG
+    # and, where it is smooth, its default schedule
+    assume(affine_dim(points) == 2)
+    P = LatticePolytope.from_points(points)
+    nu = dict(zip(P.lattice_points, values))
+    X = tropical_hypersurface(regular_subdivision(P, nu))
+    with _fraction_path():
+        Y = tropical_hypersurface(regular_subdivision(P, nu))
+        assert _coordinate_types(Y) <= {Fraction}
+        with tempfile.TemporaryDirectory() as tmp:
+            want = _curve_outputs(Y, tmp)
+    assert Fraction not in {type(c) for v in X.vertices for c in v if c.denominator == 1}
+    assert X.vertices == Y.vertices and X.edges == Y.edges
+    assert X.vertex_dual == Y.vertex_dual
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _curve_outputs(X, tmp) == want
+
+
+def test_unimodular_curve_has_int_coordinates():
+    # the dual vertex of a unimodular cell solves a 2x2 system of
+    # determinant +-1, so a smooth curve from an integral lifting lies on
+    # int points, and so do the edges and rays that join them
+    X = _degree_triangle_curve(8)
+    assert is_smooth(X) and len(X.vertices) == 64
+    assert _coordinate_types(X) == {int}
+    assert {type(c) for e in X.edges for c in e.direction()} == {int}
+    lines = tropical_hypersurface(regular_subdivision(
+        LatticePolytope.from_points([(0, 0), (2, 0)]), {(0, 0): 0, (1, 0): 0, (2, 0): 1}))
+    assert _coordinate_types(lines) == {int}
+
+
+def test_non_unimodular_cell_keeps_its_fraction():
+    # one cell of normalized volume 3 with the lifting 0, 1, 0 at its
+    # corners: its dual vertex is (1/3, -2/3)
+    P = LatticePolytope.from_points([(0, 0), (1, 2), (2, 1)])
+    X = tropical_hypersurface(regular_subdivision(
+        P, {(0, 0): 0, (1, 2): 1, (2, 1): 0, (1, 1): 5}))
+    assert X.vertices == [(Fraction(1, 3), Fraction(-2, 3))]
+    assert _coordinate_types(X) == {Fraction}
+    # and an integral point is an int, however it was given
+    assert [type(c) for c in exact_point((Fraction(4, 2), 2.0, 3, Fraction(1, 2)))] \
+        == [int, int, int, Fraction]
