@@ -519,6 +519,16 @@ class PLLift:
         return lift_topology(self.X).genus
 
 
+def check_float_range(X):
+    """InputError unless the coordinates of the curve's points (vertices and
+    edge base points) are at most 1e150 in size: then 3 x their extent, the
+    ray length of samples and schedules, and their squared distances are
+    finite floats.  ints and Fractions compare with 1e150 exactly."""
+    if any(abs(a) > 1e150 for cell in X.cells for p in cell.verts for a in p):
+        raise InputError("the curve lies beyond float range: its coordinates must be at "
+                         "most 1e150 in magnitude to lift")
+
+
 def _default_truncation(X):
     """Ray length of samples and schedules: 3 x the larger of 1 and the
     extent of the curve's vertices."""
@@ -658,28 +668,29 @@ class LagrangianMesh:
         self._export = {}    # projection -> _export_rows; cleared by twist
 
     def to_off(self, path, projection="xxy"):
-        n, blocks, faces = self._export_rows(projection)
-        with open(path, "w") as fh:
-            fh.write("OFF\n")
-            fh.write(f"{n} {len(faces)} 0\n")
-            fh.writelines(blocks)
-            fh.writelines(_row_blocks("4 %d %d %d %d\n", faces))
+        n, blocks, faces, (records, counts) = self._export_rows(projection)
+        with open(path, "wb") as fh:
+            fh.write(b"OFF\n%d %d 0\n" % (n, len(faces)))
+            fh.writelines(b.encode() for b in blocks)
+            fh.writelines(_int_rows(b"4 ", faces, records, counts))
 
     def to_obj(self, path, projection="xxy"):
-        n, blocks, faces = self._export_rows(projection)
-        with open(path, "w") as fh:
+        n, blocks, faces, (records, counts) = self._export_rows(projection)
+        with open(path, "wb") as fh:
             for block in blocks:
-                fh.write("v " + block[:-1].replace("\n", "\nv ") + "\n")
-            fh.writelines(_row_blocks("f %d %d %d %d\n", faces + 1))
+                fh.write(("v " + block[:-1].replace("\n", "\nv ") + "\n").encode())
+            fh.writelines(_int_rows(b"f ", faces, records[1:], counts[1:]))  # from 1
 
     _PROJ = {"xxy": (0, 1, 2), "xyy": (0, 2, 3), "x1y": (0, 2, 1), "x2y": (1, 2, 3)}
 
     def _export_rows(self, projection):
-        """(vertex count, vertex text blocks, quads) shared by to_off and
-        to_obj, formatted on the first export of a projection: each block
-        holds _EXPORT_BLOCK rows "x y z\n" of the projected vertices, and
-        the quads are vertex indices, shape (F, 4), piece by piece in
-        row-major grid order."""
+        """(vertex count n, vertex text blocks, quads, digit table of 0..n)
+        shared by to_off and to_obj, formatted on the first export of a
+        projection: each block holds _EXPORT_BLOCK rows "x y z\n" of the
+        projected vertices, kept as str and encoded as written (caching the
+        encoded blocks, each made from a str freed at once, fragments the
+        heap), and the quads are vertex indices, shape (F, 4), piece by
+        piece in row-major grid order."""
         if projection in self._export:
             return self._export[projection]
         cols = self._PROJ.get(projection)
@@ -693,21 +704,54 @@ class LagrangianMesh:
                 a = offset + (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
                 faces.append(np.stack([a, a + 1, a + nv + 1, a + nv], axis=1))
             offset += len(p.points)
-        rows = (len(self.points), list(_row_blocks("%.9g %.9g %.9g\n", self.points[:, cols])),
-                np.vstack(faces))
+        pts = self.points[:, cols]
+        blocks = ["%.9g %.9g %.9g\n" * len(b) % tuple(b.ravel().tolist())
+                  for b in (pts[s:s + _EXPORT_BLOCK] for s in range(0, len(pts), _EXPORT_BLOCK))]
+        rows = (len(pts), blocks, np.vstack(faces), _digit_table(0, len(pts)))
         self._export[projection] = rows
         return rows
 
 
-# Rows per formatting call of _row_blocks: bounds the text made at once.
+# Rows per block of export text: bounds the text made at once.
 _EXPORT_BLOCK = 1 << 14
 
 
-def _row_blocks(fmt, rows):
-    """fmt % row for every row of a 2-d array, joined a block at a time."""
+def _digit_table(lo, hi):
+    """(records, counts) for the ints lo..hi >= 0: records[i] holds the
+    right-aligned ASCII digits of lo + i as one W-byte record (a V{W}
+    array, W = len(str(hi))) and counts[i] their number."""
+    w = len(str(hi))
+    k = np.arange(lo, hi + 1)
+    digits = np.empty((len(k), w), dtype=np.uint8)
+    for j in range(w):
+        digits[:, w - 1 - j] = k // 10 ** j % 10 + 48
+    counts = (1 + np.searchsorted(10 ** np.arange(1, w), k, side="right")).astype(np.uint8)
+    return digits.view(f"V{w}").ravel(), counts
+
+
+def _int_rows(prefix, rows, records, counts):
+    """The text (prefix + "%d %d ... %d\n") % tuple(row) for every row of an
+    int array, where the number i is written as the _digit_table entry
+    (records[i], counts[i]): uint8 arrays of a run of rows each.  Each run
+    of rows whose numbers have the same digit counts is filled at fixed
+    columns."""
+    w = records.itemsize
     for s in range(0, len(rows), _EXPORT_BLOCK):
         block = rows[s:s + _EXPORT_BLOCK]
-        yield (fmt * len(block)) % tuple(block.ravel().tolist())
+        recs = records.take(block).view(np.uint8).reshape(*block.shape, w)
+        cnt = counts.take(block)
+        keys = cnt.view(f"V{cnt.shape[1]}").ravel()  # a row's digit counts as one record
+        cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(block)]
+        for a, b in zip(cuts, cuts[1:]):
+            c = cnt[a].tolist()
+            out = np.full((b - a, len(prefix) + sum(c) + len(c)), 32, dtype=np.uint8)
+            out[:, :len(prefix)] = list(prefix)
+            pos = len(prefix)
+            for j, cj in enumerate(c):
+                out[:, pos:pos + cj] = recs[a:b, j, w - cj:]
+                pos += cj + 1
+            out[:, -1] = 10
+            yield out
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,13 @@ class Subdivision:
         def add(points, poly=None):
             key = frozenset(points)
             if key not in index:  # build each shared face once
-                f = index[key] = poly or LatticePolytope.from_points(points)
+                if poly is None:  # a point, or an edge: its gcd steps from the lower end
+                    a, b = min(key), max(key)
+                    n = lattice_length(a, b)
+                    steps = (tuple(x + k * (y - x) // n for x, y in zip(a, b))
+                             for k in range(1, n + 1))
+                    poly = LatticePolytope(tuple(sorted(key)), (a, *steps), min(n, 1))
+                f = index[key] = poly
                 self.faces_by_dim.setdefault(f.dim, []).append(f)
 
         # each cell, then each of its edges followed by the edge's endpoints

@@ -1,6 +1,7 @@
 """Oracles and conveniences of the tests that no troplag command needs: the
 region H and the cells V of the pants, the constant lifting, a relative
-interior point of a dual cell and a mesh of given pieces."""
+interior point of a dual cell, a mesh of given pieces and the % formatted
+text of its export."""
 
 from fractions import Fraction
 
@@ -71,3 +72,16 @@ def mesh_of(pieces, X=None, scale=1.0, schedule=None):
 
 def copy_mesh(mesh):
     return mesh_of(mesh.pieces, mesh.X, mesh.scale, mesh.schedule)
+
+
+def percent_export(verts, faces):
+    """The mesh.off and mesh.obj bytes of vertex rows (x, y, z) and quads
+    through whole-block % formatting: "%.9g %.9g %.9g" per vertex and
+    "4 %d %d %d %d" (OFF) or "f %d %d %d %d" (OBJ, indices from 1) per quad."""
+    v = np.ravel(verts).tolist()
+    f = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
+    off = (f"OFF\n{len(v) // 3} {len(f)} 0\n" + "%.9g %.9g %.9g\n" * (len(v) // 3) % tuple(v)
+           + "4 %d %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
+    obj = ("v %.9g %.9g %.9g\n" * (len(v) // 3) % tuple(v)
+           + "f %d %d %d %d\n" * len(f) % tuple((f + 1).ravel().tolist()))
+    return off.encode(), obj.encode()

@@ -697,6 +697,20 @@ def test_curve_without_vertices_exits_2_from_lift_and_0_from_pl_only(tmp_path, c
                 "--out", str(tmp_path / "b")]) == 0
 
 
+@pytest.mark.parametrize("flags", [[], ["--pl-only"]])
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, 10 ** 200])
+def test_lift_beyond_float_range_exits_2(tmp_path, capsys, flags, value):
+    # used to end in an OverflowError traceback with exit 1 (in LocalModel,
+    # _default_truncation or min_vertex_distance's squares)
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+                               "lifting": {"0,0": 0, "1,0": 0, "0,1": 0, "1,1": value}}))
+    out = tmp_path / "o"
+    assert run(["lift", str(src), "--resolution", "8", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: the curve lies beyond float range")
+    assert not out.exists()
+
+
 _SMALL_POINTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                          min_size=1, max_size=5, unique=True)
 
@@ -704,9 +718,18 @@ _SMALL_POINTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
 @settings(max_examples=100, deadline=None)
 @given(points=_SMALL_POINTS,
        values=st.lists(st.integers(-4, 4), min_size=16, max_size=16),
-       flags=st.sampled_from([[], ["--pl-only"], ["--scale", "0.5"]]))
-def test_lift_of_any_small_polytope_keeps_the_exit_code_contract(points, values, flags):
-    # 0 lifted, 2 input error, 3 numeric failure; never a traceback
+       flags=st.sampled_from([[], ["--pl-only"], ["--scale", "0.5"]]),
+       huge=st.none() | st.tuples(st.integers(0, 15), st.sampled_from(
+           [s * 10 ** e for s in (-1, 1) for e in (100, 153, 154, 200, 308, 400)])))
+@example(points=[(0, 0), (1, 0), (0, 1), (1, 1)], values=[0] * 16, flags=["--pl-only"],
+         huge=(5, 10 ** 400))
+@example(points=[(0, 0), (0, 1)], values=[0] * 16, flags=["--pl-only"],  # a line, no vertex
+         huge=(0, -10 ** 400))
+def test_lift_of_any_small_polytope_keeps_the_exit_code_contract(points, values, flags, huge):
+    # 0 lifted, 2 input error, 3 numeric failure; never a traceback, also
+    # with one lifting value whose curve lies beyond float range
+    if huge is not None:
+        values[huge[0]] = huge[1]
     lifting = {f"{i},{j}": values[4 * i + j] for i in range(4) for j in range(4)}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "poly.json")

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import constant_lifting, copy_mesh, in_V, mesh_of, region_slack
+from helpers import constant_lifting, copy_mesh, in_V, mesh_of, percent_export, region_slack
 from hypothesis import example, given, settings, strategies as st
 from oracle_pants import oracle_smooth_pieces
 from scipy.spatial import cKDTree
@@ -22,8 +22,8 @@ from troplag.coamoeba import PI, rstar_apply
 from troplag.errors import ConfigurationError, InputError, NumericError
 from troplag.fixtures import _load, fixture_names, load_fixture
 from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LocalModel,
-                          MeshPiece, _balls_meet, _boundary_cloud, _distinct_rows,
-                          _feasible, _fold_fiber,
+                          MeshPiece, _balls_meet, _boundary_cloud, _digit_table,
+                          _distinct_rows, _feasible, _fold_fiber, _int_rows,
                           default_schedule, exactness_check,
                           hausdorff_distance, maslov_winding,
                           pants_basis_loop, phase_values, pl_lift, smooth_lift,
@@ -1684,6 +1684,46 @@ def test_export_blocks_match_oracle(tmp_path, monkeypatch, block):
     nu, nv = (130, 257) if block == 1 << 14 else (5, 9)
     points = np.random.default_rng(block).normal(size=(nu * nv, 4))
     _assert_export_matches_oracle(_synthetic_mesh(points, (nu, nv)), tmp_path, "x2y")
+
+
+def test_export_past_index_100000_matches_percent_formatting(tmp_path):
+    # the sha256 pins stop at resolution 48 (42,066 vertices); at 96 the
+    # face indices cross 100,000, where their digit count changes
+    mesh = smooth_lift(triangle_curve(), 0.5, resolution=96)
+    verts, faces = _faces_oracle(mesh, "xxy")
+    assert min(map(min, faces)) < 99_999 and max(map(max, faces)) > 100_000
+    mesh.to_off(str(tmp_path / "mesh.off"))
+    mesh.to_obj(str(tmp_path / "mesh.obj"))
+    off, obj = percent_export(verts, faces)
+    assert (tmp_path / "mesh.off").read_bytes() == off
+    assert (tmp_path / "mesh.obj").read_bytes() == obj
+
+
+_POWERS_OF_TEN = [0, 9, 10, 99_999, 100_000, 99_999_999, 100_000_000, 123_456_789_012]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 5).flatmap(lambda k: st.lists(
+           st.lists(st.integers(0, 2000), min_size=k, max_size=k), max_size=40)
+           .map(lambda r: np.array(r, dtype=np.int64).reshape(-1, k))),
+       base=st.sampled_from(_POWERS_OF_TEN) | st.integers(0, 10 ** 15),
+       shift=st.integers(0, 1), prefix=st.sampled_from([b"4 ", b"f ", b""]),
+       extra=st.integers(0, 1000))
+@example(rows=np.zeros((0, 4), dtype=np.int64), base=0, shift=0, prefix=b"4 ", extra=0)
+@example(rows=np.array([[0, 9, 10, 99_999]]), base=0, shift=1, prefix=b"f ", extra=0)
+@example(rows=np.array([[0, 1, 2, 3], [1, 0, 0, 0], [0, 0, 0, 0]]), base=99_999,
+         shift=0, prefix=b"4 ", extra=0)
+@example(rows=np.array([[0, 1], [1, 0]]), base=99_999_999, shift=1, prefix=b"f ", extra=0)
+def test_int_rows_match_percent_formatting(rows, base, shift, prefix, extra):
+    # unsorted rows whose digit counts change from row to row, numbers at
+    # powers of ten and wider than 8 digits, one row and no rows; the table
+    # may reach past the largest number, and so be wider than it
+    rows = rows + base
+    lo = int(rows.min(initial=base)) + shift
+    records, counts = _digit_table(lo, int(rows.max(initial=base)) + shift + extra)
+    fmt = prefix.decode() + " ".join(["%d"] * rows.shape[1]) + "\n"
+    expected = (fmt * len(rows) % tuple((rows + shift).ravel().tolist())).encode()
+    assert b"".join(_int_rows(prefix, rows + shift - lo, records, counts)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,11 @@ def test_lower_hull_matches_oracle(points, kind, rnd):
     P = LatticePolytope.from_points(points)
     assume(P.dim == 2 and len(P.lattice_points) <= 28)
     nu = LiftingFunction({p: LIFTS[kind](p, rnd) for p in P.lattice_points})
-    assert regular_subdivision(P, nu).cells == _oracle_cells(P, nu)
+    S = regular_subdivision(P, nu)
+    assert S.cells == _oracle_cells(P, nu)
+    # the face table builds edges and points without a hull
+    for f in S.faces():
+        assert f == LatticePolytope.from_points(f.vertices)
 
 
 def _rescaled(P, nu, k, a, b, c):
