@@ -127,13 +127,12 @@ def cmd_pants(args):
 
 
 def cmd_lift(args):
-    from .lift import (GluingSchedule, check_float_range, check_windings, hausdorff_distance,
-                       pl_lift, smooth_lift, symplectic_residual, twist)
+    from .lift import (GluingSchedule, check_windings, hausdorff_distance, pl_lift,
+                       smooth_lift, symplectic_residual, twist)
     from .toric import lift_topology
     fx = _load_curve_arg(args.input)
     X = fx["curve"]
-    check_float_range(X)
-    pl = pl_lift(X)
+    pl = pl_lift(X)  # InputError for a curve beyond float range
     windings = _parse_twist(args.twist) if args.twist else None
     if windings is not None:
         check_windings(X, windings)  # before the lift, which can take seconds

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coamoeba import PI, edge_fiber_from_dual, r_apply, reduce_mod_pi, rstar_apply
 from .errors import ConfigurationError, InputError, NumericError
-from .pants import (HESSIAN_MARGIN, PantsMap, h_chart_terms, hessian_rows, scaled_h,
+from .pants import (HESSIAN_MARGIN, LAM_MAX, PantsMap, h_chart_terms, hessian_rows, scaled_h,
                     solve_leg_fiber)
 from .toric import lift_topology
 from .tropical import adapted_frame, tangent_line, tangent_star
@@ -118,7 +118,8 @@ class Cutoff:
 # vertex-local models
 
 class LocalModel:
-    """Adapted coordinates of a smooth curve vertex.
+    """Adapted coordinates of a smooth curve vertex v, whose float point is
+    x (from _curve_table).
 
     Base side x = v + B x_std, torus side y = y_c + A^T y_std (mod pi) with
     B = [u_1 u_2], A = B^{-1}, y_c = (pi/2) v_0 for the dual-cell vertex v_0
@@ -127,8 +128,8 @@ class LocalModel:
     generators: u[j], leg_edge[j] (the incident curve edge) and leg_norm[j].
     """
 
-    def __init__(self, X, v):
-        self.v = np.array([float(c) for c in v])
+    def __init__(self, X, v, x):
+        self.v = x
         star, dirs, line = tangent_star(X, v)
         frame, self.u = adapted_frame(line)
         self.A = np.array(frame.A, dtype=float)
@@ -171,23 +172,64 @@ class LocalModel:
             return x_std[:, 1]
         return -x_std[:, 0]
 
-    @staticmethod
-    def to_working(j, x_std, y_std):
-        """Map standard coordinates to leg-j working coordinates in which
-        the leg is the first axis and the fiber circle the second torus
-        coordinate; an involution."""
-        x = np.atleast_2d(np.asarray(x_std, dtype=float))
-        y = np.atleast_2d(np.asarray(y_std, dtype=float))
-        if j == 1:
-            return x.copy(), y.copy()
-        if j == 2:
-            return x[:, ::-1].copy(), y[:, ::-1].copy()
-        # leg 0: conjugate by the vertex involution exchanging p_0 and p_1
-        xw = np.stack([-x[:, 0], x[:, 1] - x[:, 0]], axis=1)
-        yw = np.stack([PI / 2 - y.sum(axis=1), y[:, 1]], axis=1)
-        return xw, yw
 
-    from_working = to_working  # all three maps are involutions
+class _CurveTable:
+    """The float data of a curve's lifts, built by _curve_table once per
+    curve and kept on it; it refers to no curve, so the curve does not
+    become a reference cycle.  vertices (V, 2) and truncation, the ray
+    length of samples and schedules (3 x the larger of 1 and the vertices'
+    extent); per edge, in X.edges order, ends (E, 2, 2), verts[0] and then
+    verts[1] of a segment or the ray direction, length (E,), the norm of
+    their difference or of the direction, segment (E,) and the EdgeFibers
+    fibers.  The vertex frames are None until _curve_table(X, frames=True):
+    the LocalModels models, their frame matrices B (V, 2, 2) and lattice leg
+    lengths norms (V, 3), read-only, and legs (E, 2, 2), per edge the
+    (vertex index, leg) of each end, the one end twice on a ray."""
+
+    def __init__(self, X):
+        vs = self.vertices = np.array(X.vertices, dtype=float).reshape(-1, 2)
+        self.truncation = 3.0 * max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 3.0
+        self.ends = np.array([(e.verts[0], e.verts[1] if e.kind == "segment" else e.rays[0])
+                              for e in X.edges], dtype=float).reshape(-1, 2, 2)
+        self.segment = np.array([e.kind == "segment" for e in X.edges], dtype=bool)
+        # one norm per edge: the norm along axis 1 of all of them rounds otherwise
+        self.length = np.array([np.linalg.norm(b - a if seg else b)
+                                for (a, b), seg in zip(self.ends, self.segment)])
+        self.fibers = [edge_fiber_from_dual(e, X.dual_cell(e)) for e in X.edges]
+        self.models = self.B = self.norms = self.legs = None
+
+    def add_frames(self, X):
+        if not X.vertices:
+            raise InputError("smooth lifting needs a curve with a vertex to put a pants on")
+        self.models = [LocalModel(X, v, x) for v, x in zip(X.vertices, self.vertices)]
+        self.B = np.array([m.B for m in self.models])
+        self.norms = np.array([m.leg_norm for m in self.models])
+        self.B.flags.writeable = self.norms.flags.writeable = False
+        # a curve with a vertex has no lines, so each edge has one or two ends
+        legs = {(id(e), X.vertices[vi]): (vi, j) for vi, m in enumerate(self.models)
+                for j, e in enumerate(m.leg_edge)}
+        self.legs = np.array([[legs[id(e), p] for p in (e.verts * 2)[:2]] for e in X.edges])
+
+
+def _curve_table(X, frames=False):
+    """The _CurveTable of X, built on first use, with its vertex frames if
+    frames.  InputError before any float is made when a coordinate of the
+    vertices (which end every segment and ray) or of a line's base point
+    exceeds 1e150 in size, compared exactly (below it, 3 x their extent and
+    their squared distances are finite floats), or the curve has no
+    subdivision; and for the frames when it has no vertex."""
+    table = getattr(X, "_lift_table", None)
+    if table is None:
+        points = X.vertices + [e.verts[0] for e in X.edges if e.kind == "line"]
+        if any(abs(a) > 1e150 for p in points for a in p):
+            raise InputError("the curve lies beyond float range: its coordinates must be at "
+                             "most 1e150 in magnitude to lift")
+        if X.subdivision is None:
+            raise InputError("missing duality data; build the curve from a subdivision")
+        table = X._lift_table = _CurveTable(X)
+    if frames and table.models is None:
+        table.add_frames(X)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +352,6 @@ def _feasible(lam, B, legs_lat, ball_r):
     return ok
 
 
-def _vertex_arrays(X):
-    """Frame matrices of the curve's vertices, shape (V, 2, 2), and their
-    lattice leg lengths, shape (V, 3), built once per curve and read-only;
-    InputError for a curve without vertices, which has nothing to put a
-    pants on."""
-    if not X.vertices:
-        raise InputError("smooth lifting needs a curve with a vertex to put a pants on")
-    if not hasattr(X, "_vertex_arrays"):
-        models = [_local_model(X, vi) for vi in range(len(X.vertices))]
-        X._vertex_arrays = (np.array([m.B for m in models]),
-                            np.array([m.leg_norm for m in models]))
-        for a in X._vertex_arrays:
-            a.flags.writeable = False
-    return X._vertex_arrays
-
-
 def _distinct_rows(*arrays):
     """The distinct rows of the arrays' axis-0 slices laid side by side,
     compared bit for bit (so 0.0 and -0.0 differ): the index of each
@@ -348,8 +374,8 @@ _LEG_CUT_FRACTIONS = (0.5, 0.65, 0.8, 0.95)
 def default_schedule(X):
     """Schedule per the default policy: balls at _BALL_FACTOR x min vertex
     distance, cut points at _LEG_CUT_FRACTIONS of the ball radius along
-    each leg, rays truncated at _default_truncation, pants scales by
-    bisection so the trimmed region sits inside 0.9 x ball.
+    each leg, rays truncated at the curve table's truncation, pants scales
+    by bisection so the trimmed region sits inside 0.9 x ball.
 
     The gradient map h is linear in lambda, and the region it bounds is
     (n+1)^{n+1} x_1...x_{n+1} = lambda^{n+1}, so the boundary cloud tested
@@ -360,11 +386,15 @@ def default_schedule(X):
     and leg cuts, so only one vertex of each distinct (B, cuts) row is
     bisected, and its scale goes to every vertex of that row.  The rows
     run through the halvings in lockstep: each halving is one _feasible
-    call on the rows still bisecting."""
+    call on the rows still bisecting.  InputError, before any sample is
+    built, when a scale exceeds pants.LAM_MAX: the curve's vertices lie too
+    far apart for pants of float scale."""
     if X.subdivision is None:
         raise InputError("schedule needs a subdivision-backed curve")
-    B, norms = _vertex_arrays(X)
-    R = _BALL_FACTOR * X.min_vertex_distance()
+    table = _curve_table(X, frames=True)
+    B, norms = table.B, table.norms
+    dist = X.min_vertex_distance()
+    R = _BALL_FACTOR * dist
     cuts = np.array(_LEG_CUT_FRACTIONS) * R
     legs_lat = cuts / norms[:, :, None]
     first, row_of = _distinct_rows(B, legs_lat)
@@ -380,9 +410,12 @@ def default_schedule(X):
         hi[todo[~ok]] = mid[~ok]
     lam_row = hi.copy()
     lam_row[todo] = lo[todo]
+    if lam_row.max() > LAM_MAX:
+        raise InputError(f"the curve is too large to lift: its vertices lie {dist:g} or more "
+                         f"apart, and pants that size need a scale above {LAM_MAX:g}")
     nv = len(norms)
     sched = GluingSchedule(np.full(nv, R), lam_row[row_of], np.tile(cuts, (nv, 3, 1)),
-                           _default_truncation(X))
+                           table.truncation)
     validate_schedule(X, sched)
     return sched
 
@@ -405,7 +438,8 @@ def _balls_meet(vs, ball_r):
 
 
 def validate_schedule(X, sched):
-    B, norms = _vertex_arrays(X)
+    table = _curve_table(X, frames=True)
+    B, norms = table.B, table.norms
     nv = len(norms)
     lam, ball_r, cuts = sched.lam, sched.ball_radius, sched.cuts
     if (lam.shape, ball_r.shape, cuts.shape) != ((nv,), (nv,), (nv, 3, 4)):
@@ -414,24 +448,23 @@ def validate_schedule(X, sched):
         raise ConfigurationError("truncation must be positive")
     if not np.all(lam > 0):
         raise ConfigurationError("pants scales must be positive")
+    if np.any(lam > LAM_MAX):
+        raise ConfigurationError(f"pants scales must be at most {LAM_MAX:g}")
     if not (np.all(cuts[..., 0] > 0) and np.all(cuts[..., :-1] < cuts[..., 1:])):
         raise ConfigurationError("leg parameters must satisfy 0 < r' < r'' < rbar < r")
     if np.any(cuts[..., 3] > ball_r[:, None]):
         raise ConfigurationError("leg cut points must stay inside the ball")
-    vs = np.array([[float(c) for c in v] for v in X.vertices]).reshape(-1, 2)
-    if _balls_meet(vs, ball_r):
+    if _balls_meet(table.vertices, ball_r):
         raise ConfigurationError("vertex balls are not pairwise disjoint")
     # each edge keeps a flat piece: between its two legs' cut points on a
     # bounded edge, between its leg's cut point and the truncation on a ray
-    for e, ends in zip(X.edges, _edge_legs(X)):
-        r = [cuts[vi, j, 3] for vi, j in ends]
-        if e.kind == "segment":
-            a, b = (np.array([float(c) for c in p]) for p in e.verts)
-            if r[0] + r[1] >= np.linalg.norm(b - a):
-                raise ConfigurationError("leg cut points overlap on a bounded edge")
-        elif e.kind == "ray" and sched.truncation <= r[0]:
-            raise ConfigurationError("truncation must lie beyond the cut point r "
-                                     "of every ray's leg")
+    r = cuts[table.legs[..., 0], table.legs[..., 1], 3]
+    seg = table.segment
+    bad = np.flatnonzero(np.where(seg, r[:, 0] + r[:, 1] >= table.length,
+                                  sched.truncation <= r[:, 0]))
+    if len(bad):
+        raise ConfigurationError("leg cut points overlap on a bounded edge" if seg[bad[0]] else
+                                 "truncation must lie beyond the cut point r of every ray's leg")
     # trimmed regions inside balls, at the scheduled scale
     legs_lat = cuts / norms[:, :, None]
     # one check per distinct (B, cuts, lam, ball radius) row
@@ -441,30 +474,6 @@ def validate_schedule(X, sched):
     if len(bad):
         raise ConfigurationError(f"pants scale at vertex {bad[0]} violates the ball bound")
     return True
-
-
-def _local_model(X, vi):
-    """LocalModel of vertex vi, built once per curve and shared by the
-    schedule, its validation and the smooth lift."""
-    models = getattr(X, "_local_models", None)
-    if models is None:
-        models = X._local_models = {}
-    if vi not in models:
-        models[vi] = LocalModel(X, X.vertices[vi])
-    return models[vi]
-
-
-def _edge_legs(X):
-    """Per edge, in X.edges order, the (vertex index, leg) of each end that
-    is a curve vertex, in the order of the edge's verts: two for a segment,
-    one for a ray, none for a line.  Read from the vertices' LocalModels,
-    once per curve."""
-    if not hasattr(X, "_edge_legs"):
-        legs = {(id(e), X.vertices[vi]): (vi, j) for vi in range(len(X.vertices))
-                for j, e in enumerate(_local_model(X, vi).leg_edge)}
-        X._edge_legs = tuple(tuple(legs[id(e), p] for p in e.verts) if e.kind != "line"
-                             else () for e in X.edges)
-    return X._edge_legs
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +501,16 @@ class PLLift:
         order.  Rays are truncated.  InputError when _pl_sample_bound
         exceeds MAX_SAMPLE_POINTS."""
         _check_sample_size(_pl_sample_bound(self, resolution))
-        if truncation is None:
-            truncation = _default_truncation(self.X)
+        table = _curve_table(self.X)
+        truncation = table.truncation if truncation is None else truncation
         thetas = _fiber_angles(resolution)
         pts = []
         for ei, piece in enumerate(self.pieces):
-            if piece.kind != "edge":
-                v = np.array([[float(c) for c in piece.cell.verts[0]]])
+            if piece.kind != "edge":  # the vertices follow the edges, in X.vertices order
+                v = table.vertices[ei - len(table.fibers), None]
                 pts.append(_cylinder(v, _coamoeba_cloud(piece.fiber, resolution)))
                 continue
-            seg = _edge_param_points(piece.cell, resolution, truncation)
+            seg = _edge_param_points(table, ei, piece.cell.kind, resolution, truncation)
             m = (windings or {}).get(ei, 0)
             if m:
                 s = np.linspace(0.0, 1.0, len(seg))[:, None]
@@ -517,23 +526,6 @@ class PLLift:
 
     def genus(self):
         return lift_topology(self.X).genus
-
-
-def check_float_range(X):
-    """InputError unless the coordinates of the curve's points (vertices and
-    edge base points) are at most 1e150 in size: then 3 x their extent, the
-    ray length of samples and schedules, and their squared distances are
-    finite floats.  ints and Fractions compare with 1e150 exactly."""
-    if any(abs(a) > 1e150 for cell in X.cells for p in cell.verts for a in p):
-        raise InputError("the curve lies beyond float range: its coordinates must be at "
-                         "most 1e150 in magnitude to lift")
-
-
-def _default_truncation(X):
-    """Ray length of samples and schedules: 3 x the larger of 1 and the
-    extent of the curve's vertices."""
-    vs = np.array([[float(a) for a in v] for v in X.vertices]).reshape(-1, 2)
-    return 3.0 * (max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 1.0)
 
 
 def _fiber_angles(resolution):
@@ -578,18 +570,18 @@ def _pl_sample_bound(pl, resolution):
     return n
 
 
-def _edge_param_points(cell, resolution, truncation):
-    if cell.kind == "segment":
-        a, b = (np.array([float(c) for c in p]) for p in cell.verts)
+def _edge_param_points(table, ei, kind, resolution, truncation):
+    """Base points of edge ei of the curve table: along a segment, and out
+    to the truncation on a ray or both ways on a line."""
+    a, b = table.ends[ei]  # b: the far end of a segment, else the direction
+    if kind == "segment":
         ts = np.linspace(0.0, 1.0, resolution)
         return a[None, :] + ts[:, None] * (b - a)[None, :]
-    base = np.array([float(c) for c in cell.verts[0]])
-    d = np.array(cell.rays[0], dtype=float)
-    tmax = truncation / np.linalg.norm(d)
+    tmax = truncation / table.length[ei]
     ts = np.linspace(0.0, 1.0, resolution) * tmax
-    pts = base[None, :] + ts[:, None] * d[None, :]
-    if cell.kind == "line":
-        pts = np.vstack([pts, base[None, :] - ts[1:, None] * d[None, :]])
+    pts = a[None, :] + ts[:, None] * b[None, :]
+    if kind == "line":
+        pts = np.vstack([pts, a[None, :] - ts[1:, None] * b[None, :]])
     return pts
 
 
@@ -621,12 +613,11 @@ def pl_lift(X):
 
     Vertex fibers are cell coamoebas for unimodular duals and pulled-back
     covering coamoebas for weighted trivalent vertices (whose fibers carry
-    the parallel face copies the edge fibers must match).
+    the parallel face copies the edge fibers must match).  InputError as
+    _curve_table.
     """
-    if X.subdivision is None:
-        raise InputError("missing duality data; build the curve from a subdivision")
     from .coamoeba import CellCoamoeba, CoveringCoamoeba
-    pieces = [PLPiece("edge", e, edge_fiber_from_dual(e, X.dual_cell(e))) for e in X.edges]
+    pieces = [PLPiece("edge", e, f) for e, f in zip(X.edges, _curve_table(X).fibers)]
     for cell in X.cells:
         if cell.kind != "vertex":
             continue
@@ -654,13 +645,14 @@ class MeshPiece:
 class LagrangianMesh:
     """A smooth lift of the curve X, with its scale and schedule: (N, 4)
     points and (N, 2, 4) frames, allocated empty, and per entry (tag, owner,
-    rows, grid) of layout a piece that views its rows of both, in order."""
+    rows, grid) of layout a piece that views its rows of both, in order;
+    starts holds the start row of each piece, and N last."""
 
     def __init__(self, X, layout, scale, schedule):
         self.X = X
         self.scale = scale
         self.schedule = schedule
-        ends = np.cumsum([0] + [rows for _, _, rows, _ in layout])
+        ends = self.starts = np.cumsum([0] + [rows for _, _, rows, _ in layout])
         self.points = np.empty((ends[-1], 4))
         self.frames = np.empty((ends[-1], 2, 4))
         self.pieces = [MeshPiece(tag, owner, self.points[a:b], self.frames[a:b], grid)
@@ -869,88 +861,79 @@ def _pants_vertex_piece(model, pants, piece):
     fr[N:, 1] = (Pt_up - Pt_dn) / dt2
 
 
-def _collar_sheets(lam, legs):
-    """Collar sheets at scale lam in standard coordinates: for each leg
-    (j, S, T, eta, eta', eta''), the graph of d(eta * G) in leg-j working
-    coordinates at paired arrays S of leg coordinate and T of fiber angle,
-    with the cutoff and its derivatives at S, as standard-side points and
-    frames (x, y, dx_s, dy_s, dx_t, dy_t).  The legs share the scale and,
-    in working coordinates, the face J = {1}: one fiber solve and one
-    evaluation of the potential serve all of them.  Every step works row by
-    row, so a block of rows gets the bits it gets as part of the whole
-    grid."""
-    pm = PantsMap(1, lam)
-    qw = _fiber_circle(pm, 1, np.concatenate([leg[1] for leg in legs]),
-                       np.concatenate([leg[2] for leg in legs]))
-    ends = np.cumsum([len(leg[1]) for leg in legs])[:-1]
-    rows = zip(*(np.split(a, ends) for a in (qw, *pm._evaluate(qw, "FhH"))))
-    sheets = []
-    for (j, Sf, Tf, eta, etap, etas), (q, Fq, hq, Hq) in zip(legs, rows):
-        G = -Fq + Sf * q[:, 0]
-        x2 = eta * hq[:, 1]
-        y1 = etap * G + eta * q[:, 0]
-        xw = np.stack([Sf, x2], axis=1)
-        yw = np.stack([y1, Tf], axis=1)
-        dxw_s = np.stack([np.ones_like(Sf),
-                          etap * hq[:, 1] + eta * Hq[:, 1, 0] / Hq[:, 0, 0]], axis=1)
-        dyw_s = np.stack([etas * G + 2 * etap * q[:, 0] + eta / Hq[:, 0, 0],
-                          np.zeros_like(Sf)], axis=1)
-        dxw_t = np.stack([np.zeros_like(Sf),
-                          eta * (Hq[:, 1, 1] - Hq[:, 1, 0] * Hq[:, 0, 1] / Hq[:, 0, 0])],
-                         axis=1)
-        dyw_t = np.stack([-etap * hq[:, 1] - eta * Hq[:, 0, 1] / Hq[:, 0, 0],
-                          np.ones_like(Sf)], axis=1)
-        sheets.append((*LocalModel.from_working(j, xw, yw), *_dworking_to_std(j, dxw_s, dyw_s),
-                       *_dworking_to_std(j, dxw_t, dyw_t)))
-    return sheets
-
-
-def _collar_block(lam, legs, targets):
-    """One block of collar rows: _collar_sheets once, mapped to the vertex
-    of each target (model, out) and written into out, one pair (points,
-    frames) of arrays of shapes (n, 4) and (n, 2, 4) per sheet."""
-    sheets = _collar_sheets(lam, legs)
-    for model, out in targets:
-        for (x, y, dxs, dys, dxt, dyt), (P, fr) in zip(sheets, out):
-            P[:, :2] = model.x_ambient(x)
-            P[:, 2:] = model.y_ambient(y)
-            fr[:, 0, :2] = model.dx_ambient(dxs)
-            fr[:, 0, 2:] = model.dy_ambient(dys)
-            fr[:, 1, :2] = model.dx_ambient(dxt)
-            fr[:, 1, 2:] = model.dy_ambient(dyt)
-
-
-def _collar_blocks(vertices, legs_lat, resolution):
-    """Graphs of d(eta * G) over [r', r] x (fiber circle) for the legs of
-    the vertices, pairs (model, three collar pieces) that share the scale
-    and the leg cuts legs_lat (row j holds leg j's r', r'', rbar and r in
-    lattice units).  The legs' grids, stacked, are cut into blocks of
-    _LIFT_BLOCK rows, in row order, and each block is the arguments (legs,
-    targets) of one _collar_block call (one fiber solve) that fills its
-    rows of every vertex's collars.  A block may span legs, so a small grid
-    costs one call, not one per leg.  The cutoffs are evaluated once per
-    leg coordinate."""
-    n = resolution * resolution
+def _collar_grid(legs_lat, resolution):
+    """The columns leg j, leg coordinate S, fiber angle T and cutoff eta,
+    eta', eta'' at S of a vertex's collar rows, leg by leg as the mesh lays
+    them out, for leg cuts legs_lat (row j: leg j's r', r'', rbar and r in
+    lattice units).  Row j r^2 + i r + k lies at the i-th of r = resolution
+    leg coordinates from r' to r and at the k-th fiber angle."""
+    n, thetas = resolution * resolution, _fiber_angles(resolution)
     legs = []
     for j, (r1, r2, rbar, r) in enumerate(legs_lat):
         s = np.linspace(r1, r, resolution)
-        S, T = np.meshgrid(s, _fiber_angles(resolution), indexing="ij")
         cutoff = Cutoff(r2, rbar)
-        legs.append((j, S.ravel(), T.ravel(),
+        legs.append((np.full(n, j), np.repeat(s, resolution), np.tile(thetas, resolution),
                      *(np.repeat(f(s), resolution)
                        for f in (cutoff.eta, cutoff.eta_prime, cutoff.eta_second))))
-    blocks = []
-    for start in range(0, len(legs) * n, _LIFT_BLOCK):
-        part, spans = [], []
-        for k, (j, *arrays) in enumerate(legs):
-            rows = slice(max(start - k * n, 0), min(start + _LIFT_BLOCK - k * n, n))
-            if rows.start < rows.stop:
-                part.append((j, *(a[rows] for a in arrays)))
-                spans.append((k, rows))
-        targets = [(model, [(collars[k].points[rows], collars[k].frames[rows])
-                            for k, rows in spans]) for model, collars in vertices]
-        blocks.append((part, targets))
-    return blocks
+    return [np.concatenate(column) for column in zip(*legs)]
+
+
+def _collar_sheets(lam, grid):
+    """Collar rows at scale lam in standard coordinates: on the rows grid
+    (columns as _collar_grid's, the legs in increasing order), the graph of
+    d(eta * G) in leg-j working coordinates at leg coordinate S and fiber
+    angle T.  Returns x and y, shape (3, m, 2): the base and torus parts of
+    each row's point and of its derivatives along S and T.  The legs share
+    the scale and, in working coordinates, the face J = {1}: one fiber solve
+    and one evaluation of the potential serve all of them, and the working
+    map applies to each leg's run of rows.  Every step works row by row, so
+    a block of rows gets the bits it gets as part of the whole grid."""
+    leg, S, T, eta, etap, etas = grid
+    pm = PantsMap(1, lam)
+    q = _fiber_circle(pm, 1, S, T)
+    Fq, hq, Hq = pm._evaluate(q, "FhH")
+    G = -Fq + S * q[:, 0]
+    x, y = np.empty((2, 3, len(S), 2))
+    x[0, :, 0], x[0, :, 1] = S, eta * hq[:, 1]
+    y[0, :, 0], y[0, :, 1] = etap * G + eta * q[:, 0], T
+    x[1, :, 0], x[1, :, 1] = 1.0, etap * hq[:, 1] + eta * Hq[:, 1, 0] / Hq[:, 0, 0]
+    y[1, :, 0], y[1, :, 1] = etas * G + 2 * etap * q[:, 0] + eta / Hq[:, 0, 0], 0.0
+    x[2, :, 0] = 0.0
+    x[2, :, 1] = eta * (Hq[:, 1, 1] - Hq[:, 1, 0] * Hq[:, 0, 1] / Hq[:, 0, 0])
+    y[2, :, 0], y[2, :, 1] = -etap * hq[:, 1] - eta * Hq[:, 0, 1] / Hq[:, 0, 0], 1.0
+    runs = np.searchsorted(leg, np.arange(4))
+    for j, (a, b) in enumerate(zip(runs, runs[1:])):
+        _working_to_std(j, x[:, a:b], y[:, a:b])
+    return x, y
+
+
+def _working_to_std(j, x, y):
+    """Map in place the base and torus parts x, y (shape (3, m, 2)) of points
+    and then two tangent vectors from leg-j working coordinates (the leg the
+    first axis, the fiber circle the second torus one) to standard ones: an
+    involution, the axes swapped on leg 2 and, on leg 0, the vertex
+    involution exchanging p_0 and p_1, which moves points by pi/2."""
+    if j == 2:
+        x[...] = x[..., ::-1]
+        y[...] = y[..., ::-1]
+    elif j == 0:
+        x[..., 1] -= x[..., 0]
+        np.negative(x[..., 0], out=x[..., 0])
+        y[..., 0] = -(y[..., 0] + y[..., 1])
+        y[0, :, 0] += PI / 2
+
+
+def _collar_block(lam, grid, targets):
+    """One block of collar rows: _collar_sheets once on the rows grid of
+    _collar_grid, mapped to the vertex of each target (model, P, fr) and
+    written into its rows P and fr, of shapes (m, 4) and (m, 2, 4)."""
+    x, y = _collar_sheets(lam, grid)
+    for model, P, fr in targets:
+        P[:, :2] = model.x_ambient(x[0])
+        P[:, 2:] = model.y_ambient(y[0])
+        for i in range(2):
+            fr[:, i, :2] = model.dx_ambient(x[i + 1])
+            fr[:, i, 2:] = model.dy_ambient(y[i + 1])
 
 
 def _fiber_circle(pm, j, target, thetas):
@@ -964,50 +947,37 @@ def _fiber_circle(pm, j, target, thetas):
     return np.where(minus[:, None], -q, q)
 
 
-def _dworking_to_std(j, dx, dy):
-    if j == 1:
-        return dx, dy
-    if j == 2:
-        return dx[:, ::-1], dy[:, ::-1]
-    dxs = np.stack([-dx[:, 0], dx[:, 1] - dx[:, 0]], axis=1)
-    dys = np.stack([-(dy.sum(axis=1)), dy[:, 1]], axis=1)
-    return dxs, dys
-
-
-def _flat_piece(X, sched, ends, piece):
-    """Fill the piece with the flat cylinder over its edge between the cut
-    point r of its leg at each vertex end, ends as in _edge_legs, and the
-    truncation on a ray; row i r + k lies over base point i, fiber angle k."""
-    (ei,), (resolution, _) = piece.owner, piece.grid
-    e = X.edges[ei]
-    fiber = edge_fiber_from_dual(e, X.dual_cell(e))
-    r = [sched.cuts[vi, j, 3] for vi, j in ends]
-    a = np.array([float(c) for c in e.verts[0]])
-    if e.kind == "segment":
-        b = np.array([float(c) for c in e.verts[1]])
-        d = (b - a) / np.linalg.norm(b - a)
-        p1 = b - d * r[1]
-    else:
-        d = np.array(e.rays[0], dtype=float)
-        d = d / np.linalg.norm(d)
-        p1 = a + d * sched.truncation
-    p0 = a + d * r[0]
+def _flat_pieces(table, sched, points, frames, resolution):
+    """Fill the rows points (E r^2, 4) and frames (E r^2, 2, 4) with the
+    flat cylinders over the curve table's E edges, r^2 rows each at
+    resolution r, in edge order: over each edge between the cut point r of
+    its leg at each vertex end and, on a ray, the truncation; row i r + k
+    of an edge lies over base point i, fiber angle k.  NumericError, naming
+    the first such edge, when a cylinder has no length in floats."""
+    a, b = table.ends[:, 0], table.ends[:, 1]
+    r = sched.cuts[table.legs[..., 0], table.legs[..., 1], 3]
+    seg = table.segment[:, None]
+    d = np.where(seg, b - a, b) / table.length[:, None]
+    p0 = a + d * r[:, :1]
+    p1 = np.where(seg, b - d * r[:, 1:], a + d * sched.truncation)
     step = p1 - p0
-    length = np.linalg.norm(step)
-    if not length > 0:  # the float sum rounds both ends to one point
+    length = np.array([np.linalg.norm(s) for s in step])  # one per edge, as in _CurveTable
+    short = np.flatnonzero(~(length > 0))
+    if len(short):  # the float sum rounds both ends to one point
+        ei = int(short[0])
         raise NumericError("a flat cylinder has no length in floats: its edge lies too far "
                            "from the origin for its cut points",
-                           {"edge": int(ei), "p0": p0.tolist(), "p1": p1.tolist()})
+                           {"edge": ei, "p0": p0[ei].tolist(), "p1": p1[ei].tolist()})
     ts = np.linspace(0.0, 1.0, resolution)
-    seg = p0[None, :] + ts[:, None] * step[None, :]
-    grid = piece.points.reshape(resolution, resolution, 4)  # a view: the rows are contiguous
-    grid[:, :, :2] = seg[:, None]
-    grid[:, :, 2:] = fiber.points(_fiber_angles(resolution), 0)
-    fr = piece.frames
-    fr[:, 0, :2] = step / length
-    fr[:, 0, 2:] = 0.0
-    fr[:, 1, :2] = 0.0
-    fr[:, 1, 2:] = fiber.direction
+    base, circle = np.array([f.circles()[0] for f in table.fibers])[:, None].transpose(2, 0, 1, 3)
+    grid = points.reshape(len(step), resolution, resolution, 4)
+    grid[..., :2] = (p0[:, None] + ts[:, None] * step[:, None])[:, :, None]
+    grid[..., 2:] = reduce_mod_pi(base + _fiber_angles(resolution)[:, None] * circle)[:, None]
+    fr = frames.reshape(len(step), -1, 2, 4)
+    fr[:, :, 0, :2] = (step / length[:, None])[:, None]
+    fr[:, :, 0, 2:] = 0.0
+    fr[:, :, 1, :2] = 0.0
+    fr[:, :, 1, 2:] = np.array([f.direction for f in table.fibers], dtype=float)[:, None]
 
 
 # Rows per collar block of smooth_lift.  On the lift's thread pool each
@@ -1061,23 +1031,30 @@ def _smallest_scale(lam, legs_lat, resolution):
     return (legs_lat[:, :, 3].max(axis=1) / lam).max() / h.min()
 
 
-def _lift_vertex_row(lam, legs_lat, pants, vertices, resolution, pool):
-    """Fill the pieces (pants, then three collars) of the vertices, pairs
-    (model, pieces), that share one distinct row of scale lam and leg cuts
-    legs_lat (a vertex's (3, 4) row of the schedule's cuts in lattice
-    units): its pants (from _standard_pants) and collars are built once, in
-    standard coordinates, and mapped to each vertex.  With a pool, the
-    collar blocks run on it while the calling thread maps the pants; the
-    first failing block in row order raises."""
-    blocks = _collar_blocks([(model, collars) for model, (_, *collars) in vertices],
-                            legs_lat, resolution)
+def _lift_vertex_row(mesh, models, vertices, lam, legs_lat, pants, resolution, pool):
+    """Fill the pieces (pants, then three collars) of the vertices (indices
+    into the mesh's vertices and their models) that share one distinct row
+    of scale lam and leg cuts legs_lat (a vertex's (3, 4) row of the
+    schedule's cuts in lattice units): its pants (from _standard_pants) and
+    collars are built once, in standard coordinates, and mapped to each
+    vertex.  Each block of _LIFT_BLOCK rows of _collar_grid is one
+    _collar_block call (one fiber solve) on that slice of the grid and of
+    every vertex's collar rows.  With a pool, the collar blocks run on it
+    while the calling thread maps the pants; the first failing block in row
+    order raises."""
+    grid = _collar_grid(legs_lat, resolution)
+    n = len(grid[0])
+    collars = [(models[vi], mesh.points[c:c + n], mesh.frames[c:c + n])
+               for c, vi in zip(mesh.starts[4 * vertices + 1], vertices)]
+    blocks = [(lam, [a[rows] for a in grid], [(m, P[rows], fr[rows]) for m, P, fr in collars])
+              for rows in (slice(s, s + _LIFT_BLOCK) for s in range(0, n, _LIFT_BLOCK))]
     if pool is not None:
-        futures = [pool.submit(_collar_block, lam, legs, targets) for legs, targets in blocks]
-    for model, (piece, *_) in vertices:
-        _pants_vertex_piece(model, pants, piece)
+        futures = [pool.submit(_collar_block, *block) for block in blocks]
+    for vi in vertices:
+        _pants_vertex_piece(models[vi], pants, mesh.pieces[4 * vi])
     if pool is None:
-        for legs, targets in blocks:
-            _collar_block(lam, legs, targets)
+        for block in blocks:
+            _collar_block(*block)
     else:
         for future in futures:
             future.result()  # raises the first failing block's error, in row order
@@ -1103,13 +1080,13 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
     from .tropical import is_smooth
     if not is_smooth(X):
         raise InputError("smooth lifting needs a smooth curve")
-    norms = _vertex_arrays(X)[1]  # InputError for a curve without vertices
+    table = _curve_table(X, frames=True)  # InputError for a curve without vertices
     _check_sample_size(_smooth_sample_bound(X, resolution))
     if sched is None:
         sched = default_schedule(X)  # validated there
     else:
         validate_schedule(X, sched)
-    lam, legs_lat = sched.lam, sched.cuts / norms[:, :, None]
+    lam, legs_lat = sched.lam, sched.cuts / table.norms[:, :, None]
     t_min = _smallest_scale(lam, legs_lat, resolution)
     if t <= t_min:
         raise InputError(f"--scale {t:g} is too small for this curve and schedule: "
@@ -1142,15 +1119,13 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         pool = ThreadPoolExecutor(workers)
     try:
         for d in np.argsort(first):
-            vertices = [(_local_model(X, int(vi)), mesh.pieces[4 * vi:4 * vi + 4])
-                        for vi in np.flatnonzero(row_of == d)]
-            _lift_vertex_row(lams[first[d]], legs_lat[first[d]], pants[d], vertices,
-                             resolution, pool)
+            _lift_vertex_row(mesh, table.models, np.flatnonzero(row_of == d), lams[first[d]],
+                             legs_lat[first[d]], pants[d], resolution, pool)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    for ends, piece in zip(_edge_legs(X), mesh.pieces[4 * len(lam):]):
-        _flat_piece(X, sched, ends, piece)
+    flat = mesh.starts[4 * len(lam)]
+    _flat_pieces(table, sched, mesh.points[flat:], mesh.frames[flat:], resolution)
     return mesh
 
 
@@ -1170,8 +1145,7 @@ def symplectic_residual(mesh):
         om = np.abs((v0 * w2 + v1 * w3) - (w0 * v2 + w1 * v3))
         if not np.isfinite(om).all():
             row = s + int(np.argmin(np.isfinite(om)))
-            ends = np.cumsum([len(p.frames) for p in mesh.pieces])
-            piece = mesh.pieces[int(np.searchsorted(ends, row, side="right"))]
+            piece = mesh.pieces[int(np.searchsorted(mesh.starts, row, side="right")) - 1]
             raise NumericError("the mesh has a non-finite tangent frame",
                                {"row": row, "piece": [piece.tag, *map(int, piece.owner)]})
         worst = max(worst, float(om.max()))

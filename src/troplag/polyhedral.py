@@ -108,6 +108,25 @@ def _hull_1d(points):
     return [pts[0], pts[-1]] if len(pts) > 1 else pts
 
 
+# Most lattice points a polytope may hold, counted before any is listed.
+# `troplag tropical` of the degree-d triangle with a generic lifting takes
+# time growing with the square of the count: in-process on a 2-vCPU host,
+# 0.28 s at d = 40 (861 points), 1.7 s at d = 80 (3,321) and 2.7 s at d = 98
+# (4,950, the largest triangle below this limit).
+MAX_LATTICE_POINTS = 5_000
+
+
+def lattice_point_count(vertices):
+    """Lattice points of the polytope with these extreme points in hull
+    order, by Pick's theorem: (2A + B + 2) / 2 with twice its area 2A and B
+    boundary points (a segment's boundary runs both ways)."""
+    twice_area = boundary = 0
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        twice_area += x0 * y1 - x1 * y0
+        boundary += gcd(x1 - x0, y1 - y0)
+    return (abs(twice_area) + boundary + 2) // 2
+
+
 def enumerate_lattice_points(vertices):
     """All lattice points of conv(vertices); exact."""
     d = affine_dim(vertices)
@@ -166,6 +185,10 @@ class LatticePolytope:
             verts = tuple(_hull_1d(pts))
         else:
             verts = (pts[0],)
+        count = lattice_point_count(verts) if d == 2 else lattice_length(verts[0], verts[-1]) + 1
+        if count > MAX_LATTICE_POINTS:
+            raise InputError(f"the polytope holds {count} lattice points, more than "
+                             f"{MAX_LATTICE_POINTS}")
         return LatticePolytope(verts, tuple(enumerate_lattice_points(list(verts))), d)
 
     @property

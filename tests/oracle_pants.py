@@ -6,13 +6,16 @@ coordinate axis (_plus_rep, _h_plus_raw, _g_derivatives) and keeps h_chart;
 oracle_solve_scalar is the fiber solve on _h_and_hessian_diag, and
 oracle_smooth_pieces builds, vertex by vertex, the pants with their chart
 collars and one collar per (vertex, leg) with a fiber solve and F, h,
-h_chart and hessian calls of its own.
+h_chart and hessian calls of its own, and edge by edge the flat cylinders,
+each from its own float ends and edge fiber.  The maps between leg-j working
+coordinates and standard ones are kept here as they were written, one for
+points and one for differentials.
 """
 
 import numpy as np
 
 from troplag import lift
-from troplag.coamoeba import PI, r_apply, reduce_mod_pi, rstar_apply
+from troplag.coamoeba import PI, edge_fiber_from_dual, r_apply, reduce_mod_pi, rstar_apply
 from troplag.errors import DomainError, NumericError
 from troplag.lift import Cutoff, LocalModel, MeshPiece
 from troplag.pants import VERTEX_SWITCH_DIST, PantsMap
@@ -238,9 +241,9 @@ def oracle_collar_sheet(model, j, lam, cutoff, Sf, Tf, reduce_torus=True):
                       eta * (Hq[:, 1, 1] - Hq[:, 1, 0] * Hq[:, 0, 1] / Hq[:, 0, 0])], axis=1)
     dyw_t = np.stack([-etap * hq[:, 1] - eta * Hq[:, 0, 1] / Hq[:, 0, 0],
                       np.ones_like(Sf)], axis=1)
-    x_std, y_std = LocalModel.from_working(j, xw, yw)
-    dxs_std, dys_std = lift._dworking_to_std(j, dxw_s, dyw_s)
-    dxt_std, dyt_std = lift._dworking_to_std(j, dxw_t, dyw_t)
+    x_std, y_std = _from_working(j, xw, yw)
+    dxs_std, dys_std = _dworking_to_std(j, dxw_s, dyw_s)
+    dxt_std, dyt_std = _dworking_to_std(j, dxw_t, dyw_t)
     y_amb = model.y_ambient(y_std) if reduce_torus else model.y_ambient_raw(y_std)
     P = np.concatenate([model.x_ambient(x_std), y_amb], axis=1)
     fr = np.empty((len(P), 2, 4))
@@ -330,8 +333,8 @@ def oracle_pants_chart_points(model, pm, legs_lat, resolution):
 def oracle_smooth_pieces(X, t, sched, resolution):
     """The pieces of smooth_lift(X, t, sched, resolution), built per leg."""
     pieces = []
-    for vi in range(len(X.vertices)):
-        model = lift._local_model(X, vi)
+    models = lift._curve_table(X, frames=True).models
+    for vi, model in enumerate(models):
         lam = t * sched.lam[vi]
         legs_lat = {j: tuple(sched.cuts[vi, j] / model.leg_norm[j]) for j in range(3)}
         P, fr = oracle_pants_vertex_piece(model, lam, legs_lat, resolution)
@@ -348,10 +351,68 @@ def oracle_smooth_pieces(X, t, sched, resolution):
     for ei, e in enumerate(X.edges):
         # the (vertex, leg) of each end of the edge, by a scan of the legs
         ends = [(vi, j) for vi in (X.vertices.index(p) for p in e.verts)
-                for j, edge in enumerate(lift._local_model(X, vi).leg_edge) if edge is e]
+                for j, edge in enumerate(models[vi].leg_edge) if edge is e]
         n = resolution * resolution
         piece = MeshPiece("flat", (ei,), np.empty((n, 4)), np.empty((n, 2, 4)),
                           (resolution, resolution))
-        lift._flat_piece(X, sched, ends, piece)
+        oracle_flat_piece(X, sched, ei, ends, piece)
         pieces.append(piece)
     return pieces
+
+
+def _from_working(j, xw, yw):
+    """Leg-j working coordinates of points to standard ones (an involution)."""
+    x = np.atleast_2d(np.asarray(xw, dtype=float))
+    y = np.atleast_2d(np.asarray(yw, dtype=float))
+    if j == 1:
+        return x.copy(), y.copy()
+    if j == 2:
+        return x[:, ::-1].copy(), y[:, ::-1].copy()
+    # leg 0: conjugate by the vertex involution exchanging p_0 and p_1
+    xs = np.stack([-x[:, 0], x[:, 1] - x[:, 0]], axis=1)
+    ys = np.stack([PI / 2 - y.sum(axis=1), y[:, 1]], axis=1)
+    return xs, ys
+
+
+def _dworking_to_std(j, dx, dy):
+    """The differential of _from_working."""
+    if j == 1:
+        return dx, dy
+    if j == 2:
+        return dx[:, ::-1], dy[:, ::-1]
+    dxs = np.stack([-dx[:, 0], dx[:, 1] - dx[:, 0]], axis=1)
+    dys = np.stack([-(dy.sum(axis=1)), dy[:, 1]], axis=1)
+    return dxs, dys
+
+
+def oracle_flat_piece(X, sched, ei, ends, piece):
+    """Fill the piece with the flat cylinder over edge ei between the cut
+    point r of its leg at each vertex end, ends the (vertex, leg) pairs, and
+    the truncation on a ray; row i r + k lies over base point i, fiber
+    angle k."""
+    resolution = piece.grid[0]
+    e = X.edges[ei]
+    fiber = edge_fiber_from_dual(e, X.dual_cell(e))
+    r = [sched.cuts[vi, j, 3] for vi, j in ends]
+    a = np.array([float(c) for c in e.verts[0]])
+    if e.kind == "segment":
+        b = np.array([float(c) for c in e.verts[1]])
+        d = (b - a) / np.linalg.norm(b - a)
+        p1 = b - d * r[1]
+    else:
+        d = np.array(e.rays[0], dtype=float)
+        d = d / np.linalg.norm(d)
+        p1 = a + d * sched.truncation
+    p0 = a + d * r[0]
+    step = p1 - p0
+    length = np.linalg.norm(step)
+    ts = np.linspace(0.0, 1.0, resolution)
+    seg = p0[None, :] + ts[:, None] * step[None, :]
+    grid = piece.points.reshape(resolution, resolution, 4)
+    grid[:, :, :2] = seg[:, None]
+    grid[:, :, 2:] = fiber.points((np.arange(resolution) + 0.5) * PI / resolution, 0)
+    fr = piece.frames
+    fr[:, 0, :2] = step / length
+    fr[:, 0, 2:] = 0.0
+    fr[:, 1, :2] = 0.0
+    fr[:, 1, 2:] = fiber.direction

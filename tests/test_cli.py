@@ -701,7 +701,7 @@ def test_curve_without_vertices_exits_2_from_lift_and_0_from_pl_only(tmp_path, c
 @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, 10 ** 200])
 def test_lift_beyond_float_range_exits_2(tmp_path, capsys, flags, value):
     # used to end in an OverflowError traceback with exit 1 (in LocalModel,
-    # _default_truncation or min_vertex_distance's squares)
+    # the default truncation or min_vertex_distance's squares)
     src = tmp_path / "huge.json"
     src.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
                                "lifting": {"0,0": 0, "1,0": 0, "0,1": 0, "1,1": value}}))
@@ -709,6 +709,38 @@ def test_lift_beyond_float_range_exits_2(tmp_path, capsys, flags, value):
     assert run(["lift", str(src), "--resolution", "8", "--out", str(out)] + flags) == 2
     assert capsys.readouterr().err.startswith("error: the curve lies beyond float range")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [10 ** 101, -10 ** 120, 10 ** 149])
+def test_lift_of_a_curve_too_large_for_the_pants_scale_exits_2(tmp_path, capsys, value):
+    # its default schedule's pants scale exceeds pants.LAM_MAX: refused by
+    # the schedule, naming the curve's size, where PantsMap used to name a
+    # bound the user never set ("scale lambda must be at most 1e+100")
+    from unittest import mock
+    from troplag import lift
+    src = tmp_path / "large.json"
+    src.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+                               "lifting": {"0,0": 0, "1,0": 0, "0,1": 0, "1,1": value}}))
+    out = tmp_path / "o"
+    with mock.patch.object(lift, "_standard_pants", _refuse_to_sample):
+        assert run(["lift", str(src), "--resolution", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: the curve is too large to lift: "
+                                              "its vertices lie ")
+    assert not out.exists()
+
+
+def test_schedule_with_a_pants_scale_above_the_limit_exits_2(tmp_path, capsys,
+                                                              triangle_schedule):
+    from unittest import mock
+    from troplag import lift
+    src = tmp_path / "schedule.json"
+    data = json.loads(json.dumps(triangle_schedule))
+    data["lam"]["1"] = 1e101
+    src.write_text(json.dumps(data))
+    with mock.patch.object(lift, "_standard_pants", _refuse_to_sample):
+        assert run(["lift", "triangle", "--resolution", "8", "--schedule", str(src),
+                    "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: pants scales must be at most 1e+100\n"
 
 
 _SMALL_POINTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -1013,7 +1045,7 @@ def test_collar_domain_error_is_deterministic_and_leaves_no_thread(
     from troplag.errors import DomainError
     X = load_fixture("triangle")["curve"]
     # the first collar row: vertex 0, leg 0, S = r', the first fiber angle
-    s0 = float(lift.default_schedule(X).cuts[0, 0, 0] / lift._local_model(X, 0).leg_norm[0])
+    s0 = float(lift.default_schedule(X).cuts[0, 0, 0] / lift._curve_table(X).norms[0, 0])
 
     def failing(pm, j, target, wp, tol, max_iter):
         # every block fails, naming its first row; the first block fails

@@ -119,8 +119,10 @@ def _pl_cloud_oracle(pl, windings, resolution, truncation):
             ys = _coamoeba_cloud(piece.fiber, resolution)
             pts.append(np.concatenate([np.repeat(v[None, :], len(ys), axis=0), ys], axis=1))
             continue
-        m = windings.get(X.edges.index(piece.cell), 0)
-        seg = _edge_param_points(piece.cell, resolution, truncation)
+        ei = X.edges.index(piece.cell)
+        m = windings.get(ei, 0)
+        seg = _edge_param_points(lift_module._curve_table(X), ei, piece.cell.kind, resolution,
+                                 truncation)
         thetas = (np.arange(resolution) + 0.5) * PI / resolution
         v = np.array(_dual_basis_vector(piece.cell.direction()), dtype=float)
         for j in range(piece.fiber.w):
@@ -217,10 +219,9 @@ def test_pl_sample_of_a_square_cell_is_quick():
 
 @pytest.mark.parametrize("name", ["standard_line", "triangle", "weight2_line"])
 def test_pl_clouds_match_pointwise_oracle(name):
-    from troplag.lift import _default_truncation
     X = load_fixture(name)["curve"]
     pl = pl_lift(X)
-    trunc = _default_truncation(X)
+    trunc = lift_module._curve_table(X).truncation
     plain = pl.sample(24)
     assert plain.tobytes() == _pl_cloud_oracle(pl, {}, 24, trunc).tobytes()
     assert pl.sample(24, windings={}).tobytes() == plain.tobytes()
@@ -289,15 +290,16 @@ def test_schedule_json_round_trips(d):
     assert json.loads(text) == d
 
 
-def test_shared_local_models_leave_the_curve_free_of_cycles():
-    # the per-vertex LocalModel cache lives on the curve; a model that
-    # referred back to it would keep every curve alive until a full
-    # garbage collection (peak RSS grows with the number of curves built)
+def test_curve_table_leaves_the_curve_free_of_cycles():
+    # the curve table, with its LocalModels and edge fibers, lives on the
+    # curve; a table that referred back to it would keep every curve alive
+    # until a full garbage collection (peak RSS grows with the number of
+    # curves built)
     import gc
     import weakref
     X = triangle_curve()
     default_schedule(X)
-    assert len(X._local_models) == len(X.vertices)
+    assert len(lift_module._curve_table(X).models) == len(X.vertices)
     ref = weakref.ref(X)
     gc.disable()
     try:
@@ -359,6 +361,11 @@ def _schedule_feasible(lam, model, legs_lat, ball_r):
     return True
 
 
+def _models(X):
+    """The LocalModels of the curve's vertices, from its curve table."""
+    return lift_module._curve_table(X, frames=True).models
+
+
 def _oracle_schedule(X, fractions=(0.5, 0.65, 0.8, 0.95), ball_factor=0.45):
     """Schedule by per-vertex bisection; also the vertices it bisected."""
     R = ball_factor * X.min_vertex_distance()
@@ -366,7 +373,7 @@ def _oracle_schedule(X, fractions=(0.5, 0.65, 0.8, 0.95), ball_factor=0.45):
     diam = max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 1.0
     lam, bisected = [], []
     for vi in range(len(X.vertices)):
-        model = LocalModel(X, X.vertices[vi])
+        model = _models(X)[vi]
         legs_lat = {j: tuple(f * R / model.leg_norm[j] for f in fractions) for j in range(3)}
         hi = 2.0 * min(legs_lat[j][0] for j in range(3))
         lo = hi * 1e-3
@@ -441,7 +448,7 @@ def test_feasibility_kernel_matches_oracle_decisions():
     # of zero width, where the body check alone decides.  n is not a
     # multiple of _FEASIBLE_BLOCK, so the last block is partial.
     X = _triangle_curve(4, 7)
-    models = [LocalModel(X, v) for v in X.vertices]
+    models = _models(X)
     rng = np.random.default_rng(0)
     n = 1001
     assert n % lift_module._FEASIBLE_BLOCK
@@ -470,11 +477,19 @@ def test_validate_rejects_a_bisected_scale_raised_one_percent():
         validate_schedule(X, bad)
 
 
+def test_validate_refuses_a_scale_above_the_pants_limit():
+    X = triangle_curve()
+    sched = default_schedule(X)
+    bad = replace(sched, lam=sched.lam.copy())
+    bad.lam[1] = 1e101
+    with pytest.raises(ConfigurationError, match=r"pants scales must be at most 1e\+100"):
+        validate_schedule(X, bad)
+
+
 def test_local_model_matches_legs_in_star_order():
     # leg j's edge is the incident edge whose outgoing direction is u[j]
     for X in (triangle_curve(), _triangle_curve(6, 7)):
-        for v in X.vertices:
-            model = LocalModel(X, v)
+        for v, model in zip(X.vertices, _models(X)):
             want = [e for u in model.u for e in X.edges_at(v)
                     if X.outgoing_direction(e, v) == tuple(u)]
             assert len(want) == 3
@@ -645,8 +660,6 @@ def test_smooth_lift_piece_residuals(line_mesh):
 def test_pants_interior_frames_are_exact(line_mesh):
     # the analytic (Hessian) frames annihilate the form to rounding
     X, sched, mesh = line_mesh
-    from troplag.lift import LocalModel, _pants_vertex_piece
-    model = LocalModel(X, X.vertices[0])
     from troplag.pants import PantsMap
     pm = PantsMap(1, sched.lam[0])
     res = 24
@@ -662,9 +675,8 @@ def test_pants_interior_frames_are_exact(line_mesh):
 def test_overlap_identity_collar_equals_pants():
     X = standard_line()
     sched = default_schedule(X)
-    from troplag.lift import LocalModel
     from troplag.pants import PantsMap, ProjectionPair
-    model = LocalModel(X, X.vertices[0])
+    model = _models(X)[0]
     lam = sched.lam[0]
     pm = PantsMap(1, lam)
     pp = ProjectionPair(pm, {1})
@@ -700,8 +712,7 @@ def test_mesh_projects_into_region(line_mesh):
     # at full scale the base projection stays inside the unscaled region
     X, sched, mesh = line_mesh
     from troplag.pants import PantsMap
-    from troplag.lift import LocalModel
-    model = LocalModel(X, X.vertices[0])
+    model = _models(X)[0]
     pm = PantsMap(1, 1.0)
     x_std = (mesh.points[:, :2] - model.v) @ np.linalg.inv(model.B.T)
     slack = region_slack(pm, x_std)
@@ -1048,13 +1059,15 @@ def test_smooth_lift_refuses_a_scale_below_its_limit(name, resolution):
 
 
 def _collar_sheets(model, lam, legs):
-    # lift._collar_sheets of the legs (j, cutoff, S, T), mapped to one
-    # vertex in arrays of its own
-    legs = [(j, S, T, cutoff.eta(S), cutoff.eta_prime(S), cutoff.eta_second(S))
-            for j, cutoff, S, T in legs]
-    out = [(np.empty((len(leg[1]), 4)), np.empty((len(leg[1]), 2, 4))) for leg in legs]
-    lift_module._collar_block(lam, legs, [(model, out)])
-    return out
+    # lift._collar_sheets of the legs (j, cutoff, S, T), in increasing j,
+    # as one block of rows mapped to one vertex, split into arrays per leg
+    grid = [np.concatenate(column) for column in zip(
+        *((np.full(len(S), j), S, T, cutoff.eta(S), cutoff.eta_prime(S), cutoff.eta_second(S))
+          for j, cutoff, S, T in legs))]
+    P, fr = np.empty((len(grid[0]), 4)), np.empty((len(grid[0]), 2, 4))
+    lift_module._collar_block(lam, grid, [(model, P, fr)])
+    ends = np.cumsum([len(S) for _, _, S, _ in legs])[:-1]
+    return list(zip(np.split(P, ends), np.split(fr, ends)))
 
 
 def test_collar_analytic_frames_match_fd(line_mesh):
@@ -1063,7 +1076,6 @@ def test_collar_analytic_frames_match_fd(line_mesh):
     # the torus differences are wrapped, so none crosses the cut at pi
     X, sched, _ = line_mesh
     from troplag.coamoeba import FlatTorus
-    from troplag.lift import Cutoff, LocalModel
 
     def _collar_sheet(model, j, lam, cutoff, S, T):
         return _collar_sheets(model, lam, [(j, cutoff, S, T)])[0]
@@ -1072,7 +1084,7 @@ def test_collar_analytic_frames_match_fd(line_mesh):
         d = P - M
         d[:, 2:] = FlatTorus(2).wrap_centered(d[:, 2:])
         return d
-    model = LocalModel(X, X.vertices[0])
+    model = _models(X)[0]
     lam = sched.lam[0]
     for j in (0, 1, 2):
         r1, r2, rbar, r = sched.cuts[0, j] / model.leg_norm[j]
@@ -1162,27 +1174,53 @@ def test_flat_cylinder_with_no_float_length_is_a_numeric_error():
     assert err.value.diagnostics["p0"] == err.value.diagnostics["p1"]
 
 
-def test_vertex_arrays_and_edge_legs_are_built_once_per_curve():
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400])
+def test_lifts_of_a_curve_beyond_float_range_raise_input_error(value):
+    # the curve table checks the range, so the API refuses the curve too
+    poly, nu = load_polytope_json({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+                                   "lifting": {"0,0": 0, "1,0": 0, "0,1": 0, "1,1": value}})
+    X = tropical_hypersurface(regular_subdivision(poly, nu))
+    with pytest.raises(InputError, match="beyond float range"):
+        smooth_lift(X, resolution=8)
+    with pytest.raises(InputError, match="beyond float range"):
+        pl_lift(X).sample(8)
+
+
+def test_curve_table_is_built_once_per_curve():
+    # the PL lift, the schedule, its validation and the smooth lift share
+    # one table, whose vertex frames only the smooth lift's steps build
     X = triangle_curve()
-    calls = []
-    build = lift_module._local_model
+    built = []
 
-    def counted(X, vi):
-        calls.append(vi)
-        return build(X, vi)
+    class Counted(lift_module._CurveTable):
+        def __init__(self, X):
+            built.append("floats")
+            super().__init__(X)
 
-    with mock.patch.object(lift_module, "_local_model", counted):
+        def add_frames(self, X):
+            built.append("frames")
+            super().add_frames(X)
+
+    with mock.patch.object(lift_module, "_CurveTable", Counted):
+        pl_lift(X).sample(8)
+        assert built == ["floats"]
         sched = default_schedule(X)
-        first = len(calls)
-        arrays, legs = lift_module._vertex_arrays(X), lift_module._edge_legs(X)
+        table = lift_module._curve_table(X)
         validate_schedule(X, sched)
-        assert len(calls) == first  # the schedule's validation built nothing again
-    assert lift_module._vertex_arrays(X) is arrays and lift_module._edge_legs(X) is legs
-    assert not any(a.flags.writeable for a in arrays)
-    mesh = smooth_lift(X, 1.0, sched, resolution=8)
-    assert lift_module._vertex_arrays(X) is arrays
+        mesh = smooth_lift(X, 1.0, sched, resolution=8)
+        assert built == ["floats", "frames"]
+    assert lift_module._curve_table(X, frames=True) is table
+    assert not any(a.flags.writeable for a in (table.B, table.norms))
     fresh = smooth_lift(triangle_curve(), 1.0, resolution=8)  # built from a cold curve
     assert np.array_equal(mesh.points, fresh.points) and np.array_equal(mesh.frames, fresh.frames)
+
+
+def test_pl_lift_of_a_curve_with_unsmooth_vertices_builds_no_frame():
+    # weight2_line's vertex is not smooth: adapted_frame would refuse it
+    X = load_fixture("weight2_line")["curve"]
+    with mock.patch.object(lift_module, "adapted_frame", side_effect=AssertionError):
+        assert len(pl_lift(X).sample(8))
+    assert lift_module._curve_table(X).models is None
 
 
 def _row_span(mesh, piece):
@@ -1303,7 +1341,7 @@ def _collar_rows(X, sched, t, resolution):
     folded = np.where(thetas > PI / 2, PI - thetas, thetas)
     rows = []
     for vi in range(len(X.vertices)):
-        norm = lift_module._local_model(X, vi).leg_norm
+        norm = _models(X)[vi].leg_norm
         for j in range(3):
             r1, r = sched.cuts[vi, j, [0, 3]] / norm[j]
             S, B = np.meshgrid(np.linspace(r1, r, resolution), folded, indexing="ij")
@@ -1353,15 +1391,18 @@ def test_collar_fiber_solve_takes_one_kernel_evaluation(monkeypatch):
         assert np.array_equal(_sorted_rows(got), _sorted_rows(_collar_rows(X, sched, t, 128)))
 
 
-@pytest.mark.parametrize("resolution, block", [(16, 7), (128, 7 ** 4)])
+@pytest.mark.parametrize("resolution, block", [(16, 7), (128, 7 ** 4), (16, 1),
+                                               (16, 3 * 16 * 16 - 1)])
 def test_smooth_lift_does_not_depend_on_the_cpu_count(monkeypatch, resolution, block):
     # blocks of a power of 7 rows end mid grid row and span legs unevenly
-    # (7-row blocks at resolution 128 take half a minute); one worker and
-    # three, switching threads often, give every piece the same bytes
+    # (7-row blocks at resolution 128 take half a minute), blocks of one
+    # row are each a slice of one leg, and 3 r^2 - 1 rows leave a last
+    # block of one row; one worker and three, switching threads often, give
+    # every piece the bytes of the lift in blocks of the default size
     X = triangle_curve()
     sched = default_schedule(X)
+    meshes = [smooth_lift(X, 0.5, sched, resolution=resolution)]
     monkeypatch.setattr(lift_module, "_LIFT_BLOCK", block)
-    meshes = []
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
@@ -1370,11 +1411,12 @@ def test_smooth_lift_does_not_depend_on_the_cpu_count(monkeypatch, resolution, b
             meshes.append(smooth_lift(X, 0.5, sched, resolution=resolution))
     finally:
         sys.setswitchinterval(interval)
-    one, three = meshes
-    assert [(p.tag, p.owner) for p in one.pieces] == [(p.tag, p.owner) for p in three.pieces]
-    for a, b in zip(one.pieces, three.pieces):
-        assert a.points.tobytes() == b.points.tobytes()
-        assert a.frames.tobytes() == b.frames.tobytes()
+    want, *got = meshes
+    for mesh in got:
+        assert [(p.tag, p.owner) for p in mesh.pieces] == [(p.tag, p.owner) for p in want.pieces]
+        for a, b in zip(mesh.pieces, want.pieces):
+            assert a.points.tobytes() == b.points.tobytes()
+            assert a.frames.tobytes() == b.frames.tobytes()
 
 
 @pytest.mark.parametrize("workers, resolution, pools", [(2, 72, 0), (2, 74, 1), (1, 128, 0)])
@@ -1401,7 +1443,7 @@ def test_collar_sheet_unchanged_by_the_shared_fiber_solve(monkeypatch, vi, j):
     import troplag.lift as lift
     X = triangle_curve()
     sched = default_schedule(X)
-    model = lift._local_model(X, vi)
+    model = _models(X)[vi]
     r1, r2, rbar, r = sched.cuts[vi, j] / model.leg_norm[j]
     cutoff = Cutoff(r2, rbar)
     S, T = np.meshgrid(np.linspace(r1, r, 32),
@@ -1418,15 +1460,21 @@ def _smooth_cases():
         for t in (1.0, 0.5, 0.1):
             yield pytest.param(name, t, 32, id=f"{name}-{t}")
     yield pytest.param("triangle6", 1.0, 16, id="triangle6-1.0")
+    yield pytest.param("triangle6-unequal", 0.5, 16, id="triangle6-unequal-0.5")
 
 
 @pytest.mark.parametrize("name, t, resolution", _smooth_cases())
 def test_smooth_lift_matches_per_leg_oracle(name, t, resolution):
     # one fiber solve and one kernel call per block of collar rows give
     # every piece the points and frames of the per-leg path on the
-    # row-wise evaluators
-    X = _triangle_curve(6, 0) if name == "triangle6" else load_fixture(name)["curve"]
+    # row-wise evaluators.  The default schedule gives every leg the same
+    # cuts, so only the unequal case tells a segment's two ends apart
+    X = _triangle_curve(6, 0) if name.startswith("triangle6") else load_fixture(name)["curve"]
     sched = default_schedule(X)
+    if name.endswith("unequal"):
+        scale = np.random.default_rng(3).uniform(0.9, 1.0, sched.cuts.shape[:2])
+        sched = replace(sched, cuts=sched.cuts * scale[..., None])
+        validate_schedule(X, sched)
     mesh = smooth_lift(X, t, sched, resolution=resolution)
     want = oracle_smooth_pieces(X, t, sched, resolution)
     assert [(p.tag, p.owner, p.grid) for p in mesh.pieces] == \
@@ -1483,8 +1531,7 @@ def test_smooth_lift_builds_each_distinct_vertex_row_once(monkeypatch):
     # solved, and every vertex gets the pieces of the per-leg oracle
     X = _triangle_curve(6, 0)
     sched = default_schedule(X)
-    norms = np.array([lift_module._local_model(X, vi).leg_norm
-                      for vi in range(len(X.vertices))])
+    norms = lift_module._curve_table(X, frames=True).norms
     cuts = (sched.cuts / norms[:, :, None]).reshape(-1, 12)
     rows = {(lam, tuple(row)) for lam, row in zip(sched.lam.tolist(), cuts.tolist())}
     assert (len(X.vertices), len(rows)) == (36, 2)
@@ -1522,8 +1569,7 @@ def test_collar_loops_wind_zero():
     # the tangent plane rotates fastest, have vanishing phase winding
     X = standard_line()
     sched = default_schedule(X)
-    from troplag.lift import Cutoff, LocalModel
-    model = LocalModel(X, X.vertices[0])
+    model = _models(X)[0]
     for j in (0, 1, 2):
         r1, r2, rbar, r = sched.cuts[0, j]
         scale = model.leg_norm[j]

@@ -6,9 +6,10 @@ from helpers import constant_lifting, dual_sample_point
 from hypothesis import given, settings, strategies as st
 
 from troplag.errors import DegeneracyError, InputError
-from troplag.polyhedral import (LatticePolytope, LiftingFunction, affine_dim, cross2,
-                                discrete_legendre, dot, load_polytope_json,
-                                regular_subdivision, vadd, vsub)
+from troplag.polyhedral import (MAX_LATTICE_POINTS, LatticePolytope, LiftingFunction,
+                                affine_dim, cross2, discrete_legendre, dot,
+                                enumerate_lattice_points, lattice_point_count,
+                                load_polytope_json, regular_subdivision, vadd, vsub)
 
 TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 2), (2, 1)])
 TRIANGLE_NU = LiftingFunction({(0, 0): 1, (1, 1): 0, (2, 1): 0, (1, 2): 0})
@@ -262,6 +263,33 @@ def test_lower_hull_matches_oracle(points, kind, rnd):
     # the face table builds edges and points without a hull
     for f in S.faces():
         assert f == LatticePolytope.from_points(f.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=6))
+def test_pick_count_is_the_number_of_listed_lattice_points(points):
+    # polygons, segments and points alike
+    P = LatticePolytope.from_points(points)
+    assert lattice_point_count(P.vertices) == len(P.lattice_points)
+    assert len(enumerate_lattice_points(list(P.vertices))) == len(P.lattice_points)
+
+
+@pytest.mark.parametrize("vertices, count", [
+    ([(0, 0), (300000, 0), (0, 1)], 300002),
+    ([(0, 0), (99, 0), (0, 99)], 5050),
+    ([(0, 0), (5000, 0)], 5001),
+    ([(0,), (5000,)], 5001),
+])
+def test_polytope_above_the_lattice_point_limit_is_refused_before_listing(vertices, count):
+    # it used to list every point first: 0.6 s and 65 MB for the thin
+    # triangle before its exit-2 message
+    from unittest import mock
+    with mock.patch("troplag.polyhedral.enumerate_lattice_points",
+                    side_effect=AssertionError("listed")):
+        with pytest.raises(InputError, match=f"holds {count} lattice points, more than "
+                                             f"{MAX_LATTICE_POINTS}"):
+            LatticePolytope.from_points(vertices)
+    assert len(LatticePolytope.from_points([(0, 0), (98, 0), (0, 98)]).lattice_points) == 4950
 
 
 def _rescaled(P, nu, k, a, b, c):
