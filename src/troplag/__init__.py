@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 
 from .polyhedral import (LatticePolytope, LiftingFunction, discrete_legendre,
                          regular_subdivision)
-from .tropical import (TropicalComplex, TropicalLine, adapted_frame,
-                       balancing_check, is_smooth, load_curve_json,
-                       tangent_line, tropical_hypersurface)
+from .tropical import (TropicalComplex, TropicalLine, balancing_check,
+                       is_smooth, load_curve_json, tangent_line,
+                       tropical_hypersurface, vertex_frames)
 from .coamoeba import Coamoeba
 from .pants import PantsMap, eta_curve, gamma_curve
 from .lift import (GluingSchedule, default_schedule, exactness_check,
@@ -24,7 +24,7 @@ __all__ = [
     "LatticePolytope", "LiftingFunction", "regular_subdivision",
     "discrete_legendre", "TropicalComplex", "TropicalLine",
     "tropical_hypersurface", "is_smooth", "balancing_check", "tangent_line",
-    "adapted_frame", "load_curve_json", "Coamoeba",
+    "vertex_frames", "load_curve_json", "Coamoeba",
     "PantsMap", "gamma_curve", "eta_curve", "pl_lift", "smooth_lift",
     "default_schedule", "GluingSchedule", "symplectic_residual",
     "hausdorff_distance", "twist", "exactness_check",

@@ -239,8 +239,8 @@ class CoveringCoamoeba:
             raise InputError("covering model needs a trivalent vertex")
         if not line.is_balanced():
             raise InputError("weighted vertex is not balanced")
-        # deterministic labels, matching the adapted-frame convention:
-        # u0 is the lexicographically smallest generator
+        # deterministic labels, matching tropical.vertex_frames: u0 is the
+        # lexicographically smallest generator
         order = sorted(range(3), key=lambda i: line.generators[i])
         # columns w1 u1 and w2 u2, of the two generators after u0
         self.B = np.array([[line.weights[i] * c for c in line.generators[i]]

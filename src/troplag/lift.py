@@ -23,7 +23,7 @@ from .errors import ConfigurationError, InputError, NumericError
 from .pants import (HESSIAN_MARGIN, LAM_MAX, PantsMap, h_chart_terms, hessian_rows, scaled_h,
                     solve_leg_fiber)
 from .toric import lift_topology
-from .tropical import adapted_frame, tangent_line, tangent_star
+from .tropical import tangent_line, vertex_frames
 from .polyhedral import parse_key, primitive
 
 
@@ -114,63 +114,11 @@ class Cutoff:
         return -_BUMP.psi_second(self._u(s)) / (self.r2 - self.r1) ** 2
 
 
-# ---------------------------------------------------------------------------
-# vertex-local models
-
-class LocalModel:
-    """Adapted coordinates of a smooth curve vertex v, whose float point is
-    x (from _curve_table).
-
-    Base side x = v + B x_std, torus side y = y_c + A^T y_std (mod pi) with
-    B = [u_1 u_2], A = B^{-1}, y_c = (pi/2) v_0 for the dual-cell vertex v_0
-    shared by the subdivision edges dual to the legs u_1 and u_2.  The legs
-    are indexed j = 0, 1, 2 in the order of adapted_frame's sorted
-    generators: u[j], leg_edge[j] (the incident curve edge) and leg_norm[j].
-    """
-
-    def __init__(self, X, v, x):
-        self.v = x
-        star, dirs, line = tangent_star(X, v)
-        frame, self.u = adapted_frame(line)
-        self.A = np.array(frame.A, dtype=float)
-        self.B = np.linalg.inv(self.A)
-        # adapted_frame required three distinct generators, so sorting the
-        # star by direction orders its edges as the legs
-        self.leg_edge = [star[i] for i in sorted(range(len(star)), key=dirs.__getitem__)]
-        # dual data: v0 = common vertex of the dual edges of legs 1 and 2
-        f1 = X.dual_cell(self.leg_edge[1])
-        f2 = X.dual_cell(self.leg_edge[2])
-        common = set(f1.vertices) & set(f2.vertices)
-        if len(common) != 1:
-            raise InputError("dual edges of the two frame legs do not share a vertex")
-        self.v0 = common.pop()
-        self.y_c = np.array(self.v0, dtype=float) * PI / 2
-        self.leg_norm = [float(np.hypot(*u)) for u in self.u]
-
-    def x_ambient(self, x_std):
-        return self.v[None, :] + np.atleast_2d(x_std) @ self.B.T
-
-    def y_ambient_raw(self, y_std):
-        return self.y_c[None, :] + np.atleast_2d(y_std) @ self.A
-
-    def y_ambient(self, y_std):
-        return reduce_mod_pi(self.y_ambient_raw(y_std))
-
-    def dx_ambient(self, dx_std):
-        return np.atleast_2d(dx_std) @ self.B.T
-
-    def dy_ambient(self, dy_std):
-        return np.atleast_2d(dy_std) @ self.A
-
-    @staticmethod
-    def leg_coordinate(x_std, j):
-        """Lattice coordinate along leg j of a standard-side point."""
-        x_std = np.atleast_2d(x_std)
-        if j == 1:
-            return x_std[:, 0]
-        if j == 2:
-            return x_std[:, 1]
-        return -x_std[:, 0]
+# The largest size of a curve coordinate that _curve_table lifts and of a
+# ray truncation: an input bound, below which the curve's extent, its
+# squared vertex distances and a ray cylinder's squared length stay finite
+# floats.
+COORDINATE_LIMIT = 1e150
 
 
 class _CurveTable:
@@ -178,17 +126,24 @@ class _CurveTable:
     curve and kept on it; it refers to no curve, so the curve does not
     become a reference cycle.  vertices (V, 2) and truncation, the ray
     length of samples and schedules (3 x the larger of 1 and the vertices'
-    extent); per edge, in X.edges order, ends (E, 2, 2), verts[0] and then
-    verts[1] of a segment or the ray direction, length (E,), the norm of
-    their difference or of the direction, segment (E,) and the EdgeFibers
-    fibers.  The vertex frames are None until _curve_table(X, frames=True):
-    the LocalModels models, their frame matrices B (V, 2, 2) and lattice leg
-    lengths norms (V, 3), read-only, and legs (E, 2, 2), per edge the
-    (vertex index, leg) of each end, the one end twice on a ray."""
+    extent, at most COORDINATE_LIMIT); per edge, in X.edges order, ends
+    (E, 2, 2), verts[0] and then verts[1] of a segment or the ray
+    direction, length (E,), the norm of their difference or of the
+    direction, segment (E,) and the EdgeFibers fibers.  The vertex frames
+    are None until _curve_table(X, frames=True): from
+    tropical.vertex_frames, per vertex the frame B = [u1 u2] (V, 2, 2) of
+    its sorted leg directions u0, u1, u2, its inverse A = adj(B) det(B),
+    exact as det(B) = +-1, y_c = v0 pi / 2 (V, 2) and the lattice leg
+    lengths norms (V, 3) of the directions; and legs (E, 2, 2), per edge
+    the (vertex index, leg) of each end, the one end twice on a ray.  A
+    vertex's pants and collars map from standard coordinates by
+    x -> v + B x, y -> y_c + A^T y (mod pi).  The frame arrays are
+    read-only."""
 
     def __init__(self, X):
         vs = self.vertices = np.array(X.vertices, dtype=float).reshape(-1, 2)
-        self.truncation = 3.0 * max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 3.0
+        extent = float(np.ptp(vs, axis=0).max()) if len(vs) > 1 else 1.0
+        self.truncation = min(3.0 * max(1.0, extent), COORDINATE_LIMIT)
         self.ends = np.array([(e.verts[0], e.verts[1] if e.kind == "segment" else e.rays[0])
                               for e in X.edges], dtype=float).reshape(-1, 2, 2)
         self.segment = np.array([e.kind == "segment" for e in X.edges], dtype=bool)
@@ -196,38 +151,49 @@ class _CurveTable:
         self.length = np.array([np.linalg.norm(b - a if seg else b)
                                 for (a, b), seg in zip(self.ends, self.segment)])
         self.fibers = [edge_fiber_from_dual(e, X.dual_cell(e)) for e in X.edges]
-        self.models = self.B = self.norms = self.legs = None
+        self.B = self.A = self.y_c = self.norms = self.legs = None
 
     def add_frames(self, X):
         if not X.vertices:
             raise InputError("smooth lifting needs a curve with a vertex to put a pants on")
-        self.models = [LocalModel(X, v, x) for v, x in zip(X.vertices, self.vertices)]
-        self.B = np.array([m.B for m in self.models])
-        self.norms = np.array([m.leg_norm for m in self.models])
-        self.B.flags.writeable = self.norms.flags.writeable = False
-        # a curve with a vertex has no lines, so each edge has one or two ends
-        legs = {(id(e), X.vertices[vi]): (vi, j) for vi, m in enumerate(self.models)
-                for j, e in enumerate(m.leg_edge)}
-        self.legs = np.array([[legs[id(e), p] for p in (e.verts * 2)[:2]] for e in X.edges])
+        dirs, legs, v0 = vertex_frames(X)
+        u = np.array(dirs, dtype=float)
+        self.B = np.ascontiguousarray(u[:, 1:].transpose(0, 2, 1))
+        # adj(B) det(B) in ints, where a zero is never -0.0
+        self.A = np.array([((d * s, -c * s), (-b * s, a * s))
+                           for _, (a, b), (c, d) in dirs for s in (a * d - b * c,)], dtype=float)
+        self.y_c = np.array(v0, dtype=float) * PI / 2
+        self.norms = np.hypot(u[..., 0], u[..., 1])
+        # a curve with a vertex has no lines, so each edge has one or two
+        # ends: a leg at an edge's verts[0] fills both, a ray's one end twice
+        index = {v: vi for vi, v in enumerate(X.vertices)}
+        first = np.array([index[e.verts[0]] for e in X.edges])
+        ei = np.array(legs).ravel()
+        vj = np.stack(np.divmod(np.arange(len(ei)), 3), axis=1)
+        at_first = first[ei] == vj[:, 0]
+        self.legs = np.empty((len(X.edges), 2, 2), dtype=vj.dtype)
+        self.legs[ei[at_first]] = vj[at_first, None]
+        self.legs[ei[~at_first], 1] = vj[~at_first]
+        for a in (self.B, self.A, self.y_c, self.norms, self.legs):
+            a.flags.writeable = False
 
 
 def _curve_table(X, frames=False):
     """The _CurveTable of X, built on first use, with its vertex frames if
     frames.  InputError before any float is made when a coordinate of the
     vertices (which end every segment and ray) or of a line's base point
-    exceeds 1e150 in size, compared exactly (below it, 3 x their extent and
-    their squared distances are finite floats), or the curve has no
+    exceeds COORDINATE_LIMIT in size, compared exactly, or the curve has no
     subdivision; and for the frames when it has no vertex."""
     table = getattr(X, "_lift_table", None)
     if table is None:
         points = X.vertices + [e.verts[0] for e in X.edges if e.kind == "line"]
-        if any(abs(a) > 1e150 for p in points for a in p):
+        if any(abs(a) > COORDINATE_LIMIT for p in points for a in p):
             raise InputError("the curve lies beyond float range: its coordinates must be at "
-                             "most 1e150 in magnitude to lift")
+                             f"most {COORDINATE_LIMIT:g} in magnitude to lift")
         if X.subdivision is None:
             raise InputError("missing duality data; build the curve from a subdivision")
         table = X._lift_table = _CurveTable(X)
-    if frames and table.models is None:
+    if frames and table.B is None:
         table.add_frames(X)
     return table
 
@@ -324,11 +290,20 @@ def _boundary_cloud(lam):
     return np.concatenate([x0, rstar_apply(1, 1, x0), rstar_apply(1, 2, x0)], axis=1)
 
 
+def _leg_coordinates(x_std):
+    """The lattice coordinates (-x_1, x_1, x_2) along legs 0, 1, 2 of
+    standard-side points x_std (..., 2), stacked on a new first axis."""
+    return np.stack([-x_std[..., 0], x_std[..., 0], x_std[..., 1]])
+
+
 def _feasible(lam, B, legs_lat, ball_r):
     """Per vertex i, whether pants scale lam[i] keeps the trimmed body
-    inside 0.9 x ball_r[i] and the arms slim enough to stay in their leg
-    neighborhoods inside the ball.  B[i] is the vertex's frame matrix and
-    legs_lat[i, j] its four leg-j cut points in lattice units."""
+    inside 0.9 x ball_r[i], non-empty, and the arms slim enough to stay in
+    their leg neighborhoods inside the ball.  B[i] is the vertex's frame
+    matrix and legs_lat[i, j] its four leg-j cut points in lattice units.
+    The body is the boundary points whose leg coordinates are all at most
+    r'; at a scale whose body holds none, the pants lie beyond the legs'
+    cuts and trim to nothing."""
     ok = np.empty(len(lam), dtype=bool)
     for s in range(0, len(lam), _FEASIBLE_BLOCK):
         blk = slice(s, s + _FEASIBLE_BLOCK)
@@ -336,19 +311,15 @@ def _feasible(lam, B, legs_lat, ball_r):
         amb = cloud @ B[blk].transpose(0, 2, 1)
         r = np.sqrt(amb[..., 0] * amb[..., 0] + amb[..., 1] * amb[..., 1])
         R = ball_r[blk, None]
-        far_body = r > 0.9 * R  # narrowed to the body points below
-        in_arm = np.zeros_like(far_body)
-        bad = np.zeros_like(far_body)
-        # c_j, the leg-j coordinate, is also d_{j,k_j}: the V_{{j},k_j}
+        # c[j], the leg-j coordinate, is also d_{j,k_j}: the V_{{j},k_j}
         # slack at the smallest admissible k_j (1 for leg 0, else 0)
-        for j, c in enumerate((-cloud[..., 0], cloud[..., 0], cloud[..., 1])):
-            r_prime, r_end = legs_lat[blk, j, 0, None], legs_lat[blk, j, 3, None]
-            far_body &= c <= r_prime
-            arm = (c >= r_prime) & (c <= r_end)
-            in_arm |= arm
-            bad |= arm & ~(c >= 1e-12)
-        bad |= far_body | (in_arm & (r > R))
-        ok[blk] = ~bad.any(axis=1)
+        c = _leg_coordinates(cloud)
+        r_prime, r_end = (legs_lat[blk, :, k].T[..., None] for k in (0, 3))
+        body = np.all(c <= r_prime, axis=0)
+        arm = (c >= r_prime) & (c <= r_end)
+        bad = np.any(arm & ~(c >= 1e-12), axis=0)
+        bad |= (body & (r > 0.9 * R)) | (np.any(arm, axis=0) & (r > R))
+        ok[blk] = ~bad.any(axis=1) & body.any(axis=1)
     return ok
 
 
@@ -444,8 +415,8 @@ def validate_schedule(X, sched):
     lam, ball_r, cuts = sched.lam, sched.ball_radius, sched.cuts
     if (lam.shape, ball_r.shape, cuts.shape) != ((nv,), (nv,), (nv, 3, 4)):
         raise ConfigurationError("schedule shapes do not match the curve's vertices and legs")
-    if not sched.truncation > 0:
-        raise ConfigurationError("truncation must be positive")
+    if not 0 < sched.truncation <= COORDINATE_LIMIT:
+        raise ConfigurationError(f"truncation must be positive and at most {COORDINATE_LIMIT:g}")
     if not np.all(lam > 0):
         raise ConfigurationError("pants scales must be positive")
     if np.any(lam > LAM_MAX):
@@ -752,7 +723,7 @@ def _int_rows(prefix, rows, records, counts):
 # The pants over a vertex depend on the vertex only through an integral
 # affine map: smooth_lift solves and evaluates every piece in standard
 # coordinates, once per distinct row of (lam, leg cuts), and maps it to each
-# vertex of that row with LocalModel's x/y/dx/dy_ambient.
+# vertex of that row by the vertex's rows v, B, A and y_c of the curve table.
 
 def _body_grid(resolution):
     """Torus points of the plus half of the pants body grid."""
@@ -802,7 +773,7 @@ def _unit_pants(resolution):
 def _within_trims(h, trims):
     """Rows of standard-side points h whose leg coordinates are all at most
     trims, one per leg."""
-    return np.all([LocalModel.leg_coordinate(h, j) <= trims[j] for j in range(3)], axis=0)
+    return np.all(_leg_coordinates(h) <= trims[:, None], axis=0)
 
 
 def _standard_pants(lam, legs_lat, resolution):
@@ -839,22 +810,22 @@ def _standard_pants(lam, legs_lat, resolution):
     return body, charts
 
 
-def _pants_vertex_piece(model, pants, piece):
-    """Fill the piece with the trimmed pants over one vertex, from
-    _standard_pants: body, then chart collars.  The body's frames are its
-    Hessian columns; the chart
-    collars' are finite differences of their stencils, taken after the map
-    to the vertex (on the raw torus lift, so nothing crosses the
-    fundamental-domain cut)."""
+def _pants_vertex_piece(table, vi, pants, piece):
+    """Fill the piece with the trimmed pants over vertex vi of the curve
+    table, from _standard_pants: body, then chart collars.  The body's
+    frames are its Hessian columns; the chart collars' are finite
+    differences of their stencils, taken after the map to the vertex (on
+    the raw torus lift, so nothing crosses the fundamental-domain cut)."""
     (h, y, H), (hc, yc, da2, dt2) = pants
     N, P, fr = len(h), piece.points, piece.frames
-    P[:N, :2] = model.x_ambient(h)
-    P[:N, 2:] = model.y_ambient(y)
+    v, B, A, y_c = table.vertices[vi], table.B[vi], table.A[vi], table.y_c[vi]
+    P[:N, :2] = v + h @ B.T
+    P[:N, 2:] = reduce_mod_pi(y_c + y @ A)
     for i in range(2):
-        fr[:N, i, :2] = model.dx_ambient(H[:, :, i])
-    fr[:N, :, 2:] = model.A  # dy_ambient of the unit vectors, row by row
+        fr[:N, i, :2] = H[:, :, i] @ B.T
+    fr[:N, :, 2:] = A  # the unit vectors times A, row by row
     P0, Pa_up, Pa_dn, Pt_up, Pt_dn = np.split(
-        np.concatenate([model.x_ambient(hc), model.y_ambient_raw(yc)], axis=1), 5)
+        np.concatenate([v + hc @ B.T, y_c + yc @ A], axis=1), 5)
     P[N:, :2] = P0[:, :2]
     P[N:, 2:] = reduce_mod_pi(P0[:, 2:])
     fr[N:, 0] = (Pa_up - Pa_dn) / da2
@@ -923,17 +894,19 @@ def _working_to_std(j, x, y):
         y[0, :, 0] += PI / 2
 
 
-def _collar_block(lam, grid, targets):
+def _collar_block(table, lam, grid, targets):
     """One block of collar rows: _collar_sheets once on the rows grid of
-    _collar_grid, mapped to the vertex of each target (model, P, fr) and
-    written into its rows P and fr, of shapes (m, 4) and (m, 2, 4)."""
+    _collar_grid, mapped to each target (vi, P, fr), by the rows of vertex
+    vi of the curve table, and written into its rows P and fr, of shapes
+    (m, 4) and (m, 2, 4)."""
     x, y = _collar_sheets(lam, grid)
-    for model, P, fr in targets:
-        P[:, :2] = model.x_ambient(x[0])
-        P[:, 2:] = model.y_ambient(y[0])
+    for vi, P, fr in targets:
+        B, A = table.B[vi], table.A[vi]
+        P[:, :2] = table.vertices[vi] + x[0] @ B.T
+        P[:, 2:] = reduce_mod_pi(table.y_c[vi] + y[0] @ A)
         for i in range(2):
-            fr[:, i, :2] = model.dx_ambient(x[i + 1])
-            fr[:, i, 2:] = model.dy_ambient(y[i + 1])
+            fr[:, i, :2] = x[i + 1] @ B.T
+            fr[:, i, 2:] = y[i + 1] @ A
 
 
 def _fiber_circle(pm, j, target, thetas):
@@ -1031,10 +1004,10 @@ def _smallest_scale(lam, legs_lat, resolution):
     return (legs_lat[:, :, 3].max(axis=1) / lam).max() / h.min()
 
 
-def _lift_vertex_row(mesh, models, vertices, lam, legs_lat, pants, resolution, pool):
+def _lift_vertex_row(mesh, table, vertices, lam, legs_lat, pants, resolution, pool):
     """Fill the pieces (pants, then three collars) of the vertices (indices
-    into the mesh's vertices and their models) that share one distinct row
-    of scale lam and leg cuts legs_lat (a vertex's (3, 4) row of the
+    into the curve table's vertices) that share one distinct row of scale
+    lam and leg cuts legs_lat (a vertex's (3, 4) row of the
     schedule's cuts in lattice units): its pants (from _standard_pants) and
     collars are built once, in standard coordinates, and mapped to each
     vertex.  Each block of _LIFT_BLOCK rows of _collar_grid is one
@@ -1044,14 +1017,15 @@ def _lift_vertex_row(mesh, models, vertices, lam, legs_lat, pants, resolution, p
     order raises."""
     grid = _collar_grid(legs_lat, resolution)
     n = len(grid[0])
-    collars = [(models[vi], mesh.points[c:c + n], mesh.frames[c:c + n])
+    collars = [(vi, mesh.points[c:c + n], mesh.frames[c:c + n])
                for c, vi in zip(mesh.starts[4 * vertices + 1], vertices)]
-    blocks = [(lam, [a[rows] for a in grid], [(m, P[rows], fr[rows]) for m, P, fr in collars])
+    blocks = [(table, lam, [a[rows] for a in grid],
+               [(vi, P[rows], fr[rows]) for vi, P, fr in collars])
               for rows in (slice(s, s + _LIFT_BLOCK) for s in range(0, n, _LIFT_BLOCK))]
     if pool is not None:
         futures = [pool.submit(_collar_block, *block) for block in blocks]
     for vi in vertices:
-        _pants_vertex_piece(models[vi], pants, mesh.pieces[4 * vi])
+        _pants_vertex_piece(table, vi, pants, mesh.pieces[4 * vi])
     if pool is None:
         for block in blocks:
             _collar_block(*block)
@@ -1119,7 +1093,7 @@ def smooth_lift(X, t=1.0, sched=None, resolution=128):
         pool = ThreadPoolExecutor(workers)
     try:
         for d in np.argsort(first):
-            _lift_vertex_row(mesh, table.models, np.flatnonzero(row_of == d), lams[first[d]],
+            _lift_vertex_row(mesh, table, np.flatnonzero(row_of == d), lams[first[d]],
                              legs_lat[first[d]], pants[d], resolution, pool)
     finally:
         if pool is not None:

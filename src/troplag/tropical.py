@@ -247,58 +247,43 @@ class TropicalLine:
         return True
 
 
-def tangent_star(X, v):
-    """Edges of the star of vertex v and their outgoing primitive
-    directions, both in star order, and the cone they span (the tangent
-    line, generators in sorted order)."""
+def tangent_line(X, v):
+    """Cone of the star of vertex v, with its primitive generators (the
+    outgoing directions) in sorted order."""
     v = exact_point(v)
     if v not in X._vertex_set:
         raise InputError(f"vertex {v} not in complex")
-    star = X.edges_at(v)
-    gens = [X.outgoing_direction(e, v) for e in star]
-    order = sorted(range(len(gens)), key=lambda i: gens[i])
-    line = TropicalLine(v, tuple(gens[i] for i in order),
-                        tuple(star[i].weight for i in order))
-    return star, gens, line
+    star = sorted(((X.outgoing_direction(e, v), e.weight) for e in X.edges_at(v)),
+                  key=lambda g: g[0])
+    return TropicalLine(v, tuple(g for g, _ in star), tuple(w for _, w in star))
 
 
-def tangent_line(X, v):
-    """Cone of the star of vertex v, with primitive generators."""
-    return tangent_star(X, v)[2]
-
-
-@dataclass(frozen=True)
-class AffineFrame:
-    """Unimodular affine coordinates adapted to a tangent tropical line.
-
-    Base side: x -> A (x - origin); torus side: y -> A^{-T} (y - y0), which
-    is the associated automorphism convention of the ambient product.
-    """
-
-    origin: tuple
-    A: tuple  # ((a,b),(c,d)) integer, |det| = 1
-
-    def apply_linear(self, v):
-        (a, b), (c, d) = self.A
-        return (a * v[0] + b * v[1], c * v[0] + d * v[1])
-
-
-def adapted_frame(line):
-    """Deterministic adapted frame for a smooth tangent tropical line.
-
-    The generator labelled u0 is the lexicographically smallest; the rest
-    are ordered lexicographically and sent to the standard basis.
-    """
-    if not line.is_smooth():
-        raise InputError("line is not smooth; use the covering model instead")
-    if not line.is_balanced():
-        raise InputError("line is not balanced")
-    gens = sorted(line.generators)
-    u0, u1, u2 = gens[0], gens[1], gens[2]
-    det = u1[0] * u2[1] - u1[1] * u2[0]
-    # A = [u1 u2]^{-1} (columns); exact since |det| = 1
-    A = ((u2[1] // det, -u2[0] // det), (-u1[1] // det, u1[0] // det))
-    frame = AffineFrame(line.center, A)
-    if frame.apply_linear(u1) != (1, 0) or frame.apply_linear(u2) != (0, 1):
-        raise InputError("frame construction failed; generators not unimodular")
-    return frame, (u0, u1, u2)
+def vertex_frames(X):
+    """The integral frames of the vertices of a smooth curve with duality
+    data, in ints: three lists indexed like X.vertices.  Per vertex, its
+    outgoing primitive directions in sorted order (u0, u1, u2), the indices
+    in X.edges of their edges in the same order, and v0, the one point of
+    the dual keys (vertex sets) of the edges of legs 1 and 2.  The frame
+    B = [u1 u2] is unimodular and sends (-1, -1) to u0.  InputError unless
+    every vertex is trivalent with weights 1, |det(u1, u2)| = 1 and its
+    star balanced, and its legs' edges carry dual keys."""
+    index = {id(e): i for i, e in enumerate(X.edges)}
+    dirs, legs, v0s = [], [], []
+    for v in X.vertices:
+        star = sorted((X.outgoing_direction(e, v), index[id(e)]) for e in X.edges_at(v))
+        u = tuple(d for d, _ in star)
+        if (len(u) != 3 or any(X.edges[i].weight != 1 for _, i in star)
+                or abs(u[1][0] * u[2][1] - u[1][1] * u[2][0]) != 1):
+            raise InputError("line is not smooth; use the covering model instead")
+        if any(a + b + c for a, b, c in zip(*u)):
+            raise InputError("line is not balanced")
+        k1, k2 = (X.edges[i].dual_key for _, i in star[1:])
+        if k1 is None or k2 is None:
+            raise InputError("complex has no duality data")
+        common = k1 & k2
+        if len(common) != 1:
+            raise InputError("dual edges of the two frame legs do not share a vertex")
+        dirs.append(u)
+        legs.append(tuple(i for _, i in star))
+        v0s.append(next(iter(common)))
+    return dirs, legs, v0s

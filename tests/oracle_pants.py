@@ -9,7 +9,9 @@ collars and one collar per (vertex, leg) with a fiber solve and F, h,
 h_chart and hessian calls of its own, and edge by edge the flat cylinders,
 each from its own float ends and edge fiber.  The maps between leg-j working
 coordinates and standard ones are kept here as they were written, one for
-points and one for differentials.
+points and one for differentials, and so are the per-vertex maps from
+standard coordinates to the ambient ones, which read only a vertex's rows
+v, B, A and y_c of the curve table.
 """
 
 import numpy as np
@@ -17,8 +19,38 @@ import numpy as np
 from troplag import lift
 from troplag.coamoeba import PI, edge_fiber_from_dual, r_apply, reduce_mod_pi, rstar_apply
 from troplag.errors import DomainError, NumericError
-from troplag.lift import Cutoff, LocalModel, MeshPiece
+from troplag.lift import Cutoff, MeshPiece
 from troplag.pants import VERTEX_SWITCH_DIST, PantsMap
+
+
+class VertexMap:
+    """Standard coordinates of vertex vi of the curve table to ambient ones:
+    x -> v + B x, y -> y_c + A^T y (mod pi), and their differentials."""
+
+    def __init__(self, table, vi):
+        self.v, self.B, self.A, self.y_c = (table.vertices[vi], table.B[vi], table.A[vi],
+                                            table.y_c[vi])
+
+    def x_ambient(self, x_std):
+        return self.v[None, :] + np.atleast_2d(x_std) @ self.B.T
+
+    def y_ambient_raw(self, y_std):
+        return self.y_c[None, :] + np.atleast_2d(y_std) @ self.A
+
+    def y_ambient(self, y_std):
+        return reduce_mod_pi(self.y_ambient_raw(y_std))
+
+    def dx_ambient(self, dx_std):
+        return np.atleast_2d(dx_std) @ self.B.T
+
+    def dy_ambient(self, dy_std):
+        return np.atleast_2d(dy_std) @ self.A
+
+
+def _leg_coordinates(h):
+    """The coordinates (-x_1, x_1, x_2) of standard-side points along legs
+    0, 1, 2, one column each."""
+    return np.stack([-h[:, 0], h[:, 0], h[:, 1]], axis=1)
 
 
 class OraclePantsMap(PantsMap):
@@ -263,7 +295,7 @@ def oracle_pants_vertex_piece(model, lam, legs_lat, resolution):
     bary = np.stack([l1[keep], l2[keep]], axis=1) * (PI / 2)
     y_all = np.vstack([bary, -bary])
     h_all = pm.h(y_all)
-    c = np.stack([LocalModel.leg_coordinate(h_all, j) for j in range(3)], axis=1)
+    c = _leg_coordinates(h_all)
     trims = np.array([legs_lat[j][1] for j in range(3)])
     keep = np.all(c <= trims[None, :], axis=1)
     y_in = y_all[keep]
@@ -311,7 +343,7 @@ def oracle_pants_chart_points(model, pm, legs_lat, resolution):
             return np.concatenate([model.x_ambient(hh), model.y_ambient_raw(yy)], axis=1), hh
 
         P0, h0 = emb_raw(a, t)
-        c = np.stack([LocalModel.leg_coordinate(h0, j) for j in range(3)], axis=1)
+        c = _leg_coordinates(h0)
         keep = np.all(c <= trims[None, :], axis=1)
         a, t, tcap, P0 = a[keep], t[keep], tcap[keep], P0[keep]
         if not len(a):
@@ -333,14 +365,15 @@ def oracle_pants_chart_points(model, pm, legs_lat, resolution):
 def oracle_smooth_pieces(X, t, sched, resolution):
     """The pieces of smooth_lift(X, t, sched, resolution), built per leg."""
     pieces = []
-    models = lift._curve_table(X, frames=True).models
-    for vi, model in enumerate(models):
+    table = lift._curve_table(X, frames=True)
+    for vi in range(len(X.vertices)):
+        model = VertexMap(table, vi)
         lam = t * sched.lam[vi]
-        legs_lat = {j: tuple(sched.cuts[vi, j] / model.leg_norm[j]) for j in range(3)}
+        legs_lat = {j: tuple(sched.cuts[vi, j] / table.norms[vi, j]) for j in range(3)}
         P, fr = oracle_pants_vertex_piece(model, lam, legs_lat, resolution)
         pieces.append(MeshPiece("pants", (vi,), P, fr))
         for j in range(3):
-            r1, r2, rbar, r = sched.cuts[vi, j] / model.leg_norm[j]
+            r1, r2, rbar, r = sched.cuts[vi, j] / table.norms[vi, j]
             s_lat = np.linspace(r1, r, resolution)
             cutoff = Cutoff(r2, rbar)
             thetas = (np.arange(resolution) + 0.5) * PI / resolution
@@ -349,9 +382,11 @@ def oracle_smooth_pieces(X, t, sched, resolution):
             pieces.append(MeshPiece("collar", (vi, j), P, fr,
                                     grid=(resolution, resolution)))
     for ei, e in enumerate(X.edges):
-        # the (vertex, leg) of each end of the edge, by a scan of the legs
-        ends = [(vi, j) for vi in (X.vertices.index(p) for p in e.verts)
-                for j, edge in enumerate(models[vi].leg_edge) if edge is e]
+        # the (vertex, leg) of each end of the edge: leg j leaves the vertex
+        # in the j-th of its star's outgoing directions in sorted order
+        ends = [(X.vertices.index(p),
+                 sorted(X.outgoing_direction(f, p) for f in X.edges_at(p)).index(
+                     X.outgoing_direction(e, p))) for p in e.verts]
         n = resolution * resolution
         piece = MeshPiece("flat", (ei,), np.empty((n, 4)), np.empty((n, 2, 4)),
                           (resolution, resolution))

@@ -743,6 +743,34 @@ def test_schedule_with_a_pants_scale_above_the_limit_exits_2(tmp_path, capsys,
     assert capsys.readouterr().err == "error: pants scales must be at most 1e+100\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    # the ray cylinders' squared length overflowed: the lift exited 0 with
+    # a RuntimeWarning, zero tangent vectors and hausdorff_to_pl Infinity
+    (("truncation", 1.34078079299426e154), "truncation must be positive and at most 1e+150"),
+    (("truncation", 1.0000000000000002e150), "truncation must be positive and at most 1e+150"),
+    # no boundary point within every leg's r': the pants lay beyond the
+    # legs' cuts, and vertex 1 got a pants piece of 0 rows
+    (("lam", "1", 1e100), "pants scale at vertex 1 violates the ball bound"),
+], ids=["truncation_overflowing", "truncation_above_limit", "pants_beyond_the_legs"])
+def test_schedule_beyond_its_bounds_exits_2_before_sampling(tmp_path, capsys,
+                                                             triangle_schedule, edit, message):
+    from unittest import mock
+    from troplag import lift
+    src = tmp_path / "schedule.json"
+    data = json.loads(json.dumps(triangle_schedule))
+    *keys, value = edit
+    entry = data
+    for k in keys[:-1]:
+        entry = entry[k]
+    entry[keys[-1]] = value
+    src.write_text(json.dumps(data))
+    with mock.patch.object(lift, "_standard_pants", _refuse_to_sample):
+        assert run(["lift", "triangle", "--resolution", "16", "--schedule", str(src),
+                    "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 _SMALL_POINTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                          min_size=1, max_size=5, unique=True)
 
@@ -978,6 +1006,7 @@ def _laid_over(base, edits):
 
 @settings(max_examples=50, deadline=None)
 @given(edits=st.dictionaries(_SCHEDULE_KEYS, _JSON_VALUES, max_size=4), over_valid=st.booleans())
+@example(edits={"truncation": 1.34078079299426e154}, over_valid=True)  # the ray step overflowed
 def test_any_schedule_file_keeps_the_exit_code_contract(triangle_schedule, edits, over_valid):
     # any JSON object, alone or laid over a valid schedule: 0 lifted,
     # 2 input error, 3 numeric failure; never a traceback

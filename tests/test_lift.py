@@ -18,12 +18,12 @@ from oracle_pants import oracle_smooth_pieces
 from scipy.spatial import cKDTree
 
 from troplag import lift as lift_module
-from troplag.coamoeba import PI, rstar_apply
+from troplag.coamoeba import PI, reduce_mod_pi, rstar_apply
 from troplag.errors import ConfigurationError, InputError, NumericError
 from troplag.fixtures import _load, fixture_names, load_fixture
-from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, LocalModel,
-                          MeshPiece, _balls_meet, _boundary_cloud, _digit_table,
-                          _distinct_rows, _feasible, _fold_fiber, _int_rows,
+from troplag.lift import (Cutoff, GluingSchedule, LagrangianMesh, MeshPiece, _balls_meet,
+                          _boundary_cloud, _digit_table, _distinct_rows, _feasible,
+                          _fold_fiber, _int_rows,
                           default_schedule, exactness_check,
                           hausdorff_distance, maslov_winding,
                           pants_basis_loop, phase_values, pl_lift, smooth_lift,
@@ -291,7 +291,7 @@ def test_schedule_json_round_trips(d):
 
 
 def test_curve_table_leaves_the_curve_free_of_cycles():
-    # the curve table, with its LocalModels and edge fibers, lives on the
+    # the curve table, with its vertex frames and edge fibers, lives on the
     # curve; a table that referred back to it would keep every curve alive
     # until a full garbage collection (peak RSS grows with the number of
     # curves built)
@@ -299,7 +299,7 @@ def test_curve_table_leaves_the_curve_free_of_cycles():
     import weakref
     X = triangle_curve()
     default_schedule(X)
-    assert len(lift_module._curve_table(X).models) == len(X.vertices)
+    assert len(lift_module._curve_table(X).B) == len(X.vertices)
     ref = weakref.ref(X)
     gc.disable()
     try:
@@ -341,12 +341,14 @@ def _s_boundary_cloud(lam, m=240):
     return np.vstack([x0, rstar_apply(1, 1, x0), rstar_apply(1, 2, x0)])
 
 
-def _schedule_feasible(lam, model, legs_lat, ball_r):
+def _schedule_feasible(lam, B, legs_lat, ball_r):
     cloud = _s_boundary_cloud(lam)
-    c = np.stack([LocalModel.leg_coordinate(cloud, j) for j in range(3)], axis=1)
+    c = np.stack([-cloud[:, 0], cloud[:, 0], cloud[:, 1]], axis=1)  # leg coordinates
     rp = np.array([legs_lat[j][0] for j in range(3)])
     body = np.all(c <= rp[None, :], axis=1)
-    amb = cloud @ model.B.T
+    if not np.any(body):  # pants beyond the legs' cuts
+        return False
+    amb = cloud @ B.T
     if np.any(np.linalg.norm(amb[body], axis=1) > 0.9 * ball_r):
         return False
     pm = PantsMap(1, lam)
@@ -361,9 +363,16 @@ def _schedule_feasible(lam, model, legs_lat, ball_r):
     return True
 
 
-def _models(X):
-    """The LocalModels of the curve's vertices, from its curve table."""
-    return lift_module._curve_table(X, frames=True).models
+def _frames(X):
+    """The curve table of X, with its vertex frames."""
+    return lift_module._curve_table(X, frames=True)
+
+
+def _to_vertex(table, vi, x, y):
+    """Standard-side points (x, y) mapped to vertex vi of the curve table:
+    (v + B x, y_c + A^T y mod pi), one row each."""
+    return np.concatenate([table.vertices[vi] + x @ table.B[vi].T,
+                           reduce_mod_pi(table.y_c[vi] + y @ table.A[vi])], axis=1)
 
 
 def _oracle_schedule(X, fractions=(0.5, 0.65, 0.8, 0.95), ball_factor=0.45):
@@ -372,18 +381,19 @@ def _oracle_schedule(X, fractions=(0.5, 0.65, 0.8, 0.95), ball_factor=0.45):
     vs = np.array([[float(a) for a in v] for v in X.vertices])
     diam = max(1.0, float(np.ptp(vs, axis=0).max())) if len(vs) > 1 else 1.0
     lam, bisected = [], []
+    table = _frames(X)
     for vi in range(len(X.vertices)):
-        model = _models(X)[vi]
-        legs_lat = {j: tuple(f * R / model.leg_norm[j] for f in fractions) for j in range(3)}
+        B = table.B[vi]
+        legs_lat = {j: tuple(f * R / table.norms[vi, j] for f in fractions) for j in range(3)}
         hi = 2.0 * min(legs_lat[j][0] for j in range(3))
         lo = hi * 1e-3
-        if _schedule_feasible(hi, model, legs_lat, R):
+        if _schedule_feasible(hi, B, legs_lat, R):
             lam_v = hi
         else:
             bisected.append(vi)
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                if _schedule_feasible(mid, model, legs_lat, R):
+                if _schedule_feasible(mid, B, legs_lat, R):
                     lo = mid
                 else:
                     hi = mid
@@ -448,18 +458,18 @@ def test_feasibility_kernel_matches_oracle_decisions():
     # of zero width, where the body check alone decides.  n is not a
     # multiple of _FEASIBLE_BLOCK, so the last block is partial.
     X = _triangle_curve(4, 7)
-    models = _models(X)
+    B = _frames(X).B
     rng = np.random.default_rng(0)
     n = 1001
     assert n % lift_module._FEASIBLE_BLOCK
-    vi = rng.integers(len(models), size=n)
+    vi = rng.integers(len(B), size=n)
     lam = 10 ** rng.uniform(-2, 1, n)
     ball = 10 ** rng.uniform(-1, 1, n)
     cuts = np.sort(10 ** rng.uniform(-2, 1, (n, 3, 4)), axis=-1)
     thin = rng.random(n) < 0.5
     cuts[thin] = cuts[thin][..., :1]
-    got = _feasible(lam, np.array([models[i].B for i in vi]), cuts, ball)
-    want = [_schedule_feasible(lam[k], models[vi[k]], {j: tuple(cuts[k, j]) for j in range(3)},
+    got = _feasible(lam, B[vi], cuts, ball)
+    want = [_schedule_feasible(lam[k], B[vi[k]], {j: tuple(cuts[k, j]) for j in range(3)},
                                ball[k]) for k in range(n)]
     assert got.tolist() == want
     assert 0 < sum(want) < n
@@ -486,14 +496,43 @@ def test_validate_refuses_a_scale_above_the_pants_limit():
         validate_schedule(X, bad)
 
 
-def test_local_model_matches_legs_in_star_order():
-    # leg j's edge is the incident edge whose outgoing direction is u[j]
+def test_validate_refuses_pants_beyond_the_legs_cuts():
+    # at lam = 1e100 no boundary point lies within every leg's r', and the
+    # arms' points all lie beyond r: the trimmed pants would have no rows
+    X = triangle_curve()
+    sched = default_schedule(X)
+    bad = replace(sched, lam=sched.lam.copy())
+    bad.lam[1] = 1e100
+    with pytest.raises(ConfigurationError, match="pants scale at vertex 1 violates"):
+        validate_schedule(X, bad)
+    legs_lat = sched.cuts[1] / _frames(X).norms[1, :, None]
+    body, _ = lift_module._standard_pants(1e100, legs_lat, 16)
+    assert len(body[0]) == 0
+
+
+@pytest.mark.parametrize("truncation", [1.0000000000000002e150, 1.34078079299426e154, math.inf])
+def test_validate_refuses_a_truncation_above_the_coordinate_limit(truncation):
+    X = triangle_curve()
+    bad = replace(default_schedule(X), truncation=truncation)
+    with pytest.raises(ConfigurationError, match=r"at most 1e\+150"):
+        validate_schedule(X, bad)
+    validate_schedule(X, replace(bad, truncation=lift_module.COORDINATE_LIMIT))
+
+
+def test_curve_table_legs_follow_the_sorted_stars():
+    # leg j at a vertex is the incident edge with the j-th outgoing
+    # direction in sorted order, and each edge end names its leg
     for X in (triangle_curve(), _triangle_curve(6, 7)):
-        for v, model in zip(X.vertices, _models(X)):
-            want = [e for u in model.u for e in X.edges_at(v)
-                    if X.outgoing_direction(e, v) == tuple(u)]
-            assert len(want) == 3
-            assert all(a is b for a, b in zip(model.leg_edge, want))
+        legs = _frames(X).legs
+        seen = []
+        for ei, e in enumerate(X.edges):
+            for end, (vi, j) in enumerate(legs[ei].tolist()):
+                v = X.vertices[vi]
+                assert v == e.verts[min(end, len(e.verts) - 1)]
+                star = sorted(X.outgoing_direction(f, v) for f in X.edges_at(v))
+                assert len(star) == 3 and X.outgoing_direction(e, v) == star[j]
+                seen.append((vi, j))
+        assert len(set(seen)) == 3 * len(X.vertices)
 
 
 def test_default_schedule_checks_each_distinct_vertex_row_once(monkeypatch):
@@ -676,7 +715,7 @@ def test_overlap_identity_collar_equals_pants():
     X = standard_line()
     sched = default_schedule(X)
     from troplag.pants import PantsMap, ProjectionPair
-    model = _models(X)[0]
+    table = _frames(X)
     lam = sched.lam[0]
     pm = PantsMap(1, lam)
     pp = ProjectionPair(pm, {1})
@@ -686,11 +725,9 @@ def test_overlap_identity_collar_equals_pants():
         for th in np.linspace(0.25, 1.25, 5):
             q = pp.fiber_solve(np.array([s, 0.0]), np.array([0.0, th]))
             hq = pm.h(q)
-            pants_pt = np.concatenate([model.x_ambient(hq[None, :])[0],
-                                       model.y_ambient(q[None, :])[0]])
-            collar_x = model.x_ambient(np.array([[s, hq[1]]]))[0]
-            collar_y = model.y_ambient(np.array([[q[0], th]]))[0]
-            worst = max(worst, np.abs(pants_pt - np.concatenate([collar_x, collar_y])).max())
+            pants_pt = _to_vertex(table, 0, hq[None, :], q[None, :])[0]
+            collar_pt = _to_vertex(table, 0, np.array([[s, hq[1]]]), np.array([[q[0], th]]))[0]
+            worst = max(worst, np.abs(pants_pt - collar_pt).max())
     assert worst < 1e-8
 
 
@@ -712,9 +749,9 @@ def test_mesh_projects_into_region(line_mesh):
     # at full scale the base projection stays inside the unscaled region
     X, sched, mesh = line_mesh
     from troplag.pants import PantsMap
-    model = _models(X)[0]
+    table = _frames(X)
     pm = PantsMap(1, 1.0)
-    x_std = (mesh.points[:, :2] - model.v) @ np.linalg.inv(model.B.T)
+    x_std = (mesh.points[:, :2] - table.vertices[0]) @ table.A[0].T  # A = B^-1
     slack = region_slack(pm, x_std)
     assert slack.min() >= -1e-9
 
@@ -1058,14 +1095,14 @@ def test_smooth_lift_refuses_a_scale_below_its_limit(name, resolution):
     assert symplectic_residual(mesh) < 1e-6
 
 
-def _collar_sheets(model, lam, legs):
+def _collar_sheets(table, vi, lam, legs):
     # lift._collar_sheets of the legs (j, cutoff, S, T), in increasing j,
-    # as one block of rows mapped to one vertex, split into arrays per leg
+    # as one block of rows mapped to vertex vi, split into arrays per leg
     grid = [np.concatenate(column) for column in zip(
         *((np.full(len(S), j), S, T, cutoff.eta(S), cutoff.eta_prime(S), cutoff.eta_second(S))
           for j, cutoff, S, T in legs))]
     P, fr = np.empty((len(grid[0]), 4)), np.empty((len(grid[0]), 2, 4))
-    lift_module._collar_block(lam, grid, [(model, P, fr)])
+    lift_module._collar_block(table, lam, grid, [(vi, P, fr)])
     ends = np.cumsum([len(S) for _, _, S, _ in legs])[:-1]
     return list(zip(np.split(P, ends), np.split(fr, ends)))
 
@@ -1077,27 +1114,27 @@ def test_collar_analytic_frames_match_fd(line_mesh):
     X, sched, _ = line_mesh
     from troplag.coamoeba import FlatTorus
 
-    def _collar_sheet(model, j, lam, cutoff, S, T):
-        return _collar_sheets(model, lam, [(j, cutoff, S, T)])[0]
+    def _collar_sheet(table, j, lam, cutoff, S, T):
+        return _collar_sheets(table, 0, lam, [(j, cutoff, S, T)])[0]
 
     def _difference(P, M):
         d = P - M
         d[:, 2:] = FlatTorus(2).wrap_centered(d[:, 2:])
         return d
-    model = _models(X)[0]
+    table = _frames(X)
     lam = sched.lam[0]
     for j in (0, 1, 2):
-        r1, r2, rbar, r = sched.cuts[0, j] / model.leg_norm[j]
+        r1, r2, rbar, r = sched.cuts[0, j] / table.norms[0, j]
         cutoff = Cutoff(r2, rbar)
         rng = np.random.default_rng(j)
         S = rng.uniform(r1, r, 40)
         T = rng.uniform(0.1, PI - 0.1, 40)
-        P0, fr = _collar_sheet(model, j, lam, cutoff, S, T)
+        P0, fr = _collar_sheet(table, j, lam, cutoff, S, T)
         h = 1e-6
-        Ps = _collar_sheet(model, j, lam, cutoff, S + h, T)[0]
-        Ms = _collar_sheet(model, j, lam, cutoff, S - h, T)[0]
-        Pt = _collar_sheet(model, j, lam, cutoff, S, T + h)[0]
-        Mt = _collar_sheet(model, j, lam, cutoff, S, T - h)[0]
+        Ps = _collar_sheet(table, j, lam, cutoff, S + h, T)[0]
+        Ms = _collar_sheet(table, j, lam, cutoff, S - h, T)[0]
+        Pt = _collar_sheet(table, j, lam, cutoff, S, T + h)[0]
+        Mt = _collar_sheet(table, j, lam, cutoff, S, T - h)[0]
         fd_s = _difference(Ps, Ms) / (2 * h)
         fd_t = _difference(Pt, Mt) / (2 * h)
         scale_s = 1 + np.abs(fr[:, 0, :]).max()
@@ -1210,17 +1247,18 @@ def test_curve_table_is_built_once_per_curve():
         mesh = smooth_lift(X, 1.0, sched, resolution=8)
         assert built == ["floats", "frames"]
     assert lift_module._curve_table(X, frames=True) is table
-    assert not any(a.flags.writeable for a in (table.B, table.norms))
+    assert not any(a.flags.writeable
+                   for a in (table.B, table.A, table.y_c, table.norms, table.legs))
     fresh = smooth_lift(triangle_curve(), 1.0, resolution=8)  # built from a cold curve
     assert np.array_equal(mesh.points, fresh.points) and np.array_equal(mesh.frames, fresh.frames)
 
 
 def test_pl_lift_of_a_curve_with_unsmooth_vertices_builds_no_frame():
-    # weight2_line's vertex is not smooth: adapted_frame would refuse it
+    # weight2_line's vertex is not smooth: vertex_frames would refuse it
     X = load_fixture("weight2_line")["curve"]
-    with mock.patch.object(lift_module, "adapted_frame", side_effect=AssertionError):
+    with mock.patch.object(lift_module, "vertex_frames", side_effect=AssertionError):
         assert len(pl_lift(X).sample(8))
-    assert lift_module._curve_table(X).models is None
+    assert lift_module._curve_table(X).B is None
 
 
 def _row_span(mesh, piece):
@@ -1341,7 +1379,7 @@ def _collar_rows(X, sched, t, resolution):
     folded = np.where(thetas > PI / 2, PI - thetas, thetas)
     rows = []
     for vi in range(len(X.vertices)):
-        norm = _models(X)[vi].leg_norm
+        norm = _frames(X).norms[vi]
         for j in range(3):
             r1, r = sched.cuts[vi, j, [0, 3]] / norm[j]
             S, B = np.meshgrid(np.linspace(r1, r, resolution), folded, indexing="ij")
@@ -1443,12 +1481,12 @@ def test_collar_sheet_unchanged_by_the_shared_fiber_solve(monkeypatch, vi, j):
     import troplag.lift as lift
     X = triangle_curve()
     sched = default_schedule(X)
-    model = _models(X)[vi]
-    r1, r2, rbar, r = sched.cuts[vi, j] / model.leg_norm[j]
+    table = _frames(X)
+    r1, r2, rbar, r = sched.cuts[vi, j] / table.norms[vi, j]
     cutoff = Cutoff(r2, rbar)
     S, T = np.meshgrid(np.linspace(r1, r, 32),
                        (np.arange(32) + 0.5) * PI / 32, indexing="ij")
-    args = (model, sched.lam[vi], [(j, cutoff, S.ravel(), T.ravel())])
+    args = (table, vi, sched.lam[vi], [(j, cutoff, S.ravel(), T.ravel())])
     [(P, fr)] = _collar_sheets(*args)
     monkeypatch.setattr(lift, "_fiber_circle", _mirrored_fiber_oracle)
     [(P0, fr0)] = _collar_sheets(*args)
@@ -1569,15 +1607,15 @@ def test_collar_loops_wind_zero():
     # the tangent plane rotates fastest, have vanishing phase winding
     X = standard_line()
     sched = default_schedule(X)
-    model = _models(X)[0]
+    table = _frames(X)
     for j in (0, 1, 2):
         r1, r2, rbar, r = sched.cuts[0, j]
-        scale = model.leg_norm[j]
+        scale = table.norms[0, j]
         cutoff = Cutoff(r2 / scale, rbar / scale)
         fracs = (0.0, 0.35, 0.5, 0.65, 1.0)
         T = (np.arange(1024) + 0.5) * PI / 1024
         legs = [(j, cutoff, np.full(1024, (r1 + f * (r - r1)) / scale), T) for f in fracs]
-        for pts, fr in _collar_sheets(model, sched.lam[0], legs):
+        for pts, fr in _collar_sheets(table, 0, sched.lam[0], legs):
             assert maslov_winding(pts, fr) == 0
 
 

@@ -4,6 +4,7 @@ import tempfile
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from helpers import constant_lifting
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,13 +12,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from troplag import polyhedral, tropical
 from troplag.cli import _curve_to_json
 from troplag.errors import InputError
-from troplag.lift import default_schedule
+from troplag.lift import _curve_table, default_schedule
 from troplag.polyhedral import (LatticePolytope, LiftingFunction, affine_dim, exact_point,
                                 regular_subdivision, vsub)
 from troplag.svg import draw_curve_and_subdivision
-from troplag.tropical import (AffineFrame, TropCell, TropicalComplex, TropicalLine,
-                              adapted_frame, balancing_check, is_smooth, load_curve_json,
-                              tangent_line, tropical_hypersurface)
+from troplag.tropical import (TropCell, TropicalComplex, balancing_check, is_smooth,
+                              load_curve_json, tangent_line, tropical_hypersurface, vertex_frames)
 
 
 def triangle_curve():
@@ -110,37 +110,94 @@ def test_tangent_line_of_line_is_itself():
     assert balancing_check(TropicalComplex([L.center], star))
 
 
-def test_adapted_frame_deterministic_rule():
-    # u0 is the lexicographically smallest generator, the rest follow in
-    # lexicographic order and are sent to the standard basis
+def test_vertex_frames_deterministic_rule():
+    # u0 is the lexicographically smallest direction, the rest follow in
+    # lexicographic order, and A = B^-1 sends u1, u2 to the standard basis
     X = standard_line()
-    frame, (u0, u1, u2) = adapted_frame(tangent_line(X, (0, 0)))
-    assert (u0, u1, u2) == ((-1, -1), (0, 1), (1, 0))
-    assert frame.A == ((0, 1), (1, 0))
-    L1 = tangent_line(triangle_curve(), (1, 0))
-    frame1, (v0, v1, v2) = adapted_frame(L1)
-    assert (v0, v1, v2) == ((-1, 0), (-1, 1), (2, -1))
-    assert frame1.A == ((1, 2), (1, 1))
-    assert frame1.apply_linear(v1) == (1, 0)
-    assert frame1.apply_linear(v2) == (0, 1)
-    assert frame1.apply_linear(v0) == (-1, -1)
+    dirs, legs, v0 = vertex_frames(X)
+    assert dirs == [((-1, -1), (0, 1), (1, 0))]
+    assert [X.edges[ei].rays[0] for ei in legs[0]] == list(dirs[0])
+    assert _curve_table(X, frames=True).A[0].tolist() == [[0, 1], [1, 0]]
+    X1 = triangle_curve()
+    vi = X1.vertices.index((1, 0))
+    dirs, legs, v0 = vertex_frames(X1)
+    assert dirs[vi] == ((-1, 0), (-1, 1), (2, -1))
+    A = _curve_table(X1, frames=True).A[vi]
+    assert A.tolist() == [[1, 2], [1, 1]]
+    assert [(A @ u).tolist() for u in dirs[vi]] == [[-1, -1], [1, 0], [0, 1]]
+    assert all(type(c) is int for u in dirs[vi] for c in u)
+    assert all(type(c) is int for c in v0[vi])
 
 
-def test_adapted_frame_invariants():
-    for v in [(0, 0), (1, 0), (0, 1)]:
-        L = tangent_line(triangle_curve(), v)
-        frame, labels = adapted_frame(L)
-        (a, b), (c, d) = frame.A
+def test_vertex_frames_invariants():
+    X = triangle_curve()
+    dirs, _, _ = vertex_frames(X)
+    A = _curve_table(X, frames=True).A
+    for vi, v in enumerate(X.vertices):
+        (a, b), (c, d) = A[vi].tolist()
         assert abs(a * d - b * c) == 1
         # conjugation sends the line exactly to the standard line
-        images = sorted(frame.apply_linear(g) for g in L.generators)
-        assert images == [(-1, -1), (0, 1), (1, 0)]
+        L = tangent_line(X, v)
+        assert L.generators == dirs[vi]
+        images = sorted((A[vi] @ g).tolist() for g in L.generators)
+        assert images == [[-1, -1], [0, 1], [1, 0]]
 
 
-def test_adapted_frame_rejects_nonsmooth():
-    L = TropicalLine((0, 0), ((1, 1), (-2, 1), (1, -2)))
-    with pytest.raises(InputError):
-        adapted_frame(L)
+def test_vertex_frames_rejects_nonsmooth():
+    for rays, weights in [([[1, 1], [-2, 1], [1, -2]], None),  # |det| = 3
+                          ([[1, 0], [0, 1], [-1, 0], [0, -1]], None),  # four legs
+                          ([[-1, 0], [1, 2], [1, -2]], [2, 1, 1])]:  # a weight of 2
+        X = load_curve_json({"vertices": [[0, 0]], "rays": [[0, r] for r in rays],
+                             "weights": weights})
+        with pytest.raises(InputError, match="not smooth"):
+            vertex_frames(X)
+    # a unimodular frame on an unbalanced star, which only a complex built
+    # without load_curve_json's balancing check can have
+    rays = [TropCell("ray", ((0, 0),), (d,)) for d in ((0, 1), (1, 0), (1, 1))]
+    with pytest.raises(InputError, match="not balanced"):
+        vertex_frames(TropicalComplex([(0, 0)], rays))
+
+
+def _int_apply(M, x):
+    return (M[0][0] * x[0] + M[0][1] * x[1], M[1][0] * x[0] + M[1][1] * x[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=6),
+       st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(-1, 1)),
+       st.lists(st.integers(0, 2), min_size=25, max_size=25))
+@example([(0, 0), (4, 0), (0, 4)], (1, 1, 0), [0] * 25)  # 16 vertices, two frames
+@example([(0, 0), (2, 0), (3, 2), (0, 1)], (2, 1, -1), [2, 0, 1] * 8 + [0])  # 7, five frames
+def test_vertex_frames_are_exact_and_match_the_curve_table(points, quadratic, noise):
+    # a strictly convex quadratic plus noise lifts a random lattice polygon
+    # to a curve that is mostly smooth: its frames are ints, B = [u1 u2]
+    # sends e_1, e_2 and (-1, -1) to the legs' directions, the table's
+    # A is its exact inverse, v0 is a vertex of both frame legs' dual
+    # edges, and every leg names an edge leaving its vertex in its direction
+    assume(affine_dim(points) == 2)
+    P = LatticePolytope.from_points(points)
+    a, b, c = quadratic
+    nu = {(i, j): 3 * (a * i * i + b * j * j + c * i * j + (i + j) ** 2) + n
+          for (i, j), n in zip(P.lattice_points, noise)}
+    X = tropical_hypersurface(regular_subdivision(P, nu))
+    assume(X.vertices and is_smooth(X))
+    dirs, legs, v0 = vertex_frames(X)
+    table = _curve_table(X, frames=True)
+    assert len(dirs) == len(legs) == len(v0) == len(X.vertices)
+    for vi, v in enumerate(X.vertices):
+        u0, u1, u2 = dirs[vi]
+        assert {type(x) for x in (*u0, *u1, *u2, *v0[vi])} == {int}
+        B = ((u1[0], u2[0]), (u1[1], u2[1]))
+        assert [_int_apply(B, x) for x in ((1, 0), (0, 1), (-1, -1))] == [u1, u2, u0]
+        assert table.B[vi].tolist() == [list(row) for row in B]
+        assert (table.A[vi] @ table.B[vi]).tolist() == [[1, 0], [0, 1]]
+        assert all(v0[vi] in X.edges[ei].dual_key for ei in legs[vi][1:])
+        assert [X.outgoing_direction(X.edges[ei], v) for ei in legs[vi]] == list(dirs[vi])
+    assert not np.signbit(table.A[table.A == 0]).any()  # the frames' torus columns
+    for ei, e in enumerate(X.edges):
+        for end, (vi, j) in enumerate(table.legs[ei].tolist()):
+            assert X.vertices[vi] == e.verts[min(end, len(e.verts) - 1)]
+            assert X.outgoing_direction(e, X.vertices[vi]) == dirs[vi][j]
 
 
 def test_duality_round_trip():
