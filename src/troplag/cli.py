@@ -162,8 +162,9 @@ def cmd_lift(args):
         res = symplectic_residual(mesh)
         points = mesh.points
         del mesh  # its frames and export text are not needed from here on
-        # a twisted lift converges to the twisted PL lift, not the plain one
-        dh = hausdorff_distance(points, pl.sample(args.resolution, windings=windings))
+        # a twisted lift converges to the twisted PL lift, not the plain one,
+        # and the PL rays end where the mesh's do, at the schedule's truncation
+        dh = hausdorff_distance(points, pl.sample(args.resolution, sched.truncation, windings))
         rec = {"kind": "mesh", "scale": args.scale, "points": int(len(points)),
                "symplectic_residual": res, "hausdorff_to_pl": dh}
     if windings is not None:

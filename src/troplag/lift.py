@@ -1127,8 +1127,14 @@ def symplectic_residual(mesh):
 
 
 def _fold_fiber(cloud):
-    """Copy of the cloud with the fiber coordinates in [0, pi)."""
-    out = np.array(cloud, dtype=float)
+    """The cloud as a C-contiguous float array with its fiber coordinates
+    in [0, pi): the cloud itself when it is one already (the mesh points
+    and PL samples are), otherwise a folded copy."""
+    cloud = np.asarray(cloud)
+    y = cloud[:, 2:]
+    if cloud.dtype == np.float64 and cloud.flags.c_contiguous and y.min() >= 0 and y.max() < PI:
+        return cloud
+    out = np.array(cloud, dtype=float, order="C")
     y = np.mod(out[:, 2:], PI)
     y[y >= PI] = 0.0  # np.mod rounds tiny negative values up to pi itself
     out[:, 2:] = y
@@ -1138,13 +1144,9 @@ def _fold_fiber(cloud):
 # Approximation factor of the bounding query in hausdorff_distance: each
 # returned distance is at most (1 + eps) times the nearest distance.
 _HAUSDORFF_EPS = 3.0
-# Rows per anchor group of the certificate in _anchor_bounds, and rows per
-# block of its bound computation.  hausdorff_distance's worker computes
-# cloud_a's bounds, and glibc keeps the memory of each thread's temporaries
-# in that thread's arena: blocks of 2^12 rows keep them under 1 MB.  Over
-# theorem41's three distances, 2^15-row blocks raised the peak RSS by 4 MB.
-_HAUSDORFF_STRIDE = 8
-_HAUSDORFF_BLOCK = 1 << 12
+# Rows per anchor group of the certificate in _leaf_bounds, taken in the
+# leaf order of the cloud's own KD-tree (leafsize 16).
+_HAUSDORFF_STRIDE = 32
 
 
 def hausdorff_distance(cloud_a, cloud_b):
@@ -1156,32 +1158,29 @@ def hausdorff_distance(cloud_a, cloud_b):
     axes wrap, so the nearest-neighbour distances are exact torus distances
     without translated copies of the clouds.
 
-    The maximum is certified with few queries.  The rows of each cloud form
-    consecutive groups of _HAUSDORFF_STRIDE, and only each group's middle
-    row (its anchor) is queried exactly.  The distance to a cloud is
-    1-Lipschitz, so a row's nearest distance is at most its anchor's plus
-    its own distance to the anchor, in any row order.  The largest anchor
-    distance of either direction is a lower bound lo on the result.  Only
-    rows whose bound (inflated by a relative 1e-9 and an absolute 1e-12
-    against rounding) exceeds lo get an approximate query (eps = 3), a
-    second upper bound; the row with the largest such bound is queried
-    exactly to raise lo, and the rows whose bound still exceeds lo are
-    queried exactly.  The direction from cloud_b finishes first, and its lo
-    is carried into the direction from cloud_a: the callers pass the PL
-    cloud as cloud_b, which holds the maximum at small scales and so prunes
-    the larger mesh.  A point's exact distance does not depend on which
-    other points are queried, so the result is the same float as exact
-    queries of all points in both directions, whatever the thread timing
-    and however many threads (_cpu_count) the queries use.
+    The maximum is certified with few queries.  The rows of each cloud, in
+    the leaf order of its own tree, form groups of _HAUSDORFF_STRIDE nearby
+    rows, and only each group's middle row (its anchor) is queried exactly
+    in the other tree.  The distance to a cloud is 1-Lipschitz, so a row's
+    nearest distance is at most its anchor's plus its own distance to the
+    anchor.  The largest anchor distance of either direction is a lower
+    bound lo on the result.  Only rows whose bound (inflated by a relative
+    1e-9 and an absolute 1e-12 against rounding) exceeds lo get an
+    approximate query (eps = 3), a second upper bound; the row with the
+    largest such bound is queried exactly to raise lo, and the rows whose
+    bound still exceeds lo are queried exactly.  The direction from cloud_b
+    finishes first, and its lo is carried into the direction from cloud_a:
+    the callers pass the PL cloud as cloud_b, which holds the maximum at
+    small scales and so prunes the larger mesh.  A point's exact distance
+    does not depend on which other points are queried, so the result is the
+    same float as exact queries of all points in both directions, whatever
+    the thread timing and however many threads (_cpu_count) the queries use.
 
-    The two anchor phases run side by side, each on one thread.  The
-    calling thread builds cloud_a's tree (the callers' larger cloud) and
-    queries cloud_b's anchors in it, while one worker thread builds
-    cloud_b's tree, queries cloud_a's anchors in it and writes the bound
-    of every cloud_a row into an array of the calling thread.  The worker
-    is joined before anything else runs, also when either side raises;
-    the finishing phases run on the calling thread, with their KD-tree
-    queries on _cpu_count() threads.
+    The two trees are built side by side: cloud_b's on one worker thread
+    while the calling thread builds cloud_a's (the callers' larger cloud).
+    The worker is joined before anything else runs, also when either build
+    raises.  Every query then runs on the calling thread, and the KD-tree
+    spreads each query of many rows over _cpu_count() threads of its own.
 
     ValueError if either cloud holds NaN or inf.
     """
@@ -1189,27 +1188,21 @@ def hausdorff_distance(cloud_a, cloud_b):
         raise InputError("empty sampling")
     if not (np.isfinite(cloud_a).all() and np.isfinite(cloud_b).all()):
         raise ValueError("point clouds must be finite")
-    A = _fold_fiber(cloud_a)
-    B = _fold_fiber(cloud_b)
-    bound_a, bound_b = np.empty(len(A)), np.empty(len(B))
-
-    def b_side():
-        tree = _fiber_tree(B)
-        return tree, _anchor_bounds(A, tree, bound_a)
-
+    A, B = _fold_fiber(cloud_a), _fold_fiber(cloud_b)
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1) as pool:
-        worker = pool.submit(b_side)
+        worker = pool.submit(_fiber_tree, B)
         tree_a = _fiber_tree(A)
-        lo_b = _anchor_bounds(B, tree_a, bound_b)
-    tree_b, lo_a = worker.result()
+    tree_b = worker.result()
+    bound_b, lo_b = _leaf_bounds(B, tree_b, tree_a)
+    bound_a, lo_a = _leaf_bounds(A, tree_a, tree_b)
     lo = _finish_directed(B, tree_a, bound_b, max(lo_a, lo_b))
     return float(_finish_directed(A, tree_b, bound_a, lo))
 
 
 def _fiber_tree(cloud):
-    """KD-tree of a folded cloud, periodic in the fiber axes.  A folded
-    cloud is a private contiguous copy, so the tree keeps it uncopied."""
+    """KD-tree of a folded cloud, periodic in the fiber axes; the tree
+    keeps the cloud uncopied."""
     # imported on first use: only a Hausdorff distance needs scipy, and
     # importing it with this module doubled the start-up of every command
     from scipy.spatial import cKDTree
@@ -1217,32 +1210,36 @@ def _fiber_tree(cloud):
                    copy_data=False)
 
 
-def _anchor_bounds(P, tree, out):
-    """Anchor phase of the certificate of hausdorff_distance: query each
-    anchor of P exactly in the tree, on the calling thread, and write every
-    row's inflated upper bound on its nearest distance into out.  Returns
-    the largest anchor distance."""
-    n, stride = len(P), _HAUSDORFF_STRIDE
-    starts = np.arange(0, n, stride)
-    anchors = starts + np.minimum(stride, n - starts) // 2
-    d_anchor = tree.query(P[anchors], k=1)[0]
-    for b in range(0, n, _HAUSDORFF_BLOCK):
-        rows = P[b:b + _HAUSDORFF_BLOCK]
-        group = np.arange(b, b + len(rows)) // stride
-        step = np.abs(rows - P[anchors[group]])
-        fiber = step[:, 2:]
-        np.minimum(fiber, PI - fiber, out=fiber)
-        bound = out[b:b + len(rows)]
-        np.add(d_anchor[group], np.sqrt(np.einsum("ij,ij->i", step, step)), out=bound)
-        bound *= 1.0 + 1e-9
-        bound += 1e-12
-    return d_anchor.max()
+def _leaf_bounds(P, tree, other):
+    """Anchor bounds of the certificate of hausdorff_distance for the rows
+    of P, the cloud of tree: each anchor is queried exactly in other, and
+    each row's bound is inflated as hausdorff_distance says.  Returns the
+    bounds, indexed like P, and the largest anchor distance."""
+    n, stride, order = len(P), _HAUSDORFF_STRIDE, tree.indices
+    # the rows in leaf order as (groups, stride, 4): np.resize pads the last
+    # group with the first rows again, whose bounds are dropped
+    step = P[np.resize(order, (-(-n // stride), stride))]
+    groups = np.arange(len(step))
+    anchors = step[groups, np.minimum(stride, n - stride * groups) // 2]
+    d_anchor = other.query(anchors, k=1, workers=_cpu_count())[0]
+    step -= anchors[:, None]
+    np.abs(step, out=step)
+    fiber = step[..., 2:]
+    # min(f, pi - f) in place; pi - f is exact for f in [pi/2, pi)
+    np.subtract(PI, fiber, out=fiber, where=fiber > PI / 2)
+    dist = np.sqrt(np.einsum("gsj,gsj->gs", step, step))
+    dist += d_anchor[:, None]
+    dist *= 1.0 + 1e-9
+    dist += 1e-12
+    bound = np.empty(n)
+    bound[order] = dist.ravel()[:n]
+    return bound, d_anchor.max()
 
 
 def _finish_directed(P, tree, bound, lo):
     """Finishing phase of the certificate: the larger of lo and the largest
     exact nearest distance from a row of P to the tree's cloud, querying
-    only the rows whose bound from _anchor_bounds exceeds lo."""
+    only the rows whose bound from _leaf_bounds exceeds lo."""
     workers = _cpu_count()
     far = P[bound > lo]
     if len(far):

@@ -983,6 +983,23 @@ def test_schedule_file_round_trips(tmp_path, triangle_schedule):
     assert json.loads((out / "schedule.json").read_text()) == triangle_schedule
 
 
+def test_lift_measures_against_a_pl_sample_cut_at_the_schedules_truncation(
+        tmp_path, triangle_schedule):
+    # the mesh's rays end at the schedule's truncation; a PL sample cut at
+    # the curve table's default reported 3.0 here, the gap between the two
+    from troplag.lift import GluingSchedule, hausdorff_distance, pl_lift, smooth_lift
+    data = dict(triangle_schedule, truncation=6.0)
+    src, out = tmp_path / "schedule.json", tmp_path / "x"
+    src.write_text(json.dumps(data))
+    assert run(["lift", "triangle", "--resolution", "16", "--schedule", str(src),
+                "--out", str(out)]) == 0
+    got = json.loads((out / "report.jsonl").read_text())["hausdorff_to_pl"]
+    X = load_fixture("triangle")["curve"]
+    mesh = smooth_lift(X, 1.0, GluingSchedule.from_dict(data), resolution=16)
+    assert got == hausdorff_distance(mesh.points, pl_lift(X).sample(16, truncation=6.0))
+    assert got < 1.0
+
+
 _SCHEDULE_KEYS = st.sampled_from([
     "ball_radius", "lam", "legs", "truncation", "r_prime", "r_second", "r_bar", "r", "x",
     "0", "1", "2", "3", "00", " 1", "+0", "-0", "1.0",

@@ -844,10 +844,19 @@ def test_hausdorff_matches_unfolded_oracle(seed):
     assert hausdorff_distance(B, A) == got
 
 
+def _folded_copy(cloud):
+    """A float copy of the cloud with its fiber coordinates in [0, pi)."""
+    out = np.array(cloud, dtype=float)
+    y = np.mod(out[:, 2:], PI)
+    y[y >= PI] = 0.0  # np.mod rounds tiny negative values up to pi itself
+    out[:, 2:] = y
+    return out
+
+
 def _hausdorff_full_queries(cloud_a, cloud_b):
     """hausdorff_distance without the pruning: exact queries of every point
     in both directions."""
-    A, B = _fold_fiber(cloud_a), _fold_fiber(cloud_b)
+    A, B = _folded_copy(cloud_a), _folded_copy(cloud_b)
     box = (0.0, 0.0, PI, PI)
     da = cKDTree(B, boxsize=box).query(A, k=1)[0].max()
     db = cKDTree(A, boxsize=box).query(B, k=1)[0].max()
@@ -890,6 +899,62 @@ def test_pruned_hausdorff_equals_full_queries(clouds):
     assert abs(got - _hausdorff_oracle(A, B)) <= 1e-12
 
 
+# Fiber values at the seam: 0, the float just below pi, pi itself and
+# -1e-300, the last two of which fold to 0.
+_SEAM_FIBER = st.sampled_from([0.0, float(np.nextafter(PI, 0.0)), PI, -1e-300, 0.5, PI / 2])
+_SEAM_POINTS = st.lists(st.tuples(_BASE, _BASE, _SEAM_FIBER, _SEAM_FIBER), min_size=1,
+                        max_size=3 * lift_module._HAUSDORFF_STRIDE + 5)
+
+
+def _layout(P, form):
+    """The cloud P as hausdorff_distance may be given it: as is (folded
+    and C-contiguous or not), rounded to ints, or as a strided view."""
+    if form == "int":
+        return np.rint(P).astype(int)
+    if form == "strided":
+        out = np.zeros((len(P), 8))
+        out[:, ::2] = P
+        return out[:, ::2]
+    return P
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.tuples(_SEAM_POINTS, _SEAM_POINTS),
+       repeats=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+       forms=st.tuples(*[st.sampled_from(["float", "int", "strided"])] * 2),
+       workers=st.integers(1, 3))
+@example(points=([(0.0, 0.0, -1e-300, PI)], [(1.0, 0.0, 0.0, 0.0)]), repeats=(0, 0),
+         forms=("float", "float"), workers=1)
+def test_hausdorff_equals_full_queries_at_the_seam(points, repeats, forms, workers):
+    # duplicate rows, clouds shorter than one group and single rows, given
+    # folded and uncopied, or unfolded, as ints or strided and so copied
+    clouds = []
+    for P, k, form in zip(points, repeats, forms):
+        P = np.array(P + P[:k], dtype=float)
+        clouds.append(_layout(P, form))
+    with mock.patch.object(lift_module, "_cpu_count", lambda: workers):
+        got = hausdorff_distance(*clouds)
+    assert got == _hausdorff_full_queries(*clouds)
+    assert hausdorff_distance(clouds[1], clouds[0]) == got
+
+
+def test_fold_fiber_copies_only_an_unfolded_cloud():
+    folded = np.array([[0.0, 1.0, 0.0, float(np.nextafter(PI, 0.0))], [2.0, 3.0, 1.0, 0.5]])
+    assert _fold_fiber(folded) is folded
+    for cloud in (np.asfortranarray(folded), np.repeat(folded, 2, axis=1)[:, ::2],
+                  folded.tolist()):
+        out = _fold_fiber(cloud)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.array_equal(out, folded)
+    out = _fold_fiber(np.array([[0, 1, 3, 4]]))
+    assert out.dtype == np.float64 and out.tolist() == [[0.0, 1.0, 3.0, 4.0 - PI]]
+    seam = np.array([[0.0, 0.0, PI, -1e-300], [0.0, 0.0, -PI / 2, 2 * PI + 0.5]])
+    out = _fold_fiber(seam)
+    assert out is not seam and seam[0, 2] == PI  # the caller's array is not written
+    assert out[0, 2:].tolist() == [0.0, 0.0]
+    assert np.allclose(out[1, 2:], [PI / 2, 0.5]) and (out[:, 2:] < PI).all()
+
+
 def test_pruned_hausdorff_equals_full_queries_on_a_mesh():
     X = triangle_curve()
     mesh = smooth_lift(X, 0.5, default_schedule(X), resolution=16)
@@ -927,10 +992,11 @@ def test_anchor_certificate_on_shuffled_rows(clouds):
     assert hausdorff_distance(B, A) == got
 
 
-@pytest.mark.parametrize("block", [1, 3, _STRIDE + 3])
+@pytest.mark.parametrize("block", [1, 3, 11])
 def test_anchor_certificate_across_block_boundaries(monkeypatch, block):
-    # blocks of the bound computation that end inside an anchor group
-    monkeypatch.setattr(lift_module, "_HAUSDORFF_BLOCK", block)
+    # anchor groups (blocks of the leaf order) of 1, 3 and 11 rows: every
+    # row an anchor, and groups that end inside a KD-tree leaf of 16 rows
+    monkeypatch.setattr(lift_module, "_HAUSDORFF_STRIDE", block)
     rng = np.random.default_rng(block)
     for n in (1, _STRIDE - 1, 5 * _STRIDE + 1, 97):
         A = rng.uniform(-1.0, 1.0, (n, 4)) * [1.0, 1.0, PI, PI]
@@ -985,61 +1051,98 @@ def test_hausdorff_tree_build_error_propagates_and_joins_the_worker(monkeypatch,
 
 
 class _QueryLog:
-    """A KD-tree whose queries log their workers argument."""
+    """A KD-tree whose queries log, each, whether they ran on the calling
+    thread, their workers argument, their points' array rank and row count,
+    and their eps."""
 
     def __init__(self, tree):
-        self.tree, self.workers = tree, []
+        self.tree, self.queries = tree, []
 
-    def query(self, *args, **kwargs):
-        self.workers.append(kwargs.get("workers", 1))
-        return self.tree.query(*args, **kwargs)
+    def __getattr__(self, name):  # the leaf order and the rest of the tree
+        return getattr(self.tree, name)
 
-
-def _patch_anchor_phase(monkeypatch, before):
-    """Call before(on_worker) ahead of each anchor phase of
-    hausdorff_distance; returns the list of (on_worker, largest anchor
-    distance, the workers of each of its tree queries) of the phases that
-    finished."""
-    phase, done = lift_module._anchor_bounds, []
-
-    def patched(P, tree, out):
-        on_worker = threading.current_thread() is not threading.main_thread()
-        before(on_worker)
-        log = _QueryLog(tree)
-        lo = phase(P, log, out)
-        done.append((on_worker, lo, log.workers))
-        return lo
-    monkeypatch.setattr(lift_module, "_anchor_bounds", patched)
-    return done
+    def query(self, x, **kwargs):
+        self.queries.append((threading.current_thread() is threading.main_thread(),
+                             kwargs.get("workers", 1), np.ndim(x), len(np.atleast_2d(x)),
+                             kwargs.get("eps", 0)))
+        return self.tree.query(x, **kwargs)
 
 
-def test_hausdorff_anchor_phases_run_side_by_side_on_one_thread_each(monkeypatch):
+def _log_trees(monkeypatch):
+    """Wrap each KD-tree that hausdorff_distance builds in a _QueryLog;
+    returns the list of (built on the calling thread, the cloud's rows, the
+    log) of the builds."""
+    build, logs = lift_module._fiber_tree, []
+
+    def patched(cloud):
+        log = _QueryLog(build(cloud))
+        logs.append((threading.current_thread() is threading.main_thread(), len(cloud), log))
+        return log
+    monkeypatch.setattr(lift_module, "_fiber_tree", patched)
+    return logs
+
+
+def test_hausdorff_builds_the_trees_side_by_side_and_queries_on_the_caller(monkeypatch):
     monkeypatch.setattr(lift_module, "_cpu_count", lambda: 3)
-    calls = []
-    done = _patch_anchor_phase(monkeypatch, calls.append)
+    # both builds wait for each other: one after the other, they would time out
+    meet = threading.Barrier(2, timeout=10)
+    _before_tree_build(monkeypatch, True, meet.wait)
+    _before_tree_build(monkeypatch, False, meet.wait)
+    logs = _log_trees(monkeypatch)
     rng = np.random.default_rng(11)
     A, B = rng.uniform(0.0, 1.0, (400, 4)), rng.uniform(0.0, 1.0, (90, 4))
+    B[7, :2] += 3.0  # far rows, queried past their anchors
+    threads = threading.active_count()
     assert hausdorff_distance(A, B) == _hausdorff_full_queries(A, B)
-    assert sorted(calls) == [False, True]
-    assert sorted((on_worker, workers) for on_worker, _, workers in done) == [
-        (False, [1]), (True, [1])]
+    assert threading.active_count() == threads
+    # cloud_b's tree on the worker, cloud_a's on the calling thread
+    assert sorted((on_caller, rows) for on_caller, rows, _ in logs) == [(False, 90), (True, 400)]
+    queries = [q for *_, log in logs for q in log.queries]
+    assert len(queries) > 2 and all(on_caller for on_caller, *_ in queries)
+    # every query of a row array runs on _cpu_count() threads; the one-point
+    # query of the largest approximate bound, at most one per tree, on one
+    assert all(workers == 3 for _, workers, ndim, *_ in queries if ndim == 2)
+    for *_, log in logs:
+        assert sum(ndim == 1 for _, _, ndim, *_ in log.queries) <= 1
 
 
-def test_hausdorff_anchor_phase_error_on_the_caller_joins_the_worker(monkeypatch):
-    # the calling thread's anchor phase fails while the worker's still
-    # runs: the error propagates once the worker has finished and is joined
-    def before(on_worker):
-        if not on_worker:
-            raise MemoryError("anchor phase failed")
+def test_hausdorff_build_error_on_the_caller_propagates_after_the_join(monkeypatch):
+    # the calling thread's build fails while the worker's still runs: the
+    # error reaches the caller only once the worker's build has finished
+    built = []
+    build = lift_module._fiber_tree
+
+    def patched(cloud):
+        if threading.current_thread() is threading.main_thread():
+            raise MemoryError("tree build failed")
         time.sleep(0.05)
-    done = _patch_anchor_phase(monkeypatch, before)
+        tree = build(cloud)
+        built.append(len(cloud))
+        return tree
+    monkeypatch.setattr(lift_module, "_fiber_tree", patched)
     rng = np.random.default_rng(12)
     A, B = rng.uniform(0.0, 1.0, (400, 4)), rng.uniform(0.0, 1.0, (90, 4))
     threads = threading.active_count()
-    with pytest.raises(MemoryError, match="anchor phase failed"):
+    with pytest.raises(MemoryError, match="tree build failed"):
         hausdorff_distance(A, B)
-    assert [on_worker for on_worker, *_ in done] == [True]
+    assert built == [90]
     assert threading.active_count() == threads
+
+
+def test_hausdorff_certificate_work_on_a_mesh(monkeypatch):
+    # a count of rows queried, not a timing: anchor groups of 8 rows in row
+    # order queried 14,048 rows exactly and 6,776 approximately here; groups
+    # of 32 in leaf order 3,596 and 2,548
+    X = triangle_curve()
+    mesh = smooth_lift(X, 1.0, default_schedule(X), resolution=64)
+    cloud_pl = pl_lift(X).sample(64)
+    assert len(mesh.points) + len(cloud_pl) == 112_240
+    logs = _log_trees(monkeypatch)
+    assert hausdorff_distance(mesh.points, cloud_pl) == 0.8378496249162393
+    queries = [q for *_, log in logs for q in log.queries]
+    exact = sum(rows for *_, rows, eps in queries if eps == 0)
+    approx = sum(rows for *_, rows, eps in queries if eps > 0)
+    assert exact <= 4_000 and approx <= 3_000, (exact, approx)
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -1048,7 +1151,9 @@ def test_hausdorff_raises_on_a_nan_point(side, column):
     rng = np.random.default_rng(3)
     clouds = [rng.uniform(0.0, 1.0, (40, 4)), rng.uniform(0.0, 1.0, (30, 4))]
     # the NaN point sits among near points, far below the largest distance,
-    # in a row that is not the anchor of its group
+    # in a row that would not be a group's middle row in row order either
+    # (rows 15, 16 and 36 for groups of 32); the check comes before the
+    # trees, whose leaf order sets the anchors
     clouds[1 - side][0, :2] = 50.0
     clouds[side][5, column] = np.nan
     with pytest.raises(ValueError):
@@ -1062,7 +1167,7 @@ def test_hausdorff_raises_on_an_infinite_point(bad, side, column):
     rng = np.random.default_rng(4)
     clouds = [rng.uniform(0.0, 1.0, (40, 4)), rng.uniform(0.0, 1.0, (30, 4))]
     clouds[1 - side][0, :2] = 50.0
-    clouds[side][_STRIDE + 1, column] = bad
+    clouds[side][9, column] = bad  # inside both clouds, as the NaN row
     # the check comes before the fiber fold, whose np.mod warns on inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
