@@ -814,8 +814,10 @@ def _pants_vertex_piece(table, vi, pants, piece):
     """Fill the piece with the trimmed pants over vertex vi of the curve
     table, from _standard_pants: body, then chart collars.  The body's
     frames are its Hessian columns; the chart collars' are finite
-    differences of their stencils, taken after the map to the vertex (on
-    the raw torus lift, so nothing crosses the fundamental-domain cut)."""
+    differences of their stencils, taken after the linear part of the map
+    to the vertex (on the raw torus lift, so nothing crosses the
+    fundamental-domain cut) and before the translation by v, whose
+    rounding would grow with the vertex's distance from the origin."""
     (h, y, H), (hc, yc, da2, dt2) = pants
     N, P, fr = len(h), piece.points, piece.frames
     v, B, A, y_c = table.vertices[vi], table.B[vi], table.A[vi], table.y_c[vi]
@@ -825,8 +827,8 @@ def _pants_vertex_piece(table, vi, pants, piece):
         fr[:N, i, :2] = H[:, :, i] @ B.T
     fr[:N, :, 2:] = A  # the unit vectors times A, row by row
     P0, Pa_up, Pa_dn, Pt_up, Pt_dn = np.split(
-        np.concatenate([v + hc @ B.T, y_c + yc @ A], axis=1), 5)
-    P[N:, :2] = P0[:, :2]
+        np.concatenate([hc @ B.T, y_c + yc @ A], axis=1), 5)
+    P[N:, :2] = v + P0[:, :2]
     P[N:, 2:] = reduce_mod_pi(P0[:, 2:])
     fr[N:, 0] = (Pa_up - Pa_dn) / da2
     fr[N:, 1] = (Pt_up - Pt_dn) / dt2

@@ -320,7 +320,8 @@ def oracle_pants_chart_points(model, pm, legs_lat, resolution):
     """Blow-up collars around the three exceptional circles of one vertex,
     evaluated, trimmed and differenced per vertex; FD frames in chart
     coordinates (positions are exact, the raw torus lift is used for the
-    differences so nothing crosses the fundamental-domain cut)."""
+    differences so nothing crosses the fundamental-domain cut, and the
+    vertex translation is added after them)."""
     res_a = max(8, resolution // 2)
     res_t = max(6, resolution // 4)
     alphas = np.exp(np.linspace(np.log(2e-2), np.log(5e1), res_a))
@@ -340,7 +341,7 @@ def oracle_pants_chart_points(model, pm, legs_lat, resolution):
             hh = np.atleast_2d(pm.h_chart(aa[:, None], tt))
             if k != 0:
                 hh = rstar_apply(1, k, hh)
-            return np.concatenate([model.x_ambient(hh), model.y_ambient_raw(yy)], axis=1), hh
+            return np.concatenate([model.dx_ambient(hh), model.y_ambient_raw(yy)], axis=1), hh
 
         P0, h0 = emb_raw(a, t)
         c = _leg_coordinates(h0)
@@ -354,6 +355,7 @@ def oracle_pants_chart_points(model, pm, legs_lat, resolution):
                                                       np.concatenate([t, t, t + dt, t - dt]))[0], 4)
         va = (Pa_up - Pa_dn) / (2 * da[:, None])
         vt = (Pt_up - Pt_dn) / (2 * dt[:, None])
+        P0[:, :2] += model.v
         P0[:, 2:] = reduce_mod_pi(P0[:, 2:])
         pts_all.append(P0)
         fr_all.append(np.stack([va, vt], axis=1))
