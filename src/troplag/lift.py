@@ -649,27 +649,34 @@ class LagrangianMesh:
     def _export_rows(self, projection):
         """(vertex count n, vertex text blocks, quads, digit table of 0..n)
         shared by to_off and to_obj, formatted on the first export of a
-        projection: each block holds _EXPORT_BLOCK rows "x y z\n" of the
-        projected vertices, kept as str and encoded as written (caching the
-        encoded blocks, each made from a str freed at once, fragments the
-        heap), and the quads are vertex indices, shape (F, 4), piece by
-        piece in row-major grid order."""
+        projection: each block holds at most _EXPORT_BLOCK rows "x y z\n" of
+        the projected vertices, kept as str and encoded as written (caching
+        the encoded blocks, each made from a str freed at once, fragments
+        the heap), and the quads are vertex indices, shape (F, 4), piece by
+        piece in row-major grid order.  A gridded piece that _factors
+        splits (an untwisted flat cylinder) is written from its nu base and
+        nv fiber parts, formatted once each; every other run of rows is
+        formatted row by row."""
         if projection in self._export:
             return self._export[projection]
         cols = self._PROJ.get(projection)
         if cols is None:
             raise InputError(f"unknown projection {projection!r}")
         faces = [np.zeros((0, 4), dtype=np.int64)]
-        offset = 0
-        for p in self.pieces:
-            if p.grid is not None:
-                nu, nv = p.grid
-                a = offset + (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
-                faces.append(np.stack([a, a + 1, a + nv + 1, a + nv], axis=1))
-            offset += len(p.points)
+        blocks, done = [], 0  # done: the rows before it are in blocks
         pts = self.points[:, cols]
-        blocks = ["%.9g %.9g %.9g\n" * len(b) % tuple(b.ravel().tolist())
-                  for b in (pts[s:s + _EXPORT_BLOCK] for s in range(0, len(pts), _EXPORT_BLOCK))]
+        for p, offset in zip(self.pieces, self.starts):
+            if p.grid is None:
+                continue
+            nu, nv = p.grid
+            a = offset + (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
+            faces.append(np.stack([a, a + 1, a + nv + 1, a + nv], axis=1))
+            factors = _factors(p.points, p.grid, cols)
+            if factors is not None:
+                blocks += _percent_blocks(pts[done:offset])
+                blocks += _factored_blocks(*factors)
+                done = offset + len(p.points)
+        blocks += _percent_blocks(pts[done:])
         rows = (len(pts), blocks, np.vstack(faces), _digit_table(0, len(pts)))
         self._export[projection] = rows
         return rows
@@ -677,6 +684,47 @@ class LagrangianMesh:
 
 # Rows per block of export text: bounds the text made at once.
 _EXPORT_BLOCK = 1 << 14
+
+
+def _percent_blocks(pts):
+    """The text "x y z\n" of each row of pts, shape (n, 3), in blocks of
+    _EXPORT_BLOCK rows."""
+    return ["%.9g %.9g %.9g\n" * len(b) % tuple(b.ravel().tolist())
+            for b in (pts[s:s + _EXPORT_BLOCK] for s in range(0, len(pts), _EXPORT_BLOCK))]
+
+
+def _factors(points, grid, cols):
+    """(A, C, Y) when the rows points (nu nv, 4) of a grid (nu, nv) are a
+    product in the projected columns cols: the base columns (x, < 2) of
+    each row i k equal row i 0's, and its fiber columns (y) equal row 0 k's,
+    bit for bit, so that equal values print alike (0.0 and -0.0 do not).
+    Then row i k's text is A[i] + Y[k] + C[i], with A[i] the text of the
+    base values before the fiber run of cols and C[i] that after it; else
+    None, also for an empty grid.  The fiber columns of cols are one run in
+    every projection."""
+    nu, nv = grid
+    fib = [j for j, c in enumerate(cols) if c >= 2]
+    xs, ys = [c for c in cols if c < 2], [cols[j] for j in fib]
+    bits = points.view(np.int64).reshape(nu, nv, 4)
+    if not (len(points) and (bits[:, :, xs] == bits[:, :1, xs]).all()
+            and (bits[:, :, ys] == bits[:1, :, ys]).all()):
+        return None
+    pre, post = fib[0], len(cols) - 1 - fib[-1]
+    x = points[::nv][:, xs].tolist()
+    A = [("%.9g " * pre) % tuple(v[:pre]) for v in x]
+    C = [(" %.9g" * post + "\n") % tuple(v[pre:]) for v in x]
+    fy = " ".join(["%.9g"] * len(ys))
+    return A, C, [fy % tuple(v) for v in points[:nv, ys].tolist()]
+
+
+def _factored_blocks(A, C, Y):
+    """The text A[i] + Y[k] + C[i] of each row i k of a (len(A), len(Y))
+    grid in row-major order, in blocks of at most _EXPORT_BLOCK rows: whole
+    base rows when they fit, else runs of one base row."""
+    step = max(1, _EXPORT_BLOCK // len(Y))
+    runs = [Y[s:s + _EXPORT_BLOCK] for s in range(0, len(Y), _EXPORT_BLOCK)]
+    return ["".join([a + (c + a).join(run) + c for a, c in zip(A[s:s + step], C[s:s + step])])
+            for s in range(0, len(A), step) for run in runs]
 
 
 def _digit_table(lo, hi):

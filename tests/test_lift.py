@@ -1892,6 +1892,92 @@ def test_export_blocks_match_oracle(tmp_path, monkeypatch, block):
     _assert_export_matches_oracle(_synthetic_mesh(points, (nu, nv)), tmp_path, "x2y")
 
 
+def _product_grid(base, fiber):
+    """Rows (nu nv, 4) of the grid base x fiber: row i k is (base[i], fiber[k])."""
+    nu, nv = len(base), len(fiber)
+    return np.concatenate([np.repeat(base, nv, axis=0), np.tile(fiber, (nu, 1))], axis=1)
+
+
+def _vertex_text_oracle(mesh, projection):
+    v = mesh.points[:, LagrangianMesh._PROJ[projection]]
+    return "%.9g %.9g %.9g\n" * len(v) % tuple(v.ravel().tolist())
+
+
+def _assert_vertex_text_matches_oracle(mesh, projection, block):
+    blocks = copy_mesh(mesh)._export_rows(projection)[1]
+    assert "".join(blocks) == _vertex_text_oracle(mesh, projection)
+    assert all(0 < b.count("\n") <= block for b in blocks)
+
+
+_ODD_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 1 / 3, -2.5e17]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from(_ODD_VALUES) | st.floats(-1e6, 1e6), min_size=40,
+                       max_size=40),
+       nu=st.integers(1, 6), nv=st.integers(1, 9),
+       projection=st.sampled_from(sorted(LagrangianMesh._PROJ)),
+       block=st.sampled_from([1, 7, 1 << 14]), flip=st.none() | st.integers(0, 10 ** 6))
+@example(values=[0.0, -0.0] * 20, nu=3, nv=2, projection="x1y", block=7, flip=None)
+@example(values=[0.0] * 40, nu=2, nv=3, projection="xxy", block=1 << 14, flip=5 * 4 + 1)
+@example(values=[0.0] * 40, nu=2, nv=3, projection="xyy", block=1 << 14, flip=4 * 4 + 3)
+def test_factored_export_matches_percent_formatting(values, nu, nv, projection, block, flip):
+    # a product grid between two unfactored pieces, one without a grid:
+    # its base values differ along the base axis and its fiber values
+    # along the fiber axis, signed zeros and non-finite values among them.
+    # flip negates one entry (row, column) of the grid: unless it is a NaN,
+    # the grid is no longer a product, and a flipped 0.0 reads == -0.0
+    v = np.array(values)
+    grid = _product_grid(v[:2 * nu].reshape(nu, 2), v[20:20 + 2 * nv].reshape(nv, 2))
+    if flip is not None:
+        grid[flip // 4 % len(grid), flip % 4] *= -1
+    rest = np.resize(v, (3, 4))
+    mesh = mesh_of([MeshPiece("pants", (0,), rest, np.zeros((3, 2, 4))),
+                    MeshPiece("flat", (0,), grid, np.zeros((len(grid), 2, 4)), (nu, nv)),
+                    MeshPiece("collar", (0, 0), rest[::-1], np.zeros((3, 2, 4)), (1, 3))])
+    with mock.patch("troplag.lift._EXPORT_BLOCK", block):
+        _assert_vertex_text_matches_oracle(mesh, projection, block)
+
+
+@pytest.mark.parametrize("block", [7, 1 << 14])
+def test_factored_export_of_a_piece_larger_than_a_block(monkeypatch, block):
+    # 130 x 257 rows fill blocks of 63 whole base rows at the real block
+    # size, and of 7 fiber values of one base row at 7
+    monkeypatch.setattr("troplag.lift._EXPORT_BLOCK", block)
+    rng = np.random.default_rng(5)
+    grid = _product_grid(rng.normal(size=(130, 2)), rng.normal(size=(257, 2)))
+    mesh = _synthetic_mesh(grid, (130, 257))
+    for projection in sorted(LagrangianMesh._PROJ):
+        _assert_vertex_text_matches_oracle(mesh, projection, block)
+
+
+@pytest.mark.parametrize("projection", sorted(LagrangianMesh._PROJ))
+def test_only_untwisted_flats_take_the_factored_export(monkeypatch, projection):
+    # a work count, not a timing: the flat cylinders are products of a base
+    # segment and a fiber circle and are written from their factors; the
+    # pants carry no grid, the collars are not products, and the flat of a
+    # twisted edge turns its fiber values along the base
+    mesh = smooth_lift(triangle_curve(), 1.0, resolution=16)
+    calls, factors = [], lift_module._factors
+
+    def counted(points, grid, cols):
+        out = factors(points, grid, cols)
+        calls.append(out is not None)
+        return out
+    monkeypatch.setattr(lift_module, "_factors", counted)
+    for twisted in ({}, {3: 1}):
+        calls.clear()
+        m, _ = twist(copy_mesh(mesh), twisted)
+        assert "".join(m._export_rows(projection)[1]) == _vertex_text_oracle(m, projection)
+        tags = [(p.tag, p.owner) for p in m.pieces if p.grid is not None]
+        assert len(calls) == len(tags) == 15
+        factored = [t for t, f in zip(tags, calls) if f]
+        flats = [t for t in tags if t[0] == "flat"]
+        if twisted:
+            flats.remove(("flat", (3,)))
+        assert factored == flats
+
+
 def test_export_past_index_100000_matches_percent_formatting(tmp_path):
     # the sha256 pins stop at resolution 48 (42,066 vertices); at 96 the
     # face indices cross 100,000, where their digit count changes
