@@ -141,21 +141,43 @@ def enumerate_lattice_points(vertices):
         step = primitive(vsub(b, a))
         n = lattice_length(a, b)
         return [vadd(a, tuple(step[i] * k for i in range(len(a)))) for k in range(n + 1)]
-    hull = convex_hull_2d(vertices)
-    xs = [p[0] for p in hull]
-    ys = [p[1] for p in hull]
+    return _polygon_lattice_points(convex_hull_2d(vertices))
+
+
+def _polygon_lattice_points(hull):
+    """The lattice points of the polygon with this counterclockwise hull,
+    sorted, listed row by row after the unimodular map M that sends the
+    primitive direction (a, b) of its longest edge (in lattice length l) to
+    (1, 0).  That edge becomes a row, so the polygon spans at most 2 area / l
+    + 1 rows, and each row's points run between the exact ceil and floor of
+    its edges' crossings: the work is bounded by the lattice-point count,
+    not by the size of the coordinates."""
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    a, b = primitive(vsub(*max(edges, key=lambda e: lattice_length(*e))[::-1]))
+    u, v = _bezout(a, b)  # u a + v b = 1: M = [[u, v], [-b, a]], det 1
+    mapped = [(u * x + v * y, a * y - b * x) for x, y in hull]
+    # p = (x, y) lies left of the mapped edge P -> Q iff dy (x - P.x) <= dx
+    # (y - P.y): an upper bound on x where dy > 0, a lower one where dy < 0
+    rising, falling = [], []
+    for (px, py), (qx, qy) in zip(mapped, mapped[1:] + mapped[:1]):
+        if qy != py:
+            (rising if qy > py else falling).append((px, py, qx - px, qy - py))
     out = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            inside = True
-            for i in range(len(hull)):
-                if cross2(hull[i], hull[(i + 1) % len(hull)], p) < 0:
-                    inside = False
-                    break
-            if inside:
-                out.append(p)
-    return out
+    for y in range(min(p[1] for p in mapped), max(p[1] for p in mapped) + 1):
+        lo = max(px - (-dx * (y - py) // dy) for px, py, dx, dy in falling)
+        hi = min(px + dx * (y - py) // dy for px, py, dx, dy in rising)
+        out += [(a * x - v * y, b * x + u * y) for x in range(lo, hi + 1)]
+    return sorted(out)
+
+
+def _bezout(a, b):
+    """(u, v) with u a + v b = gcd(a, b) = 1 for a primitive (a, b)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return (u0, v0) if a == 1 else (-u0, -v0)
 
 
 # ---------------------------------------------------------------------------

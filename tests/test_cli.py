@@ -473,6 +473,21 @@ def test_tropical_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert (_sha256(out / "curve.json"), _sha256(out / "curve.svg")) == TROPICAL_SHA256[name]
 
 
+@pytest.mark.parametrize("vertices", [[[0, 0], [10 ** 12, 1], [10 ** 12 + 1, 1]],
+                                      [[0, 0], [1, 10 ** 12], [1, 10 ** 12 + 1]]])
+def test_thin_unimodular_triangle_runs_within_a_second(tmp_path, capsys, vertices):
+    # three lattice points in a bounding box of 2 * 10^12: listing the
+    # points must not scan the box
+    src = tmp_path / "thin.json"
+    src.write_text(json.dumps({"type": "polytope", "vertices": vertices,
+                               "lifting": {"0,0": 0, "%d,%d" % tuple(vertices[1]): 1,
+                                           "%d,%d" % tuple(vertices[2]): 2}}))
+    t0 = time.perf_counter()
+    assert run(["tropical", str(src), "--check-smooth", "--out", str(tmp_path / "o")]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert "smooth: true" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", sorted(TORIC_SHA256))
 def test_toric_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)

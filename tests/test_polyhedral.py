@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from troplag.errors import DegeneracyError, InputError
 from troplag.polyhedral import (MAX_LATTICE_POINTS, LatticePolytope, LiftingFunction,
-                                affine_dim, cross2, discrete_legendre, dot,
+                                affine_dim, convex_hull_2d, cross2, discrete_legendre, dot,
                                 enumerate_lattice_points, lattice_point_count,
                                 load_polytope_json, regular_subdivision, vadd, vsub)
 
@@ -272,6 +272,32 @@ def test_pick_count_is_the_number_of_listed_lattice_points(points):
     P = LatticePolytope.from_points(points)
     assert lattice_point_count(P.vertices) == len(P.lattice_points)
     assert len(enumerate_lattice_points(list(P.vertices))) == len(P.lattice_points)
+
+
+def _box_scan(vertices):
+    """The lattice points of conv(vertices) by scanning its bounding box."""
+    hull = convex_hull_2d(vertices)
+    (x0, y0), (x1, y1) = map(min, zip(*hull)), map(max, zip(*hull))
+    return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
+            if all(cross2(p, q, (x, y)) >= 0 for p, q in zip(hull, hull[1:] + hull[:1]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=3, max_size=6),
+       st.integers(-6, 6), st.integers(-3, 3))
+def test_row_enumeration_equals_the_box_scan(points, s, t):
+    # sheared both ways, so the longest edge is rarely an axis direction
+    points = [(x + s * y, y) for x, y in points]
+    points = [(x, y + t * x) for x, y in points]
+    if affine_dim(points) == 2:
+        assert enumerate_lattice_points(points) == _box_scan(points)
+
+
+@pytest.mark.parametrize("vertices", [[(0, 0), (10 ** 12, 1), (10 ** 12 + 1, 1)],
+                                      [(0, 0), (1, 10 ** 12), (1, 10 ** 12 + 1)]])
+def test_thin_unimodular_triangle_lists_its_three_points(vertices):
+    # its bounding box holds 2 * 10^12 points; the rows after the map, two
+    assert enumerate_lattice_points(vertices) == sorted(vertices)
 
 
 @pytest.mark.parametrize("vertices, count", [
