@@ -24,7 +24,7 @@ from .pants import (HESSIAN_MARGIN, LAM_MAX, PantsMap, h_chart_terms, hessian_ro
                     solve_leg_fiber)
 from .toric import lift_topology
 from .tropical import tangent_line, vertex_frames
-from .polyhedral import parse_key, primitive
+from .polyhedral import bezout, parse_key, primitive
 
 
 # ---------------------------------------------------------------------------
@@ -1312,17 +1312,10 @@ def _twist_fibers(y, m, s, v):
 def _dual_basis_vector(u):
     """Integer v with <u, v> = 1 for primitive u, as floats."""
     a, b = int(u[0]), int(u[1])
-    g, x, y = _egcd(a, b)
+    g, x, y = bezout(a, b)
     if g != 1:
         raise InputError("edge tangent is not primitive")
     return np.array((x, y), dtype=float)
-
-
-def _egcd(a, b):
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _egcd(b, a % b)
-    return (g, y, x - (a // b) * y)
 
 
 def check_windings(X, windings):

@@ -61,6 +61,18 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
+def bezout(a, b):
+    """(g, u, v) with g = gcd(a, b) >= 0 and u a + v b = g, by the extended
+    Euclidean algorithm (a loop, so the size of a and b sets no recursion
+    depth)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
 def lattice_length(a, b):
     """Number of primitive steps from lattice point a to lattice point b."""
     return gcd(*vsub(b, a))
@@ -154,7 +166,7 @@ def _polygon_lattice_points(hull):
     not by the size of the coordinates."""
     edges = list(zip(hull, hull[1:] + hull[:1]))
     a, b = primitive(vsub(*max(edges, key=lambda e: lattice_length(*e))[::-1]))
-    u, v = _bezout(a, b)  # u a + v b = 1: M = [[u, v], [-b, a]], det 1
+    _, u, v = bezout(a, b)  # u a + v b = 1: M = [[u, v], [-b, a]], det 1
     mapped = [(u * x + v * y, a * y - b * x) for x, y in hull]
     # p = (x, y) lies left of the mapped edge P -> Q iff dy (x - P.x) <= dx
     # (y - P.y): an upper bound on x where dy > 0, a lower one where dy < 0
@@ -168,16 +180,6 @@ def _polygon_lattice_points(hull):
         hi = min(px + dx * (y - py) // dy for px, py, dx, dy in rising)
         out += [(a * x - v * y, b * x + u * y) for x in range(lo, hi + 1)]
     return sorted(out)
-
-
-def _bezout(a, b):
-    """(u, v) with u a + v b = gcd(a, b) = 1 for a primitive (a, b)."""
-    u0, v0, u1, v1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
-    return (u0, v0) if a == 1 else (-u0, -v0)
 
 
 # ---------------------------------------------------------------------------
