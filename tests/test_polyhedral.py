@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from helpers import constant_lifting, dual_sample_point
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from troplag.errors import DegeneracyError, InputError
 from troplag.polyhedral import (MAX_LATTICE_POINTS, LatticePolytope, LiftingFunction,
-                                affine_dim, convex_hull_2d, cross2, discrete_legendre, dot,
-                                enumerate_lattice_points, lattice_point_count,
+                                affine_dim, bezout, convex_hull_2d, cross2, discrete_legendre,
+                                dot, enumerate_lattice_points, lattice_point_count,
                                 load_polytope_json, regular_subdivision, vadd, vsub)
 
 TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 2), (2, 1)])
@@ -272,6 +273,22 @@ def test_pick_count_is_the_number_of_listed_lattice_points(points):
     P = LatticePolytope.from_points(points)
     assert lattice_point_count(P.vertices) == len(P.lattice_points)
     assert len(enumerate_lattice_points(list(P.vertices))) == len(P.lattice_points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30))
+def test_bezout_coefficients(a, b):
+    g, u, v = bezout(a, b)
+    assert g == gcd(a, b) and u * a + v * b == g
+
+
+def test_bezout_of_consecutive_fibonacci_numbers_needs_no_recursion():
+    # 4,000 division steps: a recursive extended gcd would pass the
+    # interpreter's recursion limit
+    a, b = 1, 1
+    for _ in range(4000):
+        a, b = a + b, a
+    assert bezout(a, b)[0] == 1
 
 
 def _box_scan(vertices):
