@@ -164,22 +164,28 @@ def _polygon_lattice_points(hull):
     + 1 rows, and each row's points run between the exact ceil and floor of
     its edges' crossings: the work is bounded by the lattice-point count,
     not by the size of the coordinates."""
-    edges = list(zip(hull, hull[1:] + hull[:1]))
-    a, b = primitive(vsub(*max(edges, key=lambda e: lattice_length(*e))[::-1]))
+    ring = list(zip(hull, hull[1:] + hull[:1]))
+    (px, py), (qx, qy) = max(ring, key=lambda e: gcd(e[1][0] - e[0][0], e[1][1] - e[0][1]))
+    g = gcd(qx - px, qy - py)
+    a, b = (qx - px) // g, (qy - py) // g
     _, u, v = bezout(a, b)  # u a + v b = 1: M = [[u, v], [-b, a]], det 1
     mapped = [(u * x + v * y, a * y - b * x) for x, y in hull]
     # p = (x, y) lies left of the mapped edge P -> Q iff dy (x - P.x) <= dx
     # (y - P.y): an upper bound on x where dy > 0, a lower one where dy < 0
     rising, falling = [], []
     for (px, py), (qx, qy) in zip(mapped, mapped[1:] + mapped[:1]):
-        if qy != py:
-            (rising if qy > py else falling).append((px, py, qx - px, qy - py))
+        if qy > py:
+            rising.append((px, py, qx - px, qy - py))
+        elif qy < py:
+            falling.append((px, py, qx - px, qy - py))
+    ys = [y for _, y in mapped]
     out = []
-    for y in range(min(p[1] for p in mapped), max(p[1] for p in mapped) + 1):
-        lo = max(px - (-dx * (y - py) // dy) for px, py, dx, dy in falling)
-        hi = min(px + dx * (y - py) // dy for px, py, dx, dy in rising)
+    for y in range(min(ys), max(ys) + 1):
+        lo = max([px - (-dx * (y - py) // dy) for px, py, dx, dy in falling])
+        hi = min([px + dx * (y - py) // dy for px, py, dx, dy in rising])
         out += [(a * x - v * y, b * x + u * y) for x in range(lo, hi + 1)]
-    return sorted(out)
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +219,10 @@ class LatticePolytope:
         if count > MAX_LATTICE_POINTS:
             raise InputError(f"the polytope holds {count} lattice points, more than "
                              f"{MAX_LATTICE_POINTS}")
-        return LatticePolytope(verts, tuple(enumerate_lattice_points(list(verts))), d)
+        # by Pick, a polytope with no lattice points but its vertices
+        # (a unimodular cell, say) needs no listing
+        pts = sorted(verts) if count == len(verts) else enumerate_lattice_points(list(verts))
+        return LatticePolytope(verts, tuple(pts), d)
 
     @property
     def key(self):
