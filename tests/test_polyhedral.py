@@ -269,10 +269,11 @@ def test_lower_hull_matches_oracle(points, kind, rnd):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=6))
 def test_pick_count_is_the_number_of_listed_lattice_points(points):
-    # polygons, segments and points alike
+    # polygons, segments and points alike; one that holds only its
+    # vertices takes them as its points without listing
     P = LatticePolytope.from_points(points)
     assert lattice_point_count(P.vertices) == len(P.lattice_points)
-    assert len(enumerate_lattice_points(list(P.vertices))) == len(P.lattice_points)
+    assert enumerate_lattice_points(list(P.vertices)) == list(P.lattice_points)
 
 
 @settings(max_examples=200, deadline=None)
