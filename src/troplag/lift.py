@@ -703,13 +703,13 @@ def _factors(points, grid, cols):
     None, also for an empty grid.  The fiber columns of cols are one run in
     every projection."""
     nu, nv = grid
-    fib = [j for j, c in enumerate(cols) if c >= 2]
-    xs, ys = [c for c in cols if c < 2], [cols[j] for j in fib]
+    xs, ys = [c for c in cols if c < 2], [c for c in cols if c >= 2]
     bits = points.view(np.int64).reshape(nu, nv, 4)
     if not (len(points) and (bits[:, :, xs] == bits[:, :1, xs]).all()
             and (bits[:, :, ys] == bits[:1, :, ys]).all()):
         return None
-    pre, post = fib[0], len(cols) - 1 - fib[-1]
+    pre = cols.index(ys[0])
+    post = len(xs) - pre
     x = points[::nv][:, xs].tolist()
     A = [("%.9g " * pre) % tuple(v[:pre]) for v in x]
     C = [(" %.9g" * post + "\n") % tuple(v[pre:]) for v in x]
