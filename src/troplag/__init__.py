@@ -9,9 +9,8 @@ __version__ = "0.1.0"
 
 from .polyhedral import (LatticePolytope, LiftingFunction, discrete_legendre,
                          regular_subdivision)
-from .tropical import (TropicalComplex, TropicalLine, balancing_check,
-                       is_smooth, load_curve_json, tangent_line,
-                       tropical_hypersurface, vertex_frames)
+from .tropical import (TropicalComplex, balancing_check, is_smooth,
+                       load_curve_json, tropical_hypersurface, vertex_frames)
 from .coamoeba import Coamoeba
 from .pants import PantsMap, eta_curve, gamma_curve
 from .lift import (GluingSchedule, default_schedule, exactness_check,
@@ -22,9 +21,8 @@ from .toric import (DelzantPolygon, classify_boundary, delzant_check,
 
 __all__ = [
     "LatticePolytope", "LiftingFunction", "regular_subdivision",
-    "discrete_legendre", "TropicalComplex", "TropicalLine",
-    "tropical_hypersurface", "is_smooth", "balancing_check", "tangent_line",
-    "vertex_frames", "load_curve_json", "Coamoeba",
+    "discrete_legendre", "TropicalComplex", "tropical_hypersurface",
+    "is_smooth", "balancing_check", "vertex_frames", "load_curve_json", "Coamoeba",
     "PantsMap", "gamma_curve", "eta_curve", "pl_lift", "smooth_lift",
     "default_schedule", "GluingSchedule", "symplectic_residual",
     "hausdorff_distance", "twist", "exactness_check",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .tropical import is_balanced
 
 PI = math.pi
 EPS_FACE = 1e-10  # tolerance of Coamoeba.contains on the vertices and faces
@@ -234,18 +235,14 @@ class CoveringCoamoeba:
     standard coamoeba pulls back through it.
     """
 
-    def __init__(self, line):
-        if len(line.generators) != 3:
+    def __init__(self, star):
+        if len(star) != 3:
             raise InputError("covering model needs a trivalent vertex")
-        if not line.is_balanced():
+        if not is_balanced(star):
             raise InputError("weighted vertex is not balanced")
-        # deterministic labels, matching tropical.vertex_frames: u0 is the
-        # lexicographically smallest generator
-        order = sorted(range(3), key=lambda i: line.generators[i])
-        # columns w1 u1 and w2 u2, of the two generators after u0
-        self.B = np.array([[line.weights[i] * c for c in line.generators[i]]
-                           for i in order[1:]], dtype=int).T
-        self.degree = abs(int(round(np.linalg.det(self.B))))
+        # columns w1 u1 and w2 u2, of the two legs after u0 in the star's
+        # order, as in tropical.vertex_frames
+        self.B = np.array([[w * c for c in d] for d, _, w in star[1:]], dtype=int).T
         self.standard = Coamoeba(1)
 
     def beta(self, y):

@@ -23,7 +23,7 @@ from .errors import ConfigurationError, InputError, NumericError
 from .pants import (HESSIAN_MARGIN, LAM_MAX, PantsMap, h_chart_terms, hessian_rows, scaled_h,
                     solve_leg_fiber)
 from .toric import lift_topology
-from .tropical import tangent_line, vertex_frames
+from .tropical import vertex_frames
 from .polyhedral import bezout, parse_key, primitive
 
 
@@ -589,14 +589,12 @@ def pl_lift(X):
     """
     from .coamoeba import CellCoamoeba, CoveringCoamoeba
     pieces = [PLPiece("edge", e, f) for e, f in zip(X.edges, _curve_table(X).fibers)]
-    for cell in X.cells:
-        if cell.kind != "vertex":
-            continue
-        v, dual = cell.verts[0], X.dual_cell(cell)
-        if dual.is_elementary_simplex() or len(X.edges_at(v)) != 3:
+    for cell, star in zip(X.cells, X.stars):  # the vertex cells come first
+        dual = X.dual_cell(cell)
+        if dual.is_elementary_simplex() or len(star) != 3:
             fiber = CellCoamoeba(dual)
         else:
-            fiber = CoveringCoamoeba(tangent_line(X, v))
+            fiber = CoveringCoamoeba(star)
         pieces.append(PLPiece("vertex", cell, fiber))
     return PLLift(X, pieces)
 

@@ -233,36 +233,35 @@ class LiftTopology:
         return " ".join(bits)
 
 
-def _vertex_dual_volume(X, v):
-    """Normalized volume of the dual cell of a vertex: minus its chi share."""
-    key = X.vertex_dual.get(v)
+def _vertex_dual_volume(X, vi):
+    """Normalized volume of the dual cell of vertex vi: minus its chi share."""
+    key = X.vertex_dual.get(X.vertices[vi])
     if key is not None:
         return X.subdivision.face(key).normalized_volume()
-    # reconstruct the dual polygon from the weighted star
-    star = X.edges_at(v)
-    vecs = []
-    for e in star:
-        u = X.outgoing_direction(e, v)
-        w = e.weight
-        vecs.append((w * u[0], w * u[1]))
-    # edge vectors of the dual polygon are the star directions rotated 90deg,
-    # walked in angular order; twice its area is the normalized volume
-    import math
-    rot = [(-b, a) for a, b in vecs]
-    rot.sort(key=lambda t: math.atan2(t[1], t[0]))
+    # The dual polygon's edges are the weighted star turned by 90 degrees,
+    # which keeps cross products.  Walked in angular order from (1, 0),
+    # twice its area (the normalized volume) is the shoelace sum of a x b
+    # over the pairs of edges a before b: a in the upper half plane and b
+    # not, or both in one half with a x b > 0 (parallel edges add 0).
+    legs = [(w * d[0], w * d[1]) for d, _, w in X.stars[vi]]
     area2 = 0
-    p = (0, 0)
-    for dv in rot:
-        q = (p[0] + dv[0], p[1] + dv[1])
-        area2 += p[0] * q[1] - p[1] * q[0]
-        p = q
-    return abs(area2)  # shoelace sum = twice the area = normalized volume
+    for a in legs:
+        for b in legs:
+            cross = a[0] * b[1] - a[1] * b[0]
+            if _lower(a) < _lower(b) or (_lower(a) == _lower(b) and cross > 0):
+                area2 += cross
+    return area2
+
+
+def _lower(v):
+    """Whether v lies in the lower half plane: y < 0, or y = 0 and x < 0."""
+    return v[1] < 0 or (v[1] == 0 and v[0] < 0)
 
 
 def lift_topology(X, poly=None):
     """Euler characteristic and orientability of the (closed-up) lift."""
     if poly is None:
-        chi = -sum(_vertex_dual_volume(X, v) for v in X.vertices)
+        chi = -sum(_vertex_dual_volume(X, vi) for vi in range(len(X.vertices)))
         p, c = X.lift_ends()
         g2 = 2 * c - chi - p
         if g2 % 2:
@@ -274,9 +273,9 @@ def lift_topology(X, poly=None):
     if bad:
         raise InputError(f"unsupported boundary hit of index {bad[0].index} at {bad[0].point}")
     chi = 0
-    for v in X.vertices:
+    for vi, v in enumerate(X.vertices):
         if poly.strictly_contains(v):
-            chi -= _vertex_dual_volume(X, v)
+            chi -= _vertex_dual_volume(X, vi)
     # unbounded edges that stay inside the polygon escape to punctures
     punctures = 0
     for cell in X.unbounded_edges():

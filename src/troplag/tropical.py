@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from itertools import chain, combinations
 
 from .errors import InputError
-from .polyhedral import (discrete_legendre, exact_point, parse_int, plane_point, primitive,
-                         vadd, vsub)
+from .polyhedral import discrete_legendre, exact_point, parse_int, plane_point, primitive, vsub
 
 
 @dataclass(frozen=True)
@@ -54,29 +54,28 @@ class TropicalComplex:
         self.edges = list(edges)
         self.subdivision = subdivision
         self.vertex_dual = vertex_dual or {}
-        # star of each endpoint, edges in list order
-        self._star = {}
-        for e in self.edges:
-            if e.weight < 1:
-                raise InputError("edge weights must be positive integers")
-            for p in dict.fromkeys(tuple(p) for p in e.verts):
-                self._star.setdefault(p, []).append(e)
-        self._vertex_set = frozenset(self.vertices)
+        if any(e.weight < 1 for e in self.edges):
+            raise InputError("edge weights must be positive integers")
 
     @property
     def cells(self):
         return [TropCell("vertex", (v,), dual_key=self.vertex_dual.get(v))
                 for v in self.vertices] + self.edges
 
-    def edges_at(self, v):
-        return list(self._star.get(tuple(v), ()))
-
-    def outgoing_direction(self, e, v):
-        """Primitive direction of edge e pointing away from vertex v."""
-        d = e.direction()
-        if e.kind == "segment" and e.verts[0] != tuple(v):
-            return tuple(-x for x in d)
-        return d
+    @cached_property
+    def stars(self):
+        """The star of each vertex, in X.vertices order: per segment and ray
+        at the vertex one leg (outgoing primitive direction, index in
+        X.edges, weight), sorted by direction and then by index."""
+        legs = {v: [] for v in self.vertices}
+        for i, e in enumerate(self.edges):
+            if e.kind == "line":
+                continue
+            d = e.direction()
+            legs[tuple(e.verts[0])].append((d, i, e.weight))
+            if e.kind == "segment":
+                legs[tuple(e.verts[1])].append(((-d[0], -d[1]), i, e.weight))
+        return [sorted(legs[v]) for v in self.vertices]
 
     def dual_cell(self, cell):
         """Subdivision face dual to a curve cell (requires duality data)."""
@@ -199,9 +198,23 @@ def _vertex_ref(i, vs):
     return i
 
 
+def is_balanced(star):
+    """Whether the weighted directions of a star (legs as in
+    TropicalComplex.stars) sum to zero."""
+    return not any(sum(w * d[k] for d, _, w in star) for k in (0, 1))
+
+
+def is_unimodular(star):
+    """Whether a star is smooth: three legs of weight 1 whose directions are
+    pairwise unimodular, |det(u_i, u_j)| = 1."""
+    return (len(star) == 3 and all(w == 1 for _, _, w in star)
+            and all(abs(a[0] * b[1] - a[1] * b[0]) == 1
+                    for (a, _, _), (b, _, _) in combinations(star, 2)))
+
+
 def balancing_check(X):
     """Weighted primitive directions at every vertex sum to zero."""
-    return all(tangent_line(X, v).is_balanced() for v in X.vertices)
+    return all(map(is_balanced, X.stars))
 
 
 def is_smooth(X):
@@ -209,81 +222,34 @@ def is_smooth(X):
 
     For directly-input curves (no subdivision) the equivalent local test
     is used: all weights 1 (a line has no vertex to check it at), and
-    every vertex's tangent line is smooth (trivalent, pairwise unimodular
-    outgoing directions).
+    every vertex's star is unimodular.
     """
     if X.subdivision is not None:
         return X.subdivision.is_unimodal()
-    return (all(e.weight == 1 for e in X.edges)
-            and all(tangent_line(X, v).is_smooth() for v in X.vertices))
-
-
-@dataclass(frozen=True)
-class TropicalLine:
-    """Cone over a vertex star: center plus n+2 primitive ray generators."""
-
-    center: tuple
-    generators: tuple  # primitive integer directions, weights implicit 1
-    weights: tuple = None
-
-    def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", (1,) * len(self.generators))
-
-    def is_balanced(self):
-        s = (0, 0)
-        for w, g in zip(self.weights, self.generators):
-            s = vadd(s, (w * g[0], w * g[1]))
-        return not any(s)
-
-    def is_smooth(self):
-        gs = self.generators
-        if len(gs) != 3 or any(w != 1 for w in self.weights):
-            return False
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(gs[i][0] * gs[j][1] - gs[i][1] * gs[j][0]) != 1:
-                    return False
-        return True
-
-
-def tangent_line(X, v):
-    """Cone of the star of vertex v, with its primitive generators (the
-    outgoing directions) in sorted order."""
-    v = exact_point(v)
-    if v not in X._vertex_set:
-        raise InputError(f"vertex {v} not in complex")
-    star = sorted(((X.outgoing_direction(e, v), e.weight) for e in X.edges_at(v)),
-                  key=lambda g: g[0])
-    return TropicalLine(v, tuple(g for g, _ in star), tuple(w for _, w in star))
+    return all(e.weight == 1 for e in X.edges) and all(map(is_unimodular, X.stars))
 
 
 def vertex_frames(X):
     """The integral frames of the vertices of a smooth curve with duality
     data, in ints: three lists indexed like X.vertices.  Per vertex, its
-    outgoing primitive directions in sorted order (u0, u1, u2), the indices
-    in X.edges of their edges in the same order, and v0, the one point of
-    the dual keys (vertex sets) of the edges of legs 1 and 2.  The frame
-    B = [u1 u2] is unimodular and sends (-1, -1) to u0.  InputError unless
-    every vertex is trivalent with weights 1, |det(u1, u2)| = 1 and its
-    star balanced, and its legs' edges carry dual keys."""
-    index = {id(e): i for i, e in enumerate(X.edges)}
+    star's directions (u0, u1, u2), the indices in X.edges of their edges
+    in the same order, and v0, the one point of the dual keys (vertex sets)
+    of the edges of legs 1 and 2.  The frame B = [u1 u2] is unimodular and
+    sends (-1, -1) to u0.  InputError unless every star is unimodular and
+    balanced, and its legs' edges carry dual keys."""
     dirs, legs, v0s = [], [], []
-    for v in X.vertices:
-        star = sorted((X.outgoing_direction(e, v), index[id(e)]) for e in X.edges_at(v))
-        u = tuple(d for d, _ in star)
-        if (len(u) != 3 or any(X.edges[i].weight != 1 for _, i in star)
-                or abs(u[1][0] * u[2][1] - u[1][1] * u[2][0]) != 1):
+    for star in X.stars:
+        if not is_unimodular(star):
             raise InputError("line is not smooth; use the covering model instead")
-        if any(a + b + c for a, b, c in zip(*u)):
+        if not is_balanced(star):
             raise InputError("line is not balanced")
-        k1, k2 = (X.edges[i].dual_key for _, i in star[1:])
+        k1, k2 = (X.edges[i].dual_key for _, i, _ in star[1:])
         if k1 is None or k2 is None:
             raise InputError("complex has no duality data")
         common = k1 & k2
         if len(common) != 1:
             raise InputError("dual edges of the two frame legs do not share a vertex")
-        dirs.append(u)
-        legs.append(tuple(i for _, i in star))
+        dirs.append(tuple(d for d, _, _ in star))
+        legs.append(tuple(i for _, i, _ in star))
         v0s.append(next(iter(common)))
     return dirs, legs, v0s

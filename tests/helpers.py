@@ -1,7 +1,8 @@
 """Oracles and conveniences of the tests that no troplag command needs: the
 region H and the cells V of the pants, the constant lifting, a relative
-interior point of a dual cell, a mesh of given pieces and the % formatted
-text of its export."""
+interior point of a dual cell, the outgoing directions at a curve vertex
+(from the edges alone, not from TropicalComplex.stars), a mesh of given
+pieces and the % formatted text of its export."""
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from troplag.coamoeba import rstar_apply
 from troplag.lift import LagrangianMesh
-from troplag.polyhedral import LiftingFunction, vadd
+from troplag.polyhedral import LiftingFunction, primitive, vadd, vsub
 
 
 def region_slack(pm, x):
@@ -56,6 +57,21 @@ def dual_sample_point(dc):
     for r in dc.rays:
         p = vadd(p, tuple(Fraction(x, 2) for x in r))
     return p
+
+
+def outgoing(e, p):
+    """Primitive direction of the segment or ray e leaving its end p."""
+    if e.kind == "ray":
+        return primitive(e.rays[0])
+    a, b = e.verts
+    return primitive(vsub(b, a) if tuple(p) == tuple(a) else vsub(a, b))
+
+
+def star_directions(X, p):
+    """The outgoing directions of the segments and rays of X at the point
+    p, in sorted order."""
+    return sorted(outgoing(e, p) for e in X.edges
+                  if e.kind != "line" and tuple(p) in map(tuple, e.verts))
 
 
 def mesh_of(pieces, X=None, scale=1.0, schedule=None):

@@ -15,6 +15,7 @@ v, B, A and y_c of the curve table.
 """
 
 import numpy as np
+from helpers import outgoing, star_directions
 
 from troplag import lift
 from troplag.coamoeba import PI, edge_fiber_from_dual, r_apply, reduce_mod_pi, rstar_apply
@@ -386,9 +387,8 @@ def oracle_smooth_pieces(X, t, sched, resolution):
     for ei, e in enumerate(X.edges):
         # the (vertex, leg) of each end of the edge: leg j leaves the vertex
         # in the j-th of its star's outgoing directions in sorted order
-        ends = [(X.vertices.index(p),
-                 sorted(X.outgoing_direction(f, p) for f in X.edges_at(p)).index(
-                     X.outgoing_direction(e, p))) for p in e.verts]
+        ends = [(X.vertices.index(p), star_directions(X, p).index(outgoing(e, p)))
+                for p in e.verts]
         n = resolution * resolution
         piece = MeshPiece("flat", (ei,), np.empty((n, 4)), np.empty((n, 2, 4)),
                           (resolution, resolution))

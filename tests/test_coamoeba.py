@@ -6,7 +6,7 @@ from troplag.coamoeba import (EPS_FACE, PI, CellCoamoeba, Coamoeba, CoveringCoam
                               FlatTorus, r_apply, reduce_mod_pi, rstar_apply)
 from troplag.errors import InputError
 from troplag.polyhedral import LatticePolytope
-from troplag.tropical import TropicalLine
+from troplag.tropical import TropCell, TropicalComplex
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,11 @@ def test_cell_coamoeba_rejects_points():
 # ---------------------------------------------------------------------------
 # coverings
 
+def _star(gens, weights=(1, 1, 1)):
+    rays = [TropCell("ray", ((0, 0),), (g,), w) for g, w in zip(gens, weights)]
+    return TropicalComplex([(0, 0)], rays).stars[0]
+
+
 @pytest.mark.parametrize("gens, weights, degree", [
     (((1, 0), (0, 1), (-1, -1)), (1, 1, 1), 1),
     (((1, 1), (-2, 1), (1, -2)), (1, 1, 1), 3),
@@ -188,14 +193,14 @@ def test_cell_coamoeba_rejects_points():
 ], ids=["standard_line", "degree_three", "weight_two"])
 def test_covering_degree_is_det(gens, weights, degree):
     # the degree of the covering of tori is |det B|, computed here in integers
-    cov = CoveringCoamoeba(TropicalLine((0, 0), gens, weights))
+    cov = CoveringCoamoeba(_star(gens, weights))
     (a, b), (c, d) = cov.B.tolist()
-    assert cov.degree == degree == abs(a * d - b * c)
+    assert abs(a * d - b * c) == degree
 
 
 def test_covering_requires_balance():
     with pytest.raises(InputError):
-        CoveringCoamoeba(TropicalLine((0, 0), ((1, 0), (0, 1), (-1, -2))))
+        CoveringCoamoeba(_star(((1, 0), (0, 1), (-1, -2))))
 
 
 def test_edge_fiber_circle_counts():

@@ -12,7 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import constant_lifting, copy_mesh, in_V, mesh_of, percent_export, region_slack
+from helpers import (constant_lifting, copy_mesh, in_V, mesh_of, outgoing, percent_export,
+                     region_slack, star_directions)
 from hypothesis import example, given, settings, strategies as st
 from oracle_pants import oracle_smooth_pieces
 from scipy.spatial import cKDTree
@@ -529,8 +530,8 @@ def test_curve_table_legs_follow_the_sorted_stars():
             for end, (vi, j) in enumerate(legs[ei].tolist()):
                 v = X.vertices[vi]
                 assert v == e.verts[min(end, len(e.verts) - 1)]
-                star = sorted(X.outgoing_direction(f, v) for f in X.edges_at(v))
-                assert len(star) == 3 and X.outgoing_direction(e, v) == star[j]
+                star = star_directions(X, v)
+                assert len(star) == 3 and outgoing(e, v) == star[j]
                 seen.append((vi, j))
         assert len(set(seen)) == 3 * len(X.vertices)
 

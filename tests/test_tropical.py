@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import constant_lifting
+from helpers import constant_lifting, outgoing, star_directions
 from hypothesis import assume, example, given, settings, strategies as st
 
 from troplag import polyhedral, tropical
@@ -16,8 +16,9 @@ from troplag.lift import _curve_table, default_schedule
 from troplag.polyhedral import (LatticePolytope, LiftingFunction, affine_dim, exact_point,
                                 regular_subdivision, vsub)
 from troplag.svg import draw_curve_and_subdivision
-from troplag.tropical import (TropCell, TropicalComplex, balancing_check, is_smooth,
-                              load_curve_json, tangent_line, tropical_hypersurface, vertex_frames)
+from troplag.tropical import (TropCell, TropicalComplex, balancing_check, is_balanced,
+                              is_smooth, load_curve_json, tropical_hypersurface,
+                              vertex_frames)
 
 
 def triangle_curve():
@@ -92,22 +93,34 @@ def test_balancing():
         load_curve_json(bad)  # balancing is checked on load
 
 
-def test_tangent_lines_of_triangle_curve():
+def test_stars_of_triangle_curve():
+    # per vertex, its legs (outgoing direction, edge index, weight), sorted
     X = triangle_curve()
-    L0 = tangent_line(X, (0, 0))
-    assert sorted(L0.generators) == [(-1, -1), (0, 1), (1, 0)]
-    L1 = tangent_line(X, (1, 0))
-    assert sorted(L1.generators) == [(-1, 0), (-1, 1), (2, -1)]
-    with pytest.raises(InputError):
-        tangent_line(X, (5, 5))
+    assert len(X.stars) == len(X.vertices)
+    assert [d for d, _, _ in X.stars[X.vertices.index((0, 0))]] == [(-1, -1), (0, 1), (1, 0)]
+    assert [d for d, _, _ in X.stars[X.vertices.index((1, 0))]] == [(-1, 0), (-1, 1), (2, -1)]
+    for v, star in zip(X.vertices, X.stars):
+        assert [d for d, _, _ in star] == star_directions(X, v)
+        assert all(outgoing(X.edges[i], v) == d and X.edges[i].weight == w for d, i, w in star)
 
 
-def test_tangent_line_of_line_is_itself():
+def test_star_of_the_standard_line_is_its_rays():
     X = standard_line()
-    L = tangent_line(X, (0, 0))
-    assert sorted(L.generators) == sorted(e.rays[0] for e in X.edges)
-    star = [TropCell("ray", (L.center,), (g,), w) for g, w in zip(L.generators, L.weights)]
-    assert balancing_check(TropicalComplex([L.center], star))
+    (star,) = X.stars
+    assert [d for d, _, _ in star] == sorted(e.rays[0] for e in X.edges)
+    assert [i for _, i, _ in star] == sorted(range(3), key=lambda i: X.edges[i].rays[0])
+    rays = [TropCell("ray", (X.vertices[0],), (d,), w) for d, _, w in star]
+    assert balancing_check(TropicalComplex(X.vertices, rays))
+
+
+def test_star_ties_follow_the_edge_order():
+    # legs of one direction keep the order of their edges in X.edges
+    rays = [TropCell("ray", ((0, 0),), (d,), w)
+            for d, w in [((1, 0), 2), ((0, 1), 1), ((1, 0), 1), ((-1, -1), 3), ((0, 1), 2)]]
+    (star,) = TropicalComplex([(0, 0)], rays).stars
+    assert star == [((-1, -1), 3, 3), ((0, 1), 1, 1), ((0, 1), 4, 2), ((1, 0), 0, 2),
+                    ((1, 0), 2, 1)]
+    assert is_balanced(star)
 
 
 def test_vertex_frames_deterministic_rule():
@@ -137,9 +150,8 @@ def test_vertex_frames_invariants():
         (a, b), (c, d) = A[vi].tolist()
         assert abs(a * d - b * c) == 1
         # conjugation sends the line exactly to the standard line
-        L = tangent_line(X, v)
-        assert L.generators == dirs[vi]
-        images = sorted((A[vi] @ g).tolist() for g in L.generators)
+        assert star_directions(X, v) == list(dirs[vi])
+        images = sorted((A[vi] @ g).tolist() for g in dirs[vi])
         assert images == [[-1, -1], [0, 1], [1, 0]]
 
 
@@ -192,12 +204,12 @@ def test_vertex_frames_are_exact_and_match_the_curve_table(points, quadratic, no
         assert table.B[vi].tolist() == [list(row) for row in B]
         assert (table.A[vi] @ table.B[vi]).tolist() == [[1, 0], [0, 1]]
         assert all(v0[vi] in X.edges[ei].dual_key for ei in legs[vi][1:])
-        assert [X.outgoing_direction(X.edges[ei], v) for ei in legs[vi]] == list(dirs[vi])
+        assert [outgoing(X.edges[ei], v) for ei in legs[vi]] == list(dirs[vi])
     assert not np.signbit(table.A[table.A == 0]).any()  # the frames' torus columns
     for ei, e in enumerate(X.edges):
         for end, (vi, j) in enumerate(table.legs[ei].tolist()):
             assert X.vertices[vi] == e.verts[min(end, len(e.verts) - 1)]
-            assert X.outgoing_direction(e, X.vertices[vi]) == dirs[vi][j]
+            assert outgoing(e, X.vertices[vi]) == dirs[vi][j]
 
 
 def test_duality_round_trip():
@@ -247,19 +259,17 @@ def test_subdivision_and_star_smoothness_agree(points, values):
 def test_every_smooth_vertex_is_trivalent_unimodular():
     X = triangle_curve()
     for v in X.vertices:
-        star = X.edges_at(v)
-        assert len(star) == 3
-        dirs = [X.outgoing_direction(e, v) for e in star]
+        dirs = star_directions(X, v)
+        assert len(dirs) == 3
         for i in range(3):
             for j in range(i + 1, 3):
                 d = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
                 assert abs(d) == 1
 
 
-def test_tangent_line_output_balances():
+def test_stars_of_triangle_curve_balance():
     X = triangle_curve()
-    for v in X.vertices:
-        assert tangent_line(X, v).is_balanced()
+    assert all(is_balanced(star) for star in X.stars)
 
 
 # ---------------------------------------------------------------------------
