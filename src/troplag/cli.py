@@ -61,31 +61,14 @@ def _load_curve_arg(path, default_zero=False):
     return load_input(_read_json(path), default_zero=default_zero)
 
 
-def _curve_to_json(X):
-    verts = [[str(c) for c in v] for v in X.vertices]
-    edges, rays, weights = [], [], []
-    index = {tuple(v): i for i, v in enumerate(X.vertices)}
-    for e in X.edges:
-        if e.kind == "segment":
-            edges.append([index[tuple(e.verts[0])], index[tuple(e.verts[1])]])
-            weights.append(e.weight)
-    for e in X.edges:
-        if e.kind != "segment":
-            base = tuple(e.verts[0])
-            rays.append([index.get(base, 0), list(e.rays[0])])
-            weights.append(e.weight)
-    return {"type": "curve", "vertices": verts, "edges": edges,
-            "rays": rays, "weights": weights}
-
-
 def cmd_tropical(args):
     from .svg import draw_curve_and_subdivision
-    from .tropical import is_smooth
+    from .tropical import curve_to_json, is_smooth
     fx = _load_curve_arg(args.input, default_zero=args.default_zero)
     X = fx["curve"]
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "curve.json"), "w") as fh:
-        json.dump(_curve_to_json(X), fh, indent=2, sort_keys=True)
+        json.dump(curve_to_json(X), fh, indent=2, sort_keys=True)
     draw_curve_and_subdivision(X, os.path.join(args.out, "curve.svg"),
                                command=args.cmdline)
     if args.check_smooth:

@@ -157,36 +157,69 @@ def load_curve_json(data):
     """Direct curve input, bypassing a polytope.
 
     {"vertices": [[x,y],...], "edges": [[i,j],...],
-     "rays": [[i,[dx,dy]],...], "weights": [w,...]}
-    weights align with edges followed by rays; omitted -> all 1.
-    Balancing is checked on load.
+     "rays": [[i,[dx,dy]],...], "lines": [[[x,y],[dx,dy]],...],
+     "weights": [w,...]}
+    weights align with edges, then rays, then lines; omitted -> all 1.
+    A line passes through (x, y) both ways along (dx, dy); lines must be
+    parallel, in a curve without vertices.  Balancing is checked on load.
     """
     try:
-        vs = [plane_point(exact_point(Fraction(str(x)) for x in p), "curve vertex")
-              for p in data["vertices"]]
+        vs = [_point(p, "curve vertex") for p in data["vertices"]]
         raw_edges = data.get("edges", [])
         raw_rays = data.get("rays", [])
+        raw_lines = data.get("lines", [])
         weights = data.get("weights")
+        n = len(raw_edges) + len(raw_rays) + len(raw_lines)
         if weights is None:
-            weights = [1] * (len(raw_edges) + len(raw_rays))
-        if len(weights) != len(raw_edges) + len(raw_rays):
-            raise InputError("weights length must match edges + rays")
+            weights = [1] * n
+        if len(weights) != n:
+            raise InputError("weights length must match edges + rays + lines")
         weights = [parse_int(w, "edge weight") for w in weights]
         segments = [(_vertex_ref(i, vs), _vertex_ref(j, vs)) for i, j in raw_edges]
         rays = [(_vertex_ref(i, vs), primitive(plane_point(d, "ray direction")))
                 for i, d in raw_rays]
+        lines = [(_point(p, "line point"), primitive(plane_point(d, "line direction")))
+                 for p, d in raw_lines]
     except InputError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Fraction(inf) overflows
         raise InputError(f"bad curve JSON: {exc}")
+    if lines and (vs or len({max(d, (-d[0], -d[1])) for _, d in lines}) > 1):
+        raise InputError("lines must be parallel, in a curve without vertices")
     edges = [TropCell("segment", (vs[i], vs[j]), (), w)
              for (i, j), w in zip(segments, weights)]
     edges += [TropCell("ray", (vs[i],), (d,), w)
               for (i, d), w in zip(rays, weights[len(segments):])]
+    edges += [TropCell("line", (p,), (d, (-d[0], -d[1])), w)
+              for (p, d), w in zip(lines, weights[len(segments) + len(rays):])]
     X = TropicalComplex(vs, edges)
     if not balancing_check(X):
         raise InputError("curve is not balanced")
     return X
+
+
+def curve_to_json(X):
+    """The object of X in load_curve_json's format, coordinates as strings;
+    a line is written as its point and its first direction, and "lines"
+    only when X has one."""
+    index = {v: i for i, v in enumerate(X.vertices)}
+    kinds = ("segment", "ray", "line")
+    cells = {k: [e for e in X.edges if e.kind == k] for k in kinds}
+    out = {"type": "curve", "vertices": [_text(v) for v in X.vertices],
+           "edges": [[index[a], index[b]] for a, b in (e.verts for e in cells["segment"])],
+           "rays": [[index[e.verts[0]], list(e.rays[0])] for e in cells["ray"]],
+           "weights": [e.weight for k in kinds for e in cells[k]]}
+    if cells["line"]:
+        out["lines"] = [[_text(e.verts[0]), list(e.rays[0])] for e in cells["line"]]
+    return out
+
+
+def _point(p, what):
+    return plane_point(exact_point(Fraction(str(x)) for x in p), what)
+
+
+def _text(p):
+    return [str(c) for c in p]
 
 
 def _vertex_ref(i, vs):

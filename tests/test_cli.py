@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import troplag
-from troplag.cli import MAX_GRID, _curve_to_json, _load_curve_arg, main
+from troplag.cli import MAX_GRID, _load_curve_arg, main
 from troplag.fixtures import fixture_names, load_fixture
+from troplag.tropical import curve_to_json
 
 
 def run(args):
@@ -67,8 +68,8 @@ def test_fixture_and_file_inputs_agree(tmp_path, name):
     ref = resources.files("troplag").joinpath(f"fixtures/{name}.json")
     src = tmp_path / f"{name}.json"
     src.write_bytes(ref.read_bytes())
-    from_file = _curve_to_json(_load_curve_arg(str(src))["curve"])
-    assert from_file == _curve_to_json(load_fixture(name)["curve"])
+    from_file = curve_to_json(_load_curve_arg(str(src))["curve"])
+    assert from_file == curve_to_json(load_fixture(name)["curve"])
 
 
 SIMPLEX_POLYTOPE = '{"vertices": [[0, 0], [1, 0], [0, 1]], "lifting": %s}'
@@ -111,8 +112,13 @@ def _two_vertex_curve(**change):
     {"vertices": [[0, 0, 7], [1, 0]]},                             # ValueError in svg.py
     {"vertices": [[0], [1, 0]]},
     {"rays": [[0, [0, 1]], [0, [-1, -1]], [1, [0, -1]], [1, [1, 1, 0]]]},  # kept in curve.json
+    {"lines": [[[0, 0], [1, 0]]], "weights": [1] * 6},              # a line beside vertices
+    {"vertices": [], "edges": [], "rays": [],
+     "lines": [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]},                # lines must be parallel
+    {"vertices": [], "edges": [], "rays": [], "lines": [[[0, 0], [0, 0]]]},
 ], ids=["edge_out_of_range", "weight_x", "weight_1.5", "edge_negative", "ray_base_negative",
-        "vertex_3_coordinates", "vertex_1_coordinate", "ray_3_coordinates"])
+        "vertex_3_coordinates", "vertex_1_coordinate", "ray_3_coordinates",
+        "line_and_vertices", "lines_not_parallel", "line_direction_zero"])
 def test_malformed_curve_exits_2(tmp_path, capsys, change):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(_two_vertex_curve()))
@@ -428,7 +434,7 @@ TROPICAL_SHA256 = {
                  "60ede75862a6f09c62b95dd17881f879f8612f25dccec2a4db3c872cc28a9a21"),
     "weight2_line": ("eff6851c17b2ec03a3f72ebcb5e6ab7e06761f6ece5f9c6680fff35165bd8f54",
                      "28fe03f76da57b2c9877ced519e89b176c46f6ff2159b126dd55570480874cf5"),
-    "weight2_segment": ("51ec46ac35424b6df82235648bfa1c6af5f109c19613c07de70095c529a60ce5",
+    "weight2_segment": ("65277f2cbde7a988c4b33a323d8984269ae7de6e5a4b46a35d00919c27eff240",
                         "1210af7d25fb7d2a2e97ff0f316bdad084fb16332acf8cca17512e236b42cb7b"),
 }
 # toric_report.json of `troplag toric NAME` per fixture with a polygon
@@ -471,6 +477,16 @@ def test_tropical_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert run(["tropical", name, "--out", "out"]) == 0
     out = tmp_path / "out"
     assert (_sha256(out / "curve.json"), _sha256(out / "curve.svg")) == TROPICAL_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TROPICAL_SHA256))
+def test_tropical_of_its_own_curve_json_writes_the_same_bytes(tmp_path, name):
+    # curve.json keeps every cell of the curve, lines with their point and
+    # both directions, so reading it back gives the same curve
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["tropical", name, "--out", str(first)]) == 0
+    assert run(["tropical", str(first / "curve.json"), "--out", str(second)]) == 0
+    assert (second / "curve.json").read_bytes() == (first / "curve.json").read_bytes()
 
 
 @pytest.mark.parametrize("vertices", [[[0, 0], [10 ** 12, 1], [10 ** 12 + 1, 1]],

@@ -10,14 +10,13 @@ from helpers import constant_lifting, outgoing, star_directions
 from hypothesis import assume, example, given, settings, strategies as st
 
 from troplag import polyhedral, tropical
-from troplag.cli import _curve_to_json
 from troplag.errors import InputError
 from troplag.lift import _curve_table, default_schedule
 from troplag.polyhedral import (LatticePolytope, LiftingFunction, affine_dim, exact_point,
                                 regular_subdivision, vsub)
 from troplag.svg import draw_curve_and_subdivision
-from troplag.tropical import (TropCell, TropicalComplex, balancing_check, is_balanced,
-                              is_smooth, load_curve_json, tropical_hypersurface,
+from troplag.tropical import (TropCell, TropicalComplex, balancing_check, curve_to_json,
+                              is_balanced, is_smooth, load_curve_json, tropical_hypersurface,
                               vertex_frames)
 
 
@@ -250,7 +249,7 @@ def test_subdivision_and_star_smoothness_agree(points, values):
     assume(affine_dim(points) == 2)
     P = LatticePolytope.from_points(points)
     X = tropical_hypersurface(regular_subdivision(P, dict(zip(P.lattice_points, values))))
-    Y = load_curve_json(_curve_to_json(X))
+    Y = load_curve_json(curve_to_json(X))
     assert Y.subdivision is None
     assert is_smooth(Y) == is_smooth(X)
     assert balancing_check(X) and balancing_check(Y)
@@ -363,7 +362,7 @@ def _curve_outputs(X, tmp):
     with open(path, "rb") as fh:
         svg = fh.read()
     smooth = is_smooth(X) and X.vertices
-    return (_curve_to_json(X), svg, default_schedule(X).to_json() if smooth else None,
+    return (curve_to_json(X), svg, default_schedule(X).to_json() if smooth else None,
             X.min_vertex_distance())
 
 
