@@ -161,7 +161,8 @@ def load_curve_json(data):
      "weights": [w,...]}
     weights align with edges, then rays, then lines; omitted -> all 1.
     A line passes through (x, y) both ways along (dx, dy); lines must be
-    parallel, in a curve without vertices.  Balancing is checked on load.
+    parallel, in a curve without vertices.  InputError for a vertex listed
+    twice; balancing is checked on load.
     """
     try:
         vs = [_point(p, "curve vertex") for p in data["vertices"]]
@@ -184,6 +185,8 @@ def load_curve_json(data):
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Fraction(inf) overflows
         raise InputError(f"bad curve JSON: {exc}")
+    if len(set(vs)) < len(vs):
+        raise InputError(f"curve vertex {next(v for v in vs if vs.count(v) > 1)} is listed twice")
     if lines and (vs or len({max(d, (-d[0], -d[1])) for _, d in lines}) > 1):
         raise InputError("lines must be parallel, in a curve without vertices")
     edges = [TropCell("segment", (vs[i], vs[j]), (), w)

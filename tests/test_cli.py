@@ -129,6 +129,22 @@ def test_malformed_curve_exits_2(tmp_path, capsys, change):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["tropical", "toric"])
+def test_repeated_curve_vertex_exits_2(tmp_path, capsys, command):
+    # three copies of one vertex would count its pants three times:
+    # chi = -2, genus 1 in place of chi = 0, genus 0
+    curve = {"vertices": [[0, 0]], "rays": [[0, [1, 0]], [0, [0, 1]], [0, [-1, -1]]],
+             "polygon": [[-3, -3], [6, -3], [-3, 6]]}
+    once, thrice = tmp_path / "once.json", tmp_path / "thrice.json"
+    once.write_text(json.dumps(curve))
+    thrice.write_text(json.dumps(dict(curve, vertices=[[0, 0]] * 3)))
+    assert run([command, str(once), "--out", str(tmp_path / "o")]) == 0
+    assert command == "tropical" or capsys.readouterr().out.startswith("chi=0 orientable genus=0")
+    capsys.readouterr()
+    assert run([command, str(thrice), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: curve vertex (0, 0) is listed twice\n"
+
+
 _COORDINATES = st.lists(st.integers(-2, 2), max_size=3)
 
 
