@@ -241,21 +241,17 @@ def _vertex_dual_volume(X, vi):
     # The dual polygon's edges are the weighted star turned by 90 degrees,
     # which keeps cross products.  Walked in angular order from (1, 0),
     # twice its area (the normalized volume) is the shoelace sum of a x b
-    # over the pairs of edges a before b: a in the upper half plane and b
-    # not, or both in one half with a x b > 0 (parallel edges add 0).
+    # over the pairs of edges a before b: a at y >= 0 and b below, or both
+    # on one side with a x b > 0.  Pairs with a x b = 0 add 0 in any order.
     legs = [(w * d[0], w * d[1]) for d, _, w in X.stars[vi]]
     area2 = 0
     for a in legs:
         for b in legs:
             cross = a[0] * b[1] - a[1] * b[0]
-            if _lower(a) < _lower(b) or (_lower(a) == _lower(b) and cross > 0):
+            below_a, below_b = a[1] < 0, b[1] < 0
+            if below_a < below_b or (below_a == below_b and cross > 0):
                 area2 += cross
     return area2
-
-
-def _lower(v):
-    """Whether v lies in the lower half plane: y < 0, or y = 0 and x < 0."""
-    return v[1] < 0 or (v[1] == 0 and v[0] < 0)
 
 
 def lift_topology(X, poly=None):
