@@ -10,7 +10,7 @@ from troplag.fixtures import load_fixture
 from troplag.lift import pl_lift
 from troplag.polyhedral import (LatticePolytope, LiftingFunction, lattice_length,
                                 regular_subdivision)
-from troplag.toric import (BoundaryHit, DelzantPolygon, classify_boundary,
+from troplag.toric import (BoundaryHit, DelzantPolygon, _vertex_dual_volume, classify_boundary,
                            delzant_check, lift_topology, monotone_report,
                            vertex_unimodular)
 from troplag.tropical import TropCell, TropicalComplex, load_curve_json, tropical_hypersurface
@@ -190,6 +190,20 @@ def test_fourvalent_vertex_contribution():
     t = lift_topology(fx["curve"], fx["polygon"])
     # one 4-valent vertex (chi share -4) and four smooth corner caps
     assert (t.chi, t.orientable, t.genus) == (0, True, 1)
+
+
+def test_dual_volume_of_nearly_parallel_legs_is_exact():
+    # (N, 1) and (N + 1, 1) turn by 1e-17 rad, less than a float angle can
+    # tell apart.  In angular order from (1, 0) the legs run b = (N + 1, 1),
+    # a = (N, 1), d = (-2N - 1, -1), c = (0, -1), and the shoelace sum over
+    # the pairs is b x a + b x d + b x c + a x d + a x c + d x c
+    # = 1 + N - (N + 1) + (N + 1) - N + (2N + 1) = 2N + 2.
+    N = 10 ** 17
+    X = load_curve_json({"vertices": [[0, 0]], "rays": [
+        [0, [N, 1]], [0, [0, -1]], [0, [N + 1, 1]], [0, [-2 * N - 1, -1]]]})
+    assert _vertex_dual_volume(X, 0) == 2 * N + 2
+    t = lift_topology(X)
+    assert (t.chi, t.punctures, t.genus) == (-2 * N - 2, 4, N)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -13,8 +14,9 @@ from troplag import polyhedral, tropical
 from troplag.errors import InputError
 from troplag.lift import _curve_table, default_schedule
 from troplag.polyhedral import (LatticePolytope, LiftingFunction, affine_dim, exact_point,
-                                regular_subdivision, vsub)
+                                primitive, regular_subdivision, vadd, vsub)
 from troplag.svg import draw_curve_and_subdivision
+from troplag.toric import _vertex_dual_volume, lift_topology
 from troplag.tropical import (TropCell, TropicalComplex, balancing_check, curve_to_json,
                               is_balanced, is_smooth, load_curve_json, tropical_hypersurface,
                               vertex_frames)
@@ -157,7 +159,8 @@ def test_vertex_frames_invariants():
 def test_vertex_frames_rejects_nonsmooth():
     for rays, weights in [([[1, 1], [-2, 1], [1, -2]], None),  # |det| = 3
                           ([[1, 0], [0, 1], [-1, 0], [0, -1]], None),  # four legs
-                          ([[-1, 0], [1, 2], [1, -2]], [2, 1, 1])]:  # a weight of 2
+                          ([[-1, 0], [1, 2], [1, -2]], [2, 1, 1]),  # a weight of 2
+                          ([[1, 0], [0, 1], [-1, -1]], [2, 2, 2])]:  # unimodular, weights 2
         X = load_curve_json({"vertices": [[0, 0]], "rays": [[0, r] for r in rays],
                              "weights": weights})
         with pytest.raises(InputError, match="not smooth"):
@@ -243,16 +246,62 @@ def test_curves_from_lifts_are_balanced(vals):
        st.lists(st.integers(-3, 3), min_size=16, max_size=16))
 @example([(0, 0), (1, 2), (2, 1)], [1, 0, 0, 0] + [0] * 12)  # smooth
 @example([(0, 0), (1, 2), (2, 1)], [0] * 16)  # one cell of area 3, primitive edges
+@example([(0, 0), (1, 0), (0, 1), (1, 1)], [0] * 16)  # a square cell: one 4-valent vertex
+@example([(0, 0), (3, 0), (3, 0)], [0, 1, 0, 0] + [0] * 12)  # two lines, weights 2 and 1
 def test_subdivision_and_star_smoothness_agree(points, values):
     # is_smooth of a polytope-backed curve tests its subdivision's cells,
-    # and of the same curve read back as a direct curve each vertex's star
-    assume(affine_dim(points) == 2)
+    # and of the same curve read back as a direct curve each vertex's star;
+    # each vertex's dual volume is its cell's there and the shoelace sum of
+    # its star here, so the two curves' lifts have one topology
+    assume(affine_dim(points) >= 1)
     P = LatticePolytope.from_points(points)
     X = tropical_hypersurface(regular_subdivision(P, dict(zip(P.lattice_points, values))))
     Y = load_curve_json(curve_to_json(X))
-    assert Y.subdivision is None
+    assert Y.subdivision is None and Y.vertices == X.vertices
     assert is_smooth(Y) == is_smooth(X)
     assert balancing_check(X) and balancing_check(Y)
+    volumes = [[_vertex_dual_volume(Z, vi) for vi in range(len(Z.vertices))] for Z in (X, Y)]
+    assert volumes[1] == volumes[0]
+    tx, ty = lift_topology(X), lift_topology(Y)
+    assert (ty.chi, ty.punctures, ty.genus) == (tx.chi, tx.punctures, tx.genus)
+
+
+def _pairwise_rule(generators, weights):
+    """(balanced, smooth) of a vertex by the rule of the deleted
+    TropicalLine: the weighted generators sum to zero; three generators of
+    weight 1, pairwise unimodular."""
+    s = (0, 0)
+    for w, g in zip(weights, generators):
+        s = vadd(s, (w * g[0], w * g[1]))
+    smooth = len(generators) == 3 and all(w == 1 for w in weights)
+    for i in range(len(generators)):
+        for j in range(i + 1, len(generators)):
+            a, b = generators[i], generators[j]
+            smooth = smooth and abs(a[0] * b[1] - a[1] * b[0]) == 1
+    return not any(s), smooth
+
+
+_LEG = st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+                 st.sampled_from([1, 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LEG, min_size=1, max_size=4), st.booleans())
+@example([((1, 0), 1), ((0, 1), 1), ((5, 5), 1)], True)  # the standard line
+@example([((1, 1), 1), ((-2, 1), 1), ((1, -2), 1)], False)  # balanced, |det| = 3
+@example([((1, 0), 2), ((0, 1), 2), ((1, 1), 1)], True)  # balanced with weights 2
+def test_star_predicates_follow_the_pairwise_rule(legs, close):
+    # a direct vertex of up to 4 legs of weights 1 and 2; with close, its
+    # last leg is replaced by the one that balances the others
+    if close:
+        rest = (-sum(w * d[0] for d, w in legs[:-1]), -sum(w * d[1] for d, w in legs[:-1]))
+        assume(any(rest) and math.gcd(*rest) <= 2)
+        legs = legs[:-1] + [(rest, math.gcd(*rest))]
+    generators = [primitive(d) for d, _ in legs]
+    weights = [w for _, w in legs]
+    X = TropicalComplex([(0, 0)], [TropCell("ray", ((0, 0),), (g,), w)
+                                   for g, w in zip(generators, weights)])
+    assert (balancing_check(X), is_smooth(X)) == _pairwise_rule(generators, weights)
 
 
 def test_every_smooth_vertex_is_trivalent_unimodular():
