@@ -239,19 +239,21 @@ def _vertex_dual_volume(X, vi):
     if key is not None:
         return X.subdivision.face(key).normalized_volume()
     # The dual polygon's edges are the weighted star turned by 90 degrees,
-    # which keeps cross products.  Walked in angular order from (1, 0),
-    # twice its area (the normalized volume) is the shoelace sum of a x b
-    # over the pairs of edges a before b: a at y >= 0 and b below, or both
-    # on one side with a x b > 0.  Pairs with a x b = 0 add 0 in any order.
-    legs = [(w * d[0], w * d[1]) for d, _, w in X.stars[vi]]
-    area2 = 0
-    for a in legs:
-        for b in legs:
-            cross = a[0] * b[1] - a[1] * b[0]
-            below_a, below_b = a[1] < 0, b[1] < 0
-            if below_a < below_b or (below_a == below_b and cross > 0):
-                area2 += cross
+    # which keeps cross products, so twice its area (the normalized volume)
+    # is the shoelace sum of the weighted legs walked in angular order.
+    legs = sorted(((w * d[0], w * d[1]) for d, _, w in X.stars[vi]), key=_angle)
+    area2, p = 0, (0, 0)
+    for e in legs:
+        area2 += p[0] * e[1] - p[1] * e[0]
+        p = (p[0] + e[0], p[1] + e[1])
     return area2
+
+
+def _angle(v):
+    """An exact key of the angle of v from (1, 0), in [0, 2 pi): its half
+    plane (y < 0, or y = 0 and x < 0), the axis first, then -x / y."""
+    x, y = v
+    return (y < 0 or (y == 0 and x < 0), y != 0, Fraction(-x, y) if y else 0)
 
 
 def lift_topology(X, poly=None):
