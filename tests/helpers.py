@@ -64,14 +64,14 @@ def outgoing(e, p):
     if e.kind == "ray":
         return primitive(e.rays[0])
     a, b = e.verts
-    return primitive(vsub(b, a) if tuple(p) == tuple(a) else vsub(a, b))
+    return primitive(vsub(b, a) if p == a else vsub(a, b))
 
 
 def star_directions(X, p):
     """The outgoing directions of the segments and rays of X at the point
     p, in sorted order."""
     return sorted(outgoing(e, p) for e in X.edges
-                  if e.kind != "line" and tuple(p) in map(tuple, e.verts))
+                  if e.kind != "line" and p in e.verts)
 
 
 def mesh_of(pieces, X=None, scale=1.0, schedule=None):
